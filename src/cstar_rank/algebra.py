@@ -43,9 +43,13 @@ def matrix_to_json(block) -> list:
 
 
 def matrix_from_json(rows) -> np.ndarray:
-    return np.array(
+    """Inverse of :func:`matrix_to_json`; rejects infinite and NaN entries."""
+    block = np.array(
         [[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128
     )
+    if not np.isfinite(block).all():
+        raise ValueError("matrix entries must be finite (found inf or nan)")
+    return block
 
 
 @dataclass(frozen=True)

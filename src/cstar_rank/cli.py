@@ -62,17 +62,10 @@ class RunConfig:
     extras: dict = None
 
 
-def _env_default_tol() -> float:
-    raw = os.environ.get("CSTAR_RANK_TOL")
-    if raw is None:
-        return DEFAULT_TOL
-    return float(raw)
-
-
 def _positive_float(text):
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be a positive number")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
     return value
 
 
@@ -98,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--tol",
         type=_positive_float,
-        default=_env_default_tol(),
+        # A string default goes through the same validator as the flag.
+        default=os.environ.get("CSTAR_RANK_TOL", DEFAULT_TOL),
         help="invertibility tolerance (env CSTAR_RANK_TOL overrides the default)",
     )
     common.add_argument("--out", dest="out_path", default=None, help="write the report here instead of stdout")

@@ -15,21 +15,22 @@ Two independent routes decide whether a tuple generates the module:
   the module and compares its numerical rank with the module dimension.
 
 Skew corners ``p M_N(A) q`` keep their elements inside the ambient matrix
-algebra (always of the compressed form ``p x q``); invertibility questions
-for their inner products are decided on the ranges of the projections.
+algebra (always of the compressed form ``p x q``).  Both kinds of space
+describe block ``i`` by its compressed shape ``(r_i, s_i)`` and share one
+implementation of every operation written over those shapes; a corner
+compresses to the ranges of ``p`` and ``q`` where a matrix space has nothing
+to do.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import (
     DEFAULT_TOL,
-    SELF_ADJOINT_RTOL,
     Algebra,
     AlgebraElement,
     _hermitized,
@@ -40,7 +41,6 @@ from .algebra import (
 from .errors import (
     DegenerateModuleError,
     DomainError,
-    InvertibilityError,
     ModuleNotFullError,
     ShapeMismatchError,
 )
@@ -54,74 +54,31 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-@dataclass(frozen=True)
-class ModuleSpace:
-    """The right Hilbert module ``M_{rows x cols}(A)`` over ``M_cols(A)``.
+class _SpaceOps:
+    """Operations shared by matrix and corner spaces.
 
-    Per block ``i`` of the base algebra, elements are complex matrices of
-    shape ``(rows * k_i, cols * k_i)``.  The right and left algebras are
-    derived amplifications of the base, never stored.
+    A space sets ``right_algebra``, ``left_algebra`` and ``_right_unit`` at
+    construction and provides ``block_shapes`` (stored element blocks),
+    ``compressed_shapes`` (per block ``(r_i, s_i)``) and two pairs of hooks:
+
+    * ``_core(i, block)`` / ``_embed(i, core)`` between a stored element block
+      and its ``r_i x s_i`` core;
+    * ``_compress(b)`` / ``_expand(c)`` between a right-algebra element and
+      its image in the sum of the ``M_{s_i}(C)`` with ``s_i > 0``.
     """
-
-    alg: Algebra
-    rows: int
-    cols: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", int(self.rows))
-        object.__setattr__(self, "cols", int(self.cols))
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("module shape needs rows >= 1 and cols >= 1")
-
-    # -- structure ----------------------------------------------------------
-
-    @property
-    def block_shapes(self) -> tuple:
-        return tuple(
-            (self.rows * k, self.cols * k) for k in self.alg.block_sizes
-        )
 
     @property
     def dim(self) -> int:
         """Complex vector-space dimension of the module."""
-        return sum(r * s for r, s in self.block_shapes)
-
-    @property
-    def right_algebra(self) -> Algebra:
-        return self.alg.matrix_algebra(self.cols)
-
-    @property
-    def left_algebra(self) -> Algebra:
-        return self.alg.matrix_algebra(self.rows)
-
-    # Algebras in which inner products are represented.  For matrix modules
-    # these are the genuine right/left algebras; corners use the ambient one.
-    @property
-    def right_container(self) -> Algebra:
-        return self.right_algebra
-
-    @property
-    def left_container(self) -> Algebra:
-        return self.left_algebra
+        return sum(r * s for r, s in self.compressed_shapes)
 
     def right_algebra_unit(self) -> AlgebraElement:
-        return self.right_algebra.unit()
-
-    # -- elements -------------------------------------------------------------
+        return self._right_unit
 
     def zero(self) -> "ModuleElement":
         return ModuleElement._wrap(
             self,
             [np.zeros(shape, dtype=np.complex128) for shape in self.block_shapes],
-        )
-
-    def element(self, blocks) -> "ModuleElement":
-        """Build an element from one matrix per block (copies the data)."""
-        return ModuleElement(self, blocks)
-
-    def random_element(self, rng) -> "ModuleElement":
-        return ModuleElement._wrap(
-            self, [complex_gaussian(rng, shape) for shape in self.block_shapes]
         )
 
     # -- inner products --------------------------------------------------------
@@ -148,6 +105,167 @@ class ModuleSpace:
                 acc[i] += xb.conj().T @ xb
         return AlgebraElement._wrap(self.right_algebra, acc)
 
+    # -- right algebra helpers: the kernel's operations on the compressed image --
+
+    def right_margin(self, b) -> float:
+        """Smallest relative singular value of ``b``, the invertibility margin."""
+        svals = [_svdvals(cb) for cb in self._compress(b).blocks]
+        largest = max(float(s[0]) for s in svals)
+        smallest = min(float(s[-1]) for s in svals)
+        return smallest / max(1.0, largest)
+
+    def right_is_invertible(self, b, tol: float = DEFAULT_TOL) -> bool:
+        return self._compress(b).is_invertible(tol)
+
+    def right_inverse(self, b, tol: float = DEFAULT_TOL, check: bool = True):
+        c = self._compress(b)
+        if check:
+            return self._expand(c.inverse(tol))
+        return self._expand(
+            AlgebraElement._wrap(c.algebra, [np.linalg.inv(cb) for cb in c.blocks])
+        )
+
+    def right_inv_sqrt(self, b, tol: float = DEFAULT_TOL):
+        return self._expand(self._compress(b).inv_sqrt(tol))
+
+    def right_positive_part(self, b):
+        return self._expand(self._compress(b).positive_part())
+
+    # -- generator oracle -----------------------------------------------------------
+
+    def generation_margin(self, entries) -> float:
+        """Relative size of the critical singular value of the span map.
+
+        For each block the linear map ``(a_1, ..., a_k) -> sum_j a_j x_j`` is
+        assembled column by column over a basis of the left algebra; the
+        entries generate the module exactly when the map has full rank, i.e.
+        when the ``dim``-th singular value is positive relative to the
+        largest.  Returns the minimum of that ratio over blocks.
+        """
+        margin = np.inf
+        for i, (r, s) in enumerate(self.compressed_shapes):
+            dim = r * s
+            if dim == 0:
+                continue
+            eye = np.eye(r)
+            columns = np.hstack(
+                [np.kron(eye, self._core(i, x.blocks[i]).T) for x in entries]
+            )
+            svals = _svdvals(columns)
+            largest = float(svals[0]) if svals.size else 0.0
+            if largest == 0.0:
+                return 0.0
+            critical = float(svals[dim - 1]) if svals.size >= dim else 0.0
+            margin = min(margin, critical / largest)
+        return margin
+
+    def generates(self, entries, tol: float = DEFAULT_TOL) -> bool:
+        if tol <= 0:
+            raise ValueError("tol must be positive")
+        return self.generation_margin(entries) > tol
+
+    # -- fullness and stable rank ------------------------------------------------------
+
+    def is_full(self) -> bool:
+        """Whether the inner products span the right algebra.
+
+        The products ``x* y`` of ``r x s`` matrices span ``M_s`` as soon as
+        ``r > 0``, so the module is full exactly when every block with
+        ``s_i > 0`` has ``r_i > 0``.
+        """
+        return all(r > 0 for r, s in self.compressed_shapes if s > 0)
+
+    def predicted_stable_rank(self):
+        """``max ceil(s_i / r_i)`` over live blocks; ``None`` if the space is not full.
+
+        Finite-dimensional base algebras have stable rank one, so for matrix
+        spaces this is the ceiling formula ``ceil(cols / rows)``.
+        """
+        if not self.is_full():
+            return None
+        return max(_ceil_div(s, r) for r, s in self.compressed_shapes if s > 0)
+
+    def rank_obstruction(self, k: int) -> bool:
+        """Whether ``k``-tuples are never unimodular for counting reasons."""
+        return any(k * r < s for r, s in self.compressed_shapes)
+
+    def standard_unimodular_tuple(self) -> list:
+        """Deterministic shortest unimodular tuple: partial identity columns.
+
+        Per block the cores of the returned entries stack to the identity
+        padded with zero rows, so the Gram sum is exactly the unit.
+        """
+        length = self.predicted_stable_rank()
+        if length is None:
+            raise ModuleNotFullError(
+                "corner has a zero row projection against a nonzero column "
+                "projection; no unimodular tuple exists"
+            )
+        entries = []
+        for j in range(length):
+            blocks = []
+            for i, (r, s) in enumerate(self.compressed_shapes):
+                stacked = np.eye(length * r, s, dtype=np.complex128)
+                blocks.append(self._embed(i, stacked[j * r : (j + 1) * r, :]))
+            entries.append(ModuleElement._wrap(self, blocks))
+        return entries
+
+
+@dataclass(frozen=True)
+class ModuleSpace(_SpaceOps):
+    """The right Hilbert module ``M_{rows x cols}(A)`` over ``M_cols(A)``.
+
+    Per block ``i`` of the base algebra, elements are complex matrices of
+    shape ``(rows * k_i, cols * k_i)``.  The right and left algebras are the
+    amplifications of the base, built once at construction.
+    """
+
+    alg: Algebra
+    rows: int
+    cols: int
+    right_algebra: Algebra = field(init=False, repr=False, compare=False)
+    left_algebra: Algebra = field(init=False, repr=False, compare=False)
+    _right_unit: AlgebraElement = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", int(self.rows))
+        object.__setattr__(self, "cols", int(self.cols))
+        if self.rows < 1 or self.cols < 1:
+            raise ValueError("module shape needs rows >= 1 and cols >= 1")
+        right = self.alg.matrix_algebra(self.cols)
+        object.__setattr__(self, "right_algebra", right)
+        object.__setattr__(self, "left_algebra", self.alg.matrix_algebra(self.rows))
+        object.__setattr__(self, "_right_unit", right.unit())
+
+    @property
+    def block_shapes(self) -> tuple:
+        return tuple(
+            (self.rows * k, self.cols * k) for k in self.alg.block_sizes
+        )
+
+    # Blocks and right-algebra elements are already their compressed form.
+    compressed_shapes = block_shapes
+
+    def _core(self, i, block):
+        return block
+
+    def _compress(self, b):
+        return b
+
+    _embed = _core
+    _expand = _compress
+
+    # -- elements -------------------------------------------------------------
+
+    def element(self, blocks) -> "ModuleElement":
+        """Build an element from one matrix per block (copies the data)."""
+        return ModuleElement(self, blocks)
+
+    def random_element(self, rng) -> "ModuleElement":
+        return ModuleElement._wrap(
+            self, [complex_gaussian(rng, shape) for shape in self.block_shapes]
+        )
+
     # -- module actions ---------------------------------------------------------
 
     def apply_right(self, x, b) -> "ModuleElement":
@@ -164,31 +282,6 @@ class ModuleSpace:
             self, [ab @ xb for ab, xb in zip(a.blocks, x.blocks)]
         )
 
-    # -- right algebra helpers ----------------------------------------------------
-
-    def right_margin(self, b) -> float:
-        """Smallest relative singular value of ``b``, the invertibility margin."""
-        svals = [_svdvals(bb) for bb in b.blocks]
-        largest = max((float(s[0]) if s.size else 0.0) for s in svals)
-        smallest = min((float(s[-1]) if s.size else np.inf) for s in svals)
-        return smallest / max(1.0, largest)
-
-    def right_is_invertible(self, b, tol: float = DEFAULT_TOL) -> bool:
-        return b.is_invertible(tol)
-
-    def right_inverse(self, b, tol: float = DEFAULT_TOL, check: bool = True):
-        if check:
-            return b.inverse(tol)
-        return AlgebraElement._wrap(
-            b.algebra, [np.linalg.inv(bb) for bb in b.blocks]
-        )
-
-    def right_inv_sqrt(self, b, tol: float = DEFAULT_TOL):
-        return b.inv_sqrt(tol)
-
-    def right_positive_part(self, b):
-        return b.positive_part()
-
     # -- stacking ----------------------------------------------------------------
 
     def stack(self, entries) -> "ModuleElement":
@@ -199,70 +292,6 @@ class ModuleSpace:
             for i in range(self.alg.num_blocks)
         ]
         return ModuleElement._wrap(target, blocks)
-
-    # -- generator oracle -----------------------------------------------------------
-
-    def generation_margin(self, entries) -> float:
-        """Relative size of the critical singular value of the span map.
-
-        For each block the linear map ``(a_1, ..., a_k) -> sum_j a_j x_j`` is
-        assembled column by column over a basis of the left algebra; the
-        entries generate the module exactly when the map has full rank, i.e.
-        when the ``dim``-th singular value is positive relative to the
-        largest.  Returns the minimum of that ratio over blocks.
-        """
-        margin = np.inf
-        for i, (r, s) in enumerate(self.block_shapes):
-            dim = r * s
-            if dim == 0:
-                continue
-            eye = np.eye(r)
-            columns = np.hstack([np.kron(eye, x.blocks[i].T) for x in entries])
-            svals = _svdvals(columns)
-            largest = float(svals[0]) if svals.size else 0.0
-            if largest == 0.0:
-                return 0.0
-            critical = float(svals[dim - 1]) if svals.size >= dim else 0.0
-            margin = min(margin, critical / largest)
-        return margin
-
-    def generates(self, entries, tol: float = DEFAULT_TOL) -> bool:
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        return self.generation_margin(entries) > tol
-
-    # -- fullness ------------------------------------------------------------------
-
-    def is_full(self, tol: float = DEFAULT_TOL) -> bool:
-        """Whether the inner products of a module basis span the right algebra."""
-        return _matrix_module_is_full(self, tol)
-
-    # -- stable rank helpers ----------------------------------------------------------
-
-    def standard_unimodular_tuple(self) -> list:
-        """Deterministic shortest unimodular tuple: partial identity columns.
-
-        The stacked matrix of the returned ``r``-tuple is the identity padded
-        with zero rows per block, so its Gram sum is exactly the unit.
-        """
-        r = _ceil_div(self.cols, self.rows)
-        entries = []
-        for j in range(r):
-            blocks = []
-            for rows_i, cols_i in self.block_shapes:
-                stacked = np.eye(r * rows_i, cols_i, dtype=np.complex128)
-                blocks.append(stacked[j * rows_i : (j + 1) * rows_i, :])
-            entries.append(ModuleElement._wrap(self, blocks))
-        return entries
-
-    def predicted_stable_rank(self) -> int:
-        # Finite-dimensional base algebras have stable rank one, so the
-        # ceiling formula reduces to ceil(cols / rows).
-        return _ceil_div(self.cols, self.rows)
-
-    def rank_obstruction(self, k: int) -> bool:
-        """Whether ``k``-tuples are never unimodular for counting reasons."""
-        return self.rows * k < self.cols
 
     # -- serialization -------------------------------------------------------------
 
@@ -276,30 +305,6 @@ class ModuleSpace:
     @classmethod
     def from_json_dict(cls, data) -> "ModuleSpace":
         return cls(Algebra.from_json_dict(data["algebra"]), data["rows"], data["cols"])
-
-
-@lru_cache(maxsize=None)
-def _matrix_module_is_full(space: ModuleSpace, tol: float) -> bool:
-    for r, s in space.block_shapes:
-        target_dim = s * s
-        vectors = np.empty((r * s * r * s, target_dim), dtype=np.complex128)
-        row = 0
-        units = []
-        for u in range(r):
-            for v in range(s):
-                e = np.zeros((r, s), dtype=np.complex128)
-                e[u, v] = 1.0
-                units.append(e)
-        for ea in units:
-            lead = ea.conj().T
-            for eb in units:
-                vectors[row] = (lead @ eb).reshape(-1)
-                row += 1
-        svals = _svdvals(vectors)
-        rank = int(np.sum(svals > tol * svals[0])) if svals.size and svals[0] > 0 else 0
-        if rank != target_dim:
-            return False
-    return True
 
 
 class ModuleElement:
@@ -521,9 +526,9 @@ def generation_margin(t: ModuleTuple) -> float:
     return t.space.generation_margin(t.entries)
 
 
-def is_full(space, tol: float = DEFAULT_TOL) -> bool:
+def is_full(space) -> bool:
     """Whether the span of all inner products of a basis fills the right algebra."""
-    return space.is_full(tol)
+    return space.is_full()
 
 
 # ---------------------------------------------------------------------------
@@ -537,13 +542,15 @@ def _range_basis(block) -> np.ndarray:
     return np.ascontiguousarray(v[:, w > 0.5])
 
 
-class CornerSpace:
+class CornerSpace(_SpaceOps):
     """The skew corner ``p M_N(A) q`` over the corner algebra ``q M_N(A) q``.
 
     Elements are stored as ambient matrices of the compressed form
-    ``p x q``.  Inner products are computed in the ambient algebra (where
-    they automatically land inside the corner subalgebras); invertibility in
-    the corner algebra is decided after compressing to the range of ``q``.
+    ``p x q``, and inner products land in the ambient algebra (inside the
+    corner subalgebras).  With ``U_i``, ``V_i`` orthonormal bases of the
+    ranges of ``p`` and ``q``, an element block ``x`` has the core
+    ``U_i* x V_i`` and a right-algebra block ``b`` the image ``V_i* b V_i``;
+    the shared operations work on those.
     """
 
     def __init__(self, alg: Algebra, size: int, p: AlgebraElement, q: AlgebraElement):
@@ -566,12 +573,20 @@ class CornerSpace:
             )
         self.alg = alg
         self.size = size
-        self.ambient = ambient
+        self.ambient = self.right_algebra = self.left_algebra = ambient
         self.p = p
         self.q = q
+        self._right_unit = q
         self._row_bases = tuple(_range_basis(b) for b in p.blocks)
         self._col_bases = tuple(_range_basis(b) for b in q.blocks)
-        self._full_cache = {}
+        self.compressed_shapes = tuple(
+            (u.shape[1], v.shape[1]) for u, v in zip(self._row_bases, self._col_bases)
+        )
+        # Blocks where q vanishes drop out of the compressed right algebra.
+        self._live = tuple(i for i, (_, s) in enumerate(self.compressed_shapes) if s)
+        self._core_algebra = Algebra(
+            tuple(self.compressed_shapes[i][1] for i in self._live)
+        )
 
     # -- structure -----------------------------------------------------------
 
@@ -579,28 +594,23 @@ class CornerSpace:
     def block_shapes(self) -> tuple:
         return tuple((k, k) for k in self.ambient.block_sizes)
 
-    @property
-    def compressed_shapes(self) -> tuple:
-        """Per-block (rank p, rank q) of the compressed picture."""
-        return tuple(
-            (u.shape[1], v.shape[1])
-            for u, v in zip(self._row_bases, self._col_bases)
+    def _core(self, i, block):
+        return self._row_bases[i].conj().T @ block @ self._col_bases[i]
+
+    def _embed(self, i, core):
+        return self._row_bases[i] @ core @ self._col_bases[i].conj().T
+
+    def _compress(self, b):
+        return AlgebraElement._wrap(
+            self._core_algebra,
+            [self._col_bases[i].conj().T @ b.blocks[i] @ self._col_bases[i] for i in self._live],
         )
 
-    @property
-    def dim(self) -> int:
-        return sum(r * s for r, s in self.compressed_shapes)
-
-    @property
-    def right_container(self) -> Algebra:
-        return self.ambient
-
-    @property
-    def left_container(self) -> Algebra:
-        return self.ambient
-
-    def right_algebra_unit(self) -> AlgebraElement:
-        return self.q
+    def _expand(self, c):
+        blocks = [np.zeros((k, k), dtype=np.complex128) for k in self.ambient.block_sizes]
+        for i, cb in zip(self._live, c.blocks):
+            blocks[i] = self._col_bases[i] @ cb @ self._col_bases[i].conj().T
+        return AlgebraElement._wrap(self.ambient, blocks)
 
     def __eq__(self, other):
         if not isinstance(other, CornerSpace):
@@ -615,12 +625,6 @@ class CornerSpace:
     __hash__ = None
 
     # -- elements ----------------------------------------------------------------
-
-    def zero(self) -> ModuleElement:
-        return ModuleElement._wrap(
-            self,
-            [np.zeros((k, k), dtype=np.complex128) for k in self.ambient.block_sizes],
-        )
 
     def element(self, ambient_blocks) -> ModuleElement:
         """Compress an ambient matrix per block into the corner (``p x q``)."""
@@ -641,29 +645,6 @@ class CornerSpace:
             for pb, qb, k in zip(self.p.blocks, self.q.blocks, self.ambient.block_sizes)
         ]
         return ModuleElement._wrap(self, blocks)
-
-    # -- inner products -------------------------------------------------------------
-
-    def inner_right(self, x, y) -> AlgebraElement:
-        return AlgebraElement._wrap(
-            self.ambient,
-            [xb.conj().T @ yb for xb, yb in zip(x.blocks, y.blocks)],
-        )
-
-    def inner_left(self, x, y) -> AlgebraElement:
-        return AlgebraElement._wrap(
-            self.ambient,
-            [xb @ yb.conj().T for xb, yb in zip(x.blocks, y.blocks)],
-        )
-
-    def gram(self, entries) -> AlgebraElement:
-        acc = [
-            np.zeros((k, k), dtype=np.complex128) for k in self.ambient.block_sizes
-        ]
-        for x in entries:
-            for i, xb in enumerate(x.blocks):
-                acc[i] += xb.conj().T @ xb
-        return AlgebraElement._wrap(self.ambient, acc)
 
     # -- actions (operands are compressed into the corner first) ----------------------
 
@@ -689,67 +670,6 @@ class CornerSpace:
             ],
         )
 
-    # -- corner algebra helpers ---------------------------------------------------------
-
-    def _compress_right(self, b) -> list:
-        return [
-            vb.conj().T @ bb @ vb for bb, vb in zip(b.blocks, self._col_bases)
-        ]
-
-    def right_margin(self, b) -> float:
-        compressed = self._compress_right(b)
-        svals = [_svdvals(c) for c in compressed if c.size]
-        if not svals:
-            return np.inf
-        largest = max(float(s[0]) for s in svals)
-        smallest = min(float(s[-1]) for s in svals)
-        return smallest / max(1.0, largest)
-
-    def right_is_invertible(self, b, tol: float = DEFAULT_TOL) -> bool:
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        return self.right_margin(b) > tol
-
-    def right_inverse(self, b, tol: float = DEFAULT_TOL, check: bool = True):
-        if check and not self.right_is_invertible(b, tol):
-            raise InvertibilityError(
-                f"element is numerically singular in the corner algebra at tol={tol:g}"
-            )
-        blocks = []
-        for bb, vb in zip(b.blocks, self._col_bases):
-            if vb.shape[1] == 0:
-                blocks.append(np.zeros_like(bb))
-            else:
-                blocks.append(vb @ np.linalg.inv(vb.conj().T @ bb @ vb) @ vb.conj().T)
-        return AlgebraElement._wrap(self.ambient, blocks)
-
-    def _right_spectral(self, b, transform, positivity_tol=None):
-        blocks = []
-        for bb, vb in zip(b.blocks, self._col_bases):
-            if vb.shape[1] == 0:
-                blocks.append(np.zeros_like(bb))
-                continue
-            c = vb.conj().T @ bb @ vb
-            anti = np.linalg.norm(c - c.conj().T, 2)
-            if anti > SELF_ADJOINT_RTOL * max(1.0, np.linalg.norm(c, 2)):
-                raise DomainError("corner element is not self-adjoint")
-            w, u = np.linalg.eigh(_hermitized(c))
-            if positivity_tol is not None and w.size and w[0] <= positivity_tol:
-                raise DomainError(
-                    f"corner element is not positive definite "
-                    f"(smallest eigenvalue {w[0]:g})"
-                )
-            core = (u * transform(w)) @ u.conj().T
-            blocks.append(vb @ _hermitized(core) @ vb.conj().T)
-        return AlgebraElement._wrap(self.ambient, blocks)
-
-    def right_inv_sqrt(self, b, tol: float = DEFAULT_TOL):
-        threshold = tol * max(1.0, b.norm())
-        return self._right_spectral(b, lambda w: w ** -0.5, positivity_tol=threshold)
-
-    def right_positive_part(self, b):
-        return self._right_spectral(b, lambda w: np.clip(w, 0.0, None))
-
     # -- stacking: block-diagonal embedding into a larger ambient algebra ---------------
 
     def stack(self, entries) -> ModuleElement:
@@ -774,107 +694,6 @@ class CornerSpace:
             AlgebraElement._wrap(big_ambient, big_q_blocks),
         )
         return ModuleElement._wrap(target, stacked_blocks)
-
-    # -- generator oracle ------------------------------------------------------------
-
-    def generation_margin(self, entries) -> float:
-        margin = np.inf
-        for i, (r, s) in enumerate(self.compressed_shapes):
-            dim = r * s
-            if dim == 0:
-                continue
-            u, v = self._row_bases[i], self._col_bases[i]
-            eye = np.eye(r)
-            columns = np.hstack(
-                [np.kron(eye, (u.conj().T @ x.blocks[i] @ v).T) for x in entries]
-            )
-            svals = _svdvals(columns)
-            largest = float(svals[0]) if svals.size else 0.0
-            if largest == 0.0:
-                return 0.0
-            critical = float(svals[dim - 1]) if svals.size >= dim else 0.0
-            margin = min(margin, critical / largest)
-        return margin
-
-    def generates(self, entries, tol: float = DEFAULT_TOL) -> bool:
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        return self.generation_margin(entries) > tol
-
-    # -- fullness --------------------------------------------------------------------
-
-    def is_full(self, tol: float = DEFAULT_TOL) -> bool:
-        if tol not in self._full_cache:
-            self._full_cache[tol] = self._compute_full(tol)
-        return self._full_cache[tol]
-
-    def _compute_full(self, tol: float) -> bool:
-        for r, s in self.compressed_shapes:
-            if s == 0:
-                continue
-            if r == 0:
-                return False
-            target_dim = s * s
-            units = []
-            for a in range(r):
-                for b in range(s):
-                    e = np.zeros((r, s), dtype=np.complex128)
-                    e[a, b] = 1.0
-                    units.append(e)
-            vectors = np.empty((len(units) ** 2, target_dim), dtype=np.complex128)
-            row = 0
-            for ea in units:
-                lead = ea.conj().T
-                for eb in units:
-                    vectors[row] = (lead @ eb).reshape(-1)
-                    row += 1
-            svals = _svdvals(vectors)
-            rank = (
-                int(np.sum(svals > tol * svals[0]))
-                if svals.size and svals[0] > 0
-                else 0
-            )
-            if rank != target_dim:
-                return False
-        return True
-
-    # -- stable rank helpers ------------------------------------------------------------
-
-    def standard_unimodular_tuple(self) -> list:
-        lengths = []
-        for r, s in self.compressed_shapes:
-            if s == 0:
-                continue
-            if r == 0:
-                raise ModuleNotFullError(
-                    "corner has a zero row projection against a nonzero column "
-                    "projection; no unimodular tuple exists"
-                )
-            lengths.append(_ceil_div(s, r))
-        r_tuple = max(lengths)
-        entries = []
-        for j in range(r_tuple):
-            blocks = []
-            for i, (r, s) in enumerate(self.compressed_shapes):
-                u, v = self._row_bases[i], self._col_bases[i]
-                stacked = np.eye(r_tuple * r, s, dtype=np.complex128)
-                comp = stacked[j * r : (j + 1) * r, :]
-                blocks.append(u @ comp @ v.conj().T)
-            entries.append(ModuleElement._wrap(self, blocks))
-        return entries
-
-    def predicted_stable_rank(self):
-        lengths = []
-        for r, s in self.compressed_shapes:
-            if s == 0:
-                continue
-            if r == 0:
-                return None
-            lengths.append(_ceil_div(s, r))
-        return max(lengths)
-
-    def rank_obstruction(self, k: int) -> bool:
-        return any(k * r < s for r, s in self.compressed_shapes)
 
     # -- serialization --------------------------------------------------------------
 

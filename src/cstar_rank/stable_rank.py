@@ -93,7 +93,7 @@ class ReductionCoefficients:
         if not coeffs or not coeffs[0]:
             raise ValueError("coefficient array must be nonempty")
         width = len(coeffs[0])
-        left = space.left_container
+        left = space.left_algebra
         for row in coeffs:
             if len(row) != width:
                 raise ShapeMismatchError("coefficient rows have unequal lengths")
@@ -131,7 +131,7 @@ class ReductionCoefficients:
     def norm(self) -> float:
         """Operator norm of the assembled block matrix, per base-algebra block."""
         worst = 0.0
-        for i in range(self.space.left_container.num_blocks):
+        for i in range(self.space.left_algebra.num_blocks):
             assembled = np.block(
                 [[a.blocks[i] for a in row] for row in self.coeffs]
             )
@@ -153,7 +153,7 @@ class ReductionCoefficients:
         from .hilbert_module import space_from_json_dict
 
         space = space_from_json_dict(data["space"])
-        left = space.left_container
+        left = space.left_algebra
         coeffs = [
             [AlgebraElement.from_json_dict(left, a) for a in row]
             for row in data["entries"]
@@ -362,14 +362,14 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
     space = t.space
     n = len(t)
     eps = params.eps
-    if not is_full(space, params.tol):
+    if not is_full(space):
         raise ModuleNotFullError("space is not full; no unimodular tuples exist")
 
     u = normalize_tuple(ModuleTuple(tuple(space.standard_unimodular_tuple())), params.tol)
     r = len(u)
     padded, bump = _pad_with_bump(t, u, eps, params.tol)
 
-    left = space.left_container
+    left = space.left_algebra
     unit_l = left.unit()
     zero_l = left.zero()
     # Expansion of the current tuple over the original (x, y) entries.  The

@@ -193,3 +193,34 @@ def test_env_var_overrides_tolerance(tmp_path, capsys, monkeypatch):
     report = json.loads(out)
     assert report["tolerance"] == 1e-9
     assert report["result"] == {"unimodular": True}
+
+
+@pytest.mark.parametrize(
+    "env, flag",
+    [("-1", None), ("abc", None), ("nan", None), (None, "nan"), (None, "inf"), (None, "-1")],
+)
+def test_bad_tolerance_is_a_usage_error(tmp_path, capsys, monkeypatch, env, flag):
+    # Accepted, -1 would call the zero tuple unimodular and nan or inf would
+    # call every tuple singular, all with exit 0.
+    if env is not None:
+        monkeypatch.setenv("CSTAR_RANK_TOL", env)
+    space = ModuleSpace(Algebra((1,)), 1, 1)
+    path = write_tuple(tmp_path / "zero.json", ModuleTuple((space.zero(),)))
+    argv = ["check", "--input", path] + (["--tol", flag] if flag else [])
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err
+
+
+@pytest.mark.parametrize("entry", [float("inf"), float("nan")])
+def test_non_finite_entries_are_a_parse_error(tmp_path, capsys, entry):
+    space = ModuleSpace(Algebra((1, 2)), 1, 1)
+    data = ModuleTuple((space.random_element(np.random.default_rng(0)),)).to_json_list()
+    data[0]["blocks"][1][0][1] = [entry, 0.0]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))  # written as the tokens Infinity / NaN
+    code, out, err = run_cli(capsys, ["check", "--input", str(path), "--no-timestamp"])
+    assert code == 2
+    assert out == ""
+    assert "finite" in err

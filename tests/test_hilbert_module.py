@@ -408,6 +408,85 @@ def test_corner_fullness_detects_dead_blocks():
     assert not is_full(corner_space(alg, 2, big.zero(), q))
 
 
+def random_projection(rng, dim, rank):
+    gauss = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    basis = np.linalg.qr(gauss)[0][:, :rank]
+    proj = basis @ basis.conj().T
+    return (proj + proj.conj().T) / 2.0
+
+
+# (base, size, p ranks, q ranks, (rows, cols) of the matching matrix module)
+CORNER_CASES = [
+    ((1,), 4, (2,), (3,), (2, 3)),
+    ((1, 2), 2, (1, 2), (2, 4), (1, 2)),
+    ((1, 2), 2, (1, 1), (0, 2), None),  # q vanishes on the first block
+]
+
+
+@pytest.mark.parametrize("base, size, p_ranks, q_ranks, shape", CORNER_CASES)
+def test_corner_right_algebra_ops_match_kernel(base, size, p_ranks, q_ranks, shape):
+    # Compressed to the range of q, every corner operation is the kernel's
+    # operation on the live blocks; dead blocks stay zero.
+    rng = np.random.default_rng(17)
+    alg = Algebra(base)
+    big = alg.matrix_algebra(size)
+    p = big.element([random_projection(rng, d, r) for d, r in zip(big.block_sizes, p_ranks)])
+    q = big.element([random_projection(rng, d, r) for d, r in zip(big.block_sizes, q_ranks)])
+    corner = corner_space(alg, size, p, q)
+    assert corner.compressed_shapes == tuple(zip(p_ranks, q_ranks))
+    u_bases, v_bases = corner._row_bases, corner._col_bases
+    live = [i for i, s in enumerate(q_ranks) if s]
+    core = Algebra(tuple(q_ranks[i] for i in live))
+
+    def compress(b):
+        return core.element([v_bases[i].conj().T @ b.blocks[i] @ v_bases[i] for i in live])
+
+    def assert_matches(result, expected):
+        for i, qb in enumerate(q.blocks):  # lands in the corner algebra q A q
+            np.testing.assert_allclose(qb @ result.blocks[i] @ qb, result.blocks[i], atol=1e-10)
+        for got, want in zip(compress(result).blocks, expected.blocks):
+            np.testing.assert_allclose(got, want, atol=1e-10 * max(1.0, expected.norm()))
+
+    unit = corner.right_algebra_unit()
+    noise = ModuleTuple(tuple(corner.random_element(rng) for _ in range(2)))
+    general = q * big.random_element(rng) * q
+    positive = unit + gram(noise)
+    indefinite = gram(noise) - unit * 1.5
+    singular = gram(ModuleTuple((corner.random_element(rng),)))
+
+    assert_matches(corner.right_inverse(general), compress(general).inverse())
+    assert_matches(corner.right_inverse(general, check=False), compress(general).inverse())
+    assert_matches(corner.right_inv_sqrt(positive), compress(positive).inv_sqrt())
+    assert_matches(corner.right_positive_part(indefinite), compress(indefinite).positive_part())
+    for b in (general, positive, indefinite, singular):
+        svals = [np.linalg.svd(c, compute_uv=False) for c in compress(b).blocks]
+        expected = min(s[-1] for s in svals) / max(1.0, max(s[0] for s in svals))
+        assert corner.right_margin(b) == pytest.approx(expected, rel=1e-9, abs=1e-14)
+        for tol in (1e-9, 1e-3):
+            assert corner.right_is_invertible(b, tol) == compress(b).is_invertible(tol)
+    assert not corner.right_is_invertible(singular)
+
+    standard = corner.standard_unimodular_tuple()
+    assert len(standard) == corner.predicted_stable_rank()
+    assert_matches(gram(ModuleTuple(tuple(standard))), core.unit())
+    if shape is None:
+        return
+    matrix = ModuleSpace(alg, *shape)
+    assert matrix.right_algebra == core
+    for b in (general, positive, indefinite, singular):
+        assert corner.right_margin(b) == pytest.approx(
+            matrix.right_margin(compress(b)), rel=1e-9, abs=1e-14
+        )
+    assert_matches(corner.right_inverse(general), matrix.right_inverse(compress(general)))
+    assert_matches(corner.right_inv_sqrt(positive), matrix.right_inv_sqrt(compress(positive)))
+    assert_matches(
+        corner.right_positive_part(indefinite), matrix.right_positive_part(compress(indefinite))
+    )
+    for xc, xm in zip(standard, matrix.standard_unimodular_tuple(), strict=True):
+        for i, (ub, vb) in enumerate(zip(u_bases, v_bases)):
+            np.testing.assert_allclose(ub.conj().T @ xc.blocks[i] @ vb, xm.blocks[i], atol=1e-12)
+
+
 def test_corner_witness_and_stack():
     alg = Algebra((2,))
     big = alg.matrix_algebra(2)

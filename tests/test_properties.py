@@ -1,0 +1,128 @@
+"""Property tests over random shapes: fullness and the counting bounds.
+
+Matrix spaces ``M_{rows x cols}(A)`` and corners ``p M_N(A) q`` with randomly
+oriented projections of random ranks, dead blocks (``rank q_i = 0`` or
+``rank p_i = 0``) included.  The expected per-block shapes ``(r_i, s_i)``
+come from the construction parameters, not from the space.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cstar_rank import (
+    Algebra,
+    ModuleNotFullError,
+    ModuleSpace,
+    ModuleTuple,
+    corner_space,
+    gram,
+    is_full,
+    is_unimodular,
+    sr_formula,
+)
+from test_hilbert_module import random_projection
+
+PROPERTY_SETTINGS = settings(max_examples=80, deadline=None)
+
+
+def span_rank_is_full(shapes, tol=1e-9) -> bool:
+    """Reference fullness by brute force: the span of all inner products.
+
+    Per block of shape ``(r, s)`` the products ``e_a* e_b`` of the unit
+    matrices of ``M_{r x s}`` are stacked as rows of an ``(r s)^2 x s^2``
+    matrix; the module is full when every such matrix has rank ``s^2``.
+    """
+    for r, s in shapes:
+        if s == 0:
+            continue
+        units = []
+        for a in range(r):
+            for b in range(s):
+                e = np.zeros((r, s), dtype=np.complex128)
+                e[a, b] = 1.0
+                units.append(e)
+        if not units:
+            return False
+        vectors = np.array([(ea.conj().T @ eb).reshape(-1) for ea in units for eb in units])
+        svals = np.linalg.svd(vectors, compute_uv=False)
+        rank = int(np.sum(svals > tol * svals[0])) if svals[0] > 0 else 0
+        if rank != s * s:
+            return False
+    return True
+
+
+def counting_bound(shapes):
+    """``max ceil(s_i / r_i)`` over blocks with ``s_i > 0``; None if some such ``r_i = 0``."""
+    live = [(r, s) for r, s in shapes if s > 0]
+    if any(r == 0 for r, _ in live):
+        return None
+    return max(-(-s // r) for r, s in live)
+
+
+@st.composite
+def matrix_spaces(draw):
+    base = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    shapes = tuple((rows * k, cols * k) for k in base)
+    return ModuleSpace(Algebra(base), rows, cols), shapes
+
+
+@st.composite
+def corner_spaces(draw):
+    base = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)))
+    size = draw(st.integers(1, 2))
+    dims = [size * k for k in base]
+    p_ranks = [draw(st.integers(0, d)) for d in dims]
+    q_ranks = [draw(st.integers(0, d)) for d in dims]
+    if not any(q_ranks):  # q = 0 is a degenerate corner; keep one block alive
+        live = draw(st.integers(0, len(dims) - 1))
+        q_ranks[live] = draw(st.integers(1, dims[live]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    big = Algebra(base).matrix_algebra(size)
+    p = big.element([random_projection(rng, d, r) for d, r in zip(dims, p_ranks)])
+    q = big.element([random_projection(rng, d, r) for d, r in zip(dims, q_ranks)])
+    return corner_space(Algebra(base), size, p, q), tuple(zip(p_ranks, q_ranks))
+
+
+spaces = st.one_of(matrix_spaces(), corner_spaces())
+
+
+@PROPERTY_SETTINGS
+@given(spaces)
+def test_closed_form_fullness_matches_span_rank(case):
+    space, shapes = case
+    assert space.compressed_shapes == shapes
+    assert space.dim == sum(r * s for r, s in shapes)
+    assert is_full(space) == span_rank_is_full(shapes)
+
+
+@PROPERTY_SETTINGS
+@given(spaces)
+def test_stable_rank_helpers_match_the_counting_bound(case):
+    space, shapes = case
+    bound = counting_bound(shapes)
+    assert space.predicted_stable_rank() == bound
+    for k in range(1, 8):
+        assert space.rank_obstruction(k) == any(k * r < s for r, s in shapes)
+    if bound is None:
+        with pytest.raises(ModuleNotFullError):
+            space.standard_unimodular_tuple()
+        return
+    # The bound is the shortest length the counting argument allows, and the
+    # standard tuple attains it.
+    assert not space.rank_obstruction(bound)
+    assert bound == 1 or space.rank_obstruction(bound - 1)
+    standard = ModuleTuple(tuple(space.standard_unimodular_tuple()))
+    assert len(standard) == bound
+    assert is_unimodular(standard)
+    assert (gram(standard) - space.right_algebra_unit()).norm() < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(matrix_spaces())
+def test_matrix_spaces_follow_the_ceiling_formula(case):
+    space, _ = case
+    assert is_full(space)
+    assert space.predicted_stable_rank() == sr_formula(1, space.rows, space.cols)
