@@ -29,6 +29,7 @@ from .hilbert_module import (
     inner_right,
     is_unimodular,
     normalize_tuple,
+    pairing,
     unimodularity_margin,
 )
 from .sampling import derived_seed, rng_from_seed
@@ -231,9 +232,7 @@ def _warfield_instance(space, rng, n, tol=TOL):
     b_inv = space.right_inverse(gram(y), tol)
     base_x = [yk * b_inv for yk in y.entries]
     noise = [space.random_element(rng) for _ in range(n + 1)]
-    s = inner_right(y[0], noise[0])
-    for k in range(1, n + 1):
-        s = s + inner_right(y[k], noise[k])
+    s = pairing(y, ModuleTuple(tuple(noise)))
     x_entries = tuple(
         bx + nk - yk * (b_inv * s)
         for bx, nk, yk in zip(base_x, noise, y.entries)

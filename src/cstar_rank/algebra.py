@@ -11,7 +11,9 @@ shared freely between workers.
 
 from __future__ import annotations
 
+import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +21,8 @@ import numpy as np
 from .errors import DomainError, InvertibilityError, ShapeMismatchError
 
 #: Default relative threshold for invertibility: an element counts as
-#: invertible when every block's smallest singular value exceeds
-#: ``tol * max(1, norm)``.
+#: invertible when its margin, the smallest singular value over all blocks
+#: divided by ``max(1, norm)``, exceeds ``tol``.
 DEFAULT_TOL = 1e-9
 
 #: Relative tolerance for accepting an element as self-adjoint.
@@ -59,7 +61,7 @@ class Algebra:
     block_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(k) for k in self.block_sizes)
+        sizes = tuple(operator.index(k) for k in self.block_sizes)
         if not sizes:
             raise ValueError("an algebra needs at least one block")
         if any(k < 1 for k in sizes):
@@ -101,7 +103,7 @@ class Algebra:
 
     def matrix_algebra(self, n: int) -> "Algebra":
         """The amplification M_n over this algebra; block sizes scale by n."""
-        if n < 1:
+        if operator.index(n) < 1:
             raise ValueError("matrix amplification needs n >= 1")
         return Algebra(tuple(n * k for k in self.block_sizes))
 
@@ -219,16 +221,27 @@ class AlgebraElement:
 
     # -- invertible group ---------------------------------------------------
 
-    def is_invertible(self, tol: float = DEFAULT_TOL) -> bool:
-        """Whether every block's smallest singular value clears ``tol * max(1, norm)``."""
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        svals = [_svdvals(b) for b in self.blocks]
-        largest = max((float(s[0]) if s.size else 0.0) for s in svals)
+    def margin(self) -> float:
+        """Smallest singular value over ``max(1, norm)``; invertible at ``tol`` iff above it."""
+        try:
+            svals = [_svdvals(b) for b in self.blocks]
+        except np.linalg.LinAlgError:  # LAPACK gives up on NaN entries
+            svals = [np.array([math.nan])]
+        tops = [float(s[0]) for s in svals]
+        bottoms = [float(s[-1]) for s in svals]
+        # A sum is non-finite as soon as one term is, in any order.
+        if not math.isfinite(sum(tops) + sum(bottoms)):
+            raise DomainError("singular values are not finite (overflow or non-finite entries)")
+        largest = max(tops)
         if self._norm is None:
             self._norm = largest
-        threshold = tol * max(1.0, largest)
-        return all(float(s[-1]) > threshold for s in svals if s.size)
+        return min(bottoms) / max(1.0, largest)
+
+    def is_invertible(self, tol: float = DEFAULT_TOL) -> bool:
+        """Whether :meth:`margin` exceeds ``tol``."""
+        if tol <= 0:
+            raise ValueError("tol must be positive")
+        return self.margin() > tol
 
     def inverse(self, tol: float = DEFAULT_TOL) -> "AlgebraElement":
         if not self.is_invertible(tol):

@@ -6,7 +6,7 @@ Timestamps and wall time are included unless ``--no-timestamp`` is given, so
 that identical configurations produce byte-identical reports.
 
 Exit status: 0 on success, 1 on domain errors (singular inputs, failed
-reductions, ...), 2 on usage or parse errors.
+reductions, overflow, ...), 2 on usage or parse errors.
 """
 
 from __future__ import annotations
@@ -18,19 +18,19 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict
+
+import numpy as np
 
 from ._version import __version__
-from .algebra import DEFAULT_TOL
+from .algebra import DEFAULT_TOL, Algebra
 from .errors import CstarRankError
 from .hilbert_module import (
     ModuleSpace,
     ModuleTuple,
     dual_witness,
-    gram,
-    inner_right,
-    is_unimodular,
     normalize_tuple,
+    pairing,
     tuple_from_json_list,
     unimodularity_margin,
 )
@@ -43,37 +43,99 @@ from .stable_rank import (
     sr_formula,
     warfield_forward,
 )
-from .algebra import Algebra
 
 
-@dataclass
-class RunConfig:
-    """Effective configuration of one CLI invocation."""
+def _positive(convert, message):
+    """An argparse type: ``convert`` the text, then require ``0 < value < inf``."""
 
-    command: str
-    input_path: str = None
-    out_path: str = None
-    eps: float = 0.1
-    tol: float = DEFAULT_TOL
-    seed: int = 0
-    trials: int = 1
-    max_retries: int = 40
-    no_timestamp: bool = False
-    extras: dict = None
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(message.format(text))
+        return value
 
-
-def _positive_float(text):
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return value
+    return parse
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+_positive_int = _positive(int, "must be a positive integer")
+_positive_float = _positive(float, "must be a positive finite number, got {!r}")
+
+
+def _load_json(path):
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _load_tuple(path) -> ModuleTuple:
+    return tuple_from_json_list(_load_json(path))
+
+
+# Each handler runs one command: it fills ``residuals`` and returns the result.
+def _sr_formula(args, residuals):
+    return sr_formula(args.sr_a, args.n, args.m)
+
+
+def _check(args, residuals):
+    margin = unimodularity_margin(_load_tuple(args.input_path))
+    residuals["unimodularity_margin"] = margin
+    return {"unimodular": bool(margin > args.tol)}
+
+
+def _dual(args, residuals):
+    t = _load_tuple(args.input_path)
+    witness = dual_witness(t, args.tol)
+    unit = t.space.right_algebra_unit()
+    residuals["pairing_residual"] = (pairing(witness, t) - unit).norm()
+    return {"witness": witness.to_json_list()}
+
+
+def _params(args) -> PerturbationParams:
+    return PerturbationParams(
+        eps=args.eps, tol=args.tol, max_retries=args.max_retries, seed=args.seed
+    )
+
+
+def _reduce(args, residuals):
+    t = _load_tuple(args.input_path)
+    coeffs = bass_reduce(t, _params(args))
+    reduced = warfield_forward(t, coeffs)
+    residuals["reduced_margin"] = unimodularity_margin(reduced)
+    return {
+        "coefficients": coeffs.to_json_dict(),
+        "reduced": reduced.to_json_list(),
+        "reduced_unimodular": True,
+    }
+
+
+def _pad(args, residuals):
+    data = _load_json(args.input_path)
+    t = tuple_from_json_list(data["tuple"])
+    if data.get("pad_with") is not None:
+        u = tuple_from_json_list(data["pad_with"])
+    else:
+        u = ModuleTuple(tuple(t.space.standard_unimodular_tuple()))
+    padded = hv_pad(t, normalize_tuple(u, args.tol), args.eps, args.tol)
+    residuals["padded_margin"] = unimodularity_margin(padded)
+    return {"padded": padded.to_json_list(), "unimodular": True}
+
+
+def _perturb(args, residuals):
+    t = _load_tuple(args.input_path)
+    moved = hv_perturb(t, _params(args))
+    residuals["perturbed_margin"] = unimodularity_margin(moved)
+    return {
+        "perturbed": moved.to_json_list(),
+        "distance": (t - moved).norm(),
+        "distance_bound": math.sqrt(args.eps) + args.eps,
+    }
+
+
+def _density(args, residuals):
+    space = ModuleSpace(Algebra(tuple(args.blocks)), args.rows, args.cols)
+    return density_experiment(space, args.k, args.trials, args.seed, args.tol).to_json_dict()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,9 +150,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
+    # Every report echoes a seed; commands that draw randomness take --seed.
+    common.set_defaults(seed=0)
     common.add_argument(
         "--tol",
-        type=_positive_float,
+        type=_positive(
+            float, "must be a positive finite number (from --tol or CSTAR_RANK_TOL), got {!r}"
+        ),
         # A string default goes through the same validator as the flag.
         default=os.environ.get("CSTAR_RANK_TOL", DEFAULT_TOL),
         help="invertibility tolerance (env CSTAR_RANK_TOL overrides the default)",
@@ -106,29 +172,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sr-a", type=_positive_int, required=True, help="stable rank of the base algebra")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--m", type=_positive_int, required=True)
+    p.set_defaults(handler=_sr_formula)
 
     p = sub.add_parser("check", parents=[common], help="test a tuple for unimodularity")
     p.add_argument("--input", dest="input_path", required=True, help="JSON file with a module tuple")
+    p.set_defaults(handler=_check)
 
     p = sub.add_parser("dual", parents=[common], help="dual witness of a unimodular tuple")
     p.add_argument("--input", dest="input_path", required=True)
+    p.set_defaults(handler=_dual)
 
     p = sub.add_parser("reduce", parents=[common], help="collapse the last entry of a unimodular tuple")
     p.add_argument("--input", dest="input_path", required=True)
     p.add_argument("--eps", type=_positive_float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-retries", type=_positive_int, default=40)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--max-retries", type=_positive_int, default=PerturbationParams.max_retries)
+    p.set_defaults(handler=_reduce)
 
     p = sub.add_parser("pad", parents=[common], help="append the spectral bump that forces unimodularity")
     p.add_argument("--input", dest="input_path", required=True,
                    help='JSON file {"tuple": [...], "pad_with": [...]}; pad_with optional')
     p.add_argument("--eps", type=_positive_float, required=True)
+    p.set_defaults(handler=_pad)
 
     p = sub.add_parser("perturb", parents=[common], help="move a tuple onto a nearby unimodular one")
     p.add_argument("--input", dest="input_path", required=True)
     p.add_argument("--eps", type=_positive_float, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-retries", type=_positive_int, default=40)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--max-retries", type=_positive_int, default=PerturbationParams.max_retries)
+    p.set_defaults(handler=_perturb)
 
     p = sub.add_parser("density", parents=[common], help="Monte-Carlo unimodularity density estimate")
     p.add_argument("--blocks", type=_positive_int, nargs="+", required=True, help="base algebra block sizes")
@@ -136,116 +208,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=_positive_int, required=True)
     p.add_argument("--k", type=_positive_int, required=True, help="tuple length")
     p.add_argument("--trials", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
+    p.set_defaults(handler=_density)
 
     sub.add_parser("verify-suite", parents=[common], help="run the full acceptance battery")
     return parser
 
 
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def _load_tuple(path) -> ModuleTuple:
-    return tuple_from_json_list(_load_json(path))
-
-
-def run(config: RunConfig) -> dict:
-    """Dispatch one command and assemble its report (library errors propagate)."""
+def run(args) -> dict:
+    """Run one command and assemble its report (library errors propagate)."""
     started = time.perf_counter()
     report = {
-        "command": config.command,
+        "command": args.command,
         "version": __version__,
-        "tolerance": config.tol,
-        "seed": config.seed,
-        "result": None,
+        "tolerance": args.tol,
+        "seed": args.seed,
         "residuals": {},
     }
-
-    if config.command == "sr-formula":
-        report["result"] = sr_formula(
-            config.extras["sr_a"], config.extras["n"], config.extras["m"]
-        )
-
-    elif config.command == "check":
-        t = _load_tuple(config.input_path)
-        margin = unimodularity_margin(t)
-        report["result"] = {"unimodular": bool(margin > config.tol)}
-        report["residuals"]["unimodularity_margin"] = margin
-
-    elif config.command == "dual":
-        t = _load_tuple(config.input_path)
-        witness = dual_witness(t, config.tol)
-        pairing = inner_right(witness[0], t[0])
-        for k in range(1, len(t)):
-            pairing = pairing + inner_right(witness[k], t[k])
-        residual = (pairing - t.space.right_algebra_unit()).norm()
-        report["result"] = {"witness": witness.to_json_list()}
-        report["residuals"]["pairing_residual"] = residual
-
-    elif config.command == "reduce":
-        t = _load_tuple(config.input_path)
-        params = PerturbationParams(
-            eps=config.eps,
-            tol=config.tol,
-            max_retries=config.max_retries,
-            seed=config.seed,
-        )
-        coeffs = bass_reduce(t, params)
-        reduced = warfield_forward(t, coeffs)
-        report["result"] = {
-            "coefficients": coeffs.to_json_dict(),
-            "reduced": reduced.to_json_list(),
-            "reduced_unimodular": True,
-        }
-        report["residuals"]["reduced_margin"] = unimodularity_margin(reduced)
-
-    elif config.command == "pad":
-        data = _load_json(config.input_path)
-        t = tuple_from_json_list(data["tuple"])
-        if data.get("pad_with") is not None:
-            u = tuple_from_json_list(data["pad_with"])
-        else:
-            u = ModuleTuple(tuple(t.space.standard_unimodular_tuple()))
-        u = normalize_tuple(u, config.tol)
-        padded = hv_pad(t, u, config.eps, config.tol)
-        report["result"] = {"padded": padded.to_json_list(), "unimodular": True}
-        report["residuals"]["padded_margin"] = unimodularity_margin(padded)
-
-    elif config.command == "perturb":
-        t = _load_tuple(config.input_path)
-        params = PerturbationParams(
-            eps=config.eps,
-            tol=config.tol,
-            max_retries=config.max_retries,
-            seed=config.seed,
-        )
-        moved = hv_perturb(t, params)
-        distance = (t - moved).norm()
-        report["result"] = {
-            "perturbed": moved.to_json_list(),
-            "distance": distance,
-            "distance_bound": math.sqrt(config.eps) + config.eps,
-        }
-        report["residuals"]["perturbed_margin"] = unimodularity_margin(moved)
-
-    elif config.command == "density":
-        space = ModuleSpace(
-            Algebra(tuple(config.extras["blocks"])),
-            config.extras["rows"],
-            config.extras["cols"],
-        )
-        dens = density_experiment(
-            space, config.extras["k"], config.trials, config.seed, config.tol
-        )
-        report["result"] = dens.to_json_dict()
-
-    else:  # pragma: no cover - argparse restricts the choices
-        raise ValueError(f"unknown command {config.command!r}")
-
+    # Overflow surfaces as a DomainError from the margin, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        report["result"] = args.handler(args, report["residuals"])
     elapsed = time.perf_counter() - started
-    if not config.no_timestamp:
+    if not args.no_timestamp:
         report["timestamp"] = (
             datetime.datetime.now(datetime.timezone.utc).isoformat()
         )
@@ -254,7 +238,7 @@ def run(config: RunConfig) -> dict:
 
 
 def _emit(report: dict, out_path) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
@@ -275,19 +259,9 @@ def _run_verify_suite(args) -> int:
         summary = {
             "command": "verify-suite",
             "version": __version__,
-            "criteria": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "details": r.details,
-                    "seconds": r.seconds,
-                }
-                for r in results
-            ],
+            "criteria": [asdict(r) for r in results],
         }
-        with open(args.out_path, "w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _emit(summary, args.out_path)
     return 0 if not failed else 1
 
 
@@ -301,32 +275,8 @@ def main(argv=None) -> int:
     if args.command == "verify-suite":
         return _run_verify_suite(args)
 
-    extras = {}
-    if args.command == "sr-formula":
-        extras = {"sr_a": args.sr_a, "n": args.n, "m": args.m}
-    elif args.command == "density":
-        extras = {
-            "blocks": args.blocks,
-            "rows": args.rows,
-            "cols": args.cols,
-            "k": args.k,
-        }
-
-    config = RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input_path", None),
-        out_path=args.out_path,
-        eps=getattr(args, "eps", 0.1),
-        tol=args.tol,
-        seed=getattr(args, "seed", 0),
-        trials=getattr(args, "trials", 1),
-        max_retries=getattr(args, "max_retries", 40),
-        no_timestamp=args.no_timestamp,
-        extras=extras,
-    )
-
     try:
-        report = run(config)
+        report = run(args)
     except json.JSONDecodeError as exc:
         print(
             f"error: malformed JSON: line {exc.lineno} column {exc.colno}: {exc.msg}",
@@ -343,7 +293,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    _emit(report, config.out_path)
+    _emit(report, args.out_path)
     return 0
 
 

@@ -25,6 +25,7 @@ to do.
 from __future__ import annotations
 
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,38 +82,11 @@ class _SpaceOps:
             [np.zeros(shape, dtype=np.complex128) for shape in self.block_shapes],
         )
 
-    # -- inner products --------------------------------------------------------
-
-    def inner_right(self, x, y) -> AlgebraElement:
-        return AlgebraElement._wrap(
-            self.right_algebra,
-            [xb.conj().T @ yb for xb, yb in zip(x.blocks, y.blocks)],
-        )
-
-    def inner_left(self, x, y) -> AlgebraElement:
-        return AlgebraElement._wrap(
-            self.left_algebra,
-            [xb @ yb.conj().T for xb, yb in zip(x.blocks, y.blocks)],
-        )
-
-    def gram(self, entries) -> AlgebraElement:
-        """Sum of right inner squares over the entries."""
-        acc = [
-            np.zeros((s, s), dtype=np.complex128) for _, s in self.block_shapes
-        ]
-        for x in entries:
-            for i, xb in enumerate(x.blocks):
-                acc[i] += xb.conj().T @ xb
-        return AlgebraElement._wrap(self.right_algebra, acc)
-
     # -- right algebra helpers: the kernel's operations on the compressed image --
 
     def right_margin(self, b) -> float:
-        """Smallest relative singular value of ``b``, the invertibility margin."""
-        svals = [_svdvals(cb) for cb in self._compress(b).blocks]
-        largest = max(float(s[0]) for s in svals)
-        smallest = min(float(s[-1]) for s in svals)
-        return smallest / max(1.0, largest)
+        """Invertibility margin of ``b``, the kernel's rule on the compressed image."""
+        return self._compress(b).margin()
 
     def right_is_invertible(self, b, tol: float = DEFAULT_TOL) -> bool:
         return self._compress(b).is_invertible(tol)
@@ -130,39 +104,6 @@ class _SpaceOps:
 
     def right_positive_part(self, b):
         return self._expand(self._compress(b).positive_part())
-
-    # -- generator oracle -----------------------------------------------------------
-
-    def generation_margin(self, entries) -> float:
-        """Relative size of the critical singular value of the span map.
-
-        For each block the linear map ``(a_1, ..., a_k) -> sum_j a_j x_j`` is
-        assembled column by column over a basis of the left algebra; the
-        entries generate the module exactly when the map has full rank, i.e.
-        when the ``dim``-th singular value is positive relative to the
-        largest.  Returns the minimum of that ratio over blocks.
-        """
-        margin = np.inf
-        for i, (r, s) in enumerate(self.compressed_shapes):
-            dim = r * s
-            if dim == 0:
-                continue
-            eye = np.eye(r)
-            columns = np.hstack(
-                [np.kron(eye, self._core(i, x.blocks[i]).T) for x in entries]
-            )
-            svals = _svdvals(columns)
-            largest = float(svals[0]) if svals.size else 0.0
-            if largest == 0.0:
-                return 0.0
-            critical = float(svals[dim - 1]) if svals.size >= dim else 0.0
-            margin = min(margin, critical / largest)
-        return margin
-
-    def generates(self, entries, tol: float = DEFAULT_TOL) -> bool:
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        return self.generation_margin(entries) > tol
 
     # -- fullness and stable rank ------------------------------------------------------
 
@@ -228,8 +169,8 @@ class ModuleSpace(_SpaceOps):
     _right_unit: AlgebraElement = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", int(self.rows))
-        object.__setattr__(self, "cols", int(self.cols))
+        object.__setattr__(self, "rows", operator.index(self.rows))
+        object.__setattr__(self, "cols", operator.index(self.cols))
         if self.rows < 1 or self.cols < 1:
             raise ValueError("module shape needs rows >= 1 and cols >= 1")
         right = self.alg.matrix_algebra(self.cols)
@@ -459,18 +400,41 @@ def _same_space(x, y):
 def inner_right(x, y) -> AlgebraElement:
     """Right inner product ``x* y``, conjugate-linear in ``x``."""
     _same_space(x, y)
-    return x.space.inner_right(x, y)
+    return AlgebraElement._wrap(
+        x.space.right_algebra,
+        [xb.conj().T @ yb for xb, yb in zip(x.blocks, y.blocks)],
+    )
 
 
 def inner_left(x, y) -> AlgebraElement:
     """Left inner product ``x y*``, conjugate-linear in ``y``."""
     _same_space(x, y)
-    return x.space.inner_left(x, y)
+    return AlgebraElement._wrap(
+        x.space.left_algebra,
+        [xb @ yb.conj().T for xb, yb in zip(x.blocks, y.blocks)],
+    )
+
+
+def pairing(y: ModuleTuple, x: ModuleTuple) -> AlgebraElement:
+    """The pairing ``sum_k <y_k, x_k>`` of two tuples of one length and space.
+
+    ``x`` is unimodular exactly when some ``y`` makes the pairing 1.
+    """
+    if len(y.entries) != len(x.entries):
+        raise ShapeMismatchError("tuples of different lengths cannot be paired")
+    space = x.space
+    _same_space(y, x)
+    acc = [np.zeros((s, s), dtype=np.complex128) for _, s in space.block_shapes]
+    for yk, xk in zip(y.entries, x.entries):
+        yblocks = yk.blocks
+        for i, xb in enumerate(xk.blocks):
+            acc[i] += yblocks[i].conj().T @ xb
+    return AlgebraElement._wrap(space.right_algebra, acc)
 
 
 def gram(t: ModuleTuple) -> AlgebraElement:
     """Sum of the right inner squares of the tuple entries."""
-    return t.space.gram(t.entries)
+    return pairing(t, t)
 
 
 def stack(t: ModuleTuple) -> ModuleElement:
@@ -519,11 +483,37 @@ def gen_oracle(t: ModuleTuple, tol: float = DEFAULT_TOL) -> bool:
     to module elements and checks that its numerical rank equals the module
     dimension.
     """
-    return t.space.generates(t.entries, tol)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    return generation_margin(t) > tol
 
 
 def generation_margin(t: ModuleTuple) -> float:
-    return t.space.generation_margin(t.entries)
+    """Relative size of the critical singular value of the span map.
+
+    For each block the linear map ``(a_1, ..., a_k) -> sum_j a_j x_j`` is
+    assembled column by column over a basis of the left algebra; the
+    entries generate the module exactly when the map has full rank, i.e.
+    when the ``dim``-th singular value is positive relative to the
+    largest.  Returns the minimum of that ratio over blocks.
+    """
+    space = t.space
+    margin = np.inf
+    for i, (r, s) in enumerate(space.compressed_shapes):
+        dim = r * s
+        if dim == 0:
+            continue
+        eye = np.eye(r)
+        columns = np.hstack(
+            [np.kron(eye, space._core(i, x.blocks[i]).T) for x in t.entries]
+        )
+        svals = _svdvals(columns)
+        largest = float(svals[0]) if svals.size else 0.0
+        if largest == 0.0:
+            return 0.0
+        critical = float(svals[dim - 1]) if svals.size >= dim else 0.0
+        margin = min(margin, critical / largest)
+    return margin
 
 
 def is_full(space) -> bool:
@@ -554,7 +544,7 @@ class CornerSpace(_SpaceOps):
     """
 
     def __init__(self, alg: Algebra, size: int, p: AlgebraElement, q: AlgebraElement):
-        size = int(size)
+        size = operator.index(size)
         if size < 1:
             raise ValueError("ambient matrix size must be >= 1")
         ambient = alg.matrix_algebra(size)

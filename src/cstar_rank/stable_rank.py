@@ -36,10 +36,10 @@ from .hilbert_module import (
     dual_witness,
     gram,
     inner_left,
-    inner_right,
     is_full,
     is_unimodular,
     normalize_tuple,
+    pairing,
 )
 from .sampling import derived_seed, rng_from_seed
 
@@ -206,10 +206,7 @@ def warfield_b_to_a(
     space = t.space
     unit = space.right_algebra_unit()
 
-    pairing = inner_right(y[0], t[0])
-    for k in range(1, n + 1):
-        pairing = pairing + inner_right(y[k], t[k])
-    residual = (pairing - unit).norm()
+    residual = (pairing(y, t) - unit).norm()
     if residual > WITNESS_TOL:
         raise DomainError(
             f"witness pairing residual {residual:.3g} exceeds {WITNESS_TOL:g}"
@@ -219,10 +216,7 @@ def warfield_b_to_a(
     if not is_unimodular(truncated, tol):
         raise DomainError("truncated witness (y_1, ..., y_n) is not unimodular")
 
-    dual_pairing = inner_right(y[0], z[0])
-    for k in range(1, n):
-        dual_pairing = dual_pairing + inner_right(y[k], z[k])
-    dual_residual = (dual_pairing - unit).norm()
+    dual_residual = (pairing(truncated, z) - unit).norm()
     if dual_residual > WITNESS_TOL:
         raise DomainError(
             f"truncation dual residual {dual_residual:.3g} exceeds {WITNESS_TOL:g}"
@@ -272,18 +266,15 @@ def bass_reduce(t: ModuleTuple, params: PerturbationParams) -> ReductionCoeffici
     d_star = None
     for _ in range(params.max_retries):
         schedule.append(eta)
-        candidate = [
-            z[k] + eta * space.random_element(rng) for k in range(n)
-        ]
-        pairing = inner_right(candidate[0], t[0])
-        for k in range(1, n):
-            pairing = pairing + inner_right(candidate[k], t[k])
-        pairing = pairing + inner_right(z[n], t[n])
-        if is_unimodular(ModuleTuple(tuple(candidate)), params.tol) and (
-            space.right_is_invertible(pairing, params.tol)
+        candidate = ModuleTuple(
+            tuple(z[k] + eta * space.random_element(rng) for k in range(n))
+        )
+        paired = pairing(ModuleTuple(candidate.entries + (z[n],)), t)
+        if is_unimodular(candidate, params.tol) and (
+            space.right_is_invertible(paired, params.tol)
         ):
-            zbar = candidate
-            d_star = pairing
+            zbar = candidate.entries
+            d_star = paired
             break
         eta *= 2.0
     if zbar is None:
@@ -370,13 +361,10 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
     padded, bump = _pad_with_bump(t, u, eps, params.tol)
 
     left = space.left_algebra
-    unit_l = left.unit()
-    zero_l = left.zero()
-    # Expansion of the current tuple over the original (x, y) entries.  The
-    # first n columns stay exactly the identity because updates only ever add
-    # multiples of later rows, whose leading columns are exactly zero.
-    expansion = [
-        [unit_l if i == j else zero_l for j in range(n + r)] for i in range(n + r)
+    # Coefficients of the current tuple over the r padding entries, the only
+    # ones the result reads: x rows start at zero, y rows at the unit.
+    expansion = [[left.zero()] * r for _ in range(n)] + [
+        [left.unit() if i == j else left.zero() for j in range(r)] for i in range(r)
     ]
     current = padded
     for stage in range(r):
@@ -385,17 +373,12 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
         col_entries = [row[0] for row in column.coeffs]
         last = expansion[-1]
         expansion = [
-            [
-                expansion[i][j] + col_entries[i] * last[j]
-                for j in range(n + r)
-            ]
-            for i in range(len(expansion) - 1)
+            [a + c * b for a, b in zip(row, last)]
+            for c, row in zip(col_entries, expansion)
         ]
         current = warfield_forward(current, column)
 
-    coeffs = ReductionCoefficients(
-        space, [[expansion[i][n + k] for k in range(r)] for i in range(n)]
-    )
+    coeffs = ReductionCoefficients(space, expansion)
     # Cross-check the accumulated coefficients against the iterated reduction.
     recombined = warfield_forward(
         ModuleTuple(t.entries + padded.entries[n:]), coeffs

@@ -108,6 +108,17 @@ def test_is_invertible_small_singular_value():
     assert not a.is_invertible(1e-9)
 
 
+def test_margin_is_relative_and_refuses_non_finite_values():
+    alg = Algebra((1, 2))
+    a = alg.element([np.array([[4.0]]), np.diag([2.0, 0.5])])
+    assert a.margin() == 0.5 / 4.0
+    assert a.is_invertible(0.12) and not a.is_invertible(0.13)
+    for bad in (np.inf, np.nan):
+        b = alg.element([np.array([[1.0]]), np.diag([bad, 1.0])])
+        with pytest.raises(DomainError, match="not finite"):
+            b.margin()
+
+
 def test_is_invertible_rejects_bad_tol():
     with pytest.raises(ValueError):
         Algebra((1,)).unit().is_invertible(0.0)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cstar_rank import Algebra, ModuleSpace, ModuleTuple
+from cstar_rank import Algebra, ModuleSpace, ModuleTuple, corner_space
 from cstar_rank.cli import main
 
 
@@ -224,3 +224,52 @@ def test_non_finite_entries_are_a_parse_error(tmp_path, capsys, entry):
     assert code == 2
     assert out == ""
     assert "finite" in err
+
+
+def test_unparsable_env_tolerance_names_the_rule(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CSTAR_RANK_TOL", "abc")
+    space = ModuleSpace(Algebra((1,)), 1, 1)
+    path = write_tuple(tmp_path / "zero.json", ModuleTuple((space.zero(),)))
+    code, out, err = run_cli(capsys, ["check", "--input", path])
+    assert code == 2
+    assert out == ""
+    assert "positive finite" in err and "CSTAR_RANK_TOL" in err
+
+
+def test_overflowing_gram_is_a_domain_error(tmp_path, capsys):
+    # The Gram sum of 1e200 overflows to inf; that once read as "not
+    # unimodular" with a NaN margin, invalid JSON and exit 0.
+    space = ModuleSpace(Algebra((1,)), 1, 1)
+    x = space.element([np.array([[1e200]], dtype=complex)])
+    path = write_tuple(tmp_path / "big.json", ModuleTuple((x,)))
+    code, out, err = run_cli(capsys, ["check", "--input", path, "--no-timestamp"])
+    assert code == 1
+    assert out == ""
+    assert "overflow" in err
+
+
+@pytest.mark.parametrize(
+    "corner, edit",
+    [
+        (False, lambda s: s.update(rows=1.5)),
+        (False, lambda s: s["algebra"].update(blocks=[1.9])),
+        (True, lambda s: s.update(size=2.0)),
+    ],
+    ids=["rows", "blocks", "size"],
+)
+def test_non_integer_shapes_are_a_parse_error(tmp_path, capsys, corner, edit):
+    # int() once truncated or coerced these shapes and check exited 0.
+    alg = Algebra((1,))
+    if corner:
+        p = alg.matrix_algebra(2).element([np.diag([1.0, 0.0])])
+        space = corner_space(alg, 2, p, p)
+    else:
+        space = ModuleSpace(alg, 1, 1)
+    data = ModuleTuple((space.random_element(np.random.default_rng(0)),)).to_json_list()
+    edit(data[0]["space"])
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, ["check", "--input", str(path), "--no-timestamp"])
+    assert code == 2
+    assert out == ""
+    assert "integer" in err

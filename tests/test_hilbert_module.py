@@ -19,6 +19,7 @@ from cstar_rank import (
     is_full,
     is_unimodular,
     normalize_tuple,
+    pairing,
     stack,
     unimodularity_margin,
 )
@@ -202,6 +203,21 @@ def test_dual_witness_residuals():
             for j in range(1, k):
                 pairing = pairing + inner_right(w[j], t[j])
             assert (pairing - unit).norm() <= 1e-8
+
+
+def test_pairing_is_the_sum_of_inner_products():
+    rng = np.random.default_rng(4)
+    space = ModuleSpace(Algebra((1, 2)), 2, 3)
+    x, y = random_tuple(space, rng, 3), random_tuple(space, rng, 3)
+    expected = inner_right(y[0], x[0]) + inner_right(y[1], x[1]) + inner_right(y[2], x[2])
+    for got, want in zip(pairing(y, x).blocks, expected.blocks):
+        assert np.array_equal(got, want)
+    for got, want in zip(pairing(x, x).blocks, gram(x).blocks):
+        assert np.array_equal(got, want)
+    with pytest.raises(ShapeMismatchError):
+        pairing(ModuleTuple(y.entries[:2]), x)
+    with pytest.raises(ShapeMismatchError):
+        pairing(random_tuple(ModuleSpace(Algebra((1, 2)), 3, 3), rng, 3), x)
 
 
 def test_dual_witness_rejects_non_unimodular():
