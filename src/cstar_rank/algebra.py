@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvertibilityError, ShapeMismatchError
+from .sampling import complex_gaussian
 
 #: Default relative threshold for invertibility: an element counts as
 #: invertible when its margin, the smallest singular value over all blocks
@@ -93,13 +94,9 @@ class Algebra:
 
     def random_element(self, rng) -> "AlgebraElement":
         """Element with i.i.d. standard complex Gaussian entries in every block."""
-        root_half = np.sqrt(0.5)
-        blocks = [
-            root_half
-            * (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
-            for k in self.block_sizes
-        ]
-        return AlgebraElement._wrap(self, blocks)
+        return AlgebraElement._wrap(
+            self, [complex_gaussian(rng, (k, k)) for k in self.block_sizes]
+        )
 
     def matrix_algebra(self, n: int) -> "Algebra":
         """The amplification M_n over this algebra; block sizes scale by n."""
@@ -115,40 +112,47 @@ class Algebra:
         return cls(tuple(data["blocks"]))
 
 
-class AlgebraElement:
-    """One complex matrix per block of a parent :class:`Algebra`.
+def _require_positive_finite(name: str, value) -> None:
+    """The one rule for tolerances and ``eps``: ``0 < value < inf``, else ``ValueError``."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
-    Instances are immutable.  ``a * b`` is the algebra product, ``a + b`` the
-    sum, scalars act blockwise, and ``a.adjoint()`` is the blockwise conjugate
-    transpose.
+
+class _Blocks:
+    """An immutable tuple of complex blocks with a cached norm.
+
+    A subclass names its parent slot in ``_parent``, passes the block shapes
+    its parent prescribes to ``__init__``, and defines ``_new`` (same parent,
+    new blocks) and ``_require_same`` (operand of the same kind over an equal
+    parent).
     """
 
-    __slots__ = ("algebra", "blocks", "_norm")
+    __slots__ = ("blocks", "_norm")
 
-    def __init__(self, algebra: Algebra, blocks):
+    def __init__(self, parent, blocks, shapes):
         blocks = tuple(blocks)
-        if len(blocks) != algebra.num_blocks:
+        if len(blocks) != len(shapes):
             raise ShapeMismatchError(
-                f"expected {algebra.num_blocks} blocks, got {len(blocks)}"
+                f"expected {len(shapes)} blocks, got {len(blocks)}"
             )
         frozen = []
-        for block, size in zip(blocks, algebra.block_sizes):
+        for block, shape in zip(blocks, shapes):
             arr = np.array(block, dtype=np.complex128)
-            if arr.shape != (size, size):
+            if arr.shape != shape:
                 raise ShapeMismatchError(
-                    f"block has shape {arr.shape}, expected {(size, size)}"
+                    f"block has shape {arr.shape}, expected {shape}"
                 )
             arr.setflags(write=False)
             frozen.append(arr)
-        self.algebra = algebra
+        setattr(self, self._parent, parent)
         self.blocks = tuple(frozen)
         self._norm = None
 
     @classmethod
-    def _wrap(cls, algebra, blocks):
+    def _wrap(cls, parent, blocks):
         # Trusted fast path for internally produced arrays; no copy, no check.
         el = cls.__new__(cls)
-        el.algebra = algebra
+        setattr(el, cls._parent, parent)
         out = []
         for b in blocks:
             b = np.asarray(b, dtype=np.complex128)
@@ -158,63 +162,80 @@ class AlgebraElement:
         el._norm = None
         return el
 
-    def _require_same_algebra(self, other):
+    def __add__(self, other):
+        self._require_same(other)
+        return self._new([a + b for a, b in zip(self.blocks, other.blocks)])
+
+    def __sub__(self, other):
+        self._require_same(other)
+        return self._new([a - b for a, b in zip(self.blocks, other.blocks)])
+
+    def __neg__(self):
+        return self._new([-a for a in self.blocks])
+
+    def __mul__(self, other):
+        if isinstance(other, numbers.Number):
+            z = complex(other)
+            return self._new([z * a for a in self.blocks])
+        return NotImplemented
+
+    # Scalars commute with blocks.
+    __rmul__ = __mul__
+
+    def norm(self) -> float:
+        """The largest singular value over all blocks.
+
+        This is the operator norm of an algebra element and the Hilbert
+        module norm of a module element.
+        """
+        if self._norm is None:
+            self._norm = max(
+                float(_svdvals(b)[0]) if b.size else 0.0 for b in self.blocks
+            )
+        return self._norm
+
+
+class AlgebraElement(_Blocks):
+    """One complex matrix per block of a parent :class:`Algebra`.
+
+    Instances are immutable.  ``a * b`` is the algebra product, ``a + b`` the
+    sum, scalars act blockwise, and ``a.adjoint()`` is the blockwise conjugate
+    transpose.
+    """
+
+    __slots__ = ("algebra",)
+    _parent = "algebra"
+
+    def __init__(self, algebra: Algebra, blocks):
+        super().__init__(algebra, blocks, [(k, k) for k in algebra.block_sizes])
+
+    def _new(self, blocks):
+        return AlgebraElement._wrap(self.algebra, blocks)
+
+    def _require_same(self, other):
         if not isinstance(other, AlgebraElement):
             raise TypeError(f"expected an AlgebraElement, got {type(other).__name__}")
         if other.algebra != self.algebra:
             raise ShapeMismatchError("elements belong to different algebras")
 
-    # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other):
-        self._require_same_algebra(other)
-        return AlgebraElement._wrap(
-            self.algebra, [a + b for a, b in zip(self.blocks, other.blocks)]
-        )
-
-    def __sub__(self, other):
-        self._require_same_algebra(other)
-        return AlgebraElement._wrap(
-            self.algebra, [a - b for a, b in zip(self.blocks, other.blocks)]
-        )
-
-    def __neg__(self):
-        return AlgebraElement._wrap(self.algebra, [-a for a in self.blocks])
+    # -- product ------------------------------------------------------------
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
-            self._require_same_algebra(other)
-            return AlgebraElement._wrap(
-                self.algebra, [a @ b for a, b in zip(self.blocks, other.blocks)]
-            )
-        if isinstance(other, numbers.Number):
-            z = complex(other)
-            return AlgebraElement._wrap(self.algebra, [z * a for a in self.blocks])
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, numbers.Number):
-            return self.__mul__(other)
-        return NotImplemented
+            self._require_same(other)
+            return self._new([a @ b for a, b in zip(self.blocks, other.blocks)])
+        return _Blocks.__mul__(self, other)
 
     def __truediv__(self, other):
         if isinstance(other, numbers.Number):
             return self.__mul__(1.0 / complex(other))
         return NotImplemented
 
-    # -- involution and norms ---------------------------------------------
+    # -- involution ---------------------------------------------------------
 
     def adjoint(self) -> "AlgebraElement":
         """Blockwise conjugate transpose; an exact involution."""
-        return AlgebraElement._wrap(self.algebra, [b.conj().T for b in self.blocks])
-
-    def norm(self) -> float:
-        """Operator norm: the largest singular value over all blocks."""
-        if self._norm is None:
-            self._norm = max(
-                float(_svdvals(b)[0]) if b.size else 0.0 for b in self.blocks
-            )
-        return self._norm
+        return self._new([b.conj().T for b in self.blocks])
 
     def is_self_adjoint(self, rtol: float = SELF_ADJOINT_RTOL) -> bool:
         return (self - self.adjoint()).norm() <= rtol * self.norm()
@@ -239,8 +260,7 @@ class AlgebraElement:
 
     def is_invertible(self, tol: float = DEFAULT_TOL) -> bool:
         """Whether :meth:`margin` exceeds ``tol``."""
-        if tol <= 0:
-            raise ValueError("tol must be positive")
+        _require_positive_finite("tol", tol)
         return self.margin() > tol
 
     def inverse(self, tol: float = DEFAULT_TOL) -> "AlgebraElement":
@@ -248,9 +268,7 @@ class AlgebraElement:
             raise InvertibilityError(
                 f"element is numerically singular at tol={tol:g}"
             )
-        return AlgebraElement._wrap(
-            self.algebra, [np.linalg.inv(b) for b in self.blocks]
-        )
+        return self._new([np.linalg.inv(b) for b in self.blocks])
 
     # -- functional calculus -----------------------------------------------
 
@@ -278,7 +296,7 @@ class AlgebraElement:
             clipped = np.clip(w, 0.0, None)
             c = (v * clipped) @ v.conj().T
             out.append(_hermitized(c))
-        return AlgebraElement._wrap(self.algebra, out)
+        return self._new(out)
 
     def inv_sqrt(self, tol: float = DEFAULT_TOL) -> "AlgebraElement":
         """Inverse square root of a positive definite element.
@@ -286,6 +304,7 @@ class AlgebraElement:
         The result ``s`` is positive definite and satisfies ``s * a * s = 1``
         up to the conditioning of ``a``.
         """
+        _require_positive_finite("tol", tol)
         if not self.is_self_adjoint():
             raise DomainError("inv_sqrt needs a self-adjoint element")
         threshold = tol * max(1.0, self.norm())
@@ -299,7 +318,7 @@ class AlgebraElement:
                 )
             c = (v * (w ** -0.5)) @ v.conj().T
             out.append(_hermitized(c))
-        return AlgebraElement._wrap(self.algebra, out)
+        return self._new(out)
 
     # -- serialization -------------------------------------------------------
 

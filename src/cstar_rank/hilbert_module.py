@@ -24,7 +24,6 @@ to do.
 
 from __future__ import annotations
 
-import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -34,7 +33,9 @@ from .algebra import (
     DEFAULT_TOL,
     Algebra,
     AlgebraElement,
+    _Blocks,
     _hermitized,
+    _require_positive_finite,
     _svdvals,
     matrix_from_json,
     matrix_to_json,
@@ -248,7 +249,13 @@ class ModuleSpace(_SpaceOps):
         return cls(Algebra.from_json_dict(data["algebra"]), data["rows"], data["cols"])
 
 
-class ModuleElement:
+def _same_space(x, y, message="elements belong to different module spaces"):
+    """The one same-space rule, for elements and tuples alike."""
+    if x.space is not y.space and x.space != y.space:
+        raise ShapeMismatchError(message)
+
+
+class ModuleElement(_Blocks):
     """A module element: one complex block matrix per block of the base algebra.
 
     Supports ``x + y``, ``x - y``, scalar multiples, the right action
@@ -256,84 +263,31 @@ class ModuleElement:
     algebra.
     """
 
-    __slots__ = ("space", "blocks", "_norm")
+    __slots__ = ("space",)
+    _parent = "space"
 
     def __init__(self, space, blocks):
-        blocks = tuple(blocks)
-        expected = space.block_shapes
-        if len(blocks) != len(expected):
-            raise ShapeMismatchError(
-                f"expected {len(expected)} blocks, got {len(blocks)}"
-            )
-        frozen = []
-        for block, shape in zip(blocks, expected):
-            arr = np.array(block, dtype=np.complex128)
-            if arr.shape != shape:
-                raise ShapeMismatchError(
-                    f"block has shape {arr.shape}, expected {shape}"
-                )
-            arr.setflags(write=False)
-            frozen.append(arr)
-        self.space = space
-        self.blocks = tuple(frozen)
-        self._norm = None
+        super().__init__(space, blocks, space.block_shapes)
 
-    @classmethod
-    def _wrap(cls, space, blocks):
-        el = cls.__new__(cls)
-        el.space = space
-        out = []
-        for b in blocks:
-            b = np.asarray(b, dtype=np.complex128)
-            b.setflags(write=False)
-            out.append(b)
-        el.blocks = tuple(out)
-        el._norm = None
-        return el
+    def _new(self, blocks):
+        return ModuleElement._wrap(self.space, blocks)
 
-    def _require_same_space(self, other):
+    def _require_same(self, other):
         if not isinstance(other, ModuleElement):
             raise TypeError(f"expected a ModuleElement, got {type(other).__name__}")
-        if other.space is not self.space and other.space != self.space:
-            raise ShapeMismatchError("elements belong to different module spaces")
+        _same_space(self, other)
 
-    def __add__(self, other):
-        self._require_same_space(other)
-        return ModuleElement._wrap(
-            self.space, [a + b for a, b in zip(self.blocks, other.blocks)]
-        )
-
-    def __sub__(self, other):
-        self._require_same_space(other)
-        return ModuleElement._wrap(
-            self.space, [a - b for a, b in zip(self.blocks, other.blocks)]
-        )
-
-    def __neg__(self):
-        return ModuleElement._wrap(self.space, [-a for a in self.blocks])
+    # -- module actions -------------------------------------------------------
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             return self.space.apply_right(self, other)
-        if isinstance(other, numbers.Number):
-            z = complex(other)
-            return ModuleElement._wrap(self.space, [z * b for b in self.blocks])
-        return NotImplemented
+        return _Blocks.__mul__(self, other)
 
     def __rmul__(self, other):
         if isinstance(other, AlgebraElement):
             return self.space.apply_left(other, self)
-        if isinstance(other, numbers.Number):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def norm(self) -> float:
-        """Hilbert module norm, the largest singular value over blocks."""
-        if self._norm is None:
-            self._norm = max(
-                float(_svdvals(b)[0]) if b.size else 0.0 for b in self.blocks
-            )
-        return self._norm
+        return _Blocks.__rmul__(self, other)
 
     def to_json_dict(self) -> dict:
         return {
@@ -355,10 +309,8 @@ class ModuleTuple:
         entries = tuple(self.entries)
         if not entries:
             raise ValueError("a module tuple needs at least one entry")
-        space = entries[0].space
         for x in entries[1:]:
-            if x.space is not space and x.space != space:
-                raise ShapeMismatchError("tuple entries live in different spaces")
+            _same_space(entries[0], x, "tuple entries live in different spaces")
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -390,11 +342,6 @@ class ModuleTuple:
 # ---------------------------------------------------------------------------
 # Free operation surface
 # ---------------------------------------------------------------------------
-
-
-def _same_space(x, y):
-    if x.space is not y.space and x.space != y.space:
-        raise ShapeMismatchError("elements belong to different module spaces")
 
 
 def inner_right(x, y) -> AlgebraElement:
@@ -444,8 +391,6 @@ def stack(t: ModuleTuple) -> ModuleElement:
 
 def is_unimodular(t: ModuleTuple, tol: float = DEFAULT_TOL) -> bool:
     """Whether the Gram sum of the tuple is invertible in the right algebra."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     return t.space.right_is_invertible(gram(t), tol)
 
 
@@ -483,8 +428,7 @@ def gen_oracle(t: ModuleTuple, tol: float = DEFAULT_TOL) -> bool:
     to module elements and checks that its numerical rank equals the module
     dimension.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _require_positive_finite("tol", tol)
     return generation_margin(t) > tol
 
 
@@ -731,19 +675,18 @@ def space_from_json_dict(data):
 
 
 def element_from_json_dict(data) -> ModuleElement:
-    space = space_from_json_dict(data["space"])
-    blocks = [matrix_from_json(m) for m in data["blocks"]]
-    return ModuleElement(space, blocks)
+    return tuple_from_json_list([data])[0]
 
 
 def tuple_from_json_list(data) -> ModuleTuple:
+    """The one JSON-to-element path: every entry must declare the first's space."""
     if not data:
         raise ValueError("a module tuple needs at least one entry")
-    first = element_from_json_dict(data[0])
-    entries = [first]
-    for item in data[1:]:
+    space = space_from_json_dict(data[0]["space"])
+    entries = []
+    for item in data:
         if item["space"] != data[0]["space"]:
             raise ShapeMismatchError("tuple entries declare different spaces")
         blocks = [matrix_from_json(m) for m in item["blocks"]]
-        entries.append(ModuleElement(first.space, blocks))
+        entries.append(ModuleElement(space, blocks))
     return ModuleTuple(tuple(entries))

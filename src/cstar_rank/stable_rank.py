@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._version import __version__
-from .algebra import DEFAULT_TOL, AlgebraElement
+from .algebra import DEFAULT_TOL, AlgebraElement, _require_positive_finite
 from .errors import (
     DomainError,
     ModuleNotFullError,
@@ -33,6 +33,7 @@ from .errors import (
 )
 from .hilbert_module import (
     ModuleTuple,
+    _same_space,
     dual_witness,
     gram,
     inner_left,
@@ -40,6 +41,7 @@ from .hilbert_module import (
     is_unimodular,
     normalize_tuple,
     pairing,
+    space_from_json_dict,
 )
 from .sampling import derived_seed, rng_from_seed
 
@@ -72,10 +74,8 @@ class PerturbationParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        _require_positive_finite("eps", self.eps)
+        _require_positive_finite("tol", self.tol)
         if self.max_retries < 1:
             raise ValueError("max_retries must be at least 1")
 
@@ -150,8 +150,6 @@ class ReductionCoefficients:
 
     @classmethod
     def from_json_dict(cls, data) -> "ReductionCoefficients":
-        from .hilbert_module import space_from_json_dict
-
         space = space_from_json_dict(data["space"])
         left = space.left_algebra
         coeffs = [
@@ -177,8 +175,7 @@ def warfield_forward(t: ModuleTuple, a: ReductionCoefficients) -> ModuleTuple:
         raise ShapeMismatchError(
             f"tuple of length {len(t)} does not match coefficient shape {a.shape}"
         )
-    if t.space != a.space:
-        raise ShapeMismatchError("tuple and coefficients live over different spaces")
+    _same_space(t, a, "tuple and coefficients live over different spaces")
     head = t.entries[:n_out]
     contrib = a.apply(t.entries[n_out:])
     return ModuleTuple(tuple(x + c for x, c in zip(head, contrib)))
@@ -319,10 +316,8 @@ def hv_pad(
     so the result is always unimodular.  ``u`` must satisfy
     ``sum <u_k, u_k> = 1`` (normalize with :func:`normalize_tuple` first).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if t.space != u.space:
-        raise ShapeMismatchError("tuples live over different spaces")
+    _require_positive_finite("eps", eps)
+    _same_space(t, u, "tuples live over different spaces")
     unit = t.space.right_algebra_unit()
     residual = (gram(u) - unit).norm()
     if residual > WITNESS_TOL:
@@ -461,8 +456,7 @@ def density_experiment(
         raise ValueError("k must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _require_positive_finite("tol", tol)
     hits = 0
     for index in range(trials):
         rng = rng_from_seed(derived_seed(seed, index))

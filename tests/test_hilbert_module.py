@@ -518,3 +518,32 @@ def test_corner_witness_and_stack():
     stacked = stack(t)
     assert is_unimodular(ModuleTuple((stacked,)))
     assert abs(gram(ModuleTuple((stacked,))).norm() - gram(t).norm()) < 1e-12
+
+
+def test_module_elements_keep_the_block_container_rules():
+    rng = np.random.default_rng(21)
+    space = ModuleSpace(Algebra((1, 2)), 2, 3)
+    x = space.random_element(rng)
+    y = space.random_element(rng)
+    with pytest.raises(ShapeMismatchError):
+        space.element([np.zeros((2, 3)), np.zeros((4, 5))])
+    with pytest.raises(ShapeMismatchError):
+        space.element(x.blocks[:1])
+    with pytest.raises(ValueError):
+        x.blocks[0][0, 0] = 5.0
+    other = ModuleSpace(Algebra((1, 2)), 3, 3).random_element(rng)
+    with pytest.raises(ShapeMismatchError):
+        x + other
+    with pytest.raises(TypeError):
+        x + space.right_algebra_unit()
+    # Oracle: the same arithmetic on the raw numpy blocks.
+    for result, expected in (
+        (2 * x, [2 * b for b in x.blocks]),
+        (x * 2, [2 * b for b in x.blocks]),
+        (-x, [-b for b in x.blocks]),
+        (x - y, [a - b for a, b in zip(x.blocks, y.blocks)]),
+    ):
+        assert result.space == space
+        assert all(np.array_equal(a, b) for a, b in zip(result.blocks, expected))
+    for element in (x, space.right_algebra_unit()):
+        assert not hasattr(element, "__dict__")

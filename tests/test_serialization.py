@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from cstar_rank import (
     Algebra,
@@ -10,6 +11,7 @@ from cstar_rank import (
     ModuleSpace,
     ModuleTuple,
     ReductionCoefficients,
+    ShapeMismatchError,
     corner_space,
     density_experiment,
     element_from_json_dict,
@@ -119,3 +121,16 @@ def test_density_report_embeds_provenance():
     assert data["seed"] == 5
     assert data["tolerance"] == 1e-9
     assert data["space"] == {"algebra": {"blocks": [1]}, "rows": 1, "cols": 1}
+
+
+def test_tuple_entries_must_declare_one_space():
+    # Both corners store 2x2 blocks, so only the declared spaces differ.
+    alg = Algebra((1,))
+    ambient = alg.matrix_algebra(2)
+    p = ambient.element([np.diag([1.0, 0.0])])
+    q = ambient.element([np.diag([0.0, 1.0])])
+    rng = np.random.default_rng(7)
+    x = corner_space(alg, 2, p, p).random_element(rng)
+    y = corner_space(alg, 2, q, p).random_element(rng)
+    with pytest.raises(ShapeMismatchError, match="declare different spaces"):
+        tuple_from_json_list([x.to_json_dict(), y.to_json_dict()])

@@ -410,6 +410,27 @@ def test_density_validates_arguments():
         density_experiment(space, 1, 0, 0)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_every_tolerance_entry_point_rejects_bad_values(bad):
+    space = scalar_space()
+    unit_tuple = ModuleTuple(tuple(space.standard_unimodular_tuple()))
+    u = normalize_tuple(unit_tuple)
+    calls = [
+        lambda: space.right_algebra_unit().is_invertible(bad),
+        lambda: space.right_algebra_unit().inv_sqrt(bad),
+        lambda: normalize_tuple(unit_tuple, bad),
+        lambda: is_unimodular(unit_tuple, bad),
+        lambda: gen_oracle(unit_tuple, bad),
+        lambda: density_experiment(space, 1, 5, 0, tol=bad),
+        lambda: hv_pad(unit_tuple, u, bad),
+        lambda: PerturbationParams(eps=bad),
+        lambda: PerturbationParams(eps=0.1, tol=bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         PerturbationParams(eps=0.0)
