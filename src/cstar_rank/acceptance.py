@@ -1,15 +1,16 @@
 """Full acceptance battery with pinned tolerances.
 
-Each criterion function runs one verification campaign at its stated
-tolerance and returns a :class:`CriterionResult`; :func:`run_all` executes
-the whole battery.  The ``verify-suite`` CLI command and the pytest
-acceptance module both drive this code, so the pass/fail lines are identical
-in either harness.  All randomness is derived from fixed seeds.
+Each criterion runs one verification campaign at its stated tolerance and
+returns a :class:`CriterionResult`; :func:`run_all` executes the whole
+battery.  The ``verify-suite`` CLI command and the pytest acceptance module
+both print :meth:`CriterionResult.line`, so their pass/fail lines are
+identical.  All randomness is derived from fixed seeds.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -54,20 +55,40 @@ class CriterionResult:
     details: str
     seconds: float
 
-
-def _result(name, started, failures, details):
-    elapsed = time.time() - started
-    if failures:
-        shown = "; ".join(failures[:3])
-        more = f" (+{len(failures) - 3} more)" if len(failures) > 3 else ""
-        return CriterionResult(name, False, f"{shown}{more}", elapsed)
-    return CriterionResult(name, True, details, elapsed)
+    def line(self) -> str:
+        """The pass/fail line both harnesses print."""
+        status = "PASS" if self.passed else "FAIL"
+        return f"{status}  {self.name:<24} ({self.seconds:6.1f}s)  {self.details}"
 
 
-def _random_unimodular_tuple(space, rng, k, tol=TOL, max_attempts=200):
-    for _ in range(max_attempts):
+def _criterion(name):
+    """Turn a body ``fn(failures) -> details`` into a timed criterion.
+
+    The body appends one message per failed check to ``failures`` and returns
+    the details string of a pass; a failed criterion shows its first three
+    messages instead.
+    """
+
+    def decorate(body):
+        @functools.wraps(body)
+        def criterion() -> CriterionResult:
+            started = time.time()
+            failures = []
+            details = body(failures)
+            if failures:
+                more = f" (+{len(failures) - 3} more)" if len(failures) > 3 else ""
+                details = "; ".join(failures[:3]) + more
+            return CriterionResult(name, not failures, details, time.time() - started)
+
+        return criterion
+
+    return decorate
+
+
+def _random_unimodular_tuple(space, rng, k):
+    for _ in range(200):
         t = ModuleTuple(tuple(space.random_element(rng) for _ in range(k)))
-        if is_unimodular(t, tol):
+        if is_unimodular(t, TOL):
             return t
     raise RuntimeError(f"no unimodular {k}-tuple found in {space!r}")
 
@@ -81,12 +102,11 @@ def _min_eigenvalue(b) -> float:
 # -- criterion 1 -------------------------------------------------------------
 
 
-def criterion_formula_grid() -> CriterionResult:
+@_criterion("formula-grid")
+def criterion_formula_grid(failures) -> str:
     """Density fractions across the (base, n, m, k) grid match the ceiling
     formula exactly, and the square case agrees with the classical matrix
     algebra formula."""
-    started = time.time()
-    failures = []
     cells = 0
     seed_counter = 11000
     for base in [(1,), (2,), (1, 2)]:
@@ -117,23 +137,17 @@ def criterion_formula_grid() -> CriterionResult:
             classical = -(-(s - 1) // n) + 1
             if sr_formula(s, n, n) != classical:
                 failures.append(f"square case s={s} n={n} disagrees")
-    return _result(
-        "formula-grid",
-        started,
-        failures,
-        f"{cells} grid cells at 500 trials each; square-case identity for s,n<=20",
-    )
+    return f"{cells} grid cells at 500 trials each; square-case identity for s,n<=20"
 
 
 # -- criterion 2 -------------------------------------------------------------
 
 
-def criterion_dual_witness() -> CriterionResult:
+@_criterion("dual-witness")
+def criterion_dual_witness(failures) -> str:
     """Dual witnesses pair to one within 1e-8 and certify the Gram lower
     bound min-eig >= 1/||y||^2 - 1e-8, for the canonical witness and for a
     randomized one."""
-    started = time.time()
-    failures = []
     runs = 0
     shapes = [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)]
     for base in [(1,), (2,), (1, 2)]:
@@ -168,22 +182,16 @@ def criterion_dual_witness() -> CriterionResult:
                     failures.append(f"{base}/{rows}x{cols}: randomized Gram bound")
                     continue
                 runs += 1
-    return _result(
-        "dual-witness",
-        started,
-        failures,
-        f"{runs} unimodular singletons, canonical and randomized witnesses",
-    )
+    return f"{runs} unimodular singletons, canonical and randomized witnesses"
 
 
 # -- criterion 3 -------------------------------------------------------------
 
 
-def criterion_um_equals_gen() -> CriterionResult:
+@_criterion("um-equals-gen")
+def criterion_um_equals_gen(failures) -> str:
     """The Gram-invertibility test and the brute-force generator oracle agree
     on every sampled tuple away from the tolerance boundary."""
-    started = time.time()
-    failures = []
     compared = 0
     borderline = 0
     low, high = TOL / 10.0, TOL * 10.0
@@ -213,23 +221,18 @@ def criterion_um_equals_gen() -> CriterionResult:
                             )
     if compared < 2000:
         failures.append(f"only {compared} tuples compared, need >= 2000")
-    return _result(
-        "um-equals-gen",
-        started,
-        failures,
-        f"{compared} tuples agree on both routes ({borderline} borderline excluded)",
-    )
+    return f"{compared} tuples agree on both routes ({borderline} borderline excluded)"
 
 
 # -- criterion 4 -------------------------------------------------------------
 
 
-def _warfield_instance(space, rng, n, tol=TOL):
+def _warfield_instance(space, rng, n):
     """A tuple x with sum <y_k, x_k> = 1 for a witness y whose head is
     unimodular, plus a random component that the pairing cannot see."""
-    head = _random_unimodular_tuple(space, rng, n, tol)
+    head = _random_unimodular_tuple(space, rng, n)
     y = ModuleTuple(head.entries + (space.random_element(rng),))
-    b_inv = space.right_inverse(gram(y), tol)
+    b_inv = space.right_inverse(gram(y), TOL)
     base_x = [yk * b_inv for yk in y.entries]
     noise = [space.random_element(rng) for _ in range(n + 1)]
     s = pairing(y, ModuleTuple(tuple(noise)))
@@ -240,11 +243,10 @@ def _warfield_instance(space, rng, n, tol=TOL):
     return ModuleTuple(x_entries), y
 
 
-def criterion_warfield() -> CriterionResult:
+@_criterion("warfield-reduction")
+def criterion_warfield(failures) -> str:
     """Constructed witness instances always reduce to unimodular tuples, with
     the telescoping identity holding to 1e-7."""
-    started = time.time()
-    failures = []
     configs = [
         (1, 1, 1, (1,)),
         (1, 1, 2, (2,)),
@@ -274,22 +276,16 @@ def criterion_warfield() -> CriterionResult:
             failures.append(f"run {i}: telescoping residual {residual:.3g}")
             continue
         runs += 1
-    return _result(
-        "warfield-reduction",
-        started,
-        failures,
-        f"{runs}/300 constructed instances reduced with telescoping residual <= 1e-7",
-    )
+    return f"{runs}/300 constructed instances reduced with telescoping residual <= 1e-7"
 
 
 # -- criterion 5 -------------------------------------------------------------
 
 
-def criterion_herman_vaserstein() -> CriterionResult:
+@_criterion("herman-vaserstein")
+def criterion_herman_vaserstein(failures) -> str:
     """The padding always lands in the unimodular set, and the perturbation
     pipeline returns unimodular tuples within sqrt(eps) + eps of the input."""
-    started = time.time()
-    failures = []
     shapes = [
         (1, 1, 1, (1,)),
         (1, 2, 2, (2,)),
@@ -334,22 +330,16 @@ def criterion_herman_vaserstein() -> CriterionResult:
             failures.append(f"pad run {i}: not unimodular")
             continue
         pad_runs += 1
-    return _result(
-        "herman-vaserstein",
-        started,
-        failures,
-        f"{perturb_runs} perturbations within bound; {pad_runs}/500 paddings unimodular",
-    )
+    return f"{perturb_runs} perturbations within bound; {pad_runs}/500 paddings unimodular"
 
 
 # -- criterion 6 -------------------------------------------------------------
 
 
-def criterion_negative_control() -> CriterionResult:
+@_criterion("negative-control")
+def criterion_negative_control(failures) -> str:
     """In the 1 x 2 module a single row is never left invertible, so both
     reduction pipelines must fail with the designated error every time."""
-    started = time.time()
-    failures = []
     space = ModuleSpace(Algebra((1,)), 1, 2)
     for i in range(100):
         rng = rng_from_seed(derived_seed(66000, i))
@@ -367,22 +357,16 @@ def criterion_negative_control() -> CriterionResult:
             failures.append(f"hv run {i}: unexpectedly succeeded")
         except ReductionFailedError:
             pass
-    return _result(
-        "negative-control",
-        started,
-        failures,
-        "100 reduction attempts and 100 perturbation attempts all failed as designated",
-    )
+    return "100 reduction attempts and 100 perturbation attempts all failed as designated"
 
 
 # -- criterion 7 -------------------------------------------------------------
 
 
-def criterion_kernel_numerics() -> CriterionResult:
+@_criterion("kernel-numerics")
+def criterion_kernel_numerics(failures) -> str:
     """C*-identity, functional calculus decomposition and inversion
     roundtrips hold at their pinned tolerances."""
-    started = time.time()
-    failures = []
     bases = [(1,), (2,), (3,), (1, 2), (2, 3)]
     per_base = 100  # 5 bases x 100 = 500 samples
     for b_idx, base in enumerate(bases):
@@ -427,24 +411,18 @@ def criterion_kernel_numerics() -> CriterionResult:
             if (root * pd * root - unit).norm() > 1e-8:
                 failures.append(f"{base} run {i}: inv_sqrt roundtrip")
                 continue
-    return _result(
-        "kernel-numerics",
-        started,
-        failures,
-        "500 samples: C*-identity 1e-10, calculus 1e-10, roundtrips 1e-8",
-    )
+    return "500 samples: C*-identity 1e-10, calculus 1e-10, roundtrips 1e-8"
 
 
 # -- criterion 8 -------------------------------------------------------------
 
 
-def criterion_reproducibility() -> CriterionResult:
+@_criterion("reproducibility")
+def criterion_reproducibility(failures) -> str:
     """Identical seeds give bit-identical density reports, both through the
     library and through the CLI."""
     from . import cli
 
-    started = time.time()
-    failures = []
     space = ModuleSpace(Algebra((1, 2)), 2, 3)
     first = density_experiment(space, 2, 300, 12345, TOL)
     second = density_experiment(space, 2, 300, 12345, TOL)
@@ -468,12 +446,7 @@ def criterion_reproducibility() -> CriterionResult:
         failures.append(f"CLI exit codes {rc1}, {rc2}")
     elif out1.getvalue() != out2.getvalue() or not out1.getvalue():
         failures.append("CLI reports are not byte-identical")
-    return _result(
-        "reproducibility",
-        started,
-        failures,
-        "library and CLI density reports byte-identical across reruns",
-    )
+    return "library and CLI density reports byte-identical across reruns"
 
 
 ALL_CRITERIA = (

@@ -73,11 +73,6 @@ class Algebra:
     def num_blocks(self) -> int:
         return len(self.block_sizes)
 
-    @property
-    def dimension(self) -> int:
-        """Complex dimension, the sum of the squared block sizes."""
-        return sum(k * k for k in self.block_sizes)
-
     def unit(self) -> "AlgebraElement":
         return AlgebraElement._wrap(
             self, [np.eye(k, dtype=np.complex128) for k in self.block_sizes]
@@ -237,8 +232,8 @@ class AlgebraElement(_Blocks):
         """Blockwise conjugate transpose; an exact involution."""
         return self._new([b.conj().T for b in self.blocks])
 
-    def is_self_adjoint(self, rtol: float = SELF_ADJOINT_RTOL) -> bool:
-        return (self - self.adjoint()).norm() <= rtol * self.norm()
+    def is_self_adjoint(self) -> bool:
+        return (self - self.adjoint()).norm() <= SELF_ADJOINT_RTOL * self.norm()
 
     # -- invertible group ---------------------------------------------------
 

@@ -251,8 +251,7 @@ def _run_verify_suite(args) -> int:
 
     results = run_all()
     for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        print(f"{status}  {res.name:<24} ({res.seconds:6.1f}s)  {res.details}")
+        print(res.line())
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     if args.out_path:

@@ -108,22 +108,13 @@ class _SpaceOps:
 
     # -- fullness and stable rank ------------------------------------------------------
 
-    def is_full(self) -> bool:
-        """Whether the inner products span the right algebra.
-
-        The products ``x* y`` of ``r x s`` matrices span ``M_s`` as soon as
-        ``r > 0``, so the module is full exactly when every block with
-        ``s_i > 0`` has ``r_i > 0``.
-        """
-        return all(r > 0 for r, s in self.compressed_shapes if s > 0)
-
     def predicted_stable_rank(self):
         """``max ceil(s_i / r_i)`` over live blocks; ``None`` if the space is not full.
 
         Finite-dimensional base algebras have stable rank one, so for matrix
         spaces this is the ceiling formula ``ceil(cols / rows)``.
         """
-        if not self.is_full():
+        if not is_full(self):
             return None
         return max(_ceil_div(s, r) for r, s in self.compressed_shapes if s > 0)
 
@@ -461,8 +452,13 @@ def generation_margin(t: ModuleTuple) -> float:
 
 
 def is_full(space) -> bool:
-    """Whether the span of all inner products of a basis fills the right algebra."""
-    return space.is_full()
+    """Whether the inner products span the right algebra.
+
+    The products ``x* y`` of ``r x s`` matrices span ``M_s`` as soon as
+    ``r > 0``, so the module is full exactly when every block with
+    ``s_i > 0`` has ``r_i > 0``.
+    """
+    return all(r > 0 for r, s in space.compressed_shapes if s > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -567,11 +563,6 @@ class CornerSpace(_SpaceOps):
             for pb, xb, qb in zip(self.p.blocks, ambient_blocks, self.q.blocks)
         ]
         return ModuleElement(self, blocks)
-
-    def element_from_ambient(self, x: AlgebraElement) -> ModuleElement:
-        if x.algebra != self.ambient:
-            raise ShapeMismatchError("element must live in the ambient algebra")
-        return self.element(x.blocks)
 
     def random_element(self, rng) -> ModuleElement:
         blocks = [

@@ -109,10 +109,6 @@ class ReductionCoefficients:
     def shape(self) -> tuple:
         return (len(self.coeffs), len(self.coeffs[0]))
 
-    @classmethod
-    def column(cls, space, entries) -> "ReductionCoefficients":
-        return cls(space, [[a] for a in entries])
-
     def apply(self, entries) -> list:
         """Image of an ``r``-tuple under the coefficient block matrix."""
         n_out, n_in = self.shape
@@ -127,18 +123,6 @@ class ReductionCoefficients:
                 acc = acc + a * y
             out.append(acc)
         return out
-
-    def norm(self) -> float:
-        """Operator norm of the assembled block matrix, per base-algebra block."""
-        worst = 0.0
-        for i in range(self.space.left_algebra.num_blocks):
-            assembled = np.block(
-                [[a.blocks[i] for a in row] for row in self.coeffs]
-            )
-            svals = np.linalg.svd(assembled, compute_uv=False)
-            if svals.size:
-                worst = max(worst, float(svals[0]))
-        return worst
 
     def to_json_dict(self) -> dict:
         n_out, n_in = self.shape
@@ -160,8 +144,15 @@ class ReductionCoefficients:
 
 
 def adjointable_norm(a: ReductionCoefficients) -> float:
-    """Norm of the coefficient array as an adjointable operator between tuples."""
-    return a.norm()
+    """Norm of the coefficient array as an adjointable operator between tuples:
+    the operator norm of the assembled block matrix, per base-algebra block."""
+    worst = 0.0
+    for i in range(a.space.left_algebra.num_blocks):
+        assembled = np.block([[c.blocks[i] for c in row] for row in a.coeffs])
+        svals = np.linalg.svd(assembled, compute_uv=False)
+        if svals.size:
+            worst = max(worst, float(svals[0]))
+    return worst
 
 
 def warfield_forward(t: ModuleTuple, a: ReductionCoefficients) -> ModuleTuple:
@@ -220,7 +211,7 @@ def warfield_b_to_a(
         )
 
     a_entries = [inner_left(z[k], y[n]) for k in range(n)]
-    a = ReductionCoefficients.column(space, a_entries)
+    a = ReductionCoefficients(space, [[c] for c in a_entries])
 
     telescoped = a_entries[0].adjoint() * y[0]
     for k in range(1, n):
@@ -378,7 +369,7 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
     recombined = warfield_forward(
         ModuleTuple(t.entries + padded.entries[n:]), coeffs
     )
-    a_norm = coeffs.norm()
+    a_norm = adjointable_norm(coeffs)
     drift = (recombined - current).norm()
     if drift > 1e-8 * max(1.0, current.norm(), a_norm):
         raise DomainError(

@@ -10,11 +10,12 @@ import pytest
 
 from cstar_rank import acceptance
 
+pytestmark = pytest.mark.acceptance
+
 
 def _run(criterion):
     result = criterion()
-    status = "PASS" if result.passed else "FAIL"
-    print(f"{status}  {result.name}  ({result.seconds:.1f}s)  {result.details}")
+    print(result.line())
     assert result.passed, f"{result.name}: {result.details}"
 
 

@@ -5,7 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from cstar_rank import Algebra, ModuleSpace, ModuleTuple, corner_space
+from cstar_rank import (
+    Algebra,
+    ModuleSpace,
+    ModuleTuple,
+    acceptance,
+    corner_space,
+    is_unimodular,
+    tuple_from_json_list,
+)
 from cstar_rank.cli import main
 
 
@@ -273,3 +281,64 @@ def test_non_integer_shapes_are_a_parse_error(tmp_path, capsys, corner, edit):
     assert code == 2
     assert out == ""
     assert "integer" in err
+
+
+def test_pad_with_explicit_padding(tmp_path, capsys):
+    space = ModuleSpace(Algebra((1,)), 1, 2)
+    rng = np.random.default_rng(2)
+    t = ModuleTuple((space.random_element(rng),))
+    u = unimodular_pair(space, seed=6)
+    payload = {"tuple": t.to_json_list(), "pad_with": u.to_json_list()}
+    path = tmp_path / "pad.json"
+    path.write_text(json.dumps(payload))
+    code, out, _ = run_cli(
+        capsys, ["pad", "--input", str(path), "--eps", "0.5", "--no-timestamp"]
+    )
+    assert code == 0
+    padded = tuple_from_json_list(json.loads(out)["result"]["padded"])
+    assert len(padded) == 1 + len(u)
+    assert is_unimodular(padded)
+
+    other = ModuleSpace(Algebra((2,)), 1, 2)
+    payload["pad_with"] = unimodular_pair(other, seed=6).to_json_list()
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(
+        capsys, ["pad", "--input", str(path), "--eps", "0.5", "--no-timestamp"]
+    )
+    assert code == 1
+    assert out == ""
+    assert "different spaces" in err
+
+
+def _fake_criterion(name, passed, details, seconds):
+    return lambda: acceptance.CriterionResult(name, passed, details, seconds)
+
+
+def test_verify_suite_prints_one_line_per_criterion(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        acceptance,
+        "ALL_CRITERIA",
+        (
+            _fake_criterion("fake-pass", True, "all good", 0.4),
+            _fake_criterion("fake-fail", False, "run 3: off by 1", 12.0),
+        ),
+    )
+    target = tmp_path / "suite.json"
+    code, out, _ = run_cli(capsys, ["verify-suite", "--out", str(target)])
+    assert code == 1
+    assert out.splitlines() == [
+        "PASS  fake-pass                (   0.4s)  all good",
+        "FAIL  fake-fail                (  12.0s)  run 3: off by 1",
+        "1/2 criteria passed",
+    ]
+    summary = json.loads(target.read_text())
+    assert summary["command"] == "verify-suite"
+    assert [c["name"] for c in summary["criteria"]] == ["fake-pass", "fake-fail"]
+    assert [c["passed"] for c in summary["criteria"]] == [True, False]
+
+    monkeypatch.setattr(
+        acceptance, "ALL_CRITERIA", (_fake_criterion("fake-pass", True, "all good", 0.4),)
+    )
+    code, out, _ = run_cli(capsys, ["verify-suite"])
+    assert code == 0
+    assert out.splitlines()[-1] == "1/1 criteria passed"
