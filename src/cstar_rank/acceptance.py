@@ -190,7 +190,7 @@ def criterion_dual_witness(failures) -> str:
 
 @_criterion("um-equals-gen")
 def criterion_um_equals_gen(failures) -> str:
-    """The Gram-invertibility test and the brute-force generator oracle agree
+    """The Gram-invertibility test and the span-map generator oracle agree
     on every sampled tuple away from the tolerance boundary."""
     compared = 0
     borderline = 0

@@ -30,10 +30,21 @@ DEFAULT_TOL = 1e-9
 SELF_ADJOINT_RTOL = 1e-10
 
 
-def _svdvals(block):
-    if block.size == 0:
-        return np.zeros(0)
-    return np.linalg.svd(block, compute_uv=False)
+def _extreme_svals(blocks) -> tuple[list, list]:
+    """Largest and smallest singular value per nonempty block.
+
+    The one non-finite rule: ``DomainError`` unless all of them are finite.
+    """
+    try:
+        svals = [np.linalg.svd(b, compute_uv=False) for b in blocks]
+    except np.linalg.LinAlgError:  # LAPACK gives up on NaN entries
+        svals = [np.array([math.nan])]
+    tops = [float(s[0]) for s in svals]
+    bottoms = [float(s[-1]) for s in svals]
+    # A sum is non-finite as soon as one term is, in any order.
+    if not math.isfinite(sum(tops) + sum(bottoms)):
+        raise DomainError("singular values are not finite (overflow or non-finite entries)")
+    return tops, bottoms
 
 
 def _hermitized(block):
@@ -185,7 +196,8 @@ class _Blocks:
         """
         if self._norm is None:
             self._norm = max(
-                float(_svdvals(b)[0]) if b.size else 0.0 for b in self.blocks
+                float(np.linalg.svd(b, compute_uv=False)[0]) if b.size else 0.0
+                for b in self.blocks
             )
         return self._norm
 
@@ -239,15 +251,7 @@ class AlgebraElement(_Blocks):
 
     def margin(self) -> float:
         """Smallest singular value over ``max(1, norm)``; invertible at ``tol`` iff above it."""
-        try:
-            svals = [_svdvals(b) for b in self.blocks]
-        except np.linalg.LinAlgError:  # LAPACK gives up on NaN entries
-            svals = [np.array([math.nan])]
-        tops = [float(s[0]) for s in svals]
-        bottoms = [float(s[-1]) for s in svals]
-        # A sum is non-finite as soon as one term is, in any order.
-        if not math.isfinite(sum(tops) + sum(bottoms)):
-            raise DomainError("singular values are not finite (overflow or non-finite entries)")
+        tops, bottoms = _extreme_svals(self.blocks)
         largest = max(tops)
         if self._norm is None:
             self._norm = largest

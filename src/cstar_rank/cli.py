@@ -92,15 +92,16 @@ def _dual(args, residuals):
     return {"witness": witness.to_json_list()}
 
 
-def _params(args) -> PerturbationParams:
+def _params(args, eps) -> PerturbationParams:
     return PerturbationParams(
-        eps=args.eps, tol=args.tol, max_retries=args.max_retries, seed=args.seed
+        eps=eps, tol=args.tol, max_retries=args.max_retries, seed=args.seed
     )
 
 
 def _reduce(args, residuals):
     t = _load_tuple(args.input_path)
-    coeffs = bass_reduce(t, _params(args))
+    # bass_reduce does not read eps; any valid value will do.
+    coeffs = bass_reduce(t, _params(args, eps=1.0))
     reduced = warfield_forward(t, coeffs)
     residuals["reduced_margin"] = unimodularity_margin(reduced)
     return {
@@ -124,7 +125,7 @@ def _pad(args, residuals):
 
 def _perturb(args, residuals):
     t = _load_tuple(args.input_path)
-    moved = hv_perturb(t, _params(args))
+    moved = hv_perturb(t, _params(args, args.eps))
     residuals["perturbed_margin"] = unimodularity_margin(moved)
     return {
         "perturbed": moved.to_json_list(),
@@ -184,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", parents=[common], help="collapse the last entry of a unimodular tuple")
     p.add_argument("--input", dest="input_path", required=True)
-    p.add_argument("--eps", type=_positive_float, default=0.1)
     p.add_argument("--seed", type=int)
     p.add_argument("--max-retries", type=_positive_int, default=PerturbationParams.max_retries)
     p.set_defaults(handler=_reduce)

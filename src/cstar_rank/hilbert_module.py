@@ -10,9 +10,10 @@ invertibility of the vertically stacked matrix.
 Two independent routes decide whether a tuple generates the module:
 
 * :func:`is_unimodular` tests invertibility of the Gram sum;
-* :func:`gen_oracle` assembles the complex-linear map
-  ``(a_1, ..., a_k) -> sum_j a_j . x_j`` from copies of the left algebra into
-  the module and compares its numerical rank with the module dimension.
+* :func:`gen_oracle` reads the critical singular value of the span map
+  ``(a_1, ..., a_k) -> sum_j a_j . x_j`` from the stacked entry cores.
+
+They agree on full spaces; on a non-full corner they may differ by design.
 
 Skew corners ``p M_N(A) q`` keep their elements inside the ambient matrix
 algebra (always of the compressed form ``p x q``).  Both kinds of space
@@ -34,9 +35,9 @@ from .algebra import (
     Algebra,
     AlgebraElement,
     _Blocks,
+    _extreme_svals,
     _hermitized,
     _require_positive_finite,
-    _svdvals,
     matrix_from_json,
     matrix_to_json,
 )
@@ -413,11 +414,9 @@ def normalize_tuple(t: ModuleTuple, tol: float = DEFAULT_TOL) -> ModuleTuple:
 
 
 def gen_oracle(t: ModuleTuple, tol: float = DEFAULT_TOL) -> bool:
-    """Brute-force generator test, independent of inner products.
+    """Whether :func:`generation_margin` exceeds ``tol``; no inner product is formed.
 
-    Assembles the complex-linear map sending left-algebra coefficient tuples
-    to module elements and checks that its numerical rank equals the module
-    dimension.
+    Agrees with :func:`is_unimodular` on full spaces, away from ``tol``.
     """
     _require_positive_finite("tol", tol)
     return generation_margin(t) > tol
@@ -426,28 +425,21 @@ def gen_oracle(t: ModuleTuple, tol: float = DEFAULT_TOL) -> bool:
 def generation_margin(t: ModuleTuple) -> float:
     """Relative size of the critical singular value of the span map.
 
-    For each block the linear map ``(a_1, ..., a_k) -> sum_j a_j x_j`` is
-    assembled column by column over a basis of the left algebra; the
-    entries generate the module exactly when the map has full rank, i.e.
-    when the ``dim``-th singular value is positive relative to the
-    largest.  Returns the minimum of that ratio over blocks.
+    Per block of shape ``(r, s)`` the span map sends ``A = [a_1 ... a_k]``
+    to ``A X``, with ``X`` the ``k r x s`` stack of the entries' cores, so
+    its singular values are those of ``X``, each repeated ``r`` times.  The
+    block margin is ``sigma_s(X) / sigma_1(X)`` (0 when ``k r < s`` or
+    ``X = 0``); returns the minimum over blocks with ``r s > 0``.
     """
     space = t.space
+    live = [(i, r, s) for i, (r, s) in enumerate(space.compressed_shapes) if r * s]
+    stacks = [np.vstack([space._core(i, x.blocks[i]) for x in t.entries]) for i, _, _ in live]
+    tops, bottoms = _extreme_svals(stacks)
     margin = np.inf
-    for i, (r, s) in enumerate(space.compressed_shapes):
-        dim = r * s
-        if dim == 0:
-            continue
-        eye = np.eye(r)
-        columns = np.hstack(
-            [np.kron(eye, space._core(i, x.blocks[i]).T) for x in t.entries]
-        )
-        svals = _svdvals(columns)
-        largest = float(svals[0]) if svals.size else 0.0
-        if largest == 0.0:
+    for (_, r, s), top, bottom in zip(live, tops, bottoms):
+        if len(t) * r < s or top == 0.0:
             return 0.0
-        critical = float(svals[dim - 1]) if svals.size >= dim else 0.0
-        margin = min(margin, critical / largest)
+        margin = min(margin, bottom / top)
     return margin
 
 

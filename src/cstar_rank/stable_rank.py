@@ -239,7 +239,8 @@ def bass_reduce(t: ModuleTuple, params: PerturbationParams) -> ReductionCoeffici
 
     Raises :class:`ReductionFailedError` with the attempted schedule when the
     retries run out, which is the designated failure when the tuple is
-    shorter than the stable rank of the space.
+    shorter than the stable rank of the space.  Of ``params`` it reads only
+    ``tol``, ``max_retries`` and ``seed``.
     """
     n = len(t) - 1
     if n < 1:

@@ -176,6 +176,16 @@ def test_reduction_failure_exit_code(tmp_path, capsys):
     assert "retries" in err
 
 
+def test_reduce_takes_no_eps(tmp_path, capsys):
+    # bass_reduce never read eps, so the flag is gone rather than ignored.
+    space = ModuleSpace(Algebra((1,)), 1, 1)
+    path = write_tuple(tmp_path / "t.json", unimodular_pair(space, seed=5))
+    code, out, err = run_cli(capsys, ["reduce", "--input", path, "--eps", "0.1"])
+    assert code == 2
+    assert out == ""
+    assert "--eps" in err
+
+
 def test_unknown_command_is_a_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 

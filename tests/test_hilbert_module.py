@@ -13,6 +13,7 @@ from cstar_rank import (
     corner_space,
     dual_witness,
     gen_oracle,
+    generation_margin,
     gram,
     inner_left,
     inner_right,
@@ -309,6 +310,36 @@ def test_gen_oracle_agrees_with_unimodularity():
                     assert gen_oracle(t) == is_unimodular(t)
                     count += 1
     assert count >= 500
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("base, rows, cols", [((1,), 1, 1), ((2,), 2, 3), ((1, 2), 1, 2)])
+def test_generation_route_refuses_non_finite_entries(bad, base, rows, cols):
+    space = ModuleSpace(Algebra(base), rows, cols)
+    rng = np.random.default_rng(14)
+    blocks = [b.copy() for b in space.random_element(rng).blocks]
+    blocks[-1][0, -1] = bad
+    t = ModuleTuple((space.random_element(rng), space.element(blocks)))
+    for route in (gen_oracle, generation_margin):
+        with pytest.raises(DomainError, match="not finite"):
+            route(t)
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="not finite"):
+        is_unimodular(t)
+
+
+def test_routes_may_differ_on_non_full_corners():
+    # Compressed shapes ((0, 1), (2, 2)): the dead first block has nothing to
+    # generate, but the Gram sum is singular there.
+    alg = Algebra((1, 2))
+    rng = np.random.default_rng(15)
+    p = alg.element([np.zeros((1, 1)), np.eye(2)])
+    q = alg.element([np.eye(1), random_projection(rng, 2, 2)])
+    corner = corner_space(alg, 1, p, q)
+    assert corner.compressed_shapes == ((0, 1), (2, 2))
+    assert not is_full(corner)
+    t = random_tuple(corner, rng, 3)
+    assert gen_oracle(t)
+    assert not is_unimodular(t)
 
 
 def test_margins_drive_the_verdicts():

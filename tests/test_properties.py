@@ -1,4 +1,6 @@
-"""Property tests over random shapes: fullness and the counting bounds.
+"""Property tests over random shapes: fullness, the counting bounds, the
+generation oracle against its span-map reference, agreement of the two
+unimodularity routes, and the dual witness.
 
 Matrix spaces ``M_{rows x cols}(A)`` and corners ``p M_N(A) q`` with randomly
 oriented projections of random ranks, dead blocks (``rank q_i = 0`` or
@@ -8,20 +10,27 @@ come from the construction parameters, not from the space.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cstar_rank import (
+    DEFAULT_TOL,
     Algebra,
     ModuleNotFullError,
     ModuleSpace,
     ModuleTuple,
     corner_space,
+    dual_witness,
+    gen_oracle,
+    generation_margin,
     gram,
     is_full,
     is_unimodular,
+    pairing,
     sr_formula,
+    unimodularity_margin,
 )
+from cstar_rank.stable_rank import WITNESS_TOL
 from test_hilbert_module import random_projection
 
 PROPERTY_SETTINGS = settings(max_examples=80, deadline=None)
@@ -51,6 +60,50 @@ def span_rank_is_full(shapes, tol=1e-9) -> bool:
         if rank != s * s:
             return False
     return True
+
+
+def span_map_margin(t) -> float:
+    """Reference generation margin from the span map written out in full.
+
+    Per block of shape ``(r, s)`` the map ``(a_1, ..., a_k) -> sum_j a_j x_j``
+    is assembled as ``hstack(kron(I_r, core_j^T))``, an ``(r s) x (k r^2)``
+    matrix; the block margin is its ``(r s)``-th singular value over its
+    largest, and 0 when it has fewer singular values than that.
+    """
+    space = t.space
+    margin = np.inf
+    for i, (r, s) in enumerate(space.compressed_shapes):
+        dim = r * s
+        if dim == 0:
+            continue
+        columns = np.hstack(
+            [np.kron(np.eye(r), space._core(i, x.blocks[i]).T) for x in t.entries]
+        )
+        svals = np.linalg.svd(columns, compute_uv=False)
+        if svals[0] == 0.0:
+            return 0.0
+        critical = svals[dim - 1] if svals.size >= dim else 0.0
+        margin = min(margin, float(critical / svals[0]))
+    return margin
+
+
+def min_eigenvalue_on_unit(space, b) -> float:
+    """Smallest eigenvalue of a self-adjoint ``b = q b q`` on the range of the right unit ``q``.
+
+    The complement of ``q`` is lifted above ``norm(b)`` so that it never
+    holds the minimum.
+    """
+    complement = space.right_algebra.unit() - space.right_algebra_unit()
+    shifted = b + (b.norm() + 1.0) * complement
+    return min(float(w[0]) for w in shifted.eigenvalues())
+
+
+def random_tuple(space, k, seed, zero_at=None):
+    rng = np.random.default_rng(seed)
+    entries = [space.random_element(rng) for _ in range(k)]
+    if zero_at is not None:
+        entries[zero_at % k] = space.zero()
+    return ModuleTuple(tuple(entries))
 
 
 def counting_bound(shapes):
@@ -87,6 +140,8 @@ def corner_spaces(draw):
 
 
 spaces = st.one_of(matrix_spaces(), corner_spaces())
+seeds = st.integers(0, 2**32 - 1)
+lengths = st.integers(1, 4)
 
 
 @PROPERTY_SETTINGS
@@ -126,3 +181,40 @@ def test_matrix_spaces_follow_the_ceiling_formula(case):
     space, _ = case
     assert is_full(space)
     assert space.predicted_stable_rank() == sr_formula(1, space.rows, space.cols)
+
+
+ROW_SPACE = (ModuleSpace(Algebra((1,)), 1, 3), ((1, 3),))
+
+
+@PROPERTY_SETTINGS
+@given(spaces, lengths, seeds, st.one_of(st.none(), st.integers(0, 3)))
+@example(ROW_SPACE, 2, 0, None)  # k r < s
+@example(ROW_SPACE, 3, 0, 1)  # a zero entry
+def test_generation_margin_matches_the_span_map(case, k, seed, zero_at):
+    space, _ = case
+    t = random_tuple(space, k, seed, zero_at)
+    assert generation_margin(t) == pytest.approx(span_map_margin(t), rel=0, abs=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(spaces, lengths, seeds)
+def test_routes_agree_on_full_spaces_away_from_the_tolerance(case, k, seed):
+    space, _ = case
+    assume(is_full(space))
+    t = random_tuple(space, k, seed)
+    low, high = DEFAULT_TOL / 10, DEFAULT_TOL * 10
+    assume(not any(low <= m <= high for m in (unimodularity_margin(t), generation_margin(t))))
+    assert is_unimodular(t) == gen_oracle(t)
+
+
+@PROPERTY_SETTINGS
+@given(spaces, st.integers(0, 2), seeds)
+def test_dual_witness_pairs_to_the_unit_and_bounds_the_gram_sum(case, extra, seed):
+    space, _ = case
+    assume(is_full(space))
+    t = random_tuple(space, space.predicted_stable_rank() + extra, seed)
+    assume(is_unimodular(t))
+    y = dual_witness(t)
+    assert (pairing(y, t) - space.right_algebra_unit()).norm() <= WITNESS_TOL
+    # 1 = <v, sum y_k* x_k v> <= |y| |x v| for unit vectors v in the range of q.
+    assert min_eigenvalue_on_unit(space, gram(t)) >= 1.0 / y.norm() ** 2 - 1e-8
