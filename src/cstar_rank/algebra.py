@@ -51,6 +51,23 @@ def _hermitized(block):
     return (block + block.conj().T) / 2.0
 
 
+def _hermitian_calculus(blocks, f) -> list:
+    """``v f(w) v*`` per block, from the eigendecomposition ``v w v*`` of its
+    hermitized part; ``f`` maps the ascending eigenvalues and may raise."""
+    out = []
+    for b in blocks:
+        w, v = np.linalg.eigh(_hermitized(b))
+        out.append(_hermitized((v * f(w)) @ v.conj().T))
+    return out
+
+
+def _shape_int(value) -> int:
+    """A block size or shape as an ``int``; ``TypeError`` for ``bool`` and non-integers."""
+    if isinstance(value, bool):
+        raise TypeError(f"a shape must be an integer, not the boolean {value!r}")
+    return operator.index(value)
+
+
 def matrix_to_json(block) -> list:
     """Row-major nesting of ``[re, im]`` pairs, full double precision."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(block)]
@@ -73,7 +90,7 @@ class Algebra:
     block_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(operator.index(k) for k in self.block_sizes)
+        sizes = tuple(_shape_int(k) for k in self.block_sizes)
         if not sizes:
             raise ValueError("an algebra needs at least one block")
         if any(k < 1 for k in sizes):
@@ -106,7 +123,7 @@ class Algebra:
 
     def matrix_algebra(self, n: int) -> "Algebra":
         """The amplification M_n over this algebra; block sizes scale by n."""
-        if operator.index(n) < 1:
+        if _shape_int(n) < 1:
             raise ValueError("matrix amplification needs n >= 1")
         return Algebra(tuple(n * k for k in self.block_sizes))
 
@@ -125,7 +142,7 @@ def _require_positive_finite(name: str, value) -> None:
 
 
 class _Blocks:
-    """An immutable tuple of complex blocks with a cached norm.
+    """An immutable tuple of nonempty complex blocks; nothing about them is cached.
 
     A subclass names its parent slot in ``_parent``, passes the block shapes
     its parent prescribes to ``__init__``, and defines ``_new`` (same parent,
@@ -133,7 +150,7 @@ class _Blocks:
     parent).
     """
 
-    __slots__ = ("blocks", "_norm")
+    __slots__ = ("blocks",)
 
     def __init__(self, parent, blocks, shapes):
         blocks = tuple(blocks)
@@ -152,7 +169,6 @@ class _Blocks:
             frozen.append(arr)
         setattr(self, self._parent, parent)
         self.blocks = tuple(frozen)
-        self._norm = None
 
     @classmethod
     def _wrap(cls, parent, blocks):
@@ -165,7 +181,6 @@ class _Blocks:
             b.setflags(write=False)
             out.append(b)
         el.blocks = tuple(out)
-        el._norm = None
         return el
 
     def __add__(self, other):
@@ -192,14 +207,10 @@ class _Blocks:
         """The largest singular value over all blocks.
 
         This is the operator norm of an algebra element and the Hilbert
-        module norm of a module element.
+        module norm of a module element.  Non-finite singular values raise
+        ``DomainError``.
         """
-        if self._norm is None:
-            self._norm = max(
-                float(np.linalg.svd(b, compute_uv=False)[0]) if b.size else 0.0
-                for b in self.blocks
-            )
-        return self._norm
+        return max(_extreme_svals(self.blocks)[0])
 
 
 class AlgebraElement(_Blocks):
@@ -252,10 +263,7 @@ class AlgebraElement(_Blocks):
     def margin(self) -> float:
         """Smallest singular value over ``max(1, norm)``; invertible at ``tol`` iff above it."""
         tops, bottoms = _extreme_svals(self.blocks)
-        largest = max(tops)
-        if self._norm is None:
-            self._norm = largest
-        return min(bottoms) / max(1.0, largest)
+        return min(bottoms) / max(1.0, max(tops))
 
     def is_invertible(self, tol: float = DEFAULT_TOL) -> bool:
         """Whether :meth:`margin` exceeds ``tol``."""
@@ -289,13 +297,7 @@ class AlgebraElement(_Blocks):
                 f"positive_part needs a self-adjoint element; "
                 f"anti-hermitian residual {residual:g}"
             )
-        out = []
-        for b in self.blocks:
-            w, v = np.linalg.eigh(_hermitized(b))
-            clipped = np.clip(w, 0.0, None)
-            c = (v * clipped) @ v.conj().T
-            out.append(_hermitized(c))
-        return self._new(out)
+        return self._new(_hermitian_calculus(self.blocks, lambda w: np.clip(w, 0.0, None)))
 
     def inv_sqrt(self, tol: float = DEFAULT_TOL) -> "AlgebraElement":
         """Inverse square root of a positive definite element.
@@ -307,17 +309,16 @@ class AlgebraElement(_Blocks):
         if not self.is_self_adjoint():
             raise DomainError("inv_sqrt needs a self-adjoint element")
         threshold = tol * max(1.0, self.norm())
-        out = []
-        for b in self.blocks:
-            w, v = np.linalg.eigh(_hermitized(b))
-            if w.size and w[0] <= threshold:
+
+        def inverse_root(w):
+            if w[0] <= threshold:
                 raise DomainError(
                     f"inv_sqrt needs a positive definite element; "
                     f"smallest eigenvalue {w[0]:g} at threshold {threshold:g}"
                 )
-            c = (v * (w ** -0.5)) @ v.conj().T
-            out.append(_hermitized(c))
-        return self._new(out)
+            return w ** -0.5
+
+        return self._new(_hermitian_calculus(self.blocks, inverse_root))
 
     # -- serialization -------------------------------------------------------
 

@@ -115,10 +115,11 @@ def _pad(args, residuals):
     data = _load_json(args.input_path)
     t = tuple_from_json_list(data["tuple"])
     if data.get("pad_with") is not None:
-        u = tuple_from_json_list(data["pad_with"])
+        u = normalize_tuple(tuple_from_json_list(data["pad_with"]), args.tol)
     else:
+        # The standard tuple's Gram sum is already the unit.
         u = ModuleTuple(tuple(t.space.standard_unimodular_tuple()))
-    padded = hv_pad(t, normalize_tuple(u, args.tol), args.eps, args.tol)
+    padded = hv_pad(t, u, args.eps, args.tol)
     residuals["padded_margin"] = unimodularity_margin(padded)
     return {"padded": padded.to_json_list(), "unimodular": True}
 
@@ -150,7 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", dest="out_path", default=None, help="write the report here instead of stdout")
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     # Every report echoes a seed; commands that draw randomness take --seed.
     common.set_defaults(seed=0)
     common.add_argument(
@@ -162,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=os.environ.get("CSTAR_RANK_TOL", DEFAULT_TOL),
         help="invertibility tolerance (env CSTAR_RANK_TOL overrides the default)",
     )
-    common.add_argument("--out", dest="out_path", default=None, help="write the report here instead of stdout")
     common.add_argument(
         "--no-timestamp",
         action="store_true",
@@ -211,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.set_defaults(handler=_density)
 
-    sub.add_parser("verify-suite", parents=[common], help="run the full acceptance battery")
+    # The battery pins its own tolerances and seeds, so it takes only --out.
+    sub.add_parser("verify-suite", parents=[output], help="run the full acceptance battery")
     return parser
 
 

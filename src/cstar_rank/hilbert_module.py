@@ -25,7 +25,6 @@ to do.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +37,7 @@ from .algebra import (
     _extreme_svals,
     _hermitized,
     _require_positive_finite,
+    _shape_int,
     matrix_from_json,
     matrix_to_json,
 )
@@ -162,8 +162,8 @@ class ModuleSpace(_SpaceOps):
     _right_unit: AlgebraElement = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", operator.index(self.rows))
-        object.__setattr__(self, "cols", operator.index(self.cols))
+        object.__setattr__(self, "rows", _shape_int(self.rows))
+        object.__setattr__(self, "cols", _shape_int(self.cols))
         if self.rows < 1 or self.cols < 1:
             raise ValueError("module shape needs rows >= 1 and cols >= 1")
         right = self.alg.matrix_algebra(self.cols)
@@ -396,11 +396,12 @@ def dual_witness(t: ModuleTuple, tol: float = DEFAULT_TOL) -> ModuleTuple:
 
     Uses the closed form ``y_j = x_j (b^{-1})*`` with ``b`` the Gram sum.
     """
+    _require_positive_finite("tol", tol)
     b = gram(t)
-    if not t.space.right_is_invertible(b, tol):
+    margin = t.space.right_margin(b)
+    if not margin > tol:
         raise DomainError(
-            f"tuple is not unimodular at tol={tol:g} "
-            f"(margin {t.space.right_margin(b):.3g})"
+            f"tuple is not unimodular at tol={tol:g} (margin {margin:.3g})"
         )
     # Invertibility was just established, so skip the redundant gate.
     c = t.space.right_inverse(b, tol, check=False).adjoint()
@@ -476,7 +477,7 @@ class CornerSpace(_SpaceOps):
     """
 
     def __init__(self, alg: Algebra, size: int, p: AlgebraElement, q: AlgebraElement):
-        size = operator.index(size)
+        size = _shape_int(size)
         if size < 1:
             raise ValueError("ambient matrix size must be >= 1")
         ambient = alg.matrix_algebra(size)
@@ -489,10 +490,6 @@ class CornerSpace(_SpaceOps):
                 proj * proj - proj
             ).norm() > PROJECTION_TOL:
                 raise DomainError(f"{name} is not a projection (p = p* = p^2)")
-        if q.norm() <= 0.5:
-            raise DegenerateModuleError(
-                "q = 0 yields the zero corner algebra; the module is degenerate"
-            )
         self.alg = alg
         self.size = size
         self.ambient = self.right_algebra = self.left_algebra = ambient
@@ -504,6 +501,10 @@ class CornerSpace(_SpaceOps):
         self.compressed_shapes = tuple(
             (u.shape[1], v.shape[1]) for u, v in zip(self._row_bases, self._col_bases)
         )
+        if not any(s for _, s in self.compressed_shapes):
+            raise DegenerateModuleError(
+                "q = 0 yields the zero corner algebra; the module is degenerate"
+            )
         # Blocks where q vanishes drop out of the compressed right algebra.
         self._live = tuple(i for i, (_, s) in enumerate(self.compressed_shapes) if s)
         self._core_algebra = Algebra(

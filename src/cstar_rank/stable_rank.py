@@ -24,10 +24,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._version import __version__
-from .algebra import DEFAULT_TOL, AlgebraElement, _require_positive_finite
+from .algebra import DEFAULT_TOL, AlgebraElement, _extreme_svals, _require_positive_finite
 from .errors import (
     DomainError,
-    ModuleNotFullError,
     ReductionFailedError,
     ShapeMismatchError,
 )
@@ -37,9 +36,7 @@ from .hilbert_module import (
     dual_witness,
     gram,
     inner_left,
-    is_full,
     is_unimodular,
-    normalize_tuple,
     pairing,
     space_from_json_dict,
 )
@@ -146,13 +143,11 @@ class ReductionCoefficients:
 def adjointable_norm(a: ReductionCoefficients) -> float:
     """Norm of the coefficient array as an adjointable operator between tuples:
     the operator norm of the assembled block matrix, per base-algebra block."""
-    worst = 0.0
-    for i in range(a.space.left_algebra.num_blocks):
-        assembled = np.block([[c.blocks[i] for c in row] for row in a.coeffs])
-        svals = np.linalg.svd(assembled, compute_uv=False)
-        if svals.size:
-            worst = max(worst, float(svals[0]))
-    return worst
+    assembled = [
+        np.block([[c.blocks[i] for c in row] for row in a.coeffs])
+        for i in range(a.space.left_algebra.num_blocks)
+    ]
+    return max(_extreme_svals(assembled)[0])
 
 
 def warfield_forward(t: ModuleTuple, a: ReductionCoefficients) -> ModuleTuple:
@@ -275,7 +270,8 @@ def bass_reduce(t: ModuleTuple, params: PerturbationParams) -> ReductionCoeffici
         )
 
     d = d_star.adjoint()
-    d_inv = space.right_inverse(d, params.tol)
+    # d_star passed right_is_invertible above; its adjoint d has the same singular values.
+    d_inv = space.right_inverse(d, params.tol, check=False)
     y_entries = [v * d_inv for v in zbar] + [z[n] * d_inv]
     y = ModuleTuple(tuple(y_entries))
     z_trunc = dual_witness(ModuleTuple(tuple(y_entries[:n])), params.tol)
@@ -325,25 +321,23 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
     ``sqrt(eps) + eps``.
 
     Pipeline: pick the deterministic shortest unimodular tuple ``u`` of the
-    space and normalize it; pad ``t`` with its spectral bump ``b``; collapse
-    the ``r`` padding entries one at a time with :func:`bass_reduce`,
-    accumulating the composite coefficients ``a``; damp with
-    ``d = 1 + k b`` where ``k`` is the smallest integer exceeding
+    space, whose Gram sum is already the unit; pad ``t`` with its spectral
+    bump ``b``; collapse the ``r`` padding entries one at a time with
+    :func:`bass_reduce`, accumulating the composite coefficients ``a``; damp
+    with ``d = 1 + k b`` where ``k`` is the smallest integer exceeding
     ``norm(a)/eps``; return ``(x + a . y) d^{-1}``.  The damping bounds the
     distance while keeping unimodularity, which both get verified before
     returning.
 
-    The tuple must be at least as long as the stable rank of the (full)
-    space, otherwise one of the reductions raises
+    A space that is not full has no unimodular tuple, so picking ``u``
+    raises :class:`ModuleNotFullError`.  The tuple must be at least as long
+    as the stable rank of the space, otherwise one of the reductions raises
     :class:`ReductionFailedError`.
     """
     space = t.space
     n = len(t)
     eps = params.eps
-    if not is_full(space):
-        raise ModuleNotFullError("space is not full; no unimodular tuples exist")
-
-    u = normalize_tuple(ModuleTuple(tuple(space.standard_unimodular_tuple())), params.tol)
+    u = ModuleTuple(tuple(space.standard_unimodular_tuple()))
     r = len(u)
     padded, bump = _pad_with_bump(t, u, eps, params.tol)
 

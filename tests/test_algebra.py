@@ -119,6 +119,14 @@ def test_margin_is_relative_and_refuses_non_finite_values():
             b.margin()
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_norm_refuses_non_finite_entries(bad):
+    # The norm goes through the same non-finite rule as the margin.
+    a = Algebra((1, 2)).element([np.array([[bad]]), np.eye(2)])
+    with pytest.raises(DomainError, match="not finite"):
+        a.norm()
+
+
 def test_is_invertible_rejects_bad_tol():
     with pytest.raises(ValueError):
         Algebra((1,)).unit().is_invertible(0.0)

@@ -1,6 +1,8 @@
 """Exit codes, report structure and determinism of the command-line interface."""
 
 import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from cstar_rank import (
     acceptance,
     corner_space,
     is_unimodular,
+    stable_rank,
     tuple_from_json_list,
 )
 from cstar_rank.cli import main
@@ -266,14 +269,47 @@ def test_overflowing_gram_is_a_domain_error(tmp_path, capsys):
     assert "overflow" in err
 
 
+@pytest.mark.parametrize("command", ["pad", "perturb"])
+def test_overflowing_padding_is_a_domain_error(tmp_path, capsys, command):
+    # The Gram sum of 1e155 overflows, so the bump's self-adjointness check
+    # takes the norm of a NaN block; that once raised a raw LinAlgError (exit 2).
+    space = ModuleSpace(Algebra((1,)), 1, 1)
+    t = ModuleTuple((space.element([np.array([[1e155]], dtype=complex)]),))
+    path = tmp_path / "big.json"
+    payload = {"tuple": t.to_json_list(), "pad_with": None}
+    path.write_text(json.dumps(payload if command == "pad" else t.to_json_list()))
+    code, out, err = run_cli(
+        capsys, [command, "--input", str(path), "--eps", "0.1", "--no-timestamp"]
+    )
+    assert code == 1
+    assert out == ""
+    assert "not finite" in err
+
+
+def test_failed_postcondition_is_a_domain_error(tmp_path, capsys, monkeypatch):
+    # A negative sqrt puts the distance bound below every distance.
+    monkeypatch.setattr(stable_rank, "math", SimpleNamespace(floor=math.floor, sqrt=lambda x: -1.0))
+    space = ModuleSpace(Algebra((1,)), 1, 1)
+    path = write_tuple(tmp_path / "x.json", ModuleTuple((space.zero(),)))
+    code, out, err = run_cli(
+        capsys, ["perturb", "--input", path, "--eps", "0.01", "--seed", "1", "--no-timestamp"]
+    )
+    assert code == 1
+    assert out == ""
+    assert "not below sqrt(eps)+eps" in err
+
+
 @pytest.mark.parametrize(
     "corner, edit",
     [
         (False, lambda s: s.update(rows=1.5)),
         (False, lambda s: s["algebra"].update(blocks=[1.9])),
         (True, lambda s: s.update(size=2.0)),
+        (False, lambda s: s.update(rows=True)),
+        (False, lambda s: s["algebra"].update(blocks=[True])),
+        (True, lambda s: s.update(size=True)),
     ],
-    ids=["rows", "blocks", "size"],
+    ids=["rows", "blocks", "size", "rows-bool", "blocks-bool", "size-bool"],
 )
 def test_non_integer_shapes_are_a_parse_error(tmp_path, capsys, corner, edit):
     # int() once truncated or coerced these shapes and check exited 0.
@@ -349,6 +385,23 @@ def test_verify_suite_prints_one_line_per_criterion(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(
         acceptance, "ALL_CRITERIA", (_fake_criterion("fake-pass", True, "all good", 0.4),)
     )
+    code, out, _ = run_cli(capsys, ["verify-suite"])
+    assert code == 0
+    assert out.splitlines()[-1] == "1/1 criteria passed"
+
+
+def test_verify_suite_takes_only_out(capsys, monkeypatch):
+    # The battery pins its own tolerances, so neither the flag nor the
+    # environment variable may look as if it changed them.
+    monkeypatch.setattr(
+        acceptance, "ALL_CRITERIA", (_fake_criterion("fake-pass", True, "all good", 0.4),)
+    )
+    for flag in (["--tol", "0.5"], ["--no-timestamp"]):
+        code, out, err = run_cli(capsys, ["verify-suite", *flag])
+        assert code == 2
+        assert out == ""
+        assert flag[0] in err
+    monkeypatch.setenv("CSTAR_RANK_TOL", "abc")
     code, out, _ = run_cli(capsys, ["verify-suite"])
     assert code == 0
     assert out.splitlines()[-1] == "1/1 criteria passed"

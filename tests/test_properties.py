@@ -1,12 +1,15 @@
 """Property tests over random shapes: fullness, the counting bounds, the
 generation oracle against its span-map reference, agreement of the two
-unimodularity routes, and the dual witness.
+unimodularity routes, the dual witness, the C*-identity and the
+Herman-Vaserstein perturbation bound.
 
 Matrix spaces ``M_{rows x cols}(A)`` and corners ``p M_N(A) q`` with randomly
 oriented projections of random ranks, dead blocks (``rank q_i = 0`` or
 ``rank p_i = 0``) included.  The expected per-block shapes ``(r_i, s_i)``
 come from the construction parameters, not from the space.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -19,11 +22,13 @@ from cstar_rank import (
     ModuleNotFullError,
     ModuleSpace,
     ModuleTuple,
+    PerturbationParams,
     corner_space,
     dual_witness,
     gen_oracle,
     generation_margin,
     gram,
+    hv_perturb,
     is_full,
     is_unimodular,
     pairing,
@@ -34,6 +39,9 @@ from cstar_rank.stable_rank import WITNESS_TOL
 from test_hilbert_module import random_projection
 
 PROPERTY_SETTINGS = settings(max_examples=80, deadline=None)
+
+#: Each example runs the whole perturbation pipeline.
+HV_EXAMPLES = 30
 
 
 def span_rank_is_full(shapes, tol=1e-9) -> bool:
@@ -218,3 +226,24 @@ def test_dual_witness_pairs_to_the_unit_and_bounds_the_gram_sum(case, extra, see
     assert (pairing(y, t) - space.right_algebra_unit()).norm() <= WITNESS_TOL
     # 1 = <v, sum y_k* x_k v> <= |y| |x v| for unit vectors v in the range of q.
     assert min_eigenvalue_on_unit(space, gram(t)) >= 1.0 / y.norm() ** 2 - 1e-8
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3), seeds, st.integers(-3, 3))
+def test_cstar_identity_holds_in_every_algebra(base, seed, exponent):
+    a = (10.0**exponent) * Algebra(tuple(base)).random_element(np.random.default_rng(seed))
+    assert (a.adjoint() * a).norm() == pytest.approx(a.norm() ** 2, rel=1e-10, abs=0)
+
+
+@settings(max_examples=HV_EXAMPLES, deadline=None)
+@given(spaces, st.integers(0, 1), seeds, st.sampled_from([0.01, 0.1, 1.0]))
+@example(ROW_SPACE, 0, 0, 0.01)
+def test_hv_perturb_lands_on_a_unimodular_tuple_within_the_bound(case, extra, seed, eps):
+    # Herman-Vaserstein: any tuple at least as long as the stable rank moves
+    # onto a unimodular one by less than sqrt(eps) + eps.
+    space, _ = case
+    assume(is_full(space))
+    t = random_tuple(space, space.predicted_stable_rank() + extra, seed)
+    moved = hv_perturb(t, PerturbationParams(eps=eps, seed=seed))
+    assert is_unimodular(moved)
+    assert (t - moved).norm() < math.sqrt(eps) + eps

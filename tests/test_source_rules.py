@@ -1,0 +1,85 @@
+"""Where the package takes spectral factorizations, checked on its source.
+
+Every singular value goes through ``algebra._extreme_svals``, which holds the
+one non-finite rule, and every functional calculus through one eigh loop.  A
+private SVD loop elsewhere once turned an overflow into a raw
+``LinAlgError`` instead of a ``DomainError``; this test keeps such loops out.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "cstar_rank"
+
+SPECTRAL = {"svd", "eigh", "eigvalsh"}
+
+#: ``(module, scope)`` of every place allowed to name a spectral routine.  A
+#: scope is the dotted path of the enclosing classes and functions, then of
+#: the variable an assignment binds; it covers everything nested inside it.
+ALLOWED = {
+    ("algebra", "_extreme_svals"),
+    ("algebra", "_hermitian_calculus"),
+    ("algebra", "AlgebraElement.eigenvalues"),
+    ("hilbert_module", "_range_basis"),
+    # Independent references of the acceptance battery.
+    ("acceptance", "criterion_kernel_numerics.direct_sq"),
+    ("acceptance", "_min_eigenvalue"),
+}
+
+
+class _SpectralNames(ast.NodeVisitor):
+    """Collects the scope of every attribute or import named in ``SPECTRAL``."""
+
+    def __init__(self):
+        self.scope = []
+        self.found = []
+
+    def _nested(self, name, node):
+        self.scope.append(name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_ClassDef(self, node):
+        self._nested(node.name, node)
+
+    visit_FunctionDef = visit_ClassDef
+
+    def visit_Assign(self, node):
+        if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+            self._nested(node.targets[0].id, node)
+        else:
+            self.generic_visit(node)
+
+    def visit_Attribute(self, node):
+        if node.attr in SPECTRAL:
+            self.found.append((".".join(self.scope), node.lineno))
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        # ``from numpy.linalg import svd`` would hide the calls from the check above.
+        for alias in node.names:
+            if alias.name in SPECTRAL:
+                self.found.append((".".join(self.scope), node.lineno))
+
+
+def _allowed_scope(module, scope):
+    for allowed_module, allowed in ALLOWED:
+        if module == allowed_module and (scope == allowed or scope.startswith(allowed + ".")):
+            return allowed_module, allowed
+    return None
+
+
+def test_spectral_factorizations_stay_in_the_allowed_scopes():
+    used, stray = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        visitor = _SpectralNames()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        for scope, line in visitor.found:
+            allowed = _allowed_scope(path.stem, scope)
+            if allowed is None:
+                stray.append(f"{path.name}:{line} in {scope or '<module>'}")
+            else:
+                used.add(allowed)
+    assert not stray, "spectral routine outside the allowed scopes: " + ", ".join(stray)
+    # An entry nothing uses any more must leave the list.
+    assert used == ALLOWED

@@ -1,6 +1,7 @@
 """Reduction coefficients, Warfield and Bass reductions, padding and density."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from cstar_rank import (
     is_unimodular,
     normalize_tuple,
     sr_formula,
+    stable_rank,
     warfield_b_to_a,
     warfield_forward,
 )
@@ -124,6 +126,15 @@ def test_coefficients_validate_parent_algebra():
         ReductionCoefficients(space, [[wrong]])
 
 
+def test_adjointable_norm_refuses_non_finite_coefficients():
+    space = ModuleSpace(Algebra((1, 2)), 1, 1)
+    left = space.left_algebra
+    bad = left.element([np.array([[np.inf]]), np.eye(2)])
+    coeffs = ReductionCoefficients(space, [[left.unit(), bad]])
+    with pytest.raises(DomainError, match="not finite"):
+        adjointable_norm(coeffs)
+
+
 # -- forward reduction --------------------------------------------------------------
 
 
@@ -208,6 +219,38 @@ def test_warfield_b_to_a_random_instances():
         assert is_unimodular(reduced)
         telescoped = coeffs.coeffs[0][0].adjoint() * y[0]
         assert (telescoped - y[1]).norm() <= 1e-7
+
+
+def test_warfield_b_to_a_checks_the_truncation_dual():
+    space = scalar_space()
+    one, zero = scalar(space, 1.0), scalar(space, 0.0)
+    t = ModuleTuple((one, zero))
+    y = ModuleTuple((one, zero))
+    z = ModuleTuple((scalar(space, 2.0),))  # pairs with the truncation to 2
+    with pytest.raises(DomainError, match="truncation dual residual"):
+        warfield_b_to_a(t, y, z)
+
+
+def trivial_warfield_instance():
+    space = scalar_space()
+    one, zero = scalar(space, 1.0), scalar(space, 0.0)
+    return ModuleTuple((one, zero)), ModuleTuple((one, zero)), ModuleTuple((one,))
+
+
+def test_warfield_b_to_a_checks_the_telescoping_identity(monkeypatch):
+    # No residual is negative, so every telescoping check fails.
+    monkeypatch.setattr(stable_rank, "TELESCOPE_TOL", -1.0)
+    with pytest.raises(DomainError, match="telescoping residual"):
+        warfield_b_to_a(*trivial_warfield_instance())
+
+
+def test_warfield_b_to_a_checks_the_reduced_tuple(monkeypatch):
+    def collapse_to_zero(t, a):
+        return ModuleTuple(tuple(x.space.zero() for x in t.entries[: a.shape[0]]))
+
+    monkeypatch.setattr(stable_rank, "warfield_forward", collapse_to_zero)
+    with pytest.raises(DomainError, match="reduced tuple failed"):
+        warfield_b_to_a(*trivial_warfield_instance())
 
 
 # -- randomized Bass reduction ----------------------------------------------------------
@@ -304,6 +347,15 @@ def test_hv_pad_sweep():
                 assert is_unimodular(hv_pad(t, u, eps))
 
 
+def test_hv_pad_checks_the_padded_tuple(monkeypatch):
+    space = scalar_space()
+    t = ModuleTuple((space.zero(),))
+    u = ModuleTuple((scalar(space, 1.0),))
+    monkeypatch.setattr(stable_rank, "is_unimodular", lambda t, tol: False)
+    with pytest.raises(DomainError, match="padded tuple failed"):
+        hv_pad(t, u, 1.0)
+
+
 # -- the perturbation pipeline -------------------------------------------------------------
 
 
@@ -367,6 +419,56 @@ def test_hv_perturb_works_on_corners():
     moved = hv_perturb(t, PerturbationParams(eps=0.1, seed=3))
     assert is_unimodular(moved)
     assert (t - moved).norm() < math.sqrt(0.1) + 0.1
+
+
+def corrupt_last_call(monkeypatch, name, corrupt, run):
+    """Patch ``stable_rank.<name>`` so that, of the calls ``run()`` makes, the
+    last returns ``corrupt(result)``; ``run`` is called once to count them."""
+    original = getattr(stable_rank, name)
+    calls, last = [], None
+
+    def patched(*args, **kwargs):
+        calls.append(args)
+        result = original(*args, **kwargs)
+        return corrupt(result) if len(calls) == last else result
+
+    monkeypatch.setattr(stable_rank, name, patched)
+    run()
+    last, calls[:] = len(calls), []
+
+
+def zero_scalar_perturbation():
+    t = ModuleTuple((scalar_space().zero(),))
+    return lambda: hv_perturb(t, PerturbationParams(eps=0.01, seed=1))
+
+
+def test_hv_perturb_checks_the_coefficient_drift(monkeypatch):
+    # The last forward reduction recombines the accumulated coefficients.
+    run = zero_scalar_perturbation()
+
+    def shift(out):
+        return ModuleTuple((out[0] + scalar(out.space, 1.0),) + out.entries[1:])
+
+    corrupt_last_call(monkeypatch, "warfield_forward", shift, run)
+    with pytest.raises(DomainError, match="drifted"):
+        run()
+
+
+def test_hv_perturb_checks_the_unimodularity_postcondition(monkeypatch):
+    # The last unimodularity check is the one on the damped tuple.
+    run = zero_scalar_perturbation()
+    corrupt_last_call(monkeypatch, "is_unimodular", lambda verdict: False, run)
+    with pytest.raises(DomainError, match="perturbed tuple failed"):
+        run()
+
+
+def test_hv_perturb_checks_the_distance_bound(monkeypatch):
+    # A negative sqrt puts the bound sqrt(eps) + eps below every distance.
+    monkeypatch.setattr(
+        stable_rank, "math", SimpleNamespace(floor=math.floor, sqrt=lambda x: -1.0)
+    )
+    with pytest.raises(DomainError, match="not below"):
+        zero_scalar_perturbation()()
 
 
 # -- density experiments ----------------------------------------------------------------------
