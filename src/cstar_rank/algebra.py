@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvertibilityError, ShapeMismatchError
-from .sampling import complex_gaussian
+from .sampling import random_blocks
 
 #: Default relative threshold for invertibility: an element counts as
 #: invertible when its margin, the smallest singular value over all blocks
@@ -33,18 +33,27 @@ SELF_ADJOINT_RTOL = 1e-10
 def _extreme_svals(blocks) -> tuple[list, list]:
     """Largest and smallest singular value per nonempty block.
 
-    The one non-finite rule: ``DomainError`` unless all of them are finite.
+    A matrix gives floats; a stack ``(t, m, n)`` gives arrays of length ``t``
+    from one SVD call.  The one non-finite rule: ``DomainError`` unless all
+    of them are finite.
     """
     try:
         svals = [np.linalg.svd(b, compute_uv=False) for b in blocks]
     except np.linalg.LinAlgError:  # LAPACK gives up on NaN entries
         svals = [np.array([math.nan])]
-    tops = [float(s[0]) for s in svals]
-    bottoms = [float(s[-1]) for s in svals]
+    tops = [s[..., 0] if s.ndim > 1 else float(s[0]) for s in svals]
+    bottoms = [s[..., -1] if s.ndim > 1 else float(s[-1]) for s in svals]
     # A sum is non-finite as soon as one term is, in any order.
-    if not math.isfinite(sum(tops) + sum(bottoms)):
+    total = sum(tops) + sum(bottoms)
+    if not (math.isfinite(total) if isinstance(total, float) else np.isfinite(total).all()):
         raise DomainError("singular values are not finite (overflow or non-finite entries)")
     return tops, bottoms
+
+
+def _margin(tops, bottoms) -> float:
+    """The one invertibility rule: the smallest singular value over all blocks
+    divided by ``max(1, largest)``, from the extremes of one matrix per block."""
+    return min(bottoms) / max(1.0, max(tops))
 
 
 def _hermitized(block):
@@ -118,7 +127,7 @@ class Algebra:
     def random_element(self, rng) -> "AlgebraElement":
         """Element with i.i.d. standard complex Gaussian entries in every block."""
         return AlgebraElement._wrap(
-            self, [complex_gaussian(rng, (k, k)) for k in self.block_sizes]
+            self, random_blocks(rng, [(k, k) for k in self.block_sizes])
         )
 
     def matrix_algebra(self, n: int) -> "Algebra":
@@ -212,6 +221,13 @@ class _Blocks:
         """
         return max(_extreme_svals(self.blocks)[0])
 
+    def _norm_text(self) -> str:
+        # For ``repr``, which must not raise: no number for non-finite entries.
+        try:
+            return f"{self.norm():.4g}"
+        except DomainError:
+            return "non-finite"
+
 
 class AlgebraElement(_Blocks):
     """One complex matrix per block of a parent :class:`Algebra`.
@@ -256,14 +272,17 @@ class AlgebraElement(_Blocks):
         return self._new([b.conj().T for b in self.blocks])
 
     def is_self_adjoint(self) -> bool:
-        return (self - self.adjoint()).norm() <= SELF_ADJOINT_RTOL * self.norm()
+        return self._is_self_adjoint_at(self.norm())
+
+    def _is_self_adjoint_at(self, norm: float) -> bool:
+        # ``norm`` is this element's norm, taken once by callers that need it again.
+        return (self - self.adjoint()).norm() <= SELF_ADJOINT_RTOL * norm
 
     # -- invertible group ---------------------------------------------------
 
     def margin(self) -> float:
         """Smallest singular value over ``max(1, norm)``; invertible at ``tol`` iff above it."""
-        tops, bottoms = _extreme_svals(self.blocks)
-        return min(bottoms) / max(1.0, max(tops))
+        return _margin(*_extreme_svals(self.blocks))
 
     def is_invertible(self, tol: float = DEFAULT_TOL) -> bool:
         """Whether :meth:`margin` exceeds ``tol``."""
@@ -306,9 +325,10 @@ class AlgebraElement(_Blocks):
         up to the conditioning of ``a``.
         """
         _require_positive_finite("tol", tol)
-        if not self.is_self_adjoint():
+        norm = self.norm()
+        if not self._is_self_adjoint_at(norm):
             raise DomainError("inv_sqrt needs a self-adjoint element")
-        threshold = tol * max(1.0, self.norm())
+        threshold = tol * max(1.0, norm)
 
         def inverse_root(w):
             if w[0] <= threshold:
@@ -331,4 +351,4 @@ class AlgebraElement(_Blocks):
 
     def __repr__(self):
         sizes = "+".join(str(k) for k in self.algebra.block_sizes)
-        return f"<AlgebraElement over M_[{sizes}], norm={self.norm():.4g}>"
+        return f"<AlgebraElement over M_[{sizes}], norm={self._norm_text()}>"

@@ -36,6 +36,7 @@ from .algebra import (
     _Blocks,
     _extreme_svals,
     _hermitized,
+    _margin,
     _require_positive_finite,
     _shape_int,
     matrix_from_json,
@@ -47,7 +48,7 @@ from .errors import (
     ModuleNotFullError,
     ShapeMismatchError,
 )
-from .sampling import complex_gaussian
+from .sampling import gaussian_blocks, random_blocks
 
 #: Absolute tolerance for accepting ``p`` as a projection (p = p* = p^2).
 PROJECTION_TOL = 1e-10
@@ -62,12 +63,17 @@ class _SpaceOps:
 
     A space sets ``right_algebra``, ``left_algebra`` and ``_right_unit`` at
     construction and provides ``block_shapes`` (stored element blocks),
-    ``compressed_shapes`` (per block ``(r_i, s_i)``) and two pairs of hooks:
+    ``compressed_shapes`` (per block ``(r_i, s_i)``) and these hooks:
 
     * ``_core(i, block)`` / ``_embed(i, core)`` between a stored element block
       and its ``r_i x s_i`` core;
     * ``_compress(b)`` / ``_expand(c)`` between a right-algebra element and
-      its image in the sum of the ``M_{s_i}(C)`` with ``s_i > 0``.
+      its image in the sum of the ``M_{s_i}(C)`` with ``s_i > 0``;
+      ``_compress_blocks`` does the same to a list of blocks;
+    * ``_project(i, g)`` from a drawn matrix of the stored block shape to an
+      element block.
+
+    ``_project`` and ``_compress_blocks`` also take stacks ``(..., m, n)``.
     """
 
     @property
@@ -83,6 +89,31 @@ class _SpaceOps:
             self,
             [np.zeros(shape, dtype=np.complex128) for shape in self.block_shapes],
         )
+
+    def random_element(self, rng) -> "ModuleElement":
+        """I.i.d. standard complex Gaussian entries in the stored block shapes,
+        projected into the space (``p g q`` on a corner)."""
+        drawn = random_blocks(rng, self.block_shapes)
+        return ModuleElement._wrap(self, [self._project(i, g) for i, g in enumerate(drawn)])
+
+    def random_gram_margins(self, draws, k: int) -> np.ndarray:
+        """:func:`unimodularity_margin` of one random ``k``-tuple per row of ``draws``.
+
+        Row ``t`` holds the standard normals that ``k`` calls of
+        :meth:`random_element` take from one generator.  The Gram sums of all
+        rows are summed in :func:`pairing`'s order, entry by entry and block
+        by block, and compressed; then one stacked SVD per block gives the
+        extremes that the margin rule reads per tuple, so each margin is bit
+        for bit the one of the tuple itself.
+        """
+        trials = len(draws)
+        grams = [np.zeros((trials, s, s), dtype=np.complex128) for _, s in self.block_shapes]
+        for entry in draws.reshape(trials, k, -1).swapaxes(0, 1):
+            for i, drawn in enumerate(gaussian_blocks(entry, self.block_shapes)):
+                x = self._project(i, drawn)
+                grams[i] += x.conj().swapaxes(-1, -2) @ x
+        tops, bottoms = _extreme_svals(self._compress_blocks(grams))
+        return np.array([_margin(t, b) for t, b in zip(zip(*tops), zip(*bottoms))])
 
     # -- right algebra helpers: the kernel's operations on the compressed image --
 
@@ -186,19 +217,14 @@ class ModuleSpace(_SpaceOps):
     def _compress(self, b):
         return b
 
-    _embed = _core
-    _expand = _compress
+    _embed = _project = _core
+    _expand = _compress_blocks = _compress
 
     # -- elements -------------------------------------------------------------
 
     def element(self, blocks) -> "ModuleElement":
         """Build an element from one matrix per block (copies the data)."""
         return ModuleElement(self, blocks)
-
-    def random_element(self, rng) -> "ModuleElement":
-        return ModuleElement._wrap(
-            self, [complex_gaussian(rng, shape) for shape in self.block_shapes]
-        )
 
     # -- module actions ---------------------------------------------------------
 
@@ -288,7 +314,7 @@ class ModuleElement(_Blocks):
         }
 
     def __repr__(self):
-        return f"<ModuleElement in {self.space!r}, norm={self.norm():.4g}>"
+        return f"<ModuleElement in {self.space!r}, norm={self._norm_text()}>"
 
 
 @dataclass(frozen=True)
@@ -523,11 +549,14 @@ class CornerSpace(_SpaceOps):
     def _embed(self, i, core):
         return self._row_bases[i] @ core @ self._col_bases[i].conj().T
 
+    def _project(self, i, g):
+        return self.p.blocks[i] @ g @ self.q.blocks[i]
+
+    def _compress_blocks(self, blocks):
+        return [self._col_bases[i].conj().T @ blocks[i] @ self._col_bases[i] for i in self._live]
+
     def _compress(self, b):
-        return AlgebraElement._wrap(
-            self._core_algebra,
-            [self._col_bases[i].conj().T @ b.blocks[i] @ self._col_bases[i] for i in self._live],
-        )
+        return AlgebraElement._wrap(self._core_algebra, self._compress_blocks(b.blocks))
 
     def _expand(self, c):
         blocks = [np.zeros((k, k), dtype=np.complex128) for k in self.ambient.block_sizes]
@@ -556,13 +585,6 @@ class CornerSpace(_SpaceOps):
             for pb, xb, qb in zip(self.p.blocks, ambient_blocks, self.q.blocks)
         ]
         return ModuleElement(self, blocks)
-
-    def random_element(self, rng) -> ModuleElement:
-        blocks = [
-            pb @ complex_gaussian(rng, (k, k)) @ qb
-            for pb, qb, k in zip(self.p.blocks, self.q.blocks, self.ambient.block_sizes)
-        ]
-        return ModuleElement._wrap(self, blocks)
 
     # -- actions (operands are compressed into the corner first) ----------------------
 

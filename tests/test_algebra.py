@@ -127,6 +127,13 @@ def test_norm_refuses_non_finite_entries(bad):
         a.norm()
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_repr_never_raises_on_non_finite_entries(bad):
+    a = Algebra((1,)).element([[[bad]]])
+    assert repr(a) == "<AlgebraElement over M_[1], norm=non-finite>"
+    assert repr(2.0 * Algebra((1,)).unit()) == "<AlgebraElement over M_[1], norm=2>"
+
+
 def test_is_invertible_rejects_bad_tol():
     with pytest.raises(ValueError):
         Algebra((1,)).unit().is_invertible(0.0)

@@ -1,7 +1,8 @@
 """Property tests over random shapes: fullness, the counting bounds, the
 generation oracle against its span-map reference, agreement of the two
-unimodularity routes, the dual witness, the C*-identity and the
-Herman-Vaserstein perturbation bound.
+unimodularity routes, the dual witness, the C*-identity, the
+Herman-Vaserstein perturbation bound and the batched density trials against
+their per-trial reference.
 
 Matrix spaces ``M_{rows x cols}(A)`` and corners ``p M_N(A) q`` with randomly
 oriented projections of random ranks, dead blocks (``rank q_i = 0`` or
@@ -24,6 +25,7 @@ from cstar_rank import (
     ModuleTuple,
     PerturbationParams,
     corner_space,
+    density_experiment,
     dual_witness,
     gen_oracle,
     generation_margin,
@@ -35,8 +37,9 @@ from cstar_rank import (
     sr_formula,
     unimodularity_margin,
 )
+from cstar_rank.sampling import derived_seed, draw_size, rng_from_seed, trial_draws
 from cstar_rank.stable_rank import WITNESS_TOL
-from test_hilbert_module import random_projection
+from test_hilbert_module import corner_with_ranks, random_projection
 
 PROPERTY_SETTINGS = settings(max_examples=80, deadline=None)
 
@@ -247,3 +250,46 @@ def test_hv_perturb_lands_on_a_unimodular_tuple_within_the_bound(case, extra, se
     moved = hv_perturb(t, PerturbationParams(eps=eps, seed=seed))
     assert is_unimodular(moved)
     assert (t - moved).norm() < math.sqrt(eps) + eps
+
+
+def per_trial_margins(space, k, trials, seed):
+    """Reference for the batched trials: the loop ``density_experiment`` ran
+    before, one generator and ``k`` calls of ``random_element`` per trial."""
+    margins = []
+    for index in range(trials):
+        rng = rng_from_seed(derived_seed(seed, index))
+        t = ModuleTuple(tuple(space.random_element(rng) for _ in range(k)))
+        margins.append(unimodularity_margin(t))
+    return np.array(margins)
+
+
+#: The first block's Gram sum is zero.
+ZERO_ROW_CORNER = (
+    corner_with_ranks((1, 2), 1, (0, 2), (1, 1), np.random.default_rng(3)),
+    ((0, 1), (2, 1)),
+)
+#: The first block drops out.
+DEAD_COLUMN_CORNER = (
+    corner_with_ranks((1, 2), 1, (1, 1), (0, 2), np.random.default_rng(3)),
+    ((1, 0), (1, 2)),
+)
+
+
+@PROPERTY_SETTINGS
+@given(spaces, lengths, st.integers(1, 6), seeds)
+@example(ZERO_ROW_CORNER, 2, 1, 0)
+@example(ZERO_ROW_CORNER, 4, 5, 1)
+@example(DEAD_COLUMN_CORNER, 1, 1, 2)
+@example(DEAD_COLUMN_CORNER, 3, 4, 3)
+def test_batched_trial_margins_equal_the_per_trial_loop(case, k, trials, seed):
+    space, shapes = case
+    assert space.compressed_shapes == shapes
+    draws = trial_draws(seed, trials, k * draw_size(space.block_shapes))
+    batched = space.random_gram_margins(draws, k)
+    reference = per_trial_margins(space, k, trials, seed)
+    assert batched.shape == (trials,)
+    assert np.array_equal(batched, reference)
+    if any(r == 0 < s for r, s in shapes):
+        assert not reference.any()
+    report = density_experiment(space, k, trials, seed)
+    assert report.unimodular_fraction == np.count_nonzero(reference > DEFAULT_TOL) / trials

@@ -1,9 +1,12 @@
-"""Where the package takes spectral factorizations, checked on its source.
+"""Where the package takes spectral factorizations and random draws, checked
+on its source.
 
 Every singular value goes through ``algebra._extreme_svals``, which holds the
 one non-finite rule, and every functional calculus through one eigh loop.  A
 private SVD loop elsewhere once turned an overflow into a raw
 ``LinAlgError`` instead of a ``DomainError``; this test keeps such loops out.
+Every generator and draw stays in ``sampling``, which defines the one draw
+order that seeded reports depend on.
 """
 
 import ast
@@ -12,6 +15,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "cstar_rank"
 
 SPECTRAL = {"svd", "eigh", "eigvalsh"}
+
+RANDOM = {"standard_normal", "Generator", "PCG64"}
 
 #: ``(module, scope)`` of every place allowed to name a spectral routine.  A
 #: scope is the dotted path of the enclosing classes and functions, then of
@@ -27,10 +32,11 @@ ALLOWED = {
 }
 
 
-class _SpectralNames(ast.NodeVisitor):
-    """Collects the scope of every attribute or import named in ``SPECTRAL``."""
+class _NamedUses(ast.NodeVisitor):
+    """Collects name, scope and line of every attribute or import named in ``names``."""
 
-    def __init__(self):
+    def __init__(self, names):
+        self.names = names
         self.scope = []
         self.found = []
 
@@ -51,15 +57,15 @@ class _SpectralNames(ast.NodeVisitor):
             self.generic_visit(node)
 
     def visit_Attribute(self, node):
-        if node.attr in SPECTRAL:
-            self.found.append((".".join(self.scope), node.lineno))
+        if node.attr in self.names:
+            self.found.append((node.attr, ".".join(self.scope), node.lineno))
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node):
         # ``from numpy.linalg import svd`` would hide the calls from the check above.
         for alias in node.names:
-            if alias.name in SPECTRAL:
-                self.found.append((".".join(self.scope), node.lineno))
+            if alias.name in self.names:
+                self.found.append((alias.name, ".".join(self.scope), node.lineno))
 
 
 def _allowed_scope(module, scope):
@@ -69,17 +75,35 @@ def _allowed_scope(module, scope):
     return None
 
 
+def _uses(names):
+    """``(module, name, scope, line)`` of every use of ``names`` in the package."""
+    for path in sorted(SRC.glob("*.py")):
+        visitor = _NamedUses(names)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        for name, scope, line in visitor.found:
+            yield path.stem, name, scope, line
+
+
 def test_spectral_factorizations_stay_in_the_allowed_scopes():
     used, stray = set(), []
-    for path in sorted(SRC.glob("*.py")):
-        visitor = _SpectralNames()
-        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
-        for scope, line in visitor.found:
-            allowed = _allowed_scope(path.stem, scope)
-            if allowed is None:
-                stray.append(f"{path.name}:{line} in {scope or '<module>'}")
-            else:
-                used.add(allowed)
+    for module, _, scope, line in _uses(SPECTRAL):
+        allowed = _allowed_scope(module, scope)
+        if allowed is None:
+            stray.append(f"{module}.py:{line} in {scope or '<module>'}")
+        else:
+            used.add(allowed)
     assert not stray, "spectral routine outside the allowed scopes: " + ", ".join(stray)
     # An entry nothing uses any more must leave the list.
     assert used == ALLOWED
+
+
+def test_random_draws_stay_in_sampling():
+    uses = list(_uses(RANDOM))
+    stray = [
+        f"{module}.py:{line} in {scope or '<module>'}"
+        for module, _, scope, line in uses
+        if module != "sampling"
+    ]
+    assert not stray, "generator or draw outside sampling.py: " + ", ".join(stray)
+    # The rule is not vacuous: sampling names all three.
+    assert {name for _, name, _, _ in uses} == RANDOM
