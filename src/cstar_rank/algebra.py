@@ -43,9 +43,13 @@ def _extreme_svals(blocks) -> tuple[list, list]:
         svals = [np.array([math.nan])]
     tops = [s[..., 0] if s.ndim > 1 else float(s[0]) for s in svals]
     bottoms = [s[..., -1] if s.ndim > 1 else float(s[-1]) for s in svals]
-    # A sum is non-finite as soon as one term is, in any order.
-    total = sum(tops) + sum(bottoms)
-    if not (math.isfinite(total) if isinstance(total, float) else np.isfinite(total).all()):
+    # Each extreme on its own: a sum of finite ones may overflow.
+    extremes = tops + bottoms
+    if svals and svals[0].ndim > 1:
+        finite = np.isfinite(extremes).all()
+    else:
+        finite = all(map(math.isfinite, extremes))
+    if not finite:
         raise DomainError("singular values are not finite (overflow or non-finite entries)")
     return tops, bottoms
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._version import __version__
 from .algebra import DEFAULT_TOL, Algebra
-from .errors import CstarRankError
+from .errors import CstarRankError, DomainError
 from .hilbert_module import (
     ModuleSpace,
     ModuleTuple,
@@ -35,6 +35,7 @@ from .hilbert_module import (
     unimodularity_margin,
 )
 from .stable_rank import (
+    WITNESS_TOL,
     PerturbationParams,
     bass_reduce,
     density_experiment,
@@ -88,7 +89,14 @@ def _dual(args, residuals):
     t = _load_tuple(args.input_path)
     witness = dual_witness(t, args.tol)
     unit = t.space.right_algebra_unit()
-    residuals["pairing_residual"] = (pairing(witness, t) - unit).norm()
+    residual = (pairing(witness, t) - unit).norm()
+    if residual > WITNESS_TOL:
+        # Below rounding a singular Gram sum can pass tol; its "witness" does not pair to 1.
+        raise DomainError(
+            f"witness pairing residual {residual:.3g} exceeds {WITNESS_TOL:g}; "
+            f"tol={args.tol:g} is below the rounding level of this tuple"
+        )
+    residuals["pairing_residual"] = residual
     return {"witness": witness.to_json_list()}
 
 

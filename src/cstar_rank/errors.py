@@ -30,7 +30,9 @@ class ReductionFailedError(DomainError):
 
     Carries the schedule of perturbation sizes that were attempted; exhausting
     it usually means the tuple is shorter than the stable rank of the space,
-    or the invertibility tolerance is unsuitable.
+    or the invertibility tolerance is unsuitable.  The schedule is empty when
+    the counting bound alone decides that no reduction can succeed, so no
+    perturbation was drawn.
     """
 
     def __init__(self, message, eta_schedule=()):

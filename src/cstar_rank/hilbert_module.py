@@ -421,8 +421,15 @@ def dual_witness(t: ModuleTuple, tol: float = DEFAULT_TOL) -> ModuleTuple:
     """A tuple ``y`` with ``sum_j <y_j, x_j> = 1`` for a unimodular ``t``.
 
     Uses the closed form ``y_j = x_j (b^{-1})*`` with ``b`` the Gram sum.
+    A tuple that the counting bound rules out raises :class:`DomainError`
+    at any ``tol``, before the Gram sum is formed.
     """
     _require_positive_finite("tol", tol)
+    if t.space.rank_obstruction(len(t)):
+        raise DomainError(
+            f"tuple is not unimodular at any tol: the counting bound "
+            f"n*r_i >= s_i fails in some block for n={len(t)}"
+        )
     b = gram(t)
     margin = t.space.right_margin(b)
     if not margin > tol:
@@ -580,6 +587,10 @@ class CornerSpace(_SpaceOps):
 
     def element(self, ambient_blocks) -> ModuleElement:
         """Compress an ambient matrix per block into the corner (``p x q``)."""
+        if len(ambient_blocks) != len(self.block_shapes):
+            raise ShapeMismatchError(
+                f"expected {len(self.block_shapes)} blocks, got {len(ambient_blocks)}"
+            )
         blocks = [
             pb @ np.asarray(xb, dtype=np.complex128) @ qb
             for pb, xb, qb in zip(self.p.blocks, ambient_blocks, self.q.blocks)

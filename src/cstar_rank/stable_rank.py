@@ -330,15 +330,22 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
     returning.
 
     A space that is not full has no unimodular tuple, so picking ``u``
-    raises :class:`ModuleNotFullError`.  The tuple must be at least as long
-    as the stable rank of the space, otherwise one of the reductions raises
-    :class:`ReductionFailedError`.
+    raises :class:`ModuleNotFullError`.  A tuple shorter than the stable
+    rank of the space can never be reduced to a unimodular one (the counting
+    bound), so it raises :class:`ReductionFailedError` with an empty
+    ``eta_schedule`` before any padding or reduction.
     """
     space = t.space
     n = len(t)
     eps = params.eps
     u = ModuleTuple(tuple(space.standard_unimodular_tuple()))
     r = len(u)
+    if space.rank_obstruction(n):
+        raise ReductionFailedError(
+            f"no reduction can succeed: the counting bound n*r_i >= s_i fails "
+            f"in some block for n={n}, so the tuple is shorter than the stable "
+            f"rank {r} of the space"
+        )
     padded, bump = _pad_with_bump(t, u, eps, params.tol)
 
     left = space.left_algebra
@@ -450,6 +457,13 @@ def density_experiment(
     _require_positive_finite("tol", tol)
     draws = trial_draws(seed, trials, k * draw_size(space.block_shapes))
     hits = int(np.count_nonzero(space.random_gram_margins(draws, k) > tol))
+    obstructed = space.rank_obstruction(k)
+    if obstructed and hits:
+        raise DomainError(
+            f"{hits} of {trials} random {k}-tuples passed tol={tol:g}, but the "
+            f"counting bound rules out every {k}-tuple of this space; tol is "
+            f"below the rounding level of the Gram margins"
+        )
     return DensityReport(
         space=space.to_json_dict(),
         k=k,
@@ -458,5 +472,5 @@ def density_experiment(
         tol=tol,
         unimodular_fraction=hits / trials,
         predicted_sr=space.predicted_stable_rank(),
-        exact_obstruction=space.rank_obstruction(k),
+        exact_obstruction=obstructed,
     )

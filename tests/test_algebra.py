@@ -9,6 +9,7 @@ from cstar_rank import (
     InvertibilityError,
     ShapeMismatchError,
 )
+from cstar_rank.algebra import _extreme_svals
 
 BASES = [(1,), (2,), (3,), (1, 2), (2, 3)]
 
@@ -125,6 +126,18 @@ def test_norm_refuses_non_finite_entries(bad):
     a = Algebra((1, 2)).element([np.array([[bad]]), np.eye(2)])
     with pytest.raises(DomainError, match="not finite"):
         a.norm()
+
+
+def test_huge_finite_singular_values_are_not_an_overflow():
+    # The largest plus the smallest singular value overflows; each is finite.
+    a = Algebra((1,)).element([[[1e308]]])
+    assert a.norm() == 1e308
+    assert a.margin() == 1.0
+    tops, bottoms = _extreme_svals([np.full((2, 1, 1), 1e308)])
+    assert tops[0].tolist() == bottoms[0].tolist() == [1e308, 1e308]
+    for bad in (np.inf, np.nan):
+        with pytest.raises(DomainError, match="not finite"):
+            _extreme_svals([np.array([[[1e308]], [[bad]]])])
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

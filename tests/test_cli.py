@@ -168,6 +168,43 @@ def test_domain_error_exit_code(tmp_path, capsys):
     assert "not unimodular" in err
 
 
+def lone_row(tmp_path, twin=False):
+    # A 1-tuple of M_{1x2}(C), or the 2-tuple (x, 2x): singular Gram sums.
+    x = ModuleSpace(Algebra((1,)), 1, 2).random_element(np.random.default_rng(5))
+    return write_tuple(tmp_path / "row.json", ModuleTuple((x, 2.0 * x) if twin else (x,)))
+
+
+@pytest.mark.parametrize("tol", ["1e-9", "1e-25"])
+def test_perturb_below_the_stable_rank_fails_from_the_counting_bound(tmp_path, capsys, tol):
+    # At tol 1e-25 this once exited 2 with a raw LinAlgError.
+    argv = ["perturb", "--input", lone_row(tmp_path), "--eps", "0.1", "--tol", tol, "--no-timestamp"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "counting bound" in err and "stable rank 2" in err
+
+
+@pytest.mark.parametrize("twin, phrase", [(False, "counting bound"), (True, "pairing residual")])
+def test_dual_below_rounding_gives_no_witness(tmp_path, capsys, twin, phrase):
+    # Both Gram sums pass tol=1e-25 on rounding noise; the witness once
+    # printed with exit 0 and a pairing residual above 1.
+    argv = ["dual", "--input", lone_row(tmp_path, twin), "--tol", "1e-25", "--no-timestamp"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert phrase in err
+
+
+def test_density_below_rounding_on_an_obstructed_cell_is_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, [
+        "density", "--blocks", "1", "--rows", "1", "--cols", "3", "--k", "1",
+        "--trials", "20", "--tol", "1e-30", "--no-timestamp",
+    ])
+    assert code == 1
+    assert out == ""
+    assert "tol=1e-30" in err
+
+
 def test_reduction_failure_exit_code(tmp_path, capsys):
     space = ModuleSpace(Algebra((1,)), 1, 2)
     path = write_tuple(tmp_path / "pair.json", unimodular_pair(space, seed=9))

@@ -227,6 +227,14 @@ def test_dual_witness_rejects_non_unimodular():
         dual_witness(ModuleTuple((space.random_element(np.random.default_rng(0)),)))
 
 
+def test_dual_witness_refuses_obstructed_tuples_at_any_tol():
+    space = ModuleSpace(Algebra((1,)), 1, 2)
+    t = ModuleTuple((space.random_element(np.random.default_rng(5)),))
+    for tol in (1e-9, 1e-25):
+        with pytest.raises(DomainError, match="counting bound"):
+            dual_witness(t, tol)
+
+
 def test_witness_inequality_both_directions():
     # Invertible Gram gives a witness; any pairing witness forces an
     # invertible Gram with the quantitative lower bound 1/||y||^2.
@@ -448,6 +456,14 @@ def test_projection_is_unimodular_in_its_own_corner():
     x = corner.element(p.blocks)
     assert is_unimodular(ModuleTuple((x,)))
     assert (gram(ModuleTuple((x,))) - corner.right_algebra_unit()).norm() < 1e-12
+
+
+def test_corner_element_rejects_extra_blocks():
+    alg = Algebra((1,))
+    unit = alg.matrix_algebra(2).unit()
+    corner = corner_space(alg, 2, unit, unit)
+    with pytest.raises(ShapeMismatchError, match="expected 1 blocks, got 2"):
+        corner.element([np.eye(2), np.eye(3)])
 
 
 def test_corner_rejects_non_projections_and_zero_q():

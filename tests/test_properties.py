@@ -1,8 +1,8 @@
 """Property tests over random shapes: fullness, the counting bounds, the
 generation oracle against its span-map reference, agreement of the two
 unimodularity routes, the dual witness, the C*-identity, the
-Herman-Vaserstein perturbation bound and the batched density trials against
-their per-trial reference.
+Herman-Vaserstein perturbation bound, its refusal below the stable rank and
+the batched density trials against their per-trial reference.
 
 Matrix spaces ``M_{rows x cols}(A)`` and corners ``p M_N(A) q`` with randomly
 oriented projections of random ranks, dead blocks (``rank q_i = 0`` or
@@ -24,6 +24,7 @@ from cstar_rank import (
     ModuleSpace,
     ModuleTuple,
     PerturbationParams,
+    ReductionFailedError,
     corner_space,
     density_experiment,
     dual_witness,
@@ -35,6 +36,7 @@ from cstar_rank import (
     is_unimodular,
     pairing,
     sr_formula,
+    stable_rank,
     unimodularity_margin,
 )
 from cstar_rank.sampling import derived_seed, draw_size, rng_from_seed, trial_draws
@@ -250,6 +252,30 @@ def test_hv_perturb_lands_on_a_unimodular_tuple_within_the_bound(case, extra, se
     moved = hv_perturb(t, PerturbationParams(eps=eps, seed=seed))
     assert is_unimodular(moved)
     assert (t - moved).norm() < math.sqrt(eps) + eps
+
+
+@PROPERTY_SETTINGS
+@given(spaces, seeds, st.sampled_from([DEFAULT_TOL, 1e-25]))
+@example(ROW_SPACE, 0, 1e-25)
+def test_tuples_below_the_stable_rank_fail_from_the_counting_bound(case, seed, tol):
+    # No n-tuple with n < sr is unimodular, so hv_perturb refuses it before it
+    # pads, draws or reduces, whatever the tolerance.
+    space, _ = case
+    bound = space.predicted_stable_rank()
+    for n in range(1, (bound or 1) + 3):
+        assert space.rank_obstruction(n) == (bound is None or n < bound)
+    assume(bound is not None)
+
+    def unreachable(*args):
+        raise AssertionError("bass_reduce ran on a tuple below the stable rank")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stable_rank, "bass_reduce", unreachable)
+        for n in range(1, bound):
+            t = random_tuple(space, n, seed)
+            with pytest.raises(ReductionFailedError, match="counting bound") as err:
+                hv_perturb(t, PerturbationParams(eps=0.1, tol=tol, seed=seed))
+            assert err.value.eta_schedule == ()
 
 
 def per_trial_margins(space, k, trials, seed):

@@ -398,6 +398,16 @@ def test_hv_perturb_fails_below_stable_rank():
         hv_perturb(t, PerturbationParams(eps=0.1, seed=0, max_retries=10))
 
 
+def test_hv_perturb_below_rounding_still_fails_from_the_counting_bound():
+    # At tol 1e-25 the reductions of this 1-tuple once pass their margin
+    # tests on rounding noise and then invert a singular matrix.
+    space = ModuleSpace(Algebra((1,)), 1, 2)
+    t = ModuleTuple((space.random_element(np.random.default_rng(5)),))
+    with pytest.raises(ReductionFailedError, match="stable rank 2") as err:
+        hv_perturb(t, PerturbationParams(eps=0.1, tol=1e-25, seed=0))
+    assert err.value.eta_schedule == ()
+
+
 def test_hv_perturb_rejects_non_full_corner():
     alg = Algebra((1,))
     big = alg.matrix_algebra(2)
@@ -480,6 +490,18 @@ def test_density_obstructed_case():
     assert report.unimodular_fraction == 0.0
     assert report.exact_obstruction
     assert report.predicted_sr == 2
+
+
+def test_density_below_rounding_on_an_obstructed_cell_is_a_domain_error():
+    # Rounding noise passes tol=1e-30, but no 1-tuple of M_{1x3}(C) is unimodular.
+    space = ModuleSpace(Algebra((1,)), 1, 3)
+    with pytest.raises(DomainError, match="tol=1e-30"):
+        density_experiment(space, k=1, trials=20, seed=0, tol=1e-30)
+    with pytest.raises(ValueError, match="rank obstruction contradicts"):
+        stable_rank.DensityReport(
+            space=space.to_json_dict(), k=1, trials=2, seed=0, tol=1e-30,
+            unimodular_fraction=0.5, predicted_sr=3, exact_obstruction=True,
+        )
 
 
 def test_density_generic_case():
