@@ -29,6 +29,7 @@ from .hilbert_module import (
     ModuleSpace,
     ModuleTuple,
     dual_witness,
+    is_unimodular,
     normalize_tuple,
     pairing,
     tuple_from_json_list,
@@ -80,9 +81,9 @@ def _sr_formula(args, residuals):
 
 
 def _check(args, residuals):
-    margin = unimodularity_margin(_load_tuple(args.input_path))
-    residuals["unimodularity_margin"] = margin
-    return {"unimodular": bool(margin > args.tol)}
+    t = _load_tuple(args.input_path)
+    residuals["unimodularity_margin"] = unimodularity_margin(t)
+    return {"unimodular": is_unimodular(t, args.tol)}
 
 
 def _dual(args, residuals):

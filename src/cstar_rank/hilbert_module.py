@@ -16,11 +16,12 @@ Two independent routes decide whether a tuple generates the module:
 They agree on full spaces; on a non-full corner they may differ by design.
 
 Skew corners ``p M_N(A) q`` keep their elements inside the ambient matrix
-algebra (always of the compressed form ``p x q``).  Both kinds of space
-describe block ``i`` by its compressed shape ``(r_i, s_i)`` and share one
-implementation of every operation written over those shapes; a corner
-compresses to the ranges of ``p`` and ``q`` where a matrix space has nothing
-to do.
+algebra.  Both kinds of space describe block ``i`` by its compressed shape
+``(r_i, s_i)`` and share one implementation of every operation written over
+those shapes; a corner compresses to the ranges of ``p`` and ``q`` where a
+matrix space has nothing to do.  Element construction, the module actions
+and :func:`stack` are shared too: each takes its blocks through the space's
+``_project`` hook, the one place that knows a corner element is ``p x q``.
 """
 
 from __future__ import annotations
@@ -70,8 +71,10 @@ class _SpaceOps:
     * ``_compress(b)`` / ``_expand(c)`` between a right-algebra element and
       its image in the sum of the ``M_{s_i}(C)`` with ``s_i > 0``;
       ``_compress_blocks`` does the same to a list of blocks;
-    * ``_project(i, g)`` from a drawn matrix of the stored block shape to an
-      element block.
+    * ``_project(i, g)`` from any matrix of the stored block shape to an
+      element block, the one place that knows how an element is stored;
+    * ``_stacked_space(k)``, the space that :func:`stack` embeds a
+      ``k``-tuple into.
 
     ``_project`` and ``_compress_blocks`` also take stacks ``(..., m, n)``.
     """
@@ -90,11 +93,19 @@ class _SpaceOps:
             [np.zeros(shape, dtype=np.complex128) for shape in self.block_shapes],
         )
 
+    def _projected(self, blocks) -> "ModuleElement":
+        """Wrap ``blocks`` of the stored shapes, each taken through ``_project``."""
+        return ModuleElement._wrap(self, [self._project(i, g) for i, g in enumerate(blocks)])
+
+    def element(self, blocks) -> "ModuleElement":
+        """Build an element from one matrix per stored block (copies the data),
+        projected into the space (``p x q`` on a corner)."""
+        return self._projected(ModuleElement(self, blocks).blocks)
+
     def random_element(self, rng) -> "ModuleElement":
         """I.i.d. standard complex Gaussian entries in the stored block shapes,
         projected into the space (``p g q`` on a corner)."""
-        drawn = random_blocks(rng, self.block_shapes)
-        return ModuleElement._wrap(self, [self._project(i, g) for i, g in enumerate(drawn)])
+        return self._projected(random_blocks(rng, self.block_shapes))
 
     def random_gram_margins(self, draws, k: int) -> np.ndarray:
         """:func:`unimodularity_margin` of one random ``k``-tuple per row of ``draws``.
@@ -220,38 +231,8 @@ class ModuleSpace(_SpaceOps):
     _embed = _project = _core
     _expand = _compress_blocks = _compress
 
-    # -- elements -------------------------------------------------------------
-
-    def element(self, blocks) -> "ModuleElement":
-        """Build an element from one matrix per block (copies the data)."""
-        return ModuleElement(self, blocks)
-
-    # -- module actions ---------------------------------------------------------
-
-    def apply_right(self, x, b) -> "ModuleElement":
-        if b.algebra != self.right_algebra:
-            raise ShapeMismatchError("right operand is not in the right algebra")
-        return ModuleElement._wrap(
-            self, [xb @ bb for xb, bb in zip(x.blocks, b.blocks)]
-        )
-
-    def apply_left(self, a, x) -> "ModuleElement":
-        if a.algebra != self.left_algebra:
-            raise ShapeMismatchError("left operand is not in the left algebra")
-        return ModuleElement._wrap(
-            self, [ab @ xb for ab, xb in zip(a.blocks, x.blocks)]
-        )
-
-    # -- stacking ----------------------------------------------------------------
-
-    def stack(self, entries) -> "ModuleElement":
-        """Vertical concatenation, an element of the taller matrix module."""
-        target = ModuleSpace(self.alg, self.rows * len(entries), self.cols)
-        blocks = [
-            np.vstack([x.blocks[i] for x in entries])
-            for i in range(self.alg.num_blocks)
-        ]
-        return ModuleElement._wrap(target, blocks)
+    def _stacked_space(self, k):
+        return ModuleSpace(self.alg, self.rows * k, self.cols)
 
     # -- serialization -------------------------------------------------------------
 
@@ -271,6 +252,11 @@ def _same_space(x, y, message="elements belong to different module spaces"):
     """The one same-space rule, for elements and tuples alike."""
     if x.space is not y.space and x.space != y.space:
         raise ShapeMismatchError(message)
+
+
+def _require_acting(a, algebra, side):
+    if a.algebra != algebra:
+        raise ShapeMismatchError(f"{side} operand is not in the {side} algebra of the space")
 
 
 class ModuleElement(_Blocks):
@@ -295,16 +281,18 @@ class ModuleElement(_Blocks):
             raise TypeError(f"expected a ModuleElement, got {type(other).__name__}")
         _same_space(self, other)
 
-    # -- module actions -------------------------------------------------------
+    # -- module actions: blockwise products, projected back into the space ------
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
-            return self.space.apply_right(self, other)
+            _require_acting(other, self.space.right_algebra, "right")
+            return self.space._projected(xb @ bb for xb, bb in zip(self.blocks, other.blocks))
         return _Blocks.__mul__(self, other)
 
     def __rmul__(self, other):
         if isinstance(other, AlgebraElement):
-            return self.space.apply_left(other, self)
+            _require_acting(other, self.space.left_algebra, "left")
+            return self.space._projected(ab @ xb for ab, xb in zip(other.blocks, self.blocks))
         return _Blocks.__rmul__(self, other)
 
     def to_json_dict(self) -> dict:
@@ -404,11 +392,24 @@ def gram(t: ModuleTuple) -> AlgebraElement:
 
 def stack(t: ModuleTuple) -> ModuleElement:
     """Identify a k-tuple with one element of the k-fold stacked module."""
-    return t.space.stack(t.entries)
+    target = t.space._stacked_space(len(t))
+    blocks = []
+    for i, shape in enumerate(target.block_shapes):
+        # The entries go down the first columns; the rest of the block stays zero.
+        column = np.vstack([x.blocks[i] for x in t.entries])
+        blocks.append(np.pad(column, [(0, n - m) for n, m in zip(shape, column.shape)]))
+    return ModuleElement._wrap(target, blocks)
 
 
 def is_unimodular(t: ModuleTuple, tol: float = DEFAULT_TOL) -> bool:
-    """Whether the Gram sum of the tuple is invertible in the right algebra."""
+    """Whether the Gram sum of the tuple is invertible in the right algebra.
+
+    The counting bound decides first: a tuple that it rules out is not
+    unimodular at any ``tol``, even where rounding noise passes a tiny one.
+    """
+    _require_positive_finite("tol", tol)
+    if t.space.rank_obstruction(len(t)):
+        return False
     return t.space.right_is_invertible(gram(t), tol)
 
 
@@ -559,6 +560,14 @@ class CornerSpace(_SpaceOps):
     def _project(self, i, g):
         return self.p.blocks[i] @ g @ self.q.blocks[i]
 
+    def _stacked_space(self, k):
+        """``diag(p, ..., p) M_{kN}(A) diag(q, 0, ..., 0)``: the entries go down the
+        first block column."""
+        big = self.alg.matrix_algebra(k * self.size)
+        p = AlgebraElement._wrap(big, [np.kron(np.eye(k), pb) for pb in self.p.blocks])
+        q = AlgebraElement._wrap(big, [np.pad(qb, (0, (k - 1) * len(qb))) for qb in self.q.blocks])
+        return CornerSpace(self.alg, k * self.size, p, q)
+
     def _compress_blocks(self, blocks):
         return [self._col_bases[i].conj().T @ blocks[i] @ self._col_bases[i] for i in self._live]
 
@@ -582,69 +591,6 @@ class CornerSpace(_SpaceOps):
         )
 
     __hash__ = None
-
-    # -- elements ----------------------------------------------------------------
-
-    def element(self, ambient_blocks) -> ModuleElement:
-        """Compress an ambient matrix per block into the corner (``p x q``)."""
-        if len(ambient_blocks) != len(self.block_shapes):
-            raise ShapeMismatchError(
-                f"expected {len(self.block_shapes)} blocks, got {len(ambient_blocks)}"
-            )
-        blocks = [
-            pb @ np.asarray(xb, dtype=np.complex128) @ qb
-            for pb, xb, qb in zip(self.p.blocks, ambient_blocks, self.q.blocks)
-        ]
-        return ModuleElement(self, blocks)
-
-    # -- actions (operands are compressed into the corner first) ----------------------
-
-    def apply_right(self, x, b) -> ModuleElement:
-        if b.algebra != self.ambient:
-            raise ShapeMismatchError("right operand must live in the ambient algebra")
-        return ModuleElement._wrap(
-            self,
-            [
-                xb @ (qb @ bb @ qb)
-                for xb, bb, qb in zip(x.blocks, b.blocks, self.q.blocks)
-            ],
-        )
-
-    def apply_left(self, a, x) -> ModuleElement:
-        if a.algebra != self.ambient:
-            raise ShapeMismatchError("left operand must live in the ambient algebra")
-        return ModuleElement._wrap(
-            self,
-            [
-                (pb @ ab @ pb) @ xb
-                for ab, xb, pb in zip(a.blocks, x.blocks, self.p.blocks)
-            ],
-        )
-
-    # -- stacking: block-diagonal embedding into a larger ambient algebra ---------------
-
-    def stack(self, entries) -> ModuleElement:
-        k = len(entries)
-        n = self.size
-        big_p_blocks = [np.kron(np.eye(k), pb) for pb in self.p.blocks]
-        big_q_blocks = []
-        stacked_blocks = []
-        for i, size_i in enumerate(self.ambient.block_sizes):
-            big = np.zeros((k * size_i, k * size_i), dtype=np.complex128)
-            big[:size_i, :size_i] = self.q.blocks[i]
-            big_q_blocks.append(big)
-            mat = np.zeros((k * size_i, k * size_i), dtype=np.complex128)
-            for j, x in enumerate(entries):
-                mat[j * size_i : (j + 1) * size_i, :size_i] = x.blocks[i]
-            stacked_blocks.append(mat)
-        big_ambient = self.alg.matrix_algebra(k * n)
-        target = CornerSpace(
-            self.alg,
-            k * n,
-            AlgebraElement._wrap(big_ambient, big_p_blocks),
-            AlgebraElement._wrap(big_ambient, big_q_blocks),
-        )
-        return ModuleElement._wrap(target, stacked_blocks)
 
     # -- serialization --------------------------------------------------------------
 
@@ -696,7 +642,8 @@ def element_from_json_dict(data) -> ModuleElement:
 
 
 def tuple_from_json_list(data) -> ModuleTuple:
-    """The one JSON-to-element path: every entry must declare the first's space."""
+    """The one JSON-to-element path: every entry must declare the first's space
+    and lie in it, within ``PROJECTION_TOL`` relative; blocks are kept bit for bit."""
     if not data:
         raise ValueError("a module tuple needs at least one entry")
     space = space_from_json_dict(data[0]["space"])
@@ -704,6 +651,12 @@ def tuple_from_json_list(data) -> ModuleTuple:
     for item in data:
         if item["space"] != data[0]["space"]:
             raise ShapeMismatchError("tuple entries declare different spaces")
-        blocks = [matrix_from_json(m) for m in item["blocks"]]
-        entries.append(ModuleElement(space, blocks))
+        x = ModuleElement(space, [matrix_from_json(m) for m in item["blocks"]])
+        moved = (x - space._projected(x.blocks)).norm()
+        # Only an entry that moves needs its own norm.
+        if moved > PROJECTION_TOL and moved > PROJECTION_TOL * x.norm():
+            raise ValueError(
+                f"element is not in its space: projecting it moves it by {moved:.3g}"
+            )
+        entries.append(x)
     return ModuleTuple(tuple(entries))

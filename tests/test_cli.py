@@ -205,6 +205,50 @@ def test_density_below_rounding_on_an_obstructed_cell_is_a_domain_error(capsys):
     assert "tol=1e-30" in err
 
 
+@pytest.mark.parametrize("seed", [3, 4, 5, 6])
+def test_check_below_rounding_applies_the_counting_bound(tmp_path, capsys, seed):
+    # These 1-tuples of M_{1x2}(C) were once called unimodular at tol 1e-25.
+    x = ModuleSpace(Algebra((1,)), 1, 2).random_element(np.random.default_rng(seed))
+    path = write_tuple(tmp_path / "row.json", ModuleTuple((x,)))
+    code, out, _ = run_cli(capsys, ["check", "--input", path, "--tol", "1e-25", "--no-timestamp"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["result"] == {"unimodular": False}
+    assert report["residuals"]["unimodularity_margin"] > 1e-25
+
+
+def test_reduce_below_rounding_fails_from_the_retries(tmp_path, capsys):
+    # The truncations cannot be unimodular; this once failed inside the
+    # truncation's dual witness with a message about a 1-tuple.
+    space = ModuleSpace(Algebra((1,)), 1, 2)
+    path = write_tuple(tmp_path / "pair.json", unimodular_pair(space, seed=5))
+    argv = ["reduce", "--input", path, "--tol", "1e-25", "--no-timestamp"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "no unimodular perturbation found after 40 retries" in err
+
+
+def test_corner_element_outside_the_corner_is_a_parse_error(tmp_path, capsys):
+    # p = diag(1, 0), q = 1 in M_2(C): entries are 1 x 2 rows, stable rank 2.
+    # The block I_2 is not p x q; check once called it unimodular with exit 0.
+    alg = Algebra((1,))
+    ambient = alg.matrix_algebra(2)
+    corner = corner_space(alg, 2, ambient.element([np.diag([1.0, 0.0])]), ambient.unit())
+    data = ModuleTuple((corner.element([np.eye(2)]),)).to_json_list()
+    assert data[0]["blocks"] == [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]
+    path = tmp_path / "corner.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(capsys, ["check", "--input", str(path), "--no-timestamp"])[0] == 0
+    data[0]["blocks"] = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]
+    path.write_text(json.dumps(data))
+    for command in ("check", "dual"):
+        code, out, err = run_cli(capsys, [command, "--input", str(path), "--no-timestamp"])
+        assert code == 2
+        assert out == ""
+        assert "not in its space" in err
+
+
 def test_reduction_failure_exit_code(tmp_path, capsys):
     space = ModuleSpace(Algebra((1,)), 1, 2)
     path = write_tuple(tmp_path / "pair.json", unimodular_pair(space, seed=9))

@@ -560,6 +560,27 @@ def test_corner_right_algebra_ops_match_kernel(base, size, p_ranks, q_ranks, sha
     standard = corner.standard_unimodular_tuple()
     assert len(standard) == corner.predicted_stable_rank()
     assert_matches(gram(ModuleTuple(tuple(standard))), core.unit())
+
+    # Module actions by arbitrary ambient operands stay in the corner and act
+    # through q b q and p a p; stacking keeps the Gram norm and the verdict.
+    def assert_close(got, want):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
+
+    for k in (1, 2, 3):
+        t = random_tuple(corner, rng, k)
+        a, b = big.random_element(rng), big.random_element(rng)
+        for x in t:
+            for result, expected in (
+                (x * b, [xb @ (qb @ bb @ qb) for xb, bb, qb in zip(x.blocks, b.blocks, q.blocks)]),
+                (a * x, [(pb @ ab @ pb) @ xb for ab, xb, pb in zip(a.blocks, x.blocks, p.blocks)]),
+            ):
+                assert result.space is corner
+                for rb, eb, pb, qb in zip(result.blocks, expected, p.blocks, q.blocks):
+                    assert_close(pb @ rb @ qb, rb)
+                    assert_close(rb, eb)
+        stacked = ModuleTuple((stack(t),))
+        assert gram(stacked).norm() == pytest.approx(gram(t).norm(), rel=1e-12)
+        assert is_unimodular(stacked) == is_unimodular(t)
     if shape is None:
         return
     matrix = ModuleSpace(alg, *shape)
@@ -593,6 +614,40 @@ def test_corner_witness_and_stack():
     stacked = stack(t)
     assert is_unimodular(ModuleTuple((stacked,)))
     assert abs(gram(ModuleTuple((stacked,))).norm() - gram(t).norm()) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["matrix", "corner"])
+def test_bad_element_input_is_a_shape_mismatch_on_both_space_kinds(kind):
+    # A corner once multiplied a wrongly shaped block by p and q and raised
+    # numpy's matmul ValueError; both kinds now share one element path.
+    rng = np.random.default_rng(23)
+    if kind == "matrix":
+        space = ModuleSpace(Algebra((1, 2)), 2, 3)
+    else:
+        space = corner_with_ranks((1, 2), 2, (1, 2), (2, 4), rng)
+    good = [np.ones(shape) for shape in space.block_shapes]
+    with pytest.raises(ShapeMismatchError, match=r"block has shape \(3, 5\)"):
+        space.element([np.ones((3, 5))] + good[1:])
+    with pytest.raises(ShapeMismatchError, match="expected 2 blocks, got 1"):
+        space.element(good[:1])
+    x = space.element(good)
+    foreign = Algebra((3,)).unit()
+    for side, act in (("right", lambda: x * foreign), ("left", lambda: foreign * x)):
+        message = f"^{side} operand is not in the {side} algebra of the space$"
+        with pytest.raises(ShapeMismatchError, match=message):
+            act()
+
+
+def test_is_unimodular_applies_the_counting_bound_first():
+    # No 1-tuple of M_{1x2}(C) is unimodular, though rounding noise in the
+    # Gram sum passes a tol far below it.
+    space = ModuleSpace(Algebra((1,)), 1, 2)
+    for seed in (3, 4, 5, 6):
+        t = ModuleTuple((space.random_element(np.random.default_rng(seed)),))
+        assert unimodularity_margin(t) > 1e-25
+        assert not is_unimodular(t, 1e-25)
+    with pytest.raises(ValueError):
+        is_unimodular(t, -1.0)
 
 
 def test_module_elements_keep_the_block_container_rules():

@@ -19,6 +19,7 @@ from cstar_rank import (
     tuple_from_json_list,
 )
 from cstar_rank._version import __version__
+from cstar_rank.algebra import matrix_from_json, matrix_to_json
 
 
 def roundtrip(obj):
@@ -94,6 +95,25 @@ def test_corner_element_roundtrip():
     back = element_from_json_dict(roundtrip(x.to_json_dict()))
     assert back.space == corner
     assert all(np.array_equal(a, b) for a, b in zip(x.blocks, back.blocks))
+
+
+def test_corner_entries_must_lie_in_the_corner():
+    # p = diag(1, 0), q = 1: a block is p x q only if its second row is zero.
+    alg = Algebra((1,))
+    big = alg.matrix_algebra(2)
+    corner = corner_space(alg, 2, big.element([np.diag([1.0, 0.0])]), big.unit())
+    x = corner.random_element(np.random.default_rng(8))
+    below = np.array([[0.0, 0.0], [1.0, 1.0]])
+    for scale, nudge, refused in ((1.0, 1e-9, True), (1.0, 1e-12, False), (1e6, 1e-5, False)):
+        data = roundtrip(x.to_json_dict())
+        data["blocks"] = [matrix_to_json(scale * x.blocks[0] + nudge * below)]
+        if refused:
+            with pytest.raises(ValueError, match="not in its space"):
+                element_from_json_dict(data)
+            continue
+        # Within PROJECTION_TOL relative the entry loads unchanged.
+        back = element_from_json_dict(data)
+        assert np.array_equal(back.blocks[0], matrix_from_json(data["blocks"][0]))
 
 
 def test_reduction_coefficients_roundtrip():

@@ -107,3 +107,33 @@ def test_random_draws_stay_in_sampling():
     assert not stray, "generator or draw outside sampling.py: " + ", ".join(stray)
     # The rule is not vacuous: sampling names all three.
     assert {name for _, name, _, _ in uses} == RANDOM
+
+
+#: Space classes whose methods must not build elements themselves.
+SPACE_CLASSES = {"ModuleSpace", "CornerSpace"}
+
+
+def _names_module_element(node):
+    return any(
+        (isinstance(n, ast.Name) and n.id == "ModuleElement")
+        or (isinstance(n, ast.Constant) and n.value == "ModuleElement")
+        for n in ast.walk(node)
+    )
+
+
+def test_space_classes_leave_elements_to_the_shared_path():
+    # Elements, module actions and stack are written once, over the
+    # ``_project`` and ``_stacked_space`` hooks; a per-class copy would have
+    # to name ModuleElement.
+    tree = ast.parse((SRC / "hilbert_module.py").read_text(encoding="utf-8"))
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert SPACE_CLASSES <= set(classes)
+    stray = [
+        f"{name}.{method.name}"
+        for name in sorted(SPACE_CLASSES)
+        for method in classes[name].body
+        if isinstance(method, ast.FunctionDef) and _names_module_element(method)
+    ]
+    assert not stray, "space method names ModuleElement: " + ", ".join(stray)
+    # The rule is not vacuous: the shared base does name it.
+    assert _names_module_element(classes["_SpaceOps"])
