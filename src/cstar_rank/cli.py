@@ -127,7 +127,7 @@ def _pad(args, residuals):
         u = normalize_tuple(tuple_from_json_list(data["pad_with"]), args.tol)
     else:
         # The standard tuple's Gram sum is already the unit.
-        u = ModuleTuple(tuple(t.space.standard_unimodular_tuple()))
+        u = t.space.standard_unimodular_tuple()
     padded = hv_pad(t, u, args.eps, args.tol)
     residuals["padded_margin"] = unimodularity_margin(padded)
     return {"padded": padded.to_json_list(), "unimodular": True}

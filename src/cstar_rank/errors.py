@@ -26,13 +26,12 @@ class ModuleNotFullError(DomainError):
 
 
 class ReductionFailedError(DomainError):
-    """Perturbation retries were exhausted without reaching a unimodular reduction.
+    """No unimodular reduction was reached; carries the perturbation sizes tried.
 
-    Carries the schedule of perturbation sizes that were attempted; exhausting
-    it usually means the tuple is shorter than the stable rank of the space,
-    or the invertibility tolerance is unsuitable.  The schedule is empty when
-    the counting bound alone decides that no reduction can succeed, so no
-    perturbation was drawn.
+    The schedule is empty when the counting bound alone rules every reduction
+    out (the tuple, or the truncation that ``bass_reduce`` perturbs, is
+    shorter than the stable rank), so nothing was drawn.  A full schedule
+    means the retries ran out: the tolerance or ``max_retries`` is unsuitable.
     """
 
     def __init__(self, message, eta_schedule=()):

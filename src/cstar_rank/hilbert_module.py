@@ -70,13 +70,12 @@ class _SpaceOps:
       and its ``r_i x s_i`` core;
     * ``_compress(b)`` / ``_expand(c)`` between a right-algebra element and
       its image in the sum of the ``M_{s_i}(C)`` with ``s_i > 0``;
-      ``_compress_blocks`` does the same to a list of blocks;
     * ``_project(i, g)`` from any matrix of the stored block shape to an
       element block, the one place that knows how an element is stored;
     * ``_stacked_space(k)``, the space that :func:`stack` embeds a
       ``k``-tuple into.
 
-    ``_project`` and ``_compress_blocks`` also take stacks ``(..., m, n)``.
+    ``_core``, ``_embed``, ``_project`` and ``_compress`` also take stacks ``(..., m, n)``.
     """
 
     @property
@@ -123,7 +122,8 @@ class _SpaceOps:
             for i, drawn in enumerate(gaussian_blocks(entry, self.block_shapes)):
                 x = self._project(i, drawn)
                 grams[i] += x.conj().swapaxes(-1, -2) @ x
-        tops, bottoms = _extreme_svals(self._compress_blocks(grams))
+        stacked_sums = AlgebraElement._wrap(self.right_algebra, grams)
+        tops, bottoms = _extreme_svals(self._compress(stacked_sums).blocks)
         return np.array([_margin(t, b) for t, b in zip(zip(*tops), zip(*bottoms))])
 
     # -- right algebra helpers: the kernel's operations on the compressed image --
@@ -165,7 +165,7 @@ class _SpaceOps:
         """Whether ``k``-tuples are never unimodular for counting reasons."""
         return any(k * r < s for r, s in self.compressed_shapes)
 
-    def standard_unimodular_tuple(self) -> list:
+    def standard_unimodular_tuple(self) -> "ModuleTuple":
         """Deterministic shortest unimodular tuple: partial identity columns.
 
         Per block the cores of the returned entries stack to the identity
@@ -177,14 +177,10 @@ class _SpaceOps:
                 "corner has a zero row projection against a nonzero column "
                 "projection; no unimodular tuple exists"
             )
-        entries = []
-        for j in range(length):
-            blocks = []
-            for i, (r, s) in enumerate(self.compressed_shapes):
-                stacked = np.eye(length * r, s, dtype=np.complex128)
-                blocks.append(self._embed(i, stacked[j * r : (j + 1) * r, :]))
-            entries.append(ModuleElement._wrap(self, blocks))
-        return entries
+        # Per block the stacked form, one slab of rows per entry, embedded at once.
+        slabs = [self._embed(i, np.eye(length * r, s, dtype=np.complex128).reshape(length, r, s))
+                 for i, (r, s) in enumerate(self.compressed_shapes)]
+        return ModuleTuple([ModuleElement._wrap(self, blocks) for blocks in zip(*slabs)])
 
 
 @dataclass(frozen=True)
@@ -229,7 +225,7 @@ class ModuleSpace(_SpaceOps):
         return b
 
     _embed = _project = _core
-    _expand = _compress_blocks = _compress
+    _expand = _compress
 
     def _stacked_space(self, k):
         return ModuleSpace(self.alg, self.rows * k, self.cols)
@@ -307,7 +303,7 @@ class ModuleElement(_Blocks):
 
 @dataclass(frozen=True)
 class ModuleTuple:
-    """An ordered tuple of module elements sharing one space."""
+    """An ordered tuple of module elements sharing one space: one element of ``M^n``."""
 
     entries: tuple
 
@@ -337,9 +333,13 @@ class ModuleTuple:
             raise ShapeMismatchError("tuples have different lengths")
         return ModuleTuple(tuple(a - b for a, b in zip(self.entries, other.entries)))
 
+    def _stacked(self) -> list:
+        """Per block, the entries' blocks stacked down one matrix: the tuple in ``M^n``."""
+        return [np.vstack(column) for column in zip(*(x.blocks for x in self.entries))]
+
     def norm(self) -> float:
-        """Norm of the tuple viewed as a single stacked element."""
-        return float(np.sqrt(gram(self).norm()))
+        """Norm of the tuple as one element of ``M^n``, from its stacked form."""
+        return max(_extreme_svals(self._stacked())[0])
 
     def to_json_list(self) -> list:
         return [x.to_json_dict() for x in self.entries]
@@ -393,12 +393,11 @@ def gram(t: ModuleTuple) -> AlgebraElement:
 def stack(t: ModuleTuple) -> ModuleElement:
     """Identify a k-tuple with one element of the k-fold stacked module."""
     target = t.space._stacked_space(len(t))
-    blocks = []
-    for i, shape in enumerate(target.block_shapes):
-        # The entries go down the first columns; the rest of the block stays zero.
-        column = np.vstack([x.blocks[i] for x in t.entries])
-        blocks.append(np.pad(column, [(0, n - m) for n, m in zip(shape, column.shape)]))
-    return ModuleElement._wrap(target, blocks)
+    # The stacked form fills the first columns; the rest of each block stays zero.
+    return ModuleElement._wrap(target, [
+        np.pad(x, [(0, 0), (0, n - x.shape[1])])
+        for x, (_, n) in zip(t._stacked(), target.block_shapes)
+    ])
 
 
 def is_unimodular(t: ModuleTuple, tol: float = DEFAULT_TOL) -> bool:
@@ -466,13 +465,15 @@ def generation_margin(t: ModuleTuple) -> float:
     block margin is ``sigma_s(X) / sigma_1(X)`` (0 when ``k r < s`` or
     ``X = 0``); returns the minimum over blocks with ``r s > 0``.
     """
-    space = t.space
+    space, k = t.space, len(t)
     live = [(i, r, s) for i, (r, s) in enumerate(space.compressed_shapes) if r * s]
-    stacks = [np.vstack([space._core(i, x.blocks[i]) for x in t.entries]) for i, _, _ in live]
-    tops, bottoms = _extreme_svals(stacks)
+    stacked = t._stacked()
+    # One slab of rows per entry of the stacked form, all taken to their cores at once.
+    cores = [space._core(i, stacked[i].reshape(k, *space.block_shapes[i])) for i, _, _ in live]
+    tops, bottoms = _extreme_svals([c.reshape(-1, c.shape[-1]) for c in cores])
     margin = np.inf
     for (_, r, s), top, bottom in zip(live, tops, bottoms):
-        if len(t) * r < s or top == 0.0:
+        if k * r < s or top == 0.0:
             return 0.0
         margin = min(margin, bottom / top)
     return margin
@@ -568,11 +569,10 @@ class CornerSpace(_SpaceOps):
         q = AlgebraElement._wrap(big, [np.pad(qb, (0, (k - 1) * len(qb))) for qb in self.q.blocks])
         return CornerSpace(self.alg, k * self.size, p, q)
 
-    def _compress_blocks(self, blocks):
-        return [self._col_bases[i].conj().T @ blocks[i] @ self._col_bases[i] for i in self._live]
-
     def _compress(self, b):
-        return AlgebraElement._wrap(self._core_algebra, self._compress_blocks(b.blocks))
+        v = self._col_bases
+        blocks = [v[i].conj().T @ b.blocks[i] @ v[i] for i in self._live]
+        return AlgebraElement._wrap(self._core_algebra, blocks)
 
     def _expand(self, c):
         blocks = [np.zeros((k, k), dtype=np.complex128) for k in self.ambient.block_sizes]

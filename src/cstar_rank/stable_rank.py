@@ -223,6 +223,15 @@ def warfield_b_to_a(
     return a
 
 
+def _refuse_below_stable_rank(space, n: int) -> None:
+    """The one counting-bound refusal: no ``n``-tuple is unimodular, so nothing is drawn."""
+    if space.rank_obstruction(n):
+        raise ReductionFailedError(
+            f"no reduction can succeed: the counting bound n*r_i >= s_i fails in some block "
+            f"for n={n}, below the stable rank {space.predicted_stable_rank()} of the space"
+        )
+
+
 def bass_reduce(t: ModuleTuple, params: PerturbationParams) -> ReductionCoefficients:
     """Collapse the last entry of a unimodular ``(n+1)``-tuple onto the rest.
 
@@ -232,9 +241,9 @@ def bass_reduce(t: ModuleTuple, params: PerturbationParams) -> ReductionCoeffici
     truncation is unimodular and the combined pairing stays invertible; the
     witness is then renormalized and handed to :func:`warfield_b_to_a`.
 
-    Raises :class:`ReductionFailedError` with the attempted schedule when the
-    retries run out, which is the designated failure when the tuple is
-    shorter than the stable rank of the space.  Of ``params`` it reads only
+    Raises :class:`ReductionFailedError`: with an empty schedule when the
+    counting bound rules out every truncation, before any draw, and with the
+    attempted schedule when the retries run out.  Of ``params`` it reads only
     ``tol``, ``max_retries`` and ``seed``.
     """
     n = len(t) - 1
@@ -242,6 +251,7 @@ def bass_reduce(t: ModuleTuple, params: PerturbationParams) -> ReductionCoeffici
         raise ShapeMismatchError("need a tuple of length at least 2 to reduce")
     space = t.space
     z = dual_witness(t, params.tol)
+    _refuse_below_stable_rank(space, n)
 
     rng = rng_from_seed(params.seed)
     eta = ETA_INITIAL
@@ -264,8 +274,8 @@ def bass_reduce(t: ModuleTuple, params: PerturbationParams) -> ReductionCoeffici
     if zbar is None:
         raise ReductionFailedError(
             f"no unimodular perturbation found after {params.max_retries} retries "
-            f"(eta up to {schedule[-1]:g}); the tuple may be shorter than the "
-            f"stable rank of the space, or tol={params.tol:g} is unsuitable",
+            f"(eta up to {schedule[-1]:g}); more retries may be needed, or "
+            f"tol={params.tol:g} is unsuitable",
             eta_schedule=schedule,
         )
 
@@ -338,14 +348,9 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
     space = t.space
     n = len(t)
     eps = params.eps
-    u = ModuleTuple(tuple(space.standard_unimodular_tuple()))
+    u = space.standard_unimodular_tuple()
     r = len(u)
-    if space.rank_obstruction(n):
-        raise ReductionFailedError(
-            f"no reduction can succeed: the counting bound n*r_i >= s_i fails "
-            f"in some block for n={n}, so the tuple is shorter than the stable "
-            f"rank {r} of the space"
-        )
+    _refuse_below_stable_rank(space, n)
     padded, bump = _pad_with_bump(t, u, eps, params.tol)
 
     left = space.left_algebra
@@ -368,9 +373,7 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
 
     coeffs = ReductionCoefficients(space, expansion)
     # Cross-check the accumulated coefficients against the iterated reduction.
-    recombined = warfield_forward(
-        ModuleTuple(t.entries + padded.entries[n:]), coeffs
-    )
+    recombined = warfield_forward(padded, coeffs)
     a_norm = adjointable_norm(coeffs)
     drift = (recombined - current).norm()
     if drift > 1e-8 * max(1.0, current.norm(), a_norm):

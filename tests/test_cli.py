@@ -218,15 +218,16 @@ def test_check_below_rounding_applies_the_counting_bound(tmp_path, capsys, seed)
 
 
 def test_reduce_below_rounding_fails_from_the_retries(tmp_path, capsys):
-    # The truncations cannot be unimodular; this once failed inside the
-    # truncation's dual witness with a message about a 1-tuple.
+    # The truncations cannot be unimodular, so the counting bound refuses the
+    # pair before any retry; this once failed inside the truncation's dual
+    # witness with a message about a 1-tuple.
     space = ModuleSpace(Algebra((1,)), 1, 2)
     path = write_tuple(tmp_path / "pair.json", unimodular_pair(space, seed=5))
     argv = ["reduce", "--input", path, "--tol", "1e-25", "--no-timestamp"]
     code, out, err = run_cli(capsys, argv)
     assert code == 1
     assert out == ""
-    assert "no unimodular perturbation found after 40 retries" in err
+    assert "counting bound" in err and "stable rank 2" in err
 
 
 def test_corner_element_outside_the_corner_is_a_parse_error(tmp_path, capsys):
@@ -257,7 +258,20 @@ def test_reduction_failure_exit_code(tmp_path, capsys):
         ["reduce", "--input", path, "--max-retries", "5", "--no-timestamp"],
     )
     assert code == 1
-    assert "retries" in err
+    assert "counting bound" in err
+
+
+def test_reduce_exhausting_its_retries_exit_code(tmp_path, capsys):
+    # The bound allows this pair's truncations; the retries run out first.
+    space = ModuleSpace(Algebra((1,)), 1, 1)
+    t = ModuleTuple(tuple(space.element([np.array([[v]], dtype=complex)]) for v in (0.0, 1.0)))
+    path = write_tuple(tmp_path / "pair.json", t)
+    argv = ["reduce", "--input", path, "--tol", "1e-4", "--max-retries", "3", "--seed", "0",
+            "--no-timestamp"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "after 3 retries" in err
 
 
 def test_reduce_takes_no_eps(tmp_path, capsys):

@@ -397,10 +397,24 @@ def test_mixed_space_inner_product_fails():
 
 
 def test_tuple_norm_matches_stack_norm():
+    # The norm of a tuple is its norm in M^n; no Gram sum squares it, so it
+    # neither underflows near 1e-170 nor overflows near 1e155.
     rng = np.random.default_rng(14)
-    space = ModuleSpace(Algebra((1, 2)), 2, 2)
-    t = random_tuple(space, rng, 3)
-    assert abs(t.norm() - stack(t).norm()) < 1e-10 * max(1.0, t.norm())
+    alg = Algebra((1,))
+    ambient = alg.matrix_algebra(2)
+    spaces = [
+        ModuleSpace(Algebra((1, 2)), 2, 2),
+        ModuleSpace(alg, 1, 2),
+        corner_space(alg, 2, ambient.element([np.diag([1.0, 0.0])]), ambient.unit()),
+    ]
+    for space in spaces:
+        for k in (1, 3):
+            t = random_tuple(space, rng, k)
+            for scale in (1e-170, 1e-160, 1.0, 1e155, 1e160):
+                scaled = ModuleTuple(tuple(scale * x for x in t))
+                expected = stack(scaled).norm()
+                assert expected > 0.0
+                assert abs(scaled.norm() - expected) <= 1e-15 * expected
 
 
 # -- corners -----------------------------------------------------------------------

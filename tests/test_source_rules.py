@@ -6,7 +6,9 @@ one non-finite rule, and every functional calculus through one eigh loop.  A
 private SVD loop elsewhere once turned an overflow into a raw
 ``LinAlgError`` instead of a ``DomainError``; this test keeps such loops out.
 Every generator and draw stays in ``sampling``, which defines the one draw
-order that seeded reports depend on.
+order that seeded reports depend on.  A tuple is stacked into one element of
+``M^n`` in one place, ``ModuleTuple._stacked``, which its norm, ``stack`` and
+the generation oracle read.
 """
 
 import ast
@@ -107,6 +109,23 @@ def test_random_draws_stay_in_sampling():
     assert not stray, "generator or draw outside sampling.py: " + ", ".join(stray)
     # The rule is not vacuous: sampling names all three.
     assert {name for _, name, _, _ in uses} == RANDOM
+
+
+#: The one place allowed to stack blocks: the stacked form of a tuple.
+STACKING = {"vstack"}
+STACKED_FORM = ("hilbert_module", "ModuleTuple._stacked")
+
+
+def test_tuples_are_stacked_in_one_place():
+    uses = [(module, scope) for module, _, scope, _ in _uses(STACKING)]
+    stray = [
+        f"{module}.py in {scope or '<module>'}"
+        for module, scope in uses
+        if (module, scope) != STACKED_FORM
+    ]
+    assert not stray, "per-entry stacking outside ModuleTuple._stacked: " + ", ".join(stray)
+    # The rule is not vacuous: the stacked form does stack.
+    assert uses == [STACKED_FORM]
 
 
 #: Space classes whose methods must not build elements themselves.

@@ -265,14 +265,23 @@ def test_bass_reduce_scalar_pair():
 
 
 def test_bass_reduce_fails_below_stable_rank():
+    # The counting bound rules out every 1-entry truncation, so nothing is drawn.
     space = ModuleSpace(Algebra((1,)), 1, 2)
     rng = np.random.default_rng(4)
     t = random_unimodular(space, rng, 2)
-    with pytest.raises(ReductionFailedError) as err:
+    with pytest.raises(ReductionFailedError, match="counting bound") as err:
         bass_reduce(t, PerturbationParams(eps=0.1, seed=1, max_retries=12))
-    assert len(err.value.eta_schedule) == 12
-    assert err.value.eta_schedule[0] == pytest.approx(1e-3)
-    assert err.value.eta_schedule[-1] == pytest.approx(1e-3 * 2 ** 11)
+    assert err.value.eta_schedule == ()
+
+
+def test_bass_reduce_exhausts_its_retries():
+    # (0, 1) is unimodular and the bound allows its 1-entry truncations, but
+    # perturbations of size eta <= 4e-3 have Gram margins far below tol 1e-4.
+    space = scalar_space()
+    t = ModuleTuple((scalar(space, 0.0), scalar(space, 1.0)))
+    with pytest.raises(ReductionFailedError, match="after 3 retries") as err:
+        bass_reduce(t, PerturbationParams(eps=0.1, tol=1e-4, seed=0, max_retries=3))
+    assert err.value.eta_schedule == pytest.approx((1e-3, 2e-3, 4e-3))
 
 
 def test_bass_reduce_sound_on_both_routes():
