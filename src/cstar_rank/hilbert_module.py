@@ -13,7 +13,9 @@ Two independent routes decide whether a tuple generates the module:
 * :func:`gen_oracle` reads the critical singular value of the span map
   ``(a_1, ..., a_k) -> sum_j a_j . x_j`` from the stacked entry cores.
 
-They agree on full spaces; on a non-full corner they may differ by design.
+They agree on full spaces at unit scale: scaled by ``1e-4``, a unimodular pair of
+``M_{1x2}(C)`` fails the first and passes the second (ROADMAP item 3).  On a
+non-full corner they may differ by design.
 
 Skew corners ``p M_N(A) q`` keep their elements inside the ambient matrix
 algebra.  Both kinds of space describe block ``i`` by its compressed shape
@@ -351,12 +353,8 @@ class ModuleTuple:
 
 
 def inner_right(x, y) -> AlgebraElement:
-    """Right inner product ``x* y``, conjugate-linear in ``x``."""
-    _same_space(x, y)
-    return AlgebraElement._wrap(
-        x.space.right_algebra,
-        [xb.conj().T @ yb for xb, yb in zip(x.blocks, y.blocks)],
-    )
+    """Right inner product ``x* y``, conjugate-linear in ``x``: the pairing of 1-tuples."""
+    return pairing(ModuleTuple((x,)), ModuleTuple((y,)))
 
 
 def inner_left(x, y) -> AlgebraElement:
@@ -450,7 +448,8 @@ def normalize_tuple(t: ModuleTuple, tol: float = DEFAULT_TOL) -> ModuleTuple:
 def gen_oracle(t: ModuleTuple, tol: float = DEFAULT_TOL) -> bool:
     """Whether :func:`generation_margin` exceeds ``tol``; no inner product is formed.
 
-    Agrees with :func:`is_unimodular` on full spaces, away from ``tol``.
+    Agrees with :func:`is_unimodular` on full spaces at unit scale, away from ``tol``;
+    a small tuple can pass here and fail there (ROADMAP item 3).
     """
     _require_positive_finite("tol", tol)
     return generation_margin(t) > tol

@@ -4,13 +4,14 @@ The pieces fit together as follows.  The ceiling formula
 ``ceil((sr_A + m - 1) / n)`` predicts the stable rank of the ``n x m`` matrix
 module.  :func:`warfield_b_to_a` turns a dual witness of an ``(n+1)``-tuple
 into reduction coefficients that collapse the last entry onto the first
-``n``.  :func:`bass_reduce` manufactures such a witness by randomly
-perturbing the canonical one until its truncation is unimodular, mirroring
-the classical Bass reduction argument.  :func:`hv_pad` appends a spectral
-bump ``y_k = u_k * (1 - b0/eps)^+`` that makes any tuple unimodular, and
-:func:`hv_perturb` chains padding with iterated reductions and a damping
-factor ``(1 + k*b)^{-1}`` to move an arbitrary tuple onto a unimodular one
-while travelling less than ``sqrt(eps) + eps``.
+``n``, stored as one block matrix per left-algebra block.  :func:`bass_reduce`
+manufactures such a witness by randomly perturbing the canonical one until
+its truncation is unimodular, mirroring the classical Bass reduction
+argument.  :func:`hv_pad` appends a spectral bump ``y_k = u_k * (1 - b0/eps)^+``
+that makes any tuple unimodular, and :func:`hv_perturb` chains padding with
+iterated reductions and a damping factor ``(1 + k*b)^{-1}`` to move an
+arbitrary tuple onto a unimodular one while travelling less than
+``sqrt(eps) + eps``.
 
 :func:`density_experiment` estimates how often random Gaussian tuples are
 unimodular, with deterministic per-trial seeding.
@@ -35,7 +36,6 @@ from .hilbert_module import (
     _same_space,
     dual_witness,
     gram,
-    inner_left,
     is_unimodular,
     pairing,
     space_from_json_dict,
@@ -81,51 +81,62 @@ class ReductionCoefficients:
     """A rectangular array of left-algebra coefficients acting on tuples.
 
     An ``n x r`` array maps an ``r``-tuple ``(y_1, ..., y_r)`` to the
-    ``n``-tuple with entries ``sum_k a[j][k] . y_k``, i.e. it is a block
-    matrix over the left algebra acting on stacked module coordinates.
+    ``n``-tuple with entries ``sum_k a[j][k] . y_k``: one adjointable operator
+    ``M^r -> M^n``, stored in ``blocks`` as one read-only ``(n L) x (r L)``
+    matrix per left-algebra block of size ``L``, whose largest singular value
+    is :func:`adjointable_norm`; ``coeffs`` holds views of them.
     """
 
     def __init__(self, space, coeffs):
         coeffs = tuple(tuple(row) for row in coeffs)
         if not coeffs or not coeffs[0]:
             raise ValueError("coefficient array must be nonempty")
-        width = len(coeffs[0])
         left = space.left_algebra
         for row in coeffs:
-            if len(row) != width:
+            if len(row) != len(coeffs[0]):
                 raise ShapeMismatchError("coefficient rows have unequal lengths")
-            for a in row:
-                if a.algebra != left:
-                    raise ShapeMismatchError(
-                        "coefficients must live in the left algebra of the space"
-                    )
-        self.space = space
-        self.coeffs = coeffs
+            if any(a.algebra != left for a in row):
+                raise ShapeMismatchError("coefficients must live in the left algebra of the space")
+        self._set(space, [np.block([[a.blocks[i] for a in row] for row in coeffs])
+                          for i in range(left.num_blocks)])
 
-    @property
-    def shape(self) -> tuple:
-        return (len(self.coeffs), len(self.coeffs[0]))
+    @classmethod
+    def _from_blocks(cls, space, blocks) -> "ReductionCoefficients":
+        """Trusted constructor from the block matrices; no copy, no check."""
+        a = cls.__new__(cls)
+        a._set(space, blocks)
+        return a
+
+    def _set(self, space, blocks):
+        self.space, self.blocks, left = space, tuple(blocks), space.left_algebra
+        for b in self.blocks:
+            b.setflags(write=False)
+        # Per block the (n, L, r, L) form: coefficient (j, m) is [j, :, m].
+        n, r = self.shape = tuple(d // left.block_sizes[0] for d in self.blocks[0].shape)
+        views = [b.reshape(n, k, r, k) for b, k in zip(self.blocks, left.block_sizes)]
+        self.coeffs = tuple(
+            tuple(AlgebraElement._wrap(left, [v[j, :, m] for v in views]) for m in range(r))
+            for j in range(n)
+        )
 
     def apply(self, entries) -> list:
-        """Image of an ``r``-tuple under the coefficient block matrix."""
+        """Image of an ``r``-tuple: the block matrices times its stacked form, projected."""
         n_out, n_in = self.shape
         if len(entries) != n_in:
             raise ShapeMismatchError(
                 f"expected {n_in} tuple entries, got {len(entries)}"
             )
-        out = []
-        for row in self.coeffs:
-            acc = row[0] * entries[0]
-            for a, y in zip(row[1:], entries[1:]):
-                acc = acc + a * y
-            out.append(acc)
-        return out
+        t = ModuleTuple(tuple(entries))
+        if t.space.left_algebra != self.space.left_algebra:
+            raise ShapeMismatchError("left operand is not in the left algebra of the space")
+        images = [(c @ x).reshape(n_out, *shape)
+                  for c, x, shape in zip(self.blocks, t._stacked(), t.space.block_shapes)]
+        return [t.space._projected(blocks) for blocks in zip(*images)]
 
     def to_json_dict(self) -> dict:
-        n_out, n_in = self.shape
         return {
             "space": self.space.to_json_dict(),
-            "shape": [n_out, n_in],
+            "shape": list(self.shape),
             "entries": [[a.to_json_dict() for a in row] for row in self.coeffs],
         }
 
@@ -137,17 +148,15 @@ class ReductionCoefficients:
             [AlgebraElement.from_json_dict(left, a) for a in row]
             for row in data["entries"]
         ]
-        return cls(space, coeffs)
+        a = cls(space, coeffs)
+        if list(data["shape"]) != list(a.shape):
+            raise ValueError(f"declared shape {data['shape']}, entries of shape {list(a.shape)}")
+        return a
 
 
 def adjointable_norm(a: ReductionCoefficients) -> float:
-    """Norm of the coefficient array as an adjointable operator between tuples:
-    the operator norm of the assembled block matrix, per base-algebra block."""
-    assembled = [
-        np.block([[c.blocks[i] for c in row] for row in a.coeffs])
-        for i in range(a.space.left_algebra.num_blocks)
-    ]
-    return max(_extreme_svals(assembled)[0])
+    """Norm of the array as an operator ``M^r -> M^n``: the largest singular value of its blocks."""
+    return max(_extreme_svals(a.blocks)[0])
 
 
 def warfield_forward(t: ModuleTuple, a: ReductionCoefficients) -> ModuleTuple:
@@ -205,13 +214,10 @@ def warfield_b_to_a(
             f"truncation dual residual {dual_residual:.3g} exceeds {WITNESS_TOL:g}"
         )
 
-    a_entries = [inner_left(z[k], y[n]) for k in range(n)]
-    a = ReductionCoefficients(space, [[c] for c in a_entries])
-
-    telescoped = a_entries[0].adjoint() * y[0]
-    for k in range(1, n):
-        telescoped = telescoped + a_entries[k].adjoint() * y[k]
-    tele_residual = (telescoped - y[n]).norm()
+    a_blocks = [zb @ yb.conj().T for zb, yb in zip(z._stacked(), y[n].blocks)]
+    a = ReductionCoefficients._from_blocks(space, a_blocks)
+    adjoint = ReductionCoefficients._from_blocks(space, [b.conj().T for b in a.blocks])
+    tele_residual = (adjoint.apply(y.entries[:n])[0] - y[n]).norm()
     if tele_residual > TELESCOPE_TOL:
         raise DomainError(
             f"telescoping residual {tele_residual:.3g} exceeds {TELESCOPE_TOL:g}"
@@ -353,25 +359,19 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
     _refuse_below_stable_rank(space, n)
     padded, bump = _pad_with_bump(t, u, eps, params.tol)
 
-    left = space.left_algebra
-    # Coefficients of the current tuple over the r padding entries, the only
-    # ones the result reads: x rows start at zero, y rows at the unit.
-    expansion = [[left.zero()] * r for _ in range(n)] + [
-        [left.unit() if i == j else left.zero() for j in range(r)] for i in range(r)
-    ]
+    # Per left block of size k, the coefficients of the current tuple over the r padding
+    # entries, the only ones the result reads: x rows start at zero, y rows at the unit.
+    sizes = space.left_algebra.block_sizes
+    expansion = [np.eye((n + r) * k, r * k, -n * k, dtype=np.complex128) for k in sizes]
     current = padded
     for stage in range(r):
         stage_params = replace(params, seed=derived_seed(params.seed, stage))
         column = bass_reduce(current, stage_params)
-        col_entries = [row[0] for row in column.coeffs]
-        last = expansion[-1]
-        expansion = [
-            [a + c * b for a, b in zip(row, last)]
-            for c, row in zip(col_entries, expansion)
-        ]
+        # Collapsing the last entry with the column C maps E to E[:-k] + C E[-k:].
+        expansion = [e[:-k] + c @ e[-k:] for e, c, k in zip(expansion, column.blocks, sizes)]
         current = warfield_forward(current, column)
 
-    coeffs = ReductionCoefficients(space, expansion)
+    coeffs = ReductionCoefficients._from_blocks(space, expansion)
     # Cross-check the accumulated coefficients against the iterated reduction.
     recombined = warfield_forward(padded, coeffs)
     a_norm = adjointable_norm(coeffs)

@@ -131,6 +131,10 @@ def test_reduction_coefficients_roundtrip():
     for row_a, row_b in zip(coeffs.coeffs, back.coeffs):
         for a, b in zip(row_a, row_b):
             assert all(np.array_equal(x, y) for x, y in zip(a.blocks, b.blocks))
+    # A declared shape that disagrees with the entries is refused.
+    data["shape"] = [5, 3]
+    with pytest.raises(ValueError, match="declared shape"):
+        ReductionCoefficients.from_json_dict(data)
 
 
 def test_density_report_embeds_provenance():

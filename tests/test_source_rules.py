@@ -8,7 +8,8 @@ private SVD loop elsewhere once turned an overflow into a raw
 Every generator and draw stays in ``sampling``, which defines the one draw
 order that seeded reports depend on.  A tuple is stacked into one element of
 ``M^n`` in one place, ``ModuleTuple._stacked``, which its norm, ``stack`` and
-the generation oracle read.
+the generation oracle read.  A coefficient array is assembled into its block
+matrices in one place, the ``ReductionCoefficients`` constructor.
 """
 
 import ast
@@ -126,6 +127,25 @@ def test_tuples_are_stacked_in_one_place():
     assert not stray, "per-entry stacking outside ModuleTuple._stacked: " + ", ".join(stray)
     # The rule is not vacuous: the stacked form does stack.
     assert uses == [STACKED_FORM]
+
+
+#: The one place allowed to assemble a block matrix: coefficient storage.
+ASSEMBLY = {"block"}
+ASSEMBLED_FORM = ("stable_rank", "ReductionCoefficients.__init__")
+
+
+def test_coefficients_are_assembled_in_one_place():
+    # A coefficient array is stored as its block matrices, built once; an
+    # ``np.block`` elsewhere would rebuild them per call.
+    uses = [(module, scope) for module, _, scope, _ in _uses(ASSEMBLY)]
+    stray = [
+        f"{module}.py in {scope or '<module>'}"
+        for module, scope in uses
+        if (module, scope) != ASSEMBLED_FORM
+    ]
+    assert not stray, "block assembly outside ReductionCoefficients.__init__: " + ", ".join(stray)
+    # The rule is not vacuous: the constructor does assemble.
+    assert uses == [ASSEMBLED_FORM]
 
 
 #: Space classes whose methods must not build elements themselves.

@@ -33,6 +33,7 @@ from cstar_rank import (
     warfield_b_to_a,
     warfield_forward,
 )
+from test_hilbert_module import CORNER_CASES, corner_with_ranks
 
 
 def scalar_space():
@@ -99,24 +100,66 @@ def test_adjointable_norm_trivial():
     assert abs(adjointable_norm(ident) - 1.0) < 1e-12
 
 
+def _apply_per_entry(coeffs, entries):
+    """Reference action ``sum_k a[j][k] * y_k``, one module action per coefficient."""
+    out = []
+    for row in coeffs.coeffs:
+        acc = row[0] * entries[0]
+        for a, y in zip(row[1:], entries[1:]):
+            acc = acc + a * y
+        out.append(acc)
+    return out
+
+
 def test_adjointable_norm_bounds_action():
+    # Per case: the space, one with the same left algebra, one with another.
+    base, size, p_ranks, q_ranks, _ = CORNER_CASES[1]
+    corner_rng = np.random.default_rng(17)
+    cases = [
+        (ModuleSpace(Algebra((2, 1)), 2, 2), ModuleSpace(Algebra((2, 1)), 2, 3),
+         ModuleSpace(Algebra((2, 1)), 1, 2)),
+        (corner_with_ranks(base, size, p_ranks, q_ranks, corner_rng),
+         corner_with_ranks(*CORNER_CASES[2][:4], corner_rng), ModuleSpace(Algebra(base), 1, 2)),
+    ]
     rng = np.random.default_rng(0)
-    space = ModuleSpace(Algebra((2, 1)), 2, 2)
-    left = space.left_algebra
-    for _ in range(100):
-        coeffs = ReductionCoefficients(
-            space,
-            [
-                [left.random_element(rng) for _ in range(2)]
-                for _ in range(3)
-            ],
+    for space, same_left, foreign in cases:
+        left = space.left_algebra
+        for _ in range(100):
+            coeffs = ReductionCoefficients(
+                space,
+                [
+                    [left.random_element(rng) for _ in range(2)]
+                    for _ in range(3)
+                ],
+            )
+            bound = adjointable_norm(coeffs)
+            # One read-only block matrix per left-algebra block, rebuilt bit for bit.
+            again = ReductionCoefficients(space, coeffs.coeffs)
+            assert all(np.array_equal(a, b) for a, b in zip(again.blocks, coeffs.blocks))
+            assert not any(b.flags.writeable for b in coeffs.blocks)
+            assembled = [
+                np.block([[a.blocks[i] for a in row] for row in coeffs.coeffs])
+                for i in range(left.num_blocks)
+            ]
+            assert bound == max(np.linalg.norm(b, 2) for b in assembled)
+            for _ in range(5):
+                entries = [space.random_element(rng) for _ in range(2)]
+                out = ModuleTuple(tuple(coeffs.apply(entries)))
+                in_norm = ModuleTuple(tuple(entries)).norm()
+                assert out.norm() <= bound * in_norm + 1e-9
+                reference = _apply_per_entry(coeffs, entries)
+                assert (out - ModuleTuple(tuple(reference))).norm() <= 1e-12 * bound * in_norm
+        # A tuple of another space with the same left algebra maps into its own space.
+        entries = [same_left.random_element(rng) for _ in range(2)]
+        out = coeffs.apply(entries)
+        assert all(x.space == same_left for x in out)
+        reference = _apply_per_entry(coeffs, entries)
+        in_norm = ModuleTuple(tuple(entries)).norm()
+        assert (ModuleTuple(tuple(out)) - ModuleTuple(tuple(reference))).norm() <= (
+            1e-12 * adjointable_norm(coeffs) * in_norm
         )
-        bound = adjointable_norm(coeffs)
-        for _ in range(5):
-            entries = [space.random_element(rng) for _ in range(2)]
-            out = ModuleTuple(tuple(coeffs.apply(entries)))
-            in_norm = ModuleTuple(tuple(entries)).norm()
-            assert out.norm() <= bound * in_norm + 1e-9
+        with pytest.raises(ShapeMismatchError):
+            coeffs.apply([foreign.random_element(rng) for _ in range(2)])
 
 
 def test_coefficients_validate_parent_algebra():
