@@ -54,6 +54,20 @@ def _extreme_svals(blocks) -> tuple[list, list]:
     return tops, bottoms
 
 
+def _gate_norm(blocks, bound) -> float:
+    """A norm of ``blocks`` only compared with ``bound``: the Frobenius norm, an
+    upper bound of the SVD norm, when it clears ``bound`` by a relative 1e-10,
+    far above rounding, and so decides every comparison as the SVD would; else
+    the SVD norm, exactly 0 for zero blocks.  A sum of squares that overflows,
+    underflows or is NaN takes the SVD."""
+    squares = sum(np.vdot(b, b).real for b in blocks)
+    if 1e-290 < squares < math.inf and math.sqrt(squares) <= bound * (1.0 - 1e-10):
+        return math.sqrt(squares)
+    if squares == 0.0 and not any(b.any() for b in blocks):
+        return 0.0
+    return max(_extreme_svals(blocks)[0])
+
+
 def _margin(tops, bottoms) -> float:
     """The one invertibility rule: the smallest singular value over all blocks
     divided by ``max(1, largest)``, from the extremes of one matrix per block."""
@@ -280,7 +294,8 @@ class AlgebraElement(_Blocks):
 
     def _is_self_adjoint_at(self, norm: float) -> bool:
         # ``norm`` is this element's norm, taken once by callers that need it again.
-        return (self - self.adjoint()).norm() <= SELF_ADJOINT_RTOL * norm
+        bound = SELF_ADJOINT_RTOL * norm
+        return _gate_norm((self - self.adjoint()).blocks, bound) <= bound
 
     # -- invertible group ---------------------------------------------------
 

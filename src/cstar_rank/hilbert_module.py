@@ -38,6 +38,7 @@ from .algebra import (
     AlgebraElement,
     _Blocks,
     _extreme_svals,
+    _gate_norm,
     _hermitized,
     _margin,
     _require_positive_finite,
@@ -520,9 +521,8 @@ class CornerSpace(_SpaceOps):
                 raise ShapeMismatchError(
                     f"{name} must live in the ambient algebra M_{size}(A)"
                 )
-            if (proj - proj.adjoint()).norm() > PROJECTION_TOL or (
-                proj * proj - proj
-            ).norm() > PROJECTION_TOL:
+            residuals = (proj - proj.adjoint(), proj * proj - proj)
+            if any(_gate_norm(r.blocks, PROJECTION_TOL) > PROJECTION_TOL for r in residuals):
                 raise DomainError(f"{name} is not a projection (p = p* = p^2)")
         self.alg = alg
         self.size = size
@@ -651,7 +651,7 @@ def tuple_from_json_list(data) -> ModuleTuple:
         if item["space"] != data[0]["space"]:
             raise ShapeMismatchError("tuple entries declare different spaces")
         x = ModuleElement(space, [matrix_from_json(m) for m in item["blocks"]])
-        moved = (x - space._projected(x.blocks)).norm()
+        moved = _gate_norm((x - space._projected(x.blocks)).blocks, PROJECTION_TOL)
         # Only an entry that moves needs its own norm.
         if moved > PROJECTION_TOL and moved > PROJECTION_TOL * x.norm():
             raise ValueError(

@@ -4,14 +4,16 @@ The pieces fit together as follows.  The ceiling formula
 ``ceil((sr_A + m - 1) / n)`` predicts the stable rank of the ``n x m`` matrix
 module.  :func:`warfield_b_to_a` turns a dual witness of an ``(n+1)``-tuple
 into reduction coefficients that collapse the last entry onto the first
-``n``, stored as one block matrix per left-algebra block.  :func:`bass_reduce`
-manufactures such a witness by randomly perturbing the canonical one until
-its truncation is unimodular, mirroring the classical Bass reduction
-argument.  :func:`hv_pad` appends a spectral bump ``y_k = u_k * (1 - b0/eps)^+``
-that makes any tuple unimodular, and :func:`hv_perturb` chains padding with
-iterated reductions and a damping factor ``(1 + k*b)^{-1}`` to move an
-arbitrary tuple onto a unimodular one while travelling less than
-``sqrt(eps) + eps``.
+``n``, stored as one block matrix per left-algebra block, and computes the
+dual of the witness's truncation itself: its refusal is the truncation check.
+:func:`bass_reduce` manufactures such a witness by randomly perturbing the
+canonical one until its truncation is unimodular, mirroring the classical
+Bass reduction argument.  :func:`hv_pad` appends a spectral bump
+``y_k = u_k * (1 - b0/eps)^+`` that makes any tuple unimodular, and
+:func:`hv_perturb` chains padding with iterated reductions and a damping
+factor ``(1 + k*b)^{-1}`` to move an arbitrary tuple onto a unimodular one
+while travelling less than ``sqrt(eps) + eps``; its gates, like every norm
+only compared with a bound, go through ``algebra._gate_norm``.
 
 :func:`density_experiment` estimates how often random Gaussian tuples are
 unimodular, with deterministic per-trial seeding.
@@ -25,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._version import __version__
-from .algebra import DEFAULT_TOL, AlgebraElement, _extreme_svals, _require_positive_finite
+from .algebra import DEFAULT_TOL, AlgebraElement, _extreme_svals, _gate_norm, _require_positive_finite
 from .errors import (
     DomainError,
     ReductionFailedError,
@@ -84,7 +86,7 @@ class ReductionCoefficients:
     ``n``-tuple with entries ``sum_k a[j][k] . y_k``: one adjointable operator
     ``M^r -> M^n``, stored in ``blocks`` as one read-only ``(n L) x (r L)``
     matrix per left-algebra block of size ``L``, whose largest singular value
-    is :func:`adjointable_norm`; ``coeffs`` holds views of them.
+    is :func:`adjointable_norm`; ``coeffs`` builds views of them on read.
     """
 
     def __init__(self, space, coeffs):
@@ -108,13 +110,18 @@ class ReductionCoefficients:
         return a
 
     def _set(self, space, blocks):
-        self.space, self.blocks, left = space, tuple(blocks), space.left_algebra
+        self.space, self.blocks = space, tuple(blocks)
         for b in self.blocks:
             b.setflags(write=False)
+        self.shape = tuple(d // space.left_algebra.block_sizes[0] for d in self.blocks[0].shape)
+
+    @property
+    def coeffs(self) -> tuple:
+        left = self.space.left_algebra
         # Per block the (n, L, r, L) form: coefficient (j, m) is [j, :, m].
-        n, r = self.shape = tuple(d // left.block_sizes[0] for d in self.blocks[0].shape)
+        n, r = self.shape
         views = [b.reshape(n, k, r, k) for b, k in zip(self.blocks, left.block_sizes)]
-        self.coeffs = tuple(
+        return tuple(
             tuple(AlgebraElement._wrap(left, [v[j, :, m] for v in views]) for m in range(r))
             for j in range(n)
         )
@@ -177,13 +184,14 @@ def warfield_forward(t: ModuleTuple, a: ReductionCoefficients) -> ModuleTuple:
 
 
 def warfield_b_to_a(
-    t: ModuleTuple, y: ModuleTuple, z: ModuleTuple, tol: float = DEFAULT_TOL
+    t: ModuleTuple, y: ModuleTuple, z: ModuleTuple | None = None, tol: float = DEFAULT_TOL
 ) -> ReductionCoefficients:
     """Reduction coefficients from a dual witness with unimodular truncation.
 
     Preconditions: ``sum_{k<=n+1} <y_k, x_k> = 1``, the truncation
     ``(y_1, ..., y_n)`` is unimodular, and ``z`` is a dual of that truncation
-    (``sum_{k<=n} <y_k, z_k> = 1``).  The coefficients are
+    (``sum_{k<=n} <y_k, z_k> = 1``), by default its :func:`dual_witness`, whose
+    refusal is then the truncation check.  The coefficients are
     ``a_k = <z_k, y_{n+1}>_L``; they satisfy the telescoping identity
     ``sum_k a_k* . y_k = y_{n+1}``, which forces the collapsed tuple to stay
     unimodular.  Both facts are verified before returning.
@@ -191,24 +199,30 @@ def warfield_b_to_a(
     n = len(t) - 1
     if n < 1:
         raise ShapeMismatchError("need a tuple of length at least 2")
-    if len(y) != n + 1 or len(z) != n:
+    z_len = n if z is None else len(z)
+    if len(y) != n + 1 or z_len != n:
         raise ShapeMismatchError(
-            f"witness lengths ({len(y)}, {len(z)}) do not match tuple length {n + 1}"
+            f"witness lengths ({len(y)}, {z_len}) do not match tuple length {n + 1}"
         )
     space = t.space
     unit = space.right_algebra_unit()
 
-    residual = (pairing(y, t) - unit).norm()
+    residual = _gate_norm((pairing(y, t) - unit).blocks, WITNESS_TOL)
     if residual > WITNESS_TOL:
         raise DomainError(
             f"witness pairing residual {residual:.3g} exceeds {WITNESS_TOL:g}"
         )
 
     truncated = ModuleTuple(y.entries[:n])
-    if not is_unimodular(truncated, tol):
+    if z is None:
+        try:
+            z = dual_witness(truncated, tol)
+        except DomainError as exc:
+            raise DomainError(f"truncated witness (y_1, ..., y_n) is not unimodular: {exc}") from exc
+    elif not is_unimodular(truncated, tol):
         raise DomainError("truncated witness (y_1, ..., y_n) is not unimodular")
 
-    dual_residual = (pairing(truncated, z) - unit).norm()
+    dual_residual = _gate_norm((pairing(truncated, z) - unit).blocks, WITNESS_TOL)
     if dual_residual > WITNESS_TOL:
         raise DomainError(
             f"truncation dual residual {dual_residual:.3g} exceeds {WITNESS_TOL:g}"
@@ -217,7 +231,7 @@ def warfield_b_to_a(
     a_blocks = [zb @ yb.conj().T for zb, yb in zip(z._stacked(), y[n].blocks)]
     a = ReductionCoefficients._from_blocks(space, a_blocks)
     adjoint = ReductionCoefficients._from_blocks(space, [b.conj().T for b in a.blocks])
-    tele_residual = (adjoint.apply(y.entries[:n])[0] - y[n]).norm()
+    tele_residual = _gate_norm((adjoint.apply(y.entries[:n])[0] - y[n]).blocks, TELESCOPE_TOL)
     if tele_residual > TELESCOPE_TOL:
         raise DomainError(
             f"telescoping residual {tele_residual:.3g} exceeds {TELESCOPE_TOL:g}"
@@ -289,9 +303,7 @@ def bass_reduce(t: ModuleTuple, params: PerturbationParams) -> ReductionCoeffici
     # d_star passed right_is_invertible above; its adjoint d has the same singular values.
     d_inv = space.right_inverse(d, params.tol, check=False)
     y_entries = [v * d_inv for v in zbar] + [z[n] * d_inv]
-    y = ModuleTuple(tuple(y_entries))
-    z_trunc = dual_witness(ModuleTuple(tuple(y_entries[:n])), params.tol)
-    return warfield_b_to_a(t, y, z_trunc, tol=params.tol)
+    return warfield_b_to_a(t, ModuleTuple(tuple(y_entries)), tol=params.tol)
 
 
 def _pad_with_bump(t: ModuleTuple, u: ModuleTuple, eps: float, tol: float):
@@ -323,7 +335,7 @@ def hv_pad(
     _require_positive_finite("eps", eps)
     _same_space(t, u, "tuples live over different spaces")
     unit = t.space.right_algebra_unit()
-    residual = (gram(u) - unit).norm()
+    residual = _gate_norm((gram(u) - unit).blocks, WITNESS_TOL)
     if residual > WITNESS_TOL:
         raise DomainError(
             f"padding tuple is not normalized: ||<u,u> - 1|| = {residual:.3g}"
@@ -375,8 +387,10 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
     # Cross-check the accumulated coefficients against the iterated reduction.
     recombined = warfield_forward(padded, coeffs)
     a_norm = adjointable_norm(coeffs)
-    drift = (recombined - current).norm()
-    if drift > 1e-8 * max(1.0, current.norm(), a_norm):
+    # The tuple's own norm only widens the bound, so it is taken only when needed.
+    drift_bound = 1e-8 * max(1.0, a_norm)
+    drift = _gate_norm((recombined - current)._stacked(), drift_bound)
+    if drift > drift_bound and drift > 1e-8 * max(1.0, current.norm(), a_norm):
         raise DomainError(
             f"coefficient accumulation drifted by {drift:.3g}; the reduction is "
             f"too ill-conditioned to certify"
@@ -390,8 +404,8 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
 
     if not is_unimodular(moved, params.tol):
         raise DomainError("perturbed tuple failed the unimodularity postcondition")
-    distance = (t - moved).norm()
     bound = math.sqrt(eps) + eps
+    distance = _gate_norm((t - moved)._stacked(), bound)
     if not distance < bound:
         raise DomainError(
             f"perturbed tuple moved {distance:.6g}, not below sqrt(eps)+eps = {bound:.6g}"

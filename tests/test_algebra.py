@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstar_rank import (
     Algebra,
@@ -9,7 +11,7 @@ from cstar_rank import (
     InvertibilityError,
     ShapeMismatchError,
 )
-from cstar_rank.algebra import _extreme_svals
+from cstar_rank.algebra import _extreme_svals, _gate_norm
 
 BASES = [(1,), (2,), (3,), (1, 2), (2, 3)]
 
@@ -138,6 +140,68 @@ def test_huge_finite_singular_values_are_not_an_overflow():
     for bad in (np.inf, np.nan):
         with pytest.raises(DomainError, match="not finite"):
             _extreme_svals([np.array([[[1e308]], [[bad]]])])
+
+
+def _gate_blocks(kind, shapes, seed, exponent):
+    """Complex blocks of one kind, scaled by ``10**exponent``."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for m, n in shapes:
+        if kind == "1x1":
+            m = n = 1
+        g = rng.standard_normal((m, n, 2)) @ [1.0, 1j]
+        if kind == "rank-1":
+            g = np.outer(g[:, 0], rng.standard_normal((n, 2)) @ [1.0, 1j])
+        blocks.append(g * 10.0**exponent)
+    return blocks
+
+
+def _moved(value, ulps):
+    for _ in range(abs(ulps)):
+        value = np.nextafter(value, np.inf if ulps > 0 else -np.inf)
+    return float(value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(["1x1", "rank-1", "full"]),
+    st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=3),
+    st.integers(0, 2**32 - 1),
+    st.floats(-175.0, 200.0),
+    st.sampled_from(["norm", "frobenius", "above", "zero", "negative"]),
+    st.integers(-2, 2),
+)
+def test_gate_norm_decides_every_comparison_as_the_svd(kind, shapes, seed, exponent, at, ulps):
+    # On rank-1 blocks the computed Frobenius norm is often below the computed
+    # largest singular value; the relative margin keeps such draws on the SVD.
+    blocks = _gate_blocks(kind, shapes, seed, exponent)
+    norm = max(_extreme_svals(blocks)[0])
+    # Scaled by the norm, so that the sum of squares neither overflows nor underflows.
+    frobenius = norm * float(np.linalg.norm(np.concatenate([b.ravel() for b in blocks]) / norm))
+    above = frobenius * (1.0 + 1e-9)
+    base = {"norm": norm, "frobenius": frobenius, "above": above, "zero": 0.0, "negative": -norm}[at]
+    bound = _moved(base, ulps)
+    value = _gate_norm(blocks, bound)
+    assert (value > bound) == (norm > bound)
+    assert (value < bound) == (norm < bound)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("bound", [-1.0, 0.0, 1.0, 1e300, np.inf])
+def test_gate_norm_refuses_non_finite_entries(bad, bound):
+    with pytest.raises(DomainError, match="not finite"):
+        _gate_norm([np.eye(2), np.array([[bad, 0.0]])], bound)
+
+
+def test_gate_norm_takes_the_frobenius_norm_well_below_the_bound():
+    blocks = [np.array([[1.0, 2.0], [3.0, 4.0j]]), np.array([[1e-3]])]
+    frobenius = float(np.sqrt(30.000001))
+    assert _gate_norm(blocks, 2 * frobenius) == pytest.approx(frobenius, rel=1e-15)
+    assert _gate_norm(blocks, frobenius) == max(_extreme_svals(blocks)[0])
+
+
+def test_gate_norm_of_zero_blocks_is_exactly_zero():
+    assert _gate_norm([np.zeros((2, 3)), np.zeros((1, 1))], 0.0) == 0.0
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

@@ -230,6 +230,19 @@ def test_reduce_below_rounding_fails_from_the_retries(tmp_path, capsys):
     assert "counting bound" in err and "stable rank 2" in err
 
 
+def test_reduce_names_the_truncated_witness_that_failed(tmp_path, capsys):
+    # At scale 1e5 the perturbed truncation's margin falls under the absolute
+    # part of the rule; the message once named the input tuple instead.
+    space = ModuleSpace(Algebra((1,)), 1, 2)
+    rng = np.random.default_rng(0)
+    t = ModuleTuple(tuple(space.random_element(rng) * 1e5 for _ in range(3)))
+    path = write_tuple(tmp_path / "scaled.json", t)
+    code, out, err = run_cli(capsys, ["reduce", "--input", path, "--no-timestamp"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: truncated witness (y_1, ..., y_n) is not unimodular: ")
+
+
 def test_corner_element_outside_the_corner_is_a_parse_error(tmp_path, capsys):
     # p = diag(1, 0), q = 1 in M_2(C): entries are 1 x 2 rows, stable rank 2.
     # The block I_2 is not p x q; check once called it unimodular with exit 0.

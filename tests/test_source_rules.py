@@ -9,7 +9,9 @@ Every generator and draw stays in ``sampling``, which defines the one draw
 order that seeded reports depend on.  A tuple is stacked into one element of
 ``M^n`` in one place, ``ModuleTuple._stacked``, which its norm, ``stack`` and
 the generation oracle read.  A coefficient array is assembled into its block
-matrices in one place, the ``ReductionCoefficients`` constructor.
+matrices in one place, the ``ReductionCoefficients`` constructor.  A norm
+that is only compared with a bound may be a Frobenius norm, taken in one place,
+``algebra._gate_norm``, which knows when it decides as the SVD would.
 """
 
 import ast
@@ -71,8 +73,8 @@ class _NamedUses(ast.NodeVisitor):
                 self.found.append((alias.name, ".".join(self.scope), node.lineno))
 
 
-def _allowed_scope(module, scope):
-    for allowed_module, allowed in ALLOWED:
+def _allowed_scope(module, scope, scopes=ALLOWED):
+    for allowed_module, allowed in scopes:
         if module == allowed_module and (scope == allowed or scope.startswith(allowed + ".")):
             return allowed_module, allowed
     return None
@@ -146,6 +148,25 @@ def test_coefficients_are_assembled_in_one_place():
     assert not stray, "block assembly outside ReductionCoefficients.__init__: " + ", ".join(stray)
     # The rule is not vacuous: the constructor does assemble.
     assert uses == [ASSEMBLED_FORM]
+
+
+#: The routine behind the Frobenius shortcut, and the one place allowed to name it.
+FROBENIUS = {"vdot"}
+GATE_NORM = {("algebra", "_gate_norm")}
+
+
+def test_frobenius_norms_are_taken_in_one_place():
+    # Below a bound's relative margin a Frobenius norm can decide a comparison
+    # differently from the SVD; only the gate primitive knows that margin.
+    uses = list(_uses(FROBENIUS))
+    stray = [
+        f"{module}.py:{line} in {scope or '<module>'}"
+        for module, _, scope, line in uses
+        if _allowed_scope(module, scope, GATE_NORM) is None
+    ]
+    assert not stray, "Frobenius sum outside algebra._gate_norm: " + ", ".join(stray)
+    # The rule is not vacuous: the primitive does take it.
+    assert uses
 
 
 #: Space classes whose methods must not build elements themselves.

@@ -1,6 +1,7 @@
 """Reduction coefficients, Warfield and Bass reductions, padding and density."""
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,6 +34,7 @@ from cstar_rank import (
     warfield_b_to_a,
     warfield_forward,
 )
+from cstar_rank.sampling import derived_seed
 from test_hilbert_module import CORNER_CASES, corner_with_ranks
 
 
@@ -236,6 +238,10 @@ def test_warfield_b_to_a_requires_unimodular_head():
     z = ModuleTuple((one,))
     with pytest.raises(DomainError):
         warfield_b_to_a(t, y, z)
+    # Without z the truncation's dual witness refuses it, and the message says so.
+    with pytest.raises(DomainError) as err:
+        warfield_b_to_a(t, y)
+    assert str(err.value).startswith("truncated witness (y_1, ..., y_n) is not unimodular: ")
 
 
 def test_warfield_b_to_a_checks_pairing_residual():
@@ -258,6 +264,8 @@ def test_warfield_b_to_a_random_instances():
         t = ModuleTuple(tuple(yk * b_inv for yk in y.entries))
         z = dual_witness(head)
         coeffs = warfield_b_to_a(t, y, z)
+        # Omitting z computes the same dual, so the coefficients are the same bit for bit.
+        assert all(np.array_equal(a, b) for a, b in zip(warfield_b_to_a(t, y).blocks, coeffs.blocks))
         reduced = warfield_forward(t, coeffs)
         assert is_unimodular(reduced)
         telescoped = coeffs.coeffs[0][0].adjoint() * y[0]
@@ -344,6 +352,18 @@ def test_bass_reduce_sound_on_both_routes():
             reduced = warfield_forward(t, coeffs)
             assert is_unimodular(reduced)
             assert gen_oracle(reduced)
+
+
+def test_bass_reduce_names_the_truncation_that_failed():
+    # At scale 1e5 the perturbed truncation's margin falls under the absolute
+    # part of the rule; the message once named the input tuple instead.
+    space = ModuleSpace(Algebra((1,)), 1, 2)
+    rng = np.random.default_rng(0)
+    t = ModuleTuple(tuple(space.random_element(rng) * 1e5 for _ in range(3)))
+    assert is_unimodular(t)
+    with pytest.raises(DomainError) as err:
+        bass_reduce(t, PerturbationParams(eps=1.0, seed=0))
+    assert str(err.value).startswith("truncated witness (y_1, ..., y_n) is not unimodular")
 
 
 def test_bass_reduce_requires_unimodular_input():
@@ -440,6 +460,51 @@ def test_hv_perturb_already_unimodular_stays_close():
     moved = hv_perturb(t, PerturbationParams(eps=0.25, seed=0))
     assert is_unimodular(moved)
     assert (t - moved).norm() < math.sqrt(0.25) + 0.25
+
+
+def reference_hv_perturb(t, params):
+    """The stage loop of ``hv_perturb`` from public pieces, the coefficients
+    accumulated as left-algebra elements."""
+    space, n, eps = t.space, len(t), params.eps
+    u = space.standard_unimodular_tuple()
+    r = len(u)
+    unit = space.right_algebra_unit()
+    bump = space.right_positive_part(unit - gram(t) / eps)
+    left = space.left_algebra
+    # Coefficients of the current tuple over the r padding entries.
+    acc = [[left.unit() if j == n + m else left.zero() for m in range(r)] for j in range(n + r)]
+    current = hv_pad(t, u, eps, params.tol)
+    for stage in range(r):
+        column = bass_reduce(current, replace(params, seed=derived_seed(params.seed, stage)))
+        last = acc.pop()
+        acc = [[a + c[0] * b for a, b in zip(row, last)] for row, c in zip(acc, column.coeffs)]
+        current = warfield_forward(current, column)
+    k = math.floor(adjointable_norm(ReductionCoefficients(space, acc)) / eps) + 1
+    damp_inv = space.right_inverse(unit + k * bump, params.tol)
+    return ModuleTuple(tuple(v * damp_inv for v in current.entries))
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.1, 1.0])
+def test_hv_perturb_matches_its_stage_loop_from_public_pieces(eps):
+    rng = np.random.default_rng(13)
+    spaces = [
+        ModuleSpace(Algebra((1,)), 1, 2),
+        ModuleSpace(Algebra((1, 2)), 2, 2),
+        ModuleSpace(Algebra((2, 3)), 2, 3),
+        corner_with_ranks(*CORNER_CASES[1][:4], rng),
+    ]
+    for space in spaces:
+        # Small tuples get a nonzero bump, so their reductions move them.
+        for seed, scale in [(0, 0.05), (1, 0.05), (2, 0.3), (3, 1.0)]:
+            t = random_tuple(space, rng, space.predicted_stable_rank())
+            t = ModuleTuple(tuple(scale * x for x in t.entries))
+            params = PerturbationParams(eps=eps, seed=seed)
+            moved, expected = hv_perturb(t, params), reference_hv_perturb(t, params)
+            assert all(
+                np.array_equal(a, b)
+                for x, y in zip(moved, expected)
+                for a, b in zip(x.blocks, y.blocks)
+            )
 
 
 def test_hv_perturb_fails_below_stable_rank():
