@@ -190,8 +190,9 @@ def warfield_b_to_a(
 
     Preconditions: ``sum_{k<=n+1} <y_k, x_k> = 1``, the truncation
     ``(y_1, ..., y_n)`` is unimodular, and ``z`` is a dual of that truncation
-    (``sum_{k<=n} <y_k, z_k> = 1``), by default its :func:`dual_witness`, whose
-    refusal is then the truncation check.  The coefficients are
+    (``sum_{k<=n} <y_k, z_k> = 1``), by default its :func:`dual_witness`.  That
+    dual is computed whether or not ``z`` is passed: its refusal is the one
+    truncation check.  The coefficients are
     ``a_k = <z_k, y_{n+1}>_L``; they satisfy the telescoping identity
     ``sum_k a_k* . y_k = y_{n+1}``, which forces the collapsed tuple to stay
     unimodular.  Both facts are verified before returning.
@@ -214,13 +215,11 @@ def warfield_b_to_a(
         )
 
     truncated = ModuleTuple(y.entries[:n])
-    if z is None:
-        try:
-            z = dual_witness(truncated, tol)
-        except DomainError as exc:
-            raise DomainError(f"truncated witness (y_1, ..., y_n) is not unimodular: {exc}") from exc
-    elif not is_unimodular(truncated, tol):
-        raise DomainError("truncated witness (y_1, ..., y_n) is not unimodular")
+    try:
+        own = dual_witness(truncated, tol)
+    except DomainError as exc:
+        raise DomainError(f"truncated witness (y_1, ..., y_n) is not unimodular: {exc}") from exc
+    z = own if z is None else z
 
     dual_residual = _gate_norm((pairing(truncated, z) - unit).blocks, WITNESS_TOL)
     if dual_residual > WITNESS_TOL:

@@ -37,8 +37,16 @@ ALLOWED = {
 }
 
 
+def _owner(node):
+    """The last name of what an attribute is read from: ``linalg`` in ``np.linalg.norm``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
 class _NamedUses(ast.NodeVisitor):
-    """Collects name, scope and line of every attribute or import named in ``names``."""
+    """Collects name, scope and line of every attribute or import named in
+    ``names``; a name ``owner.attr`` matches only ``attr`` read from ``owner``."""
 
     def __init__(self, names):
         self.names = names
@@ -61,16 +69,25 @@ class _NamedUses(ast.NodeVisitor):
         else:
             self.generic_visit(node)
 
+    def _match(self, owner, name):
+        for candidate in (name, f"{owner}.{name}"):
+            if candidate in self.names:
+                return candidate
+        return None
+
     def visit_Attribute(self, node):
-        if node.attr in self.names:
-            self.found.append((node.attr, ".".join(self.scope), node.lineno))
+        name = self._match(_owner(node.value), node.attr)
+        if name:
+            self.found.append((name, ".".join(self.scope), node.lineno))
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node):
         # ``from numpy.linalg import svd`` would hide the calls from the check above.
+        owner = (node.module or "").rpartition(".")[2]
         for alias in node.names:
-            if alias.name in self.names:
-                self.found.append((alias.name, ".".join(self.scope), node.lineno))
+            name = self._match(owner, alias.name)
+            if name:
+                self.found.append((name, ".".join(self.scope), node.lineno))
 
 
 def _allowed_scope(module, scope, scopes=ALLOWED):
@@ -150,8 +167,11 @@ def test_coefficients_are_assembled_in_one_place():
     assert uses == [ASSEMBLED_FORM]
 
 
-#: The routine behind the Frobenius shortcut, and the one place allowed to name it.
-FROBENIUS = {"vdot"}
+#: The numpy routines that take a Frobenius norm or sum of squares, and the one
+#: place allowed to name them.  ``linalg.norm`` is named with its module, since
+#: elements and tuples have ``norm`` methods of their own.  A sum of squares
+#: written out by hand, such as ``(abs(b) ** 2).sum()``, is not caught.
+FROBENIUS = {"vdot", "linalg.norm", "einsum"}
 GATE_NORM = {("algebra", "_gate_norm")}
 
 
