@@ -89,9 +89,9 @@ def _hermitian_calculus(blocks, f) -> list:
 
 
 def _shape_int(value) -> int:
-    """A block size or shape as an ``int``; ``TypeError`` for ``bool`` and non-integers."""
+    """A shape, count or seed as an ``int``; ``TypeError`` for ``bool`` and non-integers."""
     if isinstance(value, bool):
-        raise TypeError(f"a shape must be an integer, not the boolean {value!r}")
+        raise TypeError(f"expected an integer, not the boolean {value!r}")
     return operator.index(value)
 
 

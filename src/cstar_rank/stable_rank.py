@@ -8,12 +8,15 @@ into reduction coefficients that collapse the last entry onto the first
 dual of the witness's truncation itself: its refusal is the truncation check.
 :func:`bass_reduce` manufactures such a witness by randomly perturbing the
 canonical one until its truncation is unimodular, mirroring the classical
-Bass reduction argument.  :func:`hv_pad` appends a spectral bump
+Bass reduction argument.  Both are the one-entry case of Warfield's step,
+which collapses any number of trailing entries at once when the witness's
+truncation is unimodular.  :func:`hv_pad` appends a spectral bump
 ``y_k = u_k * (1 - b0/eps)^+`` that makes any tuple unimodular, and
-:func:`hv_perturb` chains padding with iterated reductions and a damping
-factor ``(1 + k*b)^{-1}`` to move an arbitrary tuple onto a unimodular one
-while travelling less than ``sqrt(eps) + eps``; its gates, like every norm
-only compared with a bound, go through ``algebra._gate_norm``.
+:func:`hv_perturb` chains padding with one reduction of all the padding
+entries and a damping factor ``(1 + k*b)^{-1}`` to move an arbitrary tuple
+onto a unimodular one while travelling less than ``sqrt(eps) + eps``; its
+gates, like every norm only compared with a bound, go through
+``algebra._gate_norm``.
 
 :func:`density_experiment` estimates how often random Gaussian tuples are
 unimodular, with deterministic per-trial seeding.
@@ -22,12 +25,12 @@ unimodular, with deterministic per-trial seeding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._version import __version__
-from .algebra import DEFAULT_TOL, AlgebraElement, _extreme_svals, _gate_norm, _require_positive_finite
+from .algebra import DEFAULT_TOL, AlgebraElement, _extreme_svals, _gate_norm, _require_positive_finite, _shape_int
 from .errors import (
     DomainError,
     ReductionFailedError,
@@ -42,7 +45,7 @@ from .hilbert_module import (
     pairing,
     space_from_json_dict,
 )
-from .sampling import derived_seed, draw_size, rng_from_seed, trial_draws
+from .sampling import draw_size, rng_from_seed, trial_draws
 
 #: Absolute residual accepted for the witness identities ``sum <y, x> = 1``.
 WITNESS_TOL = 1e-8
@@ -75,6 +78,8 @@ class PerturbationParams:
     def __post_init__(self):
         _require_positive_finite("eps", self.eps)
         _require_positive_finite("tol", self.tol)
+        object.__setattr__(self, "max_retries", _shape_int(self.max_retries))
+        object.__setattr__(self, "seed", _shape_int(self.seed))
         if self.max_retries < 1:
             raise ValueError("max_retries must be at least 1")
 
@@ -195,15 +200,23 @@ def warfield_b_to_a(
     truncation check.  The coefficients are
     ``a_k = <z_k, y_{n+1}>_L``; they satisfy the telescoping identity
     ``sum_k a_k* . y_k = y_{n+1}``, which forces the collapsed tuple to stay
-    unimodular.  Both facts are verified before returning.
+    unimodular.  Both facts are verified before returning.  This is the
+    one-entry case of Warfield's step, which collapses ``r`` trailing entries
+    at once with ``a_jk = <z_j, y_{n+k}>_L``.
     """
-    n = len(t) - 1
+    return _warfield(t, y, z, tol, 1)[0]
+
+
+def _warfield(t: ModuleTuple, y: ModuleTuple, z: ModuleTuple | None, tol: float, r: int):
+    """Warfield's step on the last ``r`` entries: the ``n x r`` coefficients
+    and the collapsed ``n``-tuple, each identity checked as in :func:`warfield_b_to_a`."""
+    n = len(t) - r
     if n < 1:
-        raise ShapeMismatchError("need a tuple of length at least 2")
+        raise ShapeMismatchError(f"need a tuple of length at least {r + 1}")
     z_len = n if z is None else len(z)
-    if len(y) != n + 1 or z_len != n:
+    if len(y) != n + r or z_len != n:
         raise ShapeMismatchError(
-            f"witness lengths ({len(y)}, {z_len}) do not match tuple length {n + 1}"
+            f"witness lengths ({len(y)}, {z_len}) do not match tuple length {n + r}"
         )
     space = t.space
     unit = space.right_algebra_unit()
@@ -214,7 +227,7 @@ def warfield_b_to_a(
             f"witness pairing residual {residual:.3g} exceeds {WITNESS_TOL:g}"
         )
 
-    truncated = ModuleTuple(y.entries[:n])
+    truncated, tail = ModuleTuple(y.entries[:n]), ModuleTuple(y.entries[n:])
     try:
         own = dual_witness(truncated, tol)
     except DomainError as exc:
@@ -227,10 +240,12 @@ def warfield_b_to_a(
             f"truncation dual residual {dual_residual:.3g} exceeds {WITNESS_TOL:g}"
         )
 
-    a_blocks = [zb @ yb.conj().T for zb, yb in zip(z._stacked(), y[n].blocks)]
+    # Per block, a_jk = z_j y_{n+k}*: the stacked truncation dual times the stacked tail's adjoint.
+    a_blocks = [zb @ yb.conj().T for zb, yb in zip(z._stacked(), tail._stacked())]
     a = ReductionCoefficients._from_blocks(space, a_blocks)
     adjoint = ReductionCoefficients._from_blocks(space, [b.conj().T for b in a.blocks])
-    tele_residual = _gate_norm((adjoint.apply(y.entries[:n])[0] - y[n]).blocks, TELESCOPE_TOL)
+    telescoped = ModuleTuple(tuple(adjoint.apply(truncated.entries)))
+    tele_residual = _gate_norm((telescoped - tail)._stacked(), TELESCOPE_TOL)
     if tele_residual > TELESCOPE_TOL:
         raise DomainError(
             f"telescoping residual {tele_residual:.3g} exceeds {TELESCOPE_TOL:g}"
@@ -239,7 +254,7 @@ def warfield_b_to_a(
     reduced = warfield_forward(t, a)
     if not is_unimodular(reduced, tol):
         raise DomainError("reduced tuple failed the unimodularity postcondition")
-    return a
+    return a, reduced
 
 
 def _refuse_below_stable_rank(space, n: int) -> None:
@@ -258,16 +273,24 @@ def bass_reduce(t: ModuleTuple, params: PerturbationParams) -> ReductionCoeffici
     ``n`` entries with Gaussian noise of size ``eta`` (starting at
     ``ETA_INITIAL`` and doubling on every retry) until the perturbed
     truncation is unimodular and the combined pairing stays invertible; the
-    witness is then renormalized and handed to :func:`warfield_b_to_a`.
+    witness is then renormalized and handed to :func:`warfield_b_to_a`.  This
+    is the one-entry case of the collapse that :func:`hv_perturb` runs on all
+    of its padding entries at once.
 
     Raises :class:`ReductionFailedError`: with an empty schedule when the
     counting bound rules out every truncation, before any draw, and with the
     attempted schedule when the retries run out.  Of ``params`` it reads only
     ``tol``, ``max_retries`` and ``seed``.
     """
-    n = len(t) - 1
+    return _collapse(t, params, 1)[0]
+
+
+def _collapse(t: ModuleTuple, params: PerturbationParams, r: int):
+    """The Bass reduction of the last ``r`` entries onto the first ``n``: only
+    ``z_1..z_n`` are perturbed, and the witness goes to :func:`_warfield`."""
+    n = len(t) - r
     if n < 1:
-        raise ShapeMismatchError("need a tuple of length at least 2 to reduce")
+        raise ShapeMismatchError(f"need a tuple of length at least {r + 1} to reduce")
     space = t.space
     z = dual_witness(t, params.tol)
     _refuse_below_stable_rank(space, n)
@@ -282,7 +305,7 @@ def bass_reduce(t: ModuleTuple, params: PerturbationParams) -> ReductionCoeffici
         candidate = ModuleTuple(
             tuple(z[k] + eta * space.random_element(rng) for k in range(n))
         )
-        paired = pairing(ModuleTuple(candidate.entries + (z[n],)), t)
+        paired = pairing(ModuleTuple(candidate.entries + z.entries[n:]), t)
         if is_unimodular(candidate, params.tol) and (
             space.right_is_invertible(paired, params.tol)
         ):
@@ -301,8 +324,8 @@ def bass_reduce(t: ModuleTuple, params: PerturbationParams) -> ReductionCoeffici
     d = d_star.adjoint()
     # d_star passed right_is_invertible above; its adjoint d has the same singular values.
     d_inv = space.right_inverse(d, params.tol, check=False)
-    y_entries = [v * d_inv for v in zbar] + [z[n] * d_inv]
-    return warfield_b_to_a(t, ModuleTuple(tuple(y_entries)), tol=params.tol)
+    y_entries = [v * d_inv for v in zbar + z.entries[n:]]
+    return _warfield(t, ModuleTuple(tuple(y_entries)), None, params.tol, r)
 
 
 def _pad_with_bump(t: ModuleTuple, u: ModuleTuple, eps: float, tol: float):
@@ -349,12 +372,12 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
 
     Pipeline: pick the deterministic shortest unimodular tuple ``u`` of the
     space, whose Gram sum is already the unit; pad ``t`` with its spectral
-    bump ``b``; collapse the ``r`` padding entries one at a time with
-    :func:`bass_reduce`, accumulating the composite coefficients ``a``; damp
-    with ``d = 1 + k b`` where ``k`` is the smallest integer exceeding
-    ``norm(a)/eps``; return ``(x + a . y) d^{-1}``.  The damping bounds the
-    distance while keeping unimodularity, which both get verified before
-    returning.
+    bump ``b``; collapse all ``r`` padding entries in one Bass reduction
+    (Warfield's step, the ``r``-entry case of :func:`bass_reduce`), which
+    returns the ``n x r`` coefficients ``a``; damp with ``d = 1 + k b`` where
+    ``k`` is the smallest integer exceeding ``norm(a)/eps``; return
+    ``(x + a . y) d^{-1}``.  The damping bounds the distance while keeping
+    unimodularity, which both get verified before returning.
 
     A space that is not full has no unimodular tuple, so picking ``u``
     raises :class:`ModuleNotFullError`.  A tuple shorter than the stable
@@ -363,43 +386,17 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
     ``eta_schedule`` before any padding or reduction.
     """
     space = t.space
-    n = len(t)
     eps = params.eps
     u = space.standard_unimodular_tuple()
-    r = len(u)
-    _refuse_below_stable_rank(space, n)
+    _refuse_below_stable_rank(space, len(t))
     padded, bump = _pad_with_bump(t, u, eps, params.tol)
+    coeffs, reduced = _collapse(padded, params, len(u))
 
-    # Per left block of size k, the coefficients of the current tuple over the r padding
-    # entries, the only ones the result reads: x rows start at zero, y rows at the unit.
-    sizes = space.left_algebra.block_sizes
-    expansion = [np.eye((n + r) * k, r * k, -n * k, dtype=np.complex128) for k in sizes]
-    current = padded
-    for stage in range(r):
-        stage_params = replace(params, seed=derived_seed(params.seed, stage))
-        column = bass_reduce(current, stage_params)
-        # Collapsing the last entry with the column C maps E to E[:-k] + C E[-k:].
-        expansion = [e[:-k] + c @ e[-k:] for e, c, k in zip(expansion, column.blocks, sizes)]
-        current = warfield_forward(current, column)
-
-    coeffs = ReductionCoefficients._from_blocks(space, expansion)
-    # Cross-check the accumulated coefficients against the iterated reduction.
-    recombined = warfield_forward(padded, coeffs)
-    a_norm = adjointable_norm(coeffs)
-    # The tuple's own norm only widens the bound, so it is taken only when needed.
-    drift_bound = 1e-8 * max(1.0, a_norm)
-    drift = _gate_norm((recombined - current)._stacked(), drift_bound)
-    if drift > drift_bound and drift > 1e-8 * max(1.0, current.norm(), a_norm):
-        raise DomainError(
-            f"coefficient accumulation drifted by {drift:.3g}; the reduction is "
-            f"too ill-conditioned to certify"
-        )
-
-    k = math.floor(a_norm / eps) + 1
+    k = math.floor(adjointable_norm(coeffs) / eps) + 1
     damp = space.right_algebra_unit() + k * bump
     # d = 1 + k*b with b >= 0 is invertible by construction; no tolerance gate.
     damp_inv = space.right_inverse(damp, params.tol, check=False)
-    moved = ModuleTuple(tuple(v * damp_inv for v in current.entries))
+    moved = ModuleTuple(tuple(v * damp_inv for v in reduced.entries))
 
     if not is_unimodular(moved, params.tol):
         raise DomainError("perturbed tuple failed the unimodularity postcondition")

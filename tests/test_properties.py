@@ -1,8 +1,9 @@
 """Property tests over random shapes: fullness, the counting bounds, the
 generation oracle against its span-map reference, agreement of the two
 unimodularity routes, the dual witness, the C*-identity, the
-Herman-Vaserstein perturbation bound, its refusal below the stable rank and
-the batched density trials against their per-trial reference.
+Herman-Vaserstein perturbation bound, its refusal below the stable rank,
+Warfield's collapse of several trailing entries in one step and the batched
+density trials against their per-trial reference.
 
 Matrix spaces ``M_{rows x cols}(A)`` and corners ``p M_N(A) q`` with randomly
 oriented projections of random ranks, dead blocks (``rank q_i = 0`` or
@@ -25,6 +26,7 @@ from cstar_rank import (
     ModuleTuple,
     PerturbationParams,
     ReductionFailedError,
+    bass_reduce,
     corner_space,
     density_experiment,
     dual_witness,
@@ -40,7 +42,7 @@ from cstar_rank import (
     unimodularity_margin,
 )
 from cstar_rank.sampling import derived_seed, draw_size, rng_from_seed, trial_draws
-from cstar_rank.stable_rank import WITNESS_TOL
+from cstar_rank.stable_rank import TELESCOPE_TOL, WITNESS_TOL
 from test_hilbert_module import corner_with_ranks, random_projection
 
 PROPERTY_SETTINGS = settings(max_examples=80, deadline=None)
@@ -266,16 +268,58 @@ def test_tuples_below_the_stable_rank_fail_from_the_counting_bound(case, seed, t
         assert space.rank_obstruction(n) == (bound is None or n < bound)
     assume(bound is not None)
 
-    def unreachable(*args):
-        raise AssertionError("bass_reduce ran on a tuple below the stable rank")
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(stable_rank, "bass_reduce", unreachable)
+        # The one reduction hv_perturb runs; the control below shows it is reached.
+        patch.setattr(stable_rank, "_collapse", reached)
         for n in range(1, bound):
             t = random_tuple(space, n, seed)
             with pytest.raises(ReductionFailedError, match="counting bound") as err:
                 hv_perturb(t, PerturbationParams(eps=0.1, tol=tol, seed=seed))
             assert err.value.eta_schedule == ()
+        with pytest.raises(Reached):
+            hv_perturb(random_tuple(space, bound, seed), PerturbationParams(eps=0.1, seed=seed))
+
+
+@settings(max_examples=HV_EXAMPLES, deadline=None)
+@given(spaces, st.integers(1, 3), st.integers(0, 1), seeds)
+@example(ROW_SPACE, 3, 0, 0)
+def test_one_collapse_removes_every_trailing_entry(case, r, extra, seed):
+    # Warfield's step: with a unimodular truncation (y_1..y_n) of the witness,
+    # a_jk = <z_j, y_{n+k}>_L collapses all r trailing entries at once.
+    space, _ = case
+    assume(is_full(space))
+    n = space.predicted_stable_rank() + extra
+    t = random_tuple(space, n + r, seed)
+    assume(is_unimodular(t))
+    params = PerturbationParams(eps=0.1, seed=seed)
+    witnesses = []
+    warfield = stable_rank._warfield
+
+    def spy(t, y, z, tol, r):
+        witnesses.append(y)
+        return warfield(t, y, z, tol, r)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stable_rank, "_warfield", spy)
+        coeffs, reduced = stable_rank._collapse(t, params, r)
+    (y,) = witnesses
+    assert coeffs.shape == (n, r) and len(reduced) == n
+    assert is_unimodular(reduced)
+    unit = space.right_algebra_unit()
+    assert (pairing(ModuleTuple(y.entries[:n]), reduced) - unit).norm() <= WITNESS_TOL
+    a = coeffs.coeffs
+    for k in range(r):
+        telescoped = sum((a[j][k].adjoint() * y[j] for j in range(1, n)), a[0][k].adjoint() * y[0])
+        assert (telescoped - y[n + k]).norm() <= TELESCOPE_TOL
+    if r == 1:
+        expected = bass_reduce(t, params)
+        assert all(np.array_equal(b, c) for b, c in zip(coeffs.blocks, expected.blocks))
 
 
 def per_trial_margins(space, k, trials, seed):

@@ -12,6 +12,7 @@ the generation oracle read.  A coefficient array is assembled into its block
 matrices in one place, the ``ReductionCoefficients`` constructor.  A norm
 that is only compared with a bound may be a Frobenius norm, taken in one place,
 ``algebra._gate_norm``, which knows when it decides as the SVD would.
+``hv_perturb`` collapses its padding in one step, with no stage loop.
 """
 
 import ast
@@ -217,3 +218,18 @@ def test_space_classes_leave_elements_to_the_shared_path():
     assert not stray, "space method names ModuleElement: " + ", ".join(stray)
     # The rule is not vacuous: the shared base does name it.
     assert _names_module_element(classes["_SpaceOps"])
+
+
+def test_hv_perturb_collapses_its_padding_in_one_step():
+    # Warfield's step removes all padding entries at once; a stage loop, with
+    # its per-stage seeds, would need a loop and a derived seed.
+    tree = ast.parse((SRC / "stable_rank.py").read_text(encoding="utf-8"))
+    (hv,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "hv_perturb"]
+    loops = [n.lineno for n in ast.walk(hv) if isinstance(n, (ast.For, ast.AsyncFor, ast.While))]
+    assert not loops, f"hv_perturb loops at lines {loops}"
+    seeds = [
+        n.lineno for n in ast.walk(hv)
+        if (isinstance(n, ast.Name) and n.id == "derived_seed")
+        or (isinstance(n, ast.Attribute) and n.attr == "derived_seed")
+    ]
+    assert not seeds, f"hv_perturb derives seeds at lines {seeds}"

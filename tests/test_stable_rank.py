@@ -1,7 +1,6 @@
 """Reduction coefficients, Warfield and Bass reductions, padding and density."""
 
 import math
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,7 +33,6 @@ from cstar_rank import (
     warfield_b_to_a,
     warfield_forward,
 )
-from cstar_rank.sampling import derived_seed
 from test_hilbert_module import CORNER_CASES, corner_with_ranks
 
 
@@ -462,29 +460,21 @@ def test_hv_perturb_already_unimodular_stays_close():
 
 
 def reference_hv_perturb(t, params):
-    """The stage loop of ``hv_perturb`` from public pieces, the coefficients
-    accumulated as left-algebra elements."""
-    space, n, eps = t.space, len(t), params.eps
+    """``hv_perturb`` from its pieces: pad, collapse the padding in one
+    reduction, damp by the norm of its coefficients."""
+    space, eps = t.space, params.eps
     u = space.standard_unimodular_tuple()
-    r = len(u)
     unit = space.right_algebra_unit()
     bump = space.right_positive_part(unit - gram(t) / eps)
-    left = space.left_algebra
-    # Coefficients of the current tuple over the r padding entries.
-    acc = [[left.unit() if j == n + m else left.zero() for m in range(r)] for j in range(n + r)]
-    current = hv_pad(t, u, eps, params.tol)
-    for stage in range(r):
-        column = bass_reduce(current, replace(params, seed=derived_seed(params.seed, stage)))
-        last = acc.pop()
-        acc = [[a + c[0] * b for a, b in zip(row, last)] for row, c in zip(acc, column.coeffs)]
-        current = warfield_forward(current, column)
-    k = math.floor(adjointable_norm(ReductionCoefficients(space, acc)) / eps) + 1
+    padded = hv_pad(t, u, eps, params.tol)
+    coeffs, _ = stable_rank._collapse(padded, params, len(u))
+    k = math.floor(adjointable_norm(coeffs) / eps) + 1
     damp_inv = space.right_inverse(unit + k * bump, params.tol)
-    return ModuleTuple(tuple(v * damp_inv for v in current.entries))
+    return ModuleTuple(tuple(v * damp_inv for v in warfield_forward(padded, coeffs).entries))
 
 
 @pytest.mark.parametrize("eps", [0.01, 0.1, 1.0])
-def test_hv_perturb_matches_its_stage_loop_from_public_pieces(eps):
+def test_hv_perturb_matches_pad_collapse_damp(eps):
     rng = np.random.default_rng(13)
     spaces = [
         ModuleSpace(Algebra((1,)), 1, 2),
@@ -568,16 +558,15 @@ def zero_scalar_perturbation():
     return lambda: hv_perturb(t, PerturbationParams(eps=0.01, seed=1))
 
 
-def test_hv_perturb_checks_the_coefficient_drift(monkeypatch):
-    # The last forward reduction recombines the accumulated coefficients.
-    run = zero_scalar_perturbation()
-
-    def shift(out):
-        return ModuleTuple((out[0] + scalar(out.space, 1.0),) + out.entries[1:])
-
-    corrupt_last_call(monkeypatch, "warfield_forward", shift, run)
-    with pytest.raises(DomainError, match="drifted"):
-        run()
+def test_hv_perturb_checks_the_telescoping_of_its_whole_padding(monkeypatch):
+    # Two padding entries, collapsed in one step; no residual is negative, so
+    # the telescoping gate over both trailing entries fails.
+    space = ModuleSpace(Algebra((1,)), 1, 2)
+    assert len(space.standard_unimodular_tuple()) == 2
+    t = random_tuple(space, np.random.default_rng(12), 2)
+    monkeypatch.setattr(stable_rank, "TELESCOPE_TOL", -1.0)
+    with pytest.raises(DomainError, match="telescoping residual"):
+        hv_perturb(t, PerturbationParams(eps=0.01, seed=1))
 
 
 def test_hv_perturb_checks_the_unimodularity_postcondition(monkeypatch):
@@ -678,3 +667,19 @@ def test_params_validation():
         PerturbationParams(eps=0.1, tol=-1.0)
     with pytest.raises(ValueError):
         PerturbationParams(eps=0.1, max_retries=0)
+
+
+@pytest.mark.parametrize("field", ["max_retries", "seed"])
+@pytest.mark.parametrize("value", [2.5, float("nan"), True, "3", None])
+def test_params_reject_non_integer_counts_and_seeds(field, value):
+    # A float count once reached range() as a raw TypeError, and True ran as 1.
+    with pytest.raises(TypeError):
+        PerturbationParams(eps=0.1, **{field: value})
+
+
+def test_params_take_integer_counts_and_seeds_as_int():
+    params = PerturbationParams(eps=0.1, max_retries=np.int64(3), seed=np.uint64(2**63))
+    assert (params.max_retries, params.seed) == (3, 2**63)
+    assert type(params.max_retries) is int and type(params.seed) is int
+    with pytest.raises(ValueError, match="at least 1"):
+        PerturbationParams(eps=0.1, max_retries=np.int64(-2))
