@@ -59,8 +59,9 @@ def _gate_norm(blocks, bound) -> float:
     upper bound of the SVD norm, when it clears ``bound`` by a relative 1e-10,
     far above rounding, and so decides every comparison as the SVD would; else
     the SVD norm, exactly 0 for zero blocks.  A sum of squares that overflows,
-    underflows or is NaN takes the SVD."""
-    squares = sum(np.vdot(b, b).real for b in blocks)
+    underflows or is NaN takes the SVD; the squares are added as Python
+    floats, which overflow to inf without numpy's overflow warning."""
+    squares = sum(float(np.vdot(b, b).real) for b in blocks)
     if 1e-290 < squares < math.inf and math.sqrt(squares) <= bound * (1.0 - 1e-10):
         return math.sqrt(squares)
     if squares == 0.0 and not any(b.any() for b in blocks):

@@ -200,6 +200,12 @@ def test_gate_norm_takes_the_frobenius_norm_well_below_the_bound():
     assert _gate_norm(blocks, frobenius) == max(_extreme_svals(blocks)[0])
 
 
+def test_gate_norm_takes_the_svd_when_the_sum_of_squares_overflows():
+    # Each square is finite, their sum is not.
+    blocks = [np.array([[1e154]]), np.array([[1e154j]])]
+    assert _gate_norm(blocks, 2e154) == 1e154
+
+
 def test_gate_norm_of_zero_blocks_is_exactly_zero():
     assert _gate_norm([np.zeros((2, 3)), np.zeros((1, 1))], 0.0) == 0.0
 
