@@ -4,8 +4,7 @@ The pieces fit together as follows.  The ceiling formula
 ``ceil((sr_A + m - 1) / n)`` predicts the stable rank of the ``n x m`` matrix
 module.  :func:`warfield_b_to_a` turns a dual witness of an ``(n+1)``-tuple
 into reduction coefficients that collapse the last entry onto the first
-``n``, stored as one block matrix per left-algebra block, and computes the
-dual of the witness's truncation itself: its refusal is the truncation check.
+``n``, stored as one block matrix per left-algebra block.
 :func:`bass_reduce` manufactures such a witness by randomly perturbing the
 canonical one until its truncation is unimodular, mirroring the classical
 Bass reduction argument.  Both are the one-entry case of Warfield's step,
@@ -18,6 +17,10 @@ onto a unimodular one while travelling less than ``sqrt(eps) + eps``; its
 gates, like every norm only compared with a bound, go through
 ``algebra._gate_norm``.
 
+Each intermediate tuple is decided unimodular once, by the :func:`dual_witness`
+that proves it, and the dual is passed forward (``w`` pairs ``x`` to 1, so ``w c*``
+pairs ``x c^{-1}`` to 1); only the outputs are checked with :func:`is_unimodular`.
+
 :func:`density_experiment` estimates how often random Gaussian tuples are
 unimodular, with deterministic per-trial seeding.
 """
@@ -25,6 +28,7 @@ unimodular, with deterministic per-trial seeding.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,36 +192,30 @@ def warfield_forward(t: ModuleTuple, a: ReductionCoefficients) -> ModuleTuple:
     return ModuleTuple(tuple(x + c for x, c in zip(head, contrib)))
 
 
-def warfield_b_to_a(
-    t: ModuleTuple, y: ModuleTuple, z: ModuleTuple | None = None, tol: float = DEFAULT_TOL
-) -> ReductionCoefficients:
+def warfield_b_to_a(t: ModuleTuple, y: ModuleTuple, tol: float = DEFAULT_TOL) -> ReductionCoefficients:
     """Reduction coefficients from a dual witness with unimodular truncation.
 
-    Preconditions: ``sum_{k<=n+1} <y_k, x_k> = 1``, the truncation
-    ``(y_1, ..., y_n)`` is unimodular, and ``z`` is a dual of that truncation
-    (``sum_{k<=n} <y_k, z_k> = 1``), by default its :func:`dual_witness`.  That
-    dual is computed whether or not ``z`` is passed: its refusal is the one
-    truncation check.  The coefficients are
-    ``a_k = <z_k, y_{n+1}>_L``; they satisfy the telescoping identity
-    ``sum_k a_k* . y_k = y_{n+1}``, which forces the collapsed tuple to stay
-    unimodular.  Both facts are verified before returning.  This is the
-    one-entry case of Warfield's step, which collapses ``r`` trailing entries
-    at once with ``a_jk = <z_j, y_{n+k}>_L``.
+    Preconditions: ``sum_{k<=n+1} <y_k, x_k> = 1`` and the truncation
+    ``(y_1, ..., y_n)`` is unimodular.  The truncation's :func:`dual_witness`
+    ``z`` decides the second (its refusal is the truncation check), and the
+    coefficients are ``a_k = <z_k, y_{n+1}>_L``; they satisfy the telescoping
+    identity ``sum_k a_k* . y_k = y_{n+1}``, which forces the collapsed tuple
+    to stay unimodular.  Both identities and the collapsed tuple are verified
+    before returning.  This is the one-entry case of Warfield's step, which
+    collapses ``r`` trailing entries at once with ``a_jk = <z_j, y_{n+k}>_L``.
     """
-    return _warfield(t, y, z, tol, 1)[0]
+    return _warfield(t, y, None, tol, 1)[0]
 
 
 def _warfield(t: ModuleTuple, y: ModuleTuple, z: ModuleTuple | None, tol: float, r: int):
     """Warfield's step on the last ``r`` entries: the ``n x r`` coefficients
-    and the collapsed ``n``-tuple, each identity checked as in :func:`warfield_b_to_a`."""
+    and the collapsed ``n``-tuple, each identity checked as in :func:`warfield_b_to_a`.
+    A dual ``z`` of the truncation is certified by its pairing residual alone."""
     n = len(t) - r
     if n < 1:
         raise ShapeMismatchError(f"need a tuple of length at least {r + 1}")
-    z_len = n if z is None else len(z)
-    if len(y) != n + r or z_len != n:
-        raise ShapeMismatchError(
-            f"witness lengths ({len(y)}, {z_len}) do not match tuple length {n + r}"
-        )
+    if len(y) != n + r:
+        raise ShapeMismatchError(f"witness length {len(y)} does not match tuple length {n + r}")
     space = t.space
     unit = space.right_algebra_unit()
 
@@ -228,11 +226,11 @@ def _warfield(t: ModuleTuple, y: ModuleTuple, z: ModuleTuple | None, tol: float,
         )
 
     truncated, tail = ModuleTuple(y.entries[:n]), ModuleTuple(y.entries[n:])
-    try:
-        own = dual_witness(truncated, tol)
-    except DomainError as exc:
-        raise DomainError(f"truncated witness (y_1, ..., y_n) is not unimodular: {exc}") from exc
-    z = own if z is None else z
+    if z is None:
+        try:
+            z = dual_witness(truncated, tol)
+        except DomainError as exc:
+            raise DomainError(f"truncated witness (y_1, ..., y_n) is not unimodular: {exc}") from exc
 
     dual_residual = _gate_norm((pairing(truncated, z) - unit).blocks, WITNESS_TOL)
     if dual_residual > WITNESS_TOL:
@@ -272,48 +270,48 @@ def bass_reduce(t: ModuleTuple, params: PerturbationParams) -> ReductionCoeffici
     Takes the canonical dual witness ``z`` of the tuple and perturbs its first
     ``n`` entries with Gaussian noise of size ``eta`` (starting at
     ``ETA_INITIAL`` and doubling on every retry) until the perturbed
-    truncation is unimodular and the combined pairing stays invertible; the
-    witness is then renormalized and handed to :func:`warfield_b_to_a`.  This
-    is the one-entry case of the collapse that :func:`hv_perturb` runs on all
-    of its padding entries at once.
+    truncation has a dual witness ``w`` and the combined pairing ``d*`` is
+    invertible; the witness is renormalized by ``d^{-1}`` and goes to
+    Warfield's step with ``w d*``, the dual of its truncation, so the
+    truncation is decided once, at the scale of the draw.  This is the
+    one-entry case of the collapse that :func:`hv_perturb` runs on all of its
+    padding entries at once.
 
     Raises :class:`ReductionFailedError`: with an empty schedule when the
     counting bound rules out every truncation, before any draw, and with the
     attempted schedule when the retries run out.  Of ``params`` it reads only
     ``tol``, ``max_retries`` and ``seed``.
     """
-    return _collapse(t, params, 1)[0]
+    return _collapse(t, None, params, 1)[0]
 
 
-def _collapse(t: ModuleTuple, params: PerturbationParams, r: int):
-    """The Bass reduction of the last ``r`` entries onto the first ``n``: only
-    ``z_1..z_n`` are perturbed, and the witness goes to :func:`_warfield`."""
+def _collapse(t: ModuleTuple, z: ModuleTuple | None, params: PerturbationParams, r: int):
+    """The Bass reduction of the last ``r`` entries onto the first ``n`` from a dual
+    ``z`` of ``t``, by default its :func:`dual_witness`: only ``z_1..z_n`` are perturbed."""
     n = len(t) - r
     if n < 1:
         raise ShapeMismatchError(f"need a tuple of length at least {r + 1} to reduce")
     space = t.space
-    z = dual_witness(t, params.tol)
+    if z is None:
+        z = dual_witness(t, params.tol)
     _refuse_below_stable_rank(space, n)
 
     rng = rng_from_seed(params.seed)
     eta = ETA_INITIAL
     schedule = []
-    zbar = None
-    d_star = None
+    w = None
     for _ in range(params.max_retries):
         schedule.append(eta)
         candidate = ModuleTuple(
             tuple(z[k] + eta * space.random_element(rng) for k in range(n))
         )
-        paired = pairing(ModuleTuple(candidate.entries + z.entries[n:]), t)
-        if is_unimodular(candidate, params.tol) and (
-            space.right_is_invertible(paired, params.tol)
-        ):
-            zbar = candidate.entries
-            d_star = paired
-            break
+        d_star = pairing(ModuleTuple(candidate.entries + z.entries[n:]), t)
+        if space.right_is_invertible(d_star, params.tol):
+            with suppress(DomainError):
+                w = dual_witness(candidate, params.tol)
+                break
         eta *= 2.0
-    if zbar is None:
+    if w is None:
         raise ReductionFailedError(
             f"no unimodular perturbation found after {params.max_retries} retries "
             f"(eta up to {schedule[-1]:g}); more retries may be needed, or "
@@ -321,26 +319,26 @@ def _collapse(t: ModuleTuple, params: PerturbationParams, r: int):
             eta_schedule=schedule,
         )
 
-    d = d_star.adjoint()
-    # d_star passed right_is_invertible above; its adjoint d has the same singular values.
-    d_inv = space.right_inverse(d, params.tol, check=False)
-    y_entries = [v * d_inv for v in zbar + z.entries[n:]]
-    return _warfield(t, ModuleTuple(tuple(y_entries)), None, params.tol, r)
+    # d_star passed right_is_invertible above; its adjoint has the same singular values.
+    d_inv = space.right_inverse(d_star.adjoint(), params.tol, check=False)
+    y = ModuleTuple(tuple(v * d_inv for v in candidate.entries + z.entries[n:]))
+    # sum <y_j, w_j d*> = (d^{-1})* (sum <w_j, candidate_j>)* d* = 1: the truncation's dual.
+    return _warfield(t, y, ModuleTuple(tuple(v * d_star for v in w.entries)), params.tol, r)
 
 
 def _pad_with_bump(t: ModuleTuple, u: ModuleTuple, eps: float, tol: float):
+    """The padded tuple, its bump and its :func:`dual_witness`, which decides it."""
     space = t.space
-    unit = space.right_algebra_unit()
-    b0 = gram(t)
-    bump = space.right_positive_part(unit - b0 / eps)
-    padded_entries = t.entries + tuple(uk * bump for uk in u.entries)
-    padded = ModuleTuple(padded_entries)
-    if not is_unimodular(padded, tol):
+    bump = space.right_positive_part(space.right_algebra_unit() - gram(t) / eps)
+    padded = ModuleTuple(t.entries + tuple(uk * bump for uk in u.entries))
+    try:
+        dual = dual_witness(padded, tol)
+    except DomainError as exc:
         raise DomainError(
             "padded tuple failed the unimodularity postcondition; this can only "
             "happen for inputs far outside the working tolerance"
-        )
-    return padded, bump
+        ) from exc
+    return padded, bump, dual
 
 
 def hv_pad(
@@ -362,8 +360,7 @@ def hv_pad(
         raise DomainError(
             f"padding tuple is not normalized: ||<u,u> - 1|| = {residual:.3g}"
         )
-    padded, _ = _pad_with_bump(t, u, eps, tol)
-    return padded
+    return _pad_with_bump(t, u, eps, tol)[0]
 
 
 def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
@@ -389,8 +386,8 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
     eps = params.eps
     u = space.standard_unimodular_tuple()
     _refuse_below_stable_rank(space, len(t))
-    padded, bump = _pad_with_bump(t, u, eps, params.tol)
-    coeffs, reduced = _collapse(padded, params, len(u))
+    padded, bump, dual = _pad_with_bump(t, u, eps, params.tol)
+    coeffs, reduced = _collapse(padded, dual, params, len(u))
 
     k = math.floor(adjointable_norm(coeffs) / eps) + 1
     damp = space.right_algebra_unit() + k * bump
@@ -463,6 +460,7 @@ def density_experiment(
     ``k`` calls of ``space.random_element`` on the trial's generator give, so
     reports are byte-identical to a trial-by-trial loop.
     """
+    k, trials, seed = _shape_int(k), _shape_int(trials), _shape_int(seed)
     if k < 1:
         raise ValueError("k must be at least 1")
     if trials < 1:

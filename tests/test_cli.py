@@ -13,6 +13,7 @@ from cstar_rank import (
     ModuleTuple,
     acceptance,
     corner_space,
+    generation_margin,
     is_unimodular,
     stable_rank,
     tuple_from_json_list,
@@ -230,17 +231,18 @@ def test_reduce_below_rounding_fails_from_the_retries(tmp_path, capsys):
     assert "counting bound" in err and "stable rank 2" in err
 
 
-def test_reduce_names_the_truncated_witness_that_failed(tmp_path, capsys):
-    # At scale 1e5 the perturbed truncation's margin falls under the absolute
-    # part of the rule; the message once named the input tuple instead.
+def test_reduce_succeeds_at_scale_1e5(tmp_path, capsys):
+    # The renormalized truncation of this tuple's witness once failed its own
+    # margin test (6.05e-11 at tol 1e-9), and reduce exited 1 on valid input.
     space = ModuleSpace(Algebra((1,)), 1, 2)
     rng = np.random.default_rng(0)
     t = ModuleTuple(tuple(space.random_element(rng) * 1e5 for _ in range(3)))
     path = write_tuple(tmp_path / "scaled.json", t)
-    code, out, err = run_cli(capsys, ["reduce", "--input", path, "--no-timestamp"])
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: truncated witness (y_1, ..., y_n) is not unimodular: ")
+    code, out, _ = run_cli(capsys, ["reduce", "--input", path, "--no-timestamp"])
+    assert code == 0
+    reduced = tuple_from_json_list(json.loads(out)["result"]["reduced"])
+    assert len(reduced) == 2
+    assert generation_margin(reduced) > 1e-9
 
 
 def test_corner_element_outside_the_corner_is_a_parse_error(tmp_path, capsys):

@@ -2,8 +2,9 @@
 generation oracle against its span-map reference, agreement of the two
 unimodularity routes, the dual witness, the C*-identity, the
 Herman-Vaserstein perturbation bound, its refusal below the stable rank,
-Warfield's collapse of several trailing entries in one step and the batched
-density trials against their per-trial reference.
+Warfield's collapse of several trailing entries in one step, both reductions
+on inputs scaled up to 1e6 and the batched density trials against their
+per-trial reference.
 
 Matrix spaces ``M_{rows x cols}(A)`` and corners ``p M_N(A) q`` with randomly
 oriented projections of random ranks, dead blocks (``rank q_i = 0`` or
@@ -40,6 +41,7 @@ from cstar_rank import (
     sr_formula,
     stable_rank,
     unimodularity_margin,
+    warfield_forward,
 )
 from cstar_rank.sampling import derived_seed, draw_size, rng_from_seed, trial_draws
 from cstar_rank.stable_rank import TELESCOPE_TOL, WITNESS_TOL
@@ -307,7 +309,7 @@ def test_one_collapse_removes_every_trailing_entry(case, r, extra, seed):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stable_rank, "_warfield", spy)
-        coeffs, reduced = stable_rank._collapse(t, params, r)
+        coeffs, reduced = stable_rank._collapse(t, dual_witness(t, params.tol), params, r)
     (y,) = witnesses
     assert coeffs.shape == (n, r) and len(reduced) == n
     assert is_unimodular(reduced)
@@ -320,6 +322,45 @@ def test_one_collapse_removes_every_trailing_entry(case, r, extra, seed):
     if r == 1:
         expected = bass_reduce(t, params)
         assert all(np.array_equal(b, c) for b, c in zip(coeffs.blocks, expected.blocks))
+
+
+#: Input scales, log-uniform in [1, 1e6].
+scales = st.floats(0.0, 6.0).map(lambda e: 10.0**e)
+
+#: M_{1x2}(C): its 3-tuple from seed 0 scaled by 1e5 once failed in bass_reduce.
+PAIR_SPACE = (ModuleSpace(Algebra((1,)), 1, 2), ((1, 2),))
+
+
+def scaled_tuple(space, k, seed, scale):
+    return ModuleTuple(tuple(scale * x for x in random_tuple(space, k, seed).entries))
+
+
+@settings(max_examples=HV_EXAMPLES, deadline=None)
+@given(spaces, st.integers(0, 1), seeds, scales)
+@example(PAIR_SPACE, 0, 0, 1e5)
+def test_bass_reduce_succeeds_at_every_scale(case, extra, seed, scale):
+    # Unimodularity survives scaling, and the witness's truncation is decided
+    # at the scale of the draw, so a large input reduces like a unit one.  The
+    # output is checked by the other route, whose margin does not scale.
+    space, _ = case
+    assume(is_full(space))
+    t = scaled_tuple(space, space.predicted_stable_rank() + 1 + extra, seed, scale)
+    assume(is_unimodular(t))
+    reduced = warfield_forward(t, bass_reduce(t, PerturbationParams(eps=0.1, seed=seed)))
+    assert len(reduced) == len(t) - 1
+    assert generation_margin(reduced) > DEFAULT_TOL
+
+
+@settings(max_examples=HV_EXAMPLES, deadline=None)
+@given(spaces, st.integers(0, 1), seeds, scales, st.sampled_from([0.01, 0.1, 1.0]))
+@example(PAIR_SPACE, 0, 0, 1e5, 0.01)
+def test_hv_perturb_succeeds_at_every_scale(case, extra, seed, scale, eps):
+    space, _ = case
+    assume(is_full(space))
+    t = scaled_tuple(space, space.predicted_stable_rank() + extra, seed, scale)
+    moved = hv_perturb(t, PerturbationParams(eps=eps, seed=seed))
+    assert generation_margin(moved) > DEFAULT_TOL
+    assert (t - moved).norm() < math.sqrt(eps) + eps
 
 
 def per_trial_margins(space, k, trials, seed):

@@ -12,7 +12,9 @@ the generation oracle read.  A coefficient array is assembled into its block
 matrices in one place, the ``ReductionCoefficients`` constructor.  A norm
 that is only compared with a bound may be a Frobenius norm, taken in one place,
 ``algebra._gate_norm``, which knows when it decides as the SVD would.
-``hv_perturb`` collapses its padding in one step, with no stage loop.
+``hv_perturb`` collapses its padding in one step, with no stage loop.  Each
+intermediate tuple of a reduction is decided unimodular once, by its dual
+witness, and only the outputs are checked with ``is_unimodular``.
 """
 
 import ast
@@ -233,3 +235,30 @@ def test_hv_perturb_collapses_its_padding_in_one_step():
         or (isinstance(n, ast.Attribute) and n.attr == "derived_seed")
     ]
     assert not seeds, f"hv_perturb derives seeds at lines {seeds}"
+
+
+#: The output postconditions of ``stable_rank``: the reduced and the moved tuple.
+POSTCONDITIONS = {"_warfield", "hv_perturb"}
+
+
+def test_reductions_decide_each_intermediate_tuple_once():
+    # The dual witness that decides an intermediate tuple is passed forward; an
+    # ``is_unimodular`` call elsewhere would decide that fact a second time.
+    # The import is not a use: it brings the name in for the postconditions.
+    tree = ast.parse((SRC / "stable_rank.py").read_text(encoding="utf-8"))
+    uses = {}
+    for top in tree.body:
+        scope = getattr(top, "name", "<module>")
+        for n in ast.walk(top):
+            if (isinstance(n, ast.Name) and n.id == "is_unimodular") or (
+                isinstance(n, ast.Attribute) and n.attr == "is_unimodular"
+            ):
+                uses.setdefault(scope, []).append(n.lineno)
+    stray = [
+        f"stable_rank.py:{lines} in {scope}"
+        for scope, lines in uses.items()
+        if scope not in POSTCONDITIONS
+    ]
+    assert not stray, "is_unimodular outside the output postconditions: " + ", ".join(stray)
+    # The rule is not vacuous: both postconditions do check.
+    assert set(uses) == POSTCONDITIONS

@@ -33,6 +33,7 @@ from cstar_rank import (
     warfield_b_to_a,
     warfield_forward,
 )
+from cstar_rank.sampling import rng_from_seed
 from test_hilbert_module import CORNER_CASES, corner_with_ranks
 
 
@@ -221,8 +222,7 @@ def test_warfield_b_to_a_trivial_instance():
     one, zero = scalar(space, 1.0), scalar(space, 0.0)
     t = ModuleTuple((one, zero))
     y = ModuleTuple((one, zero))
-    z = ModuleTuple((one,))
-    coeffs = warfield_b_to_a(t, y, z)
+    coeffs = warfield_b_to_a(t, y)
     assert coeffs.coeffs[0][0].norm() == 0.0
     reduced = warfield_forward(t, coeffs)
     assert is_unimodular(reduced)
@@ -233,12 +233,10 @@ def test_warfield_b_to_a_requires_unimodular_head():
     one, zero = scalar(space, 1.0), scalar(space, 0.0)
     t = ModuleTuple((zero, one))
     y = ModuleTuple((zero, one))  # pairing is 1 but the head is zero
-    z = ModuleTuple((one,))
-    # With or without z the truncation's dual witness refuses it, and the message says so.
-    for args in ((t, y, z), (t, y)):
-        with pytest.raises(DomainError) as err:
-            warfield_b_to_a(*args)
-        assert str(err.value).startswith("truncated witness (y_1, ..., y_n) is not unimodular: ")
+    # The truncation's dual witness refuses it, and the message says so.
+    with pytest.raises(DomainError) as err:
+        warfield_b_to_a(t, y)
+    assert str(err.value).startswith("truncated witness (y_1, ..., y_n) is not unimodular: ")
 
 
 def test_warfield_b_to_a_checks_pairing_residual():
@@ -246,9 +244,8 @@ def test_warfield_b_to_a_checks_pairing_residual():
     one = scalar(space, 1.0)
     t = ModuleTuple((one, one))
     y = ModuleTuple((one, one))  # pairing sums to 2, not 1
-    z = ModuleTuple((one,))
     with pytest.raises(DomainError):
-        warfield_b_to_a(t, y, z)
+        warfield_b_to_a(t, y)
 
 
 def test_warfield_b_to_a_random_instances():
@@ -259,10 +256,7 @@ def test_warfield_b_to_a_random_instances():
         y = ModuleTuple(head.entries + (space.random_element(rng),))
         b_inv = space.right_inverse(gram(y), 1e-9)
         t = ModuleTuple(tuple(yk * b_inv for yk in y.entries))
-        z = dual_witness(head)
-        coeffs = warfield_b_to_a(t, y, z)
-        # Omitting z computes the same dual, so the coefficients are the same bit for bit.
-        assert all(np.array_equal(a, b) for a, b in zip(warfield_b_to_a(t, y).blocks, coeffs.blocks))
+        coeffs = warfield_b_to_a(t, y)
         reduced = warfield_forward(t, coeffs)
         assert is_unimodular(reduced)
         telescoped = coeffs.coeffs[0][0].adjoint() * y[0]
@@ -270,19 +264,20 @@ def test_warfield_b_to_a_random_instances():
 
 
 def test_warfield_b_to_a_checks_the_truncation_dual():
+    # A dual passed forward by the reduction is certified only by its residual.
     space = scalar_space()
     one, zero = scalar(space, 1.0), scalar(space, 0.0)
     t = ModuleTuple((one, zero))
     y = ModuleTuple((one, zero))
     z = ModuleTuple((scalar(space, 2.0),))  # pairs with the truncation to 2
     with pytest.raises(DomainError, match="truncation dual residual"):
-        warfield_b_to_a(t, y, z)
+        stable_rank._warfield(t, y, z, 1e-9, 1)
 
 
 def trivial_warfield_instance():
     space = scalar_space()
     one, zero = scalar(space, 1.0), scalar(space, 0.0)
-    return ModuleTuple((one, zero)), ModuleTuple((one, zero)), ModuleTuple((one,))
+    return ModuleTuple((one, zero)), ModuleTuple((one, zero))
 
 
 def test_warfield_b_to_a_checks_the_telescoping_identity(monkeypatch):
@@ -351,16 +346,38 @@ def test_bass_reduce_sound_on_both_routes():
             assert gen_oracle(reduced)
 
 
-def test_bass_reduce_names_the_truncation_that_failed():
-    # At scale 1e5 the perturbed truncation's margin falls under the absolute
-    # part of the rule; the message once named the input tuple instead.
+@pytest.mark.parametrize("pipeline, length, calls", [
+    (hv_perturb, 2, {"is_unimodular": 2, "dual_witness": 2}),
+    (bass_reduce, 3, {"is_unimodular": 1, "dual_witness": 2}),
+])
+def test_each_fact_is_decided_once(monkeypatch, pipeline, length, calls):
+    # hv_perturb: the padded tuple and the draw by their dual witnesses, the
+    # reduced and the moved tuple by is_unimodular.  bass_reduce: the input and
+    # the draw by their dual witnesses, the reduced tuple by is_unimodular.
     space = ModuleSpace(Algebra((1,)), 1, 2)
-    rng = np.random.default_rng(0)
-    t = ModuleTuple(tuple(space.random_element(rng) * 1e5 for _ in range(3)))
-    assert is_unimodular(t)
-    with pytest.raises(DomainError) as err:
-        bass_reduce(t, PerturbationParams(eps=1.0, seed=0))
-    assert str(err.value).startswith("truncated witness (y_1, ..., y_n) is not unimodular")
+    t = random_unimodular(space, np.random.default_rng(12), length)
+    counts = {}
+    for name in calls:
+        def spy(*args, _name=name, _original=getattr(stable_rank, name)):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(stable_rank, name, spy)
+    generators = []
+
+    def recorded(seed):
+        generators.append(rng_from_seed(seed))
+        return generators[-1]
+
+    monkeypatch.setattr(stable_rank, "rng_from_seed", recorded)
+    pipeline(t, PerturbationParams(eps=0.1, seed=3))
+    # The first draw was accepted: the generator moved by one draw of the 2-entry head.
+    (rng,) = generators
+    first = rng_from_seed(3)
+    for _ in range(2):
+        space.random_element(first)
+    assert rng.bit_generator.state == first.bit_generator.state
+    assert counts == calls
 
 
 def test_bass_reduce_requires_unimodular_input():
@@ -420,7 +437,12 @@ def test_hv_pad_checks_the_padded_tuple(monkeypatch):
     space = scalar_space()
     t = ModuleTuple((space.zero(),))
     u = ModuleTuple((scalar(space, 1.0),))
-    monkeypatch.setattr(stable_rank, "is_unimodular", lambda t, tol: False)
+
+    def refuse(t, tol):
+        raise DomainError("refused")
+
+    # The padded tuple's dual witness decides it.
+    monkeypatch.setattr(stable_rank, "dual_witness", refuse)
     with pytest.raises(DomainError, match="padded tuple failed"):
         hv_pad(t, u, 1.0)
 
@@ -467,7 +489,7 @@ def reference_hv_perturb(t, params):
     unit = space.right_algebra_unit()
     bump = space.right_positive_part(unit - gram(t) / eps)
     padded = hv_pad(t, u, eps, params.tol)
-    coeffs, _ = stable_rank._collapse(padded, params, len(u))
+    coeffs, _ = stable_rank._collapse(padded, dual_witness(padded, params.tol), params, len(u))
     k = math.floor(adjointable_norm(coeffs) / eps) + 1
     damp_inv = space.right_inverse(unit + k * bump, params.tol)
     return ModuleTuple(tuple(v * damp_inv for v in warfield_forward(padded, coeffs).entries))
@@ -637,6 +659,23 @@ def test_density_validates_arguments():
         density_experiment(space, 0, 10, 0)
     with pytest.raises(ValueError):
         density_experiment(space, 1, 0, 0)
+
+
+@pytest.mark.parametrize("field", ["k", "trials", "seed"])
+@pytest.mark.parametrize("value", [2.5, float("nan"), True, "3", None])
+def test_density_rejects_non_integer_counts_and_seeds(field, value):
+    # seed=1.5 once ran seed 1 and reported 1.5, seed=True wrote "seed": true,
+    # and a float k or trials reached numpy as a raw TypeError.
+    args = {"k": 1, "trials": 5, "seed": 0, field: value}
+    with pytest.raises(TypeError, match="expected an integer|cannot be interpreted as an integer"):
+        density_experiment(scalar_space(), **args)
+
+
+def test_density_takes_integer_counts_and_seeds_as_int():
+    space = ModuleSpace(Algebra((1, 2)), 2, 3)
+    report = density_experiment(space, np.int64(2), np.int32(150), np.uint64(99))
+    assert report == density_experiment(space, 2, 150, 99)
+    assert all(type(v) is int for v in (report.k, report.trials, report.seed))
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
