@@ -54,6 +54,20 @@ def _extreme_svals(blocks) -> tuple[list, list]:
     return tops, bottoms
 
 
+def _shifted_polar(blocks, shift) -> tuple[list, list]:
+    """Per tall block ``Z = U S V*``, with polar isometry ``W = U V*``, the pair
+    ``W (|Z| + shift) = U (S + shift) V*`` and ``W (|Z| + shift)^{-1}``, which pair
+    to the unit: one thin SVD per block, under :func:`_extreme_svals`'s non-finite rule."""
+    try:
+        factors = [np.linalg.svd(b, full_matrices=False) for b in blocks]
+    except np.linalg.LinAlgError:  # LAPACK gives up on NaN entries
+        factors = [(None, np.array([math.nan]), None)]
+    if not all(np.isfinite(s).all() for _, s, _ in factors):
+        raise DomainError("singular values are not finite (overflow or non-finite entries)")
+    return ([(u * (s + shift)) @ vh for u, s, vh in factors],
+            [(u / (s + shift)) @ vh for u, s, vh in factors])
+
+
 def _gate_norm(blocks, bound) -> float:
     """A norm of ``blocks`` only compared with ``bound``: the Frobenius norm, an
     upper bound of the SVD norm, when it clears ``bound`` by a relative 1e-10,

@@ -102,9 +102,7 @@ def _dual(args, residuals):
 
 
 def _params(args, eps) -> PerturbationParams:
-    return PerturbationParams(
-        eps=eps, tol=args.tol, max_retries=args.max_retries, seed=args.seed
-    )
+    return PerturbationParams(eps=eps, tol=args.tol, seed=args.seed)
 
 
 def _reduce(args, residuals):
@@ -163,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", dest="out_path", default=None, help="write the report here instead of stdout")
     common = argparse.ArgumentParser(add_help=False, parents=[output])
-    # Every report echoes a seed; commands that draw randomness take --seed.
+    # Every report echoes a seed.  density draws from --seed; reduce and perturb
+    # still accept --seed, but their reductions are deterministic and do not read it.
     common.set_defaults(seed=0)
     common.add_argument(
         "--tol",
@@ -197,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", parents=[common], help="collapse the last entry of a unimodular tuple")
     p.add_argument("--input", dest="input_path", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--max-retries", type=_positive_int, default=PerturbationParams.max_retries)
     p.set_defaults(handler=_reduce)
 
     p = sub.add_parser("pad", parents=[common], help="append the spectral bump that forces unimodularity")
@@ -210,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", dest="input_path", required=True)
     p.add_argument("--eps", type=_positive_float, required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--max-retries", type=_positive_int, default=PerturbationParams.max_retries)
     p.set_defaults(handler=_perturb)
 
     p = sub.add_parser("density", parents=[common], help="Monte-Carlo unimodularity density estimate")

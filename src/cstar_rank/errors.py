@@ -26,12 +26,11 @@ class ModuleNotFullError(DomainError):
 
 
 class ReductionFailedError(DomainError):
-    """No unimodular reduction was reached; carries the perturbation sizes tried.
+    """No unimodular reduction exists: the counting bound rules every one out.
 
-    The schedule is empty when the counting bound alone rules every reduction
-    out (the tuple, or the truncation that ``bass_reduce`` perturbs, is
-    shorter than the stable rank), so nothing was drawn.  A full schedule
-    means the retries ran out: the tolerance or ``max_retries`` is unsuitable.
+    Raised when the tuple, or the truncation that ``bass_reduce`` completes,
+    is shorter than the stable rank.  The reductions draw nothing, so
+    ``eta_schedule`` is always empty; it is kept for callers that read it.
     """
 
     def __init__(self, message, eta_schedule=()):

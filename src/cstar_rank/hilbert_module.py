@@ -180,9 +180,14 @@ class _SpaceOps:
                 "corner has a zero row projection against a nonzero column "
                 "projection; no unimodular tuple exists"
             )
-        # Per block the stacked form, one slab of rows per entry, embedded at once.
-        slabs = [self._embed(i, np.eye(length * r, s, dtype=np.complex128).reshape(length, r, s))
-                 for i, (r, s) in enumerate(self.compressed_shapes)]
+        return self._tuple_from_cores(
+            length, [np.eye(length * r, s, dtype=np.complex128) for r, s in self.compressed_shapes]
+        )
+
+    def _tuple_from_cores(self, k, cores) -> "ModuleTuple":
+        """The ``k``-tuple whose ``(k r_i) x s_i`` stacked cores are ``cores``, embedded at once."""
+        slabs = [self._embed(i, c.reshape(k, r, s))
+                 for i, (c, (r, s)) in enumerate(zip(cores, self.compressed_shapes))]
         return ModuleTuple([ModuleElement._wrap(self, blocks) for blocks in zip(*slabs)])
 
 
@@ -340,6 +345,12 @@ class ModuleTuple:
         """Per block, the entries' blocks stacked down one matrix: the tuple in ``M^n``."""
         return [np.vstack(column) for column in zip(*(x.blocks for x in self.entries))]
 
+    def _cores(self) -> list:
+        """Per block the ``(k r_i) x s_i`` stack of the entries' cores, from the stacked form at once."""
+        space, k = self.space, len(self.entries)
+        return [space._core(i, b.reshape(k, *space.block_shapes[i])).reshape(k * r, s)
+                for i, (b, (r, s)) in enumerate(zip(self._stacked(), space.compressed_shapes))]
+
     def norm(self) -> float:
         """Norm of the tuple as one element of ``M^n``, from its stacked form."""
         return max(_extreme_svals(self._stacked())[0])
@@ -467,10 +478,8 @@ def generation_margin(t: ModuleTuple) -> float:
     """
     space, k = t.space, len(t)
     live = [(i, r, s) for i, (r, s) in enumerate(space.compressed_shapes) if r * s]
-    stacked = t._stacked()
-    # One slab of rows per entry of the stacked form, all taken to their cores at once.
-    cores = [space._core(i, stacked[i].reshape(k, *space.block_shapes[i])) for i, _, _ in live]
-    tops, bottoms = _extreme_svals([c.reshape(-1, c.shape[-1]) for c in cores])
+    cores = t._cores()
+    tops, bottoms = _extreme_svals([cores[i] for i, _, _ in live])
     margin = np.inf
     for (_, r, s), top, bottom in zip(live, tops, bottoms):
         if k * r < s or top == 0.0:

@@ -5,9 +5,9 @@ The pieces fit together as follows.  The ceiling formula
 module.  :func:`warfield_b_to_a` turns a dual witness of an ``(n+1)``-tuple
 into reduction coefficients that collapse the last entry onto the first
 ``n``, stored as one block matrix per left-algebra block.
-:func:`bass_reduce` manufactures such a witness by randomly perturbing the
-canonical one until its truncation is unimodular, mirroring the classical
-Bass reduction argument.  Both are the one-entry case of Warfield's step,
+:func:`bass_reduce` manufactures such a witness in closed form, the polar
+completion of the canonical one's head, mirroring the classical Bass
+reduction argument.  Both are the one-entry case of Warfield's step,
 which collapses any number of trailing entries at once when the witness's
 truncation is unimodular.  :func:`hv_pad` appends a spectral bump
 ``y_k = u_k * (1 - b0/eps)^+`` that makes any tuple unimodular, and
@@ -28,13 +28,13 @@ unimodular, with deterministic per-trial seeding.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._version import __version__
-from .algebra import DEFAULT_TOL, AlgebraElement, _extreme_svals, _gate_norm, _require_positive_finite, _shape_int
+from .algebra import (DEFAULT_TOL, AlgebraElement, _extreme_svals, _gate_norm, _require_positive_finite,
+                      _shape_int, _shifted_polar)
 from .errors import (
     DomainError,
     ReductionFailedError,
@@ -49,17 +49,13 @@ from .hilbert_module import (
     pairing,
     space_from_json_dict,
 )
-from .sampling import draw_size, rng_from_seed, trial_draws
+from .sampling import draw_size, trial_draws
 
 #: Absolute residual accepted for the witness identities ``sum <y, x> = 1``.
 WITNESS_TOL = 1e-8
 
 #: Absolute residual accepted for the telescoping identity of the reduction.
 TELESCOPE_TOL = 1e-7
-
-#: Starting size of the random perturbations drawn by :func:`bass_reduce`;
-#: doubles on every retry.
-ETA_INITIAL = 1e-3
 
 
 def sr_formula(sr_a: int, n: int, m: int) -> int:
@@ -72,20 +68,20 @@ def sr_formula(sr_a: int, n: int, m: int) -> int:
 
 @dataclass(frozen=True)
 class PerturbationParams:
-    """Knobs for the randomized reduction and perturbation pipelines."""
+    """Knobs for the reduction and perturbation pipelines.
+
+    The reductions are deterministic and draw nothing: ``seed`` is validated
+    and echoed in reports, but no reduction reads it.
+    """
 
     eps: float
     tol: float = DEFAULT_TOL
-    max_retries: int = 40
     seed: int = 0
 
     def __post_init__(self):
         _require_positive_finite("eps", self.eps)
         _require_positive_finite("tol", self.tol)
-        object.__setattr__(self, "max_retries", _shape_int(self.max_retries))
         object.__setattr__(self, "seed", _shape_int(self.seed))
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be at least 1")
 
 
 class ReductionCoefficients:
@@ -256,7 +252,7 @@ def _warfield(t: ModuleTuple, y: ModuleTuple, z: ModuleTuple | None, tol: float,
 
 
 def _refuse_below_stable_rank(space, n: int) -> None:
-    """The one counting-bound refusal: no ``n``-tuple is unimodular, so nothing is drawn."""
+    """The one counting-bound refusal: no ``n``-tuple is unimodular, so nothing is reduced."""
     if space.rank_obstruction(n):
         raise ReductionFailedError(
             f"no reduction can succeed: the counting bound n*r_i >= s_i fails in some block "
@@ -267,27 +263,28 @@ def _refuse_below_stable_rank(space, n: int) -> None:
 def bass_reduce(t: ModuleTuple, params: PerturbationParams) -> ReductionCoefficients:
     """Collapse the last entry of a unimodular ``(n+1)``-tuple onto the rest.
 
-    Takes the canonical dual witness ``z`` of the tuple and perturbs its first
-    ``n`` entries with Gaussian noise of size ``eta`` (starting at
-    ``ETA_INITIAL`` and doubling on every retry) until the perturbed
-    truncation has a dual witness ``w`` and the combined pairing ``d*`` is
-    invertible; the witness is renormalized by ``d^{-1}`` and goes to
-    Warfield's step with ``w d*``, the dual of its truncation, so the
-    truncation is decided once, at the scale of the draw.  This is the
-    one-entry case of the collapse that :func:`hv_perturb` runs on all of its
-    padding entries at once.
+    Takes the canonical dual witness ``z`` of the tuple and replaces its first
+    ``n`` entries by their polar completion: per block, with ``Z_h = W |Z_h|``
+    the stacked core of ``z_1..z_n`` (tall once the counting bound passes) and
+    ``eta = ||z||``, the head ``c = W (|Z_h| + eta)`` has the truncation dual
+    ``w = W (|Z_h| + eta)^{-1}``, and the pairing ``d* = 1 + eta |Z_h| G``, with
+    ``G`` the Gram sum, is similar to ``1 + eta G^1/2 |Z_h| G^1/2 >= 1``.  The
+    witness is renormalized by ``d^{-1}`` and goes to Warfield's step with
+    ``w d*``, the dual of its truncation.  The coefficients
+    ``W (|Z_h| + eta)^{-1} z_tail*`` have norm at most 1 and do not move when
+    the tuple is scaled.  This is the one-entry case of the collapse that
+    :func:`hv_perturb` runs on all of its padding entries at once.
 
-    Raises :class:`ReductionFailedError`: with an empty schedule when the
-    counting bound rules out every truncation, before any draw, and with the
-    attempted schedule when the retries run out.  Of ``params`` it reads only
-    ``tol``, ``max_retries`` and ``seed``.
+    Raises :class:`ReductionFailedError`, with an empty ``eta_schedule``, when
+    the counting bound rules out every truncation.  Of ``params`` it reads only ``tol``.
     """
     return _collapse(t, None, params, 1)[0]
 
 
 def _collapse(t: ModuleTuple, z: ModuleTuple | None, params: PerturbationParams, r: int):
-    """The Bass reduction of the last ``r`` entries onto the first ``n`` from a dual
-    ``z`` of ``t``, by default its :func:`dual_witness`: only ``z_1..z_n`` are perturbed."""
+    """The Bass reduction of the last ``r`` entries onto the first ``n`` from the
+    canonical dual ``z`` of ``t``, by default its :func:`dual_witness`: only
+    ``z_1..z_n`` are replaced, by their polar completion."""
     n = len(t) - r
     if n < 1:
         raise ShapeMismatchError(f"need a tuple of length at least {r + 1} to reduce")
@@ -296,33 +293,15 @@ def _collapse(t: ModuleTuple, z: ModuleTuple | None, params: PerturbationParams,
         z = dual_witness(t, params.tol)
     _refuse_below_stable_rank(space, n)
 
-    rng = rng_from_seed(params.seed)
-    eta = ETA_INITIAL
-    schedule = []
-    w = None
-    for _ in range(params.max_retries):
-        schedule.append(eta)
-        candidate = ModuleTuple(
-            tuple(z[k] + eta * space.random_element(rng) for k in range(n))
-        )
-        d_star = pairing(ModuleTuple(candidate.entries + z.entries[n:]), t)
-        if space.right_is_invertible(d_star, params.tol):
-            with suppress(DomainError):
-                w = dual_witness(candidate, params.tol)
-                break
-        eta *= 2.0
-    if w is None:
-        raise ReductionFailedError(
-            f"no unimodular perturbation found after {params.max_retries} retries "
-            f"(eta up to {schedule[-1]:g}); more retries may be needed, or "
-            f"tol={params.tol:g} is unsuitable",
-            eta_schedule=schedule,
-        )
-
-    # d_star passed right_is_invertible above; its adjoint has the same singular values.
+    # eta = ||z|| >= ||z_tail|| is homogeneous of degree 1 in z, so ||a|| <= 1 at every scale.
+    heads, duals = _shifted_polar(ModuleTuple(z.entries[:n])._cores(), z.norm())
+    candidate = space._tuple_from_cores(n, heads).entries + z.entries[n:]
+    d_star = pairing(ModuleTuple(candidate), t)
+    # d* = 1 + eta |Z_h| G is invertible by construction; no tolerance gate.
     d_inv = space.right_inverse(d_star.adjoint(), params.tol, check=False)
-    y = ModuleTuple(tuple(v * d_inv for v in candidate.entries + z.entries[n:]))
-    # sum <y_j, w_j d*> = (d^{-1})* (sum <w_j, candidate_j>)* d* = 1: the truncation's dual.
+    y = ModuleTuple(tuple(v * d_inv for v in candidate))
+    w = space._tuple_from_cores(n, duals)
+    # sum <y_j, w_j d*> = (d^{-1})* (sum <w_j, c_j>)* d* = 1: the truncation's dual.
     return _warfield(t, y, ModuleTuple(tuple(v * d_star for v in w.entries)), params.tol, r)
 
 

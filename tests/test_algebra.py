@@ -11,7 +11,7 @@ from cstar_rank import (
     InvertibilityError,
     ShapeMismatchError,
 )
-from cstar_rank.algebra import _extreme_svals, _gate_norm
+from cstar_rank.algebra import _extreme_svals, _gate_norm, _shifted_polar
 
 BASES = [(1,), (2,), (3,), (1, 2), (2, 3)]
 
@@ -140,6 +140,20 @@ def test_huge_finite_singular_values_are_not_an_overflow():
     for bad in (np.inf, np.nan):
         with pytest.raises(DomainError, match="not finite"):
             _extreme_svals([np.array([[[1e308]], [[bad]]])])
+
+
+def test_shifted_polar_pairs_to_the_unit_under_the_non_finite_rule():
+    # Per tall block Z = W |Z|: W (|Z| + 2) and W (|Z| + 2)^{-1} pair to the
+    # unit, and the first has the singular values of Z shifted by 2.
+    rng = np.random.default_rng(3)
+    blocks = [rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)) for m, n in [(3, 2), (2, 2)]]
+    heads, duals = _shifted_polar(blocks, 2.0)
+    for z, c, w in zip(blocks, heads, duals):
+        assert np.allclose(w.conj().T @ c, np.eye(z.shape[1]), rtol=0, atol=1e-14)
+        assert np.allclose(np.linalg.svd(c, compute_uv=False), np.linalg.svd(z, compute_uv=False) + 2.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(DomainError, match="not finite"):
+            _shifted_polar([np.array([[1.0], [bad]])], 1.0)
 
 
 def _gate_blocks(kind, shapes, seed, exponent):

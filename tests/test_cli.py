@@ -270,23 +270,35 @@ def test_reduction_failure_exit_code(tmp_path, capsys):
     path = write_tuple(tmp_path / "pair.json", unimodular_pair(space, seed=9))
     code, _, err = run_cli(
         capsys,
-        ["reduce", "--input", path, "--max-retries", "5", "--no-timestamp"],
+        ["reduce", "--input", path, "--no-timestamp"],
     )
     assert code == 1
     assert "counting bound" in err
 
 
-def test_reduce_exhausting_its_retries_exit_code(tmp_path, capsys):
-    # The bound allows this pair's truncations; the retries run out first.
+def test_reduce_reduces_the_pair_that_exhausted_the_retries(tmp_path, capsys):
+    # The bound allows this pair's truncations; random retries once ran out
+    # on it, and the polar completion reduces it.
     space = ModuleSpace(Algebra((1,)), 1, 1)
     t = ModuleTuple(tuple(space.element([np.array([[v]], dtype=complex)]) for v in (0.0, 1.0)))
     path = write_tuple(tmp_path / "pair.json", t)
-    argv = ["reduce", "--input", path, "--tol", "1e-4", "--max-retries", "3", "--seed", "0",
-            "--no-timestamp"]
+    argv = ["reduce", "--input", path, "--tol", "1e-4", "--seed", "0", "--no-timestamp"]
     code, out, err = run_cli(capsys, argv)
-    assert code == 1
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["result"]["reduced_unimodular"] is True
+
+
+@pytest.mark.parametrize("command", ["reduce", "perturb"])
+def test_max_retries_is_a_usage_error(tmp_path, capsys, command):
+    # The reductions no longer retry, so the flag is gone rather than ignored.
+    space = ModuleSpace(Algebra((1,)), 1, 1)
+    path = write_tuple(tmp_path / "t.json", unimodular_pair(space, seed=5))
+    eps = ["--eps", "0.1"] if command == "perturb" else []
+    code, out, err = run_cli(capsys, [command, "--input", path, *eps, "--max-retries", "3"])
+    assert code == 2
     assert out == ""
-    assert "after 3 retries" in err
+    assert "--max-retries" in err
 
 
 def test_reduce_takes_no_eps(tmp_path, capsys):

@@ -3,8 +3,8 @@ generation oracle against its span-map reference, agreement of the two
 unimodularity routes, the dual witness, the C*-identity, the
 Herman-Vaserstein perturbation bound, its refusal below the stable rank,
 Warfield's collapse of several trailing entries in one step, both reductions
-on inputs scaled up to 1e6 and the batched density trials against their
-per-trial reference.
+on inputs scaled up to 1e6, the scale equivariance of the Bass step and the
+batched density trials against their per-trial reference.
 
 Matrix spaces ``M_{rows x cols}(A)`` and corners ``p M_N(A) q`` with randomly
 oriented projections of random ranks, dead blocks (``rank q_i = 0`` or
@@ -27,6 +27,7 @@ from cstar_rank import (
     ModuleTuple,
     PerturbationParams,
     ReductionFailedError,
+    adjointable_norm,
     bass_reduce,
     corner_space,
     density_experiment,
@@ -340,8 +341,9 @@ def scaled_tuple(space, k, seed, scale):
 @example(PAIR_SPACE, 0, 0, 1e5)
 def test_bass_reduce_succeeds_at_every_scale(case, extra, seed, scale):
     # Unimodularity survives scaling, and the witness's truncation is decided
-    # at the scale of the draw, so a large input reduces like a unit one.  The
-    # output is checked by the other route, whose margin does not scale.
+    # by the dual of its polar completion, so a large input reduces like a
+    # unit one.  The output is checked by the other route, whose margin does
+    # not scale.
     space, _ = case
     assume(is_full(space))
     t = scaled_tuple(space, space.predicted_stable_rank() + 1 + extra, seed, scale)
@@ -361,6 +363,38 @@ def test_hv_perturb_succeeds_at_every_scale(case, extra, seed, scale, eps):
     moved = hv_perturb(t, PerturbationParams(eps=eps, seed=seed))
     assert generation_margin(moved) > DEFAULT_TOL
     assert (t - moved).norm() < math.sqrt(eps) + eps
+
+
+#: Input scales, log-uniform in [1e-6, 1e6].
+wide_scales = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
+
+
+def largest_gap(xs, ys) -> float:
+    """Largest entry of ``xs - ys`` over the largest entry of ``ys``, over all blocks."""
+    return max(np.abs(x - y).max() for x, y in zip(xs, ys)) / max(np.abs(y).max() for y in ys)
+
+
+@settings(max_examples=HV_EXAMPLES, deadline=None)
+@given(spaces, st.integers(1, 2), st.integers(0, 1), seeds, wide_scales)
+def test_the_bass_step_is_scale_equivariant(case, r, extra, seed, scale):
+    # Scaling t by c scales its dual z, the head's singular values and the
+    # shift ||z|| by 1/c, so the coefficients W (|Z_h| + ||z||)^{-1} z_tail*
+    # do not move, their norm stays at most 1 and the reduced tuple scales by
+    # c.  The margin rule is absolute below norm 1, so the tolerance of the
+    # scaled run follows its Gram sum, which scales by c^2.
+    space, _ = case
+    assume(is_full(space))
+    n = space.predicted_stable_rank() + extra
+    t = random_tuple(space, n + r, seed)
+    assume(is_unimodular(t))
+    scaled = ModuleTuple(tuple(scale * x for x in t.entries))
+    coeffs, reduced = stable_rank._collapse(t, None, PerturbationParams(eps=0.1), r)
+    scaled_params = PerturbationParams(eps=0.1, tol=DEFAULT_TOL * min(1.0, scale) ** 2)
+    scaled_coeffs, scaled_reduced = stable_rank._collapse(scaled, None, scaled_params, r)
+    assert adjointable_norm(coeffs) <= 1 + 1e-12
+    assert adjointable_norm(scaled_coeffs) <= 1 + 1e-12
+    assert largest_gap(scaled_coeffs.blocks, coeffs.blocks) <= 1e-12
+    assert largest_gap(scaled_reduced._stacked(), [scale * b for b in reduced._stacked()]) <= 1e-12
 
 
 def per_trial_margins(space, k, trials, seed):

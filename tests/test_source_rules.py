@@ -2,9 +2,11 @@
 on its source.
 
 Every singular value goes through ``algebra._extreme_svals``, which holds the
-one non-finite rule, and every functional calculus through one eigh loop.  A
-private SVD loop elsewhere once turned an overflow into a raw
-``LinAlgError`` instead of a ``DomainError``; this test keeps such loops out.
+one non-finite rule, or through ``algebra._shifted_polar``, the one
+factorization that keeps the singular vectors under the same rule, and every
+functional calculus through one eigh loop.  A private SVD loop elsewhere once
+turned an overflow into a raw ``LinAlgError`` instead of a ``DomainError``;
+this test keeps such loops out.
 Every generator and draw stays in ``sampling``, which defines the one draw
 order that seeded reports depend on.  A tuple is stacked into one element of
 ``M^n`` in one place, ``ModuleTuple._stacked``, which its norm, ``stack`` and
@@ -14,7 +16,8 @@ that is only compared with a bound may be a Frobenius norm, taken in one place,
 ``algebra._gate_norm``, which knows when it decides as the SVD would.
 ``hv_perturb`` collapses its padding in one step, with no stage loop.  Each
 intermediate tuple of a reduction is decided unimodular once, by its dual
-witness, and only the outputs are checked with ``is_unimodular``.
+witness, and only the outputs are checked with ``is_unimodular``.  The
+reductions are deterministic: ``stable_rank`` draws nothing.
 """
 
 import ast
@@ -31,6 +34,7 @@ RANDOM = {"standard_normal", "Generator", "PCG64"}
 #: the variable an assignment binds; it covers everything nested inside it.
 ALLOWED = {
     ("algebra", "_extreme_svals"),
+    ("algebra", "_shifted_polar"),
     ("algebra", "_hermitian_calculus"),
     ("algebra", "AlgebraElement.eigenvalues"),
     ("hilbert_module", "_range_basis"),
@@ -262,3 +266,31 @@ def test_reductions_decide_each_intermediate_tuple_once():
     assert not stray, "is_unimodular outside the output postconditions: " + ", ".join(stray)
     # The rule is not vacuous: both postconditions do check.
     assert set(uses) == POSTCONDITIONS
+
+
+#: Names through which a reduction would draw, or its retry schedule would start.
+DRAWS = {"rng_from_seed", "random_element", "derived_seed", "ETA_INITIAL"}
+
+
+def _read_names(node):
+    """The names a node reads or imports: ``x``, ``obj.x`` or ``from m import x``."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.ImportFrom):
+        return [alias.name for alias in node.names]
+    return []
+
+
+def test_reductions_draw_nothing():
+    # The Bass step completes the dual's head in closed form; a generator, a
+    # draw or a perturbation size would bring back the random retry loop.
+    tree = ast.parse((SRC / "stable_rank.py").read_text(encoding="utf-8"))
+    stray = [
+        f"stable_rank.py:{n.lineno} names {name}"
+        for n in ast.walk(tree)
+        for name in _read_names(n)
+        if name in DRAWS
+    ]
+    assert not stray, "stable_rank draws: " + ", ".join(stray)

@@ -22,6 +22,7 @@ from cstar_rank import (
     density_experiment,
     dual_witness,
     gen_oracle,
+    generation_margin,
     gram,
     hv_pad,
     hv_perturb,
@@ -33,7 +34,6 @@ from cstar_rank import (
     warfield_b_to_a,
     warfield_forward,
 )
-from cstar_rank.sampling import rng_from_seed
 from test_hilbert_module import CORNER_CASES, corner_with_ranks
 
 
@@ -296,7 +296,7 @@ def test_warfield_b_to_a_checks_the_reduced_tuple(monkeypatch):
         warfield_b_to_a(*trivial_warfield_instance())
 
 
-# -- randomized Bass reduction ----------------------------------------------------------
+# -- Bass reduction -------------------------------------------------------------------
 
 
 def test_bass_reduce_scalar_pair():
@@ -308,23 +308,24 @@ def test_bass_reduce_scalar_pair():
 
 
 def test_bass_reduce_fails_below_stable_rank():
-    # The counting bound rules out every 1-entry truncation, so nothing is drawn.
+    # The counting bound rules out every 1-entry truncation, so nothing is reduced.
     space = ModuleSpace(Algebra((1,)), 1, 2)
     rng = np.random.default_rng(4)
     t = random_unimodular(space, rng, 2)
     with pytest.raises(ReductionFailedError, match="counting bound") as err:
-        bass_reduce(t, PerturbationParams(eps=0.1, seed=1, max_retries=12))
+        bass_reduce(t, PerturbationParams(eps=0.1, seed=1))
     assert err.value.eta_schedule == ()
 
 
-def test_bass_reduce_exhausts_its_retries():
-    # (0, 1) is unimodular and the bound allows its 1-entry truncations, but
-    # perturbations of size eta <= 4e-3 have Gram margins far below tol 1e-4.
+def test_bass_reduce_reduces_a_pair_with_a_zero_head():
+    # (0, 1): the dual's head is 0, so random perturbations of it of size
+    # eta <= 4e-3 had Gram margins far below tol 1e-4 and every retry failed.
+    # Its polar completion is the shift eta = ||z|| itself, and no seed is read.
     space = scalar_space()
     t = ModuleTuple((scalar(space, 0.0), scalar(space, 1.0)))
-    with pytest.raises(ReductionFailedError, match="after 3 retries") as err:
-        bass_reduce(t, PerturbationParams(eps=0.1, tol=1e-4, seed=0, max_retries=3))
-    assert err.value.eta_schedule == pytest.approx((1e-3, 2e-3, 4e-3))
+    coeffs = [bass_reduce(t, PerturbationParams(eps=0.1, tol=1e-4, seed=seed)) for seed in (0, 1)]
+    assert is_unimodular(warfield_forward(t, coeffs[0]), 1e-4)
+    assert all(np.array_equal(a, b) for a, b in zip(coeffs[0].blocks, coeffs[1].blocks))
 
 
 def test_bass_reduce_sound_on_both_routes():
@@ -347,13 +348,14 @@ def test_bass_reduce_sound_on_both_routes():
 
 
 @pytest.mark.parametrize("pipeline, length, calls", [
-    (hv_perturb, 2, {"is_unimodular": 2, "dual_witness": 2}),
-    (bass_reduce, 3, {"is_unimodular": 1, "dual_witness": 2}),
+    (hv_perturb, 2, {"is_unimodular": 2, "dual_witness": 1}),
+    (bass_reduce, 3, {"is_unimodular": 1, "dual_witness": 1}),
 ])
 def test_each_fact_is_decided_once(monkeypatch, pipeline, length, calls):
-    # hv_perturb: the padded tuple and the draw by their dual witnesses, the
-    # reduced and the moved tuple by is_unimodular.  bass_reduce: the input and
-    # the draw by their dual witnesses, the reduced tuple by is_unimodular.
+    # hv_perturb: the padded tuple by its dual witness, the reduced and the
+    # moved tuple by is_unimodular.  bass_reduce: the input by its dual
+    # witness, the reduced tuple by is_unimodular.  The polar completion of
+    # the dual's head comes with its own dual, so nothing else is decided.
     space = ModuleSpace(Algebra((1,)), 1, 2)
     t = random_unimodular(space, np.random.default_rng(12), length)
     counts = {}
@@ -363,20 +365,7 @@ def test_each_fact_is_decided_once(monkeypatch, pipeline, length, calls):
             return _original(*args)
 
         monkeypatch.setattr(stable_rank, name, spy)
-    generators = []
-
-    def recorded(seed):
-        generators.append(rng_from_seed(seed))
-        return generators[-1]
-
-    monkeypatch.setattr(stable_rank, "rng_from_seed", recorded)
     pipeline(t, PerturbationParams(eps=0.1, seed=3))
-    # The first draw was accepted: the generator moved by one draw of the 2-entry head.
-    (rng,) = generators
-    first = rng_from_seed(3)
-    for _ in range(2):
-        space.random_element(first)
-    assert rng.bit_generator.state == first.bit_generator.state
     assert counts == calls
 
 
@@ -523,7 +512,7 @@ def test_hv_perturb_fails_below_stable_rank():
     rng = np.random.default_rng(10)
     t = ModuleTuple((space.random_element(rng),))
     with pytest.raises(ReductionFailedError):
-        hv_perturb(t, PerturbationParams(eps=0.1, seed=0, max_retries=10))
+        hv_perturb(t, PerturbationParams(eps=0.1, seed=0))
 
 
 def test_hv_perturb_below_rounding_still_fails_from_the_counting_bound():
@@ -557,6 +546,19 @@ def test_hv_perturb_works_on_corners():
     moved = hv_perturb(t, PerturbationParams(eps=0.1, seed=3))
     assert is_unimodular(moved)
     assert (t - moved).norm() < math.sqrt(0.1) + 0.1
+
+
+def test_hv_perturb_passes_the_truncation_dual_gate_at_small_eps():
+    # A random perturbation of the dual's head once had a dual of its own that
+    # paired to 1 only within 1.62e-08, and the gate at 1e-08 refused this
+    # valid input; the polar completion's dual pairs to 1 at rounding level.
+    space = ModuleSpace(Algebra((2,)), 1, 3)
+    rng = np.random.default_rng(1)
+    t = ModuleTuple(tuple(1e-2 * space.random_element(rng) for _ in range(3)))
+    params = PerturbationParams(eps=1e-3, seed=0)
+    moved = hv_perturb(t, params)
+    assert generation_margin(moved) > params.tol
+    assert (t - moved).norm() < math.sqrt(params.eps) + params.eps
 
 
 def corrupt_last_call(monkeypatch, name, corrupt, run):
@@ -704,11 +706,12 @@ def test_params_validation():
         PerturbationParams(eps=0.0)
     with pytest.raises(ValueError):
         PerturbationParams(eps=0.1, tol=-1.0)
-    with pytest.raises(ValueError):
-        PerturbationParams(eps=0.1, max_retries=0)
+    # The reductions no longer retry, so the knob is gone rather than ignored.
+    with pytest.raises(TypeError):
+        PerturbationParams(eps=0.1, max_retries=3)
 
 
-@pytest.mark.parametrize("field", ["max_retries", "seed"])
+@pytest.mark.parametrize("field", ["seed"])
 @pytest.mark.parametrize("value", [2.5, float("nan"), True, "3", None])
 def test_params_reject_non_integer_counts_and_seeds(field, value):
     # A float count once reached range() as a raw TypeError, and True ran as 1.
@@ -717,8 +720,6 @@ def test_params_reject_non_integer_counts_and_seeds(field, value):
 
 
 def test_params_take_integer_counts_and_seeds_as_int():
-    params = PerturbationParams(eps=0.1, max_retries=np.int64(3), seed=np.uint64(2**63))
-    assert (params.max_retries, params.seed) == (3, 2**63)
-    assert type(params.max_retries) is int and type(params.seed) is int
-    with pytest.raises(ValueError, match="at least 1"):
-        PerturbationParams(eps=0.1, max_retries=np.int64(-2))
+    params = PerturbationParams(eps=0.1, seed=np.uint64(2**63))
+    assert params.seed == 2**63
+    assert type(params.seed) is int
