@@ -178,7 +178,10 @@ class Algebra:
 
 
 def _require_positive_finite(name: str, value) -> None:
-    """The one rule for tolerances and ``eps``: ``0 < value < inf``, else ``ValueError``."""
+    """The one rule for tolerances and ``eps``: ``0 < value < inf``, else ``ValueError``;
+    ``TypeError`` for ``bool``, which would pass as 1.0."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be a number, not the boolean {value!r}")
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 

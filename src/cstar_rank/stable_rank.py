@@ -18,8 +18,8 @@ gates, like every norm only compared with a bound, go through
 ``algebra._gate_norm``.
 
 Each intermediate tuple is decided unimodular once, by the :func:`dual_witness`
-that proves it, and the dual is passed forward (``w`` pairs ``x`` to 1, so ``w c*``
-pairs ``x c^{-1}`` to 1); only the outputs are checked with :func:`is_unimodular`.
+that proves it, and the dual is passed forward (the polar completion of its head
+comes with its own dual); only the outputs are checked with :func:`is_unimodular`.
 
 :func:`density_experiment` estimates how often random Gaussian tuples are
 unimodular, with deterministic per-trial seeding.
@@ -60,7 +60,8 @@ TELESCOPE_TOL = 1e-7
 
 def sr_formula(sr_a: int, n: int, m: int) -> int:
     """Stable rank of the ``n x m`` matrix module over a base of stable rank
-    ``sr_a``: the ceiling of ``(sr_a + m - 1) / n``."""
+    ``sr_a``: the ceiling of ``(sr_a + m - 1) / n``, an ``int``."""
+    sr_a, n, m = _shape_int(sr_a), _shape_int(n), _shape_int(m)
     if sr_a < 1 or n < 1 or m < 1:
         raise ValueError("sr_formula needs positive arguments")
     return -(-(sr_a + m - 1) // n)
@@ -200,51 +201,47 @@ def warfield_b_to_a(t: ModuleTuple, y: ModuleTuple, tol: float = DEFAULT_TOL) ->
     before returning.  This is the one-entry case of Warfield's step, which
     collapses ``r`` trailing entries at once with ``a_jk = <z_j, y_{n+k}>_L``.
     """
-    return _warfield(t, y, None, tol, 1)[0]
-
-
-def _warfield(t: ModuleTuple, y: ModuleTuple, z: ModuleTuple | None, tol: float, r: int):
-    """Warfield's step on the last ``r`` entries: the ``n x r`` coefficients
-    and the collapsed ``n``-tuple, each identity checked as in :func:`warfield_b_to_a`.
-    A dual ``z`` of the truncation is certified by its pairing residual alone."""
-    n = len(t) - r
+    n = len(t) - 1
     if n < 1:
-        raise ShapeMismatchError(f"need a tuple of length at least {r + 1}")
-    if len(y) != n + r:
-        raise ShapeMismatchError(f"witness length {len(y)} does not match tuple length {n + r}")
-    space = t.space
-    unit = space.right_algebra_unit()
-
-    residual = _gate_norm((pairing(y, t) - unit).blocks, WITNESS_TOL)
+        raise ShapeMismatchError("need a tuple of length at least 2")
+    if len(y) != n + 1:
+        raise ShapeMismatchError(f"witness length {len(y)} does not match tuple length {n + 1}")
+    residual = _gate_norm((pairing(y, t) - t.space.right_algebra_unit()).blocks, WITNESS_TOL)
     if residual > WITNESS_TOL:
         raise DomainError(
             f"witness pairing residual {residual:.3g} exceeds {WITNESS_TOL:g}"
         )
+    head, tail = ModuleTuple(y.entries[:n]), ModuleTuple(y.entries[n:])
+    try:
+        z = dual_witness(head, tol)
+    except DomainError as exc:
+        raise DomainError(f"truncated witness (y_1, ..., y_n) is not unimodular: {exc}") from exc
+    return _warfield(t, head, tail, z, tol)[0]
 
-    truncated, tail = ModuleTuple(y.entries[:n]), ModuleTuple(y.entries[n:])
-    if z is None:
-        try:
-            z = dual_witness(truncated, tol)
-        except DomainError as exc:
-            raise DomainError(f"truncated witness (y_1, ..., y_n) is not unimodular: {exc}") from exc
 
-    dual_residual = _gate_norm((pairing(truncated, z) - unit).blocks, WITNESS_TOL)
+def _warfield(t: ModuleTuple, head: ModuleTuple, tail: ModuleTuple, z: ModuleTuple, tol: float):
+    """Warfield's step on the last ``len(tail)`` entries, from a witness
+    ``(head, tail)`` whose pairing with ``t`` is invertible and a dual ``z`` of
+    its head: the coefficients ``a_jk = z_j tail_k*`` and the collapsed tuple,
+    whose pairing with ``head`` is that of the witness with ``t``.  ``z`` is
+    certified by its pairing residual alone."""
+    dual_residual = _gate_norm((pairing(head, z) - t.space.right_algebra_unit()).blocks, WITNESS_TOL)
     if dual_residual > WITNESS_TOL:
         raise DomainError(
             f"truncation dual residual {dual_residual:.3g} exceeds {WITNESS_TOL:g}"
         )
 
-    # Per block, a_jk = z_j y_{n+k}*: the stacked truncation dual times the stacked tail's adjoint.
+    # Per block, a_jk = z_j tail_k*: the stacked dual times the stacked tail's adjoint.
     a_blocks = [zb @ yb.conj().T for zb, yb in zip(z._stacked(), tail._stacked())]
-    a = ReductionCoefficients._from_blocks(space, a_blocks)
-    adjoint = ReductionCoefficients._from_blocks(space, [b.conj().T for b in a.blocks])
-    telescoped = ModuleTuple(tuple(adjoint.apply(truncated.entries)))
-    tele_residual = _gate_norm((telescoped - tail)._stacked(), TELESCOPE_TOL)
+    # The telescoping identity sum_j a_jk* head_j = tail_k, one product per block.
+    tele_residual = _gate_norm([ab.conj().T @ hb - yb for ab, hb, yb
+                                in zip(a_blocks, head._stacked(), tail._stacked())], TELESCOPE_TOL)
     if tele_residual > TELESCOPE_TOL:
         raise DomainError(
             f"telescoping residual {tele_residual:.3g} exceeds {TELESCOPE_TOL:g}"
         )
 
+    a = ReductionCoefficients._from_blocks(t.space, a_blocks)
     reduced = warfield_forward(t, a)
     if not is_unimodular(reduced, tol):
         raise DomainError("reduced tuple failed the unimodularity postcondition")
@@ -268,9 +265,9 @@ def bass_reduce(t: ModuleTuple, params: PerturbationParams) -> ReductionCoeffici
     the stacked core of ``z_1..z_n`` (tall once the counting bound passes) and
     ``eta = ||z||``, the head ``c = W (|Z_h| + eta)`` has the truncation dual
     ``w = W (|Z_h| + eta)^{-1}``, and the pairing ``d* = 1 + eta |Z_h| G``, with
-    ``G`` the Gram sum, is similar to ``1 + eta G^1/2 |Z_h| G^1/2 >= 1``.  The
-    witness is renormalized by ``d^{-1}`` and goes to Warfield's step with
-    ``w d*``, the dual of its truncation.  The coefficients
+    ``G`` the Gram sum, is similar to ``1 + eta G^1/2 |Z_h| G^1/2 >= 1``.
+    Warfield's step needs only that pairing to be invertible, so it takes the
+    witness ``(c, z_tail)`` as it is, with ``w``.  The coefficients
     ``W (|Z_h| + eta)^{-1} z_tail*`` have norm at most 1 and do not move when
     the tuple is scaled.  This is the one-entry case of the collapse that
     :func:`hv_perturb` runs on all of its padding entries at once.
@@ -295,14 +292,8 @@ def _collapse(t: ModuleTuple, z: ModuleTuple | None, params: PerturbationParams,
 
     # eta = ||z|| >= ||z_tail|| is homogeneous of degree 1 in z, so ||a|| <= 1 at every scale.
     heads, duals = _shifted_polar(ModuleTuple(z.entries[:n])._cores(), z.norm())
-    candidate = space._tuple_from_cores(n, heads).entries + z.entries[n:]
-    d_star = pairing(ModuleTuple(candidate), t)
-    # d* = 1 + eta |Z_h| G is invertible by construction; no tolerance gate.
-    d_inv = space.right_inverse(d_star.adjoint(), params.tol, check=False)
-    y = ModuleTuple(tuple(v * d_inv for v in candidate))
-    w = space._tuple_from_cores(n, duals)
-    # sum <y_j, w_j d*> = (d^{-1})* (sum <w_j, c_j>)* d* = 1: the truncation's dual.
-    return _warfield(t, y, ModuleTuple(tuple(v * d_star for v in w.entries)), params.tol, r)
+    return _warfield(t, space._tuple_from_cores(n, heads), ModuleTuple(z.entries[n:]),
+                     space._tuple_from_cores(n, duals), params.tol)
 
 
 def _pad_with_bump(t: ModuleTuple, u: ModuleTuple, eps: float, tol: float):

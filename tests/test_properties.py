@@ -304,22 +304,23 @@ def test_one_collapse_removes_every_trailing_entry(case, r, extra, seed):
     witnesses = []
     warfield = stable_rank._warfield
 
-    def spy(t, y, z, tol, r):
-        witnesses.append(y)
-        return warfield(t, y, z, tol, r)
+    def spy(t, head, tail, z, tol):
+        witnesses.append((head, tail, z))
+        return warfield(t, head, tail, z, tol)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stable_rank, "_warfield", spy)
         coeffs, reduced = stable_rank._collapse(t, dual_witness(t, params.tol), params, r)
-    (y,) = witnesses
+    ((head, tail, _),) = witnesses
     assert coeffs.shape == (n, r) and len(reduced) == n
     assert is_unimodular(reduced)
-    unit = space.right_algebra_unit()
-    assert (pairing(ModuleTuple(y.entries[:n]), reduced) - unit).norm() <= WITNESS_TOL
+    # Warfield's identity: the head pairs the reduced tuple as the witness pairs t.
+    expected_pairing = pairing(ModuleTuple(head.entries + tail.entries), t)
+    assert (pairing(head, reduced) - expected_pairing).norm() <= WITNESS_TOL * expected_pairing.norm()
     a = coeffs.coeffs
     for k in range(r):
-        telescoped = sum((a[j][k].adjoint() * y[j] for j in range(1, n)), a[0][k].adjoint() * y[0])
-        assert (telescoped - y[n + k]).norm() <= TELESCOPE_TOL
+        telescoped = sum((a[j][k].adjoint() * head[j] for j in range(1, n)), a[0][k].adjoint() * head[0])
+        assert (telescoped - tail[k]).norm() <= TELESCOPE_TOL
     if r == 1:
         expected = bass_reduce(t, params)
         assert all(np.array_equal(b, c) for b, c in zip(coeffs.blocks, expected.blocks))

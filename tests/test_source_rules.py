@@ -294,3 +294,15 @@ def test_reductions_draw_nothing():
         if name in DRAWS
     ]
     assert not stray, "stable_rank draws: " + ", ".join(stray)
+
+
+def test_only_the_damping_inverts():
+    # Warfield's step takes the polar completion as it is; an inverse anywhere
+    # but hv_perturb's damping d = 1 + k b would renormalize a witness again.
+    tree = ast.parse((SRC / "stable_rank.py").read_text(encoding="utf-8"))
+    uses = {}
+    for top in tree.body:
+        for n in ast.walk(top):
+            if "right_inverse" in _read_names(n):
+                uses.setdefault(getattr(top, "name", "<module>"), []).append(n.lineno)
+    assert set(uses) == {"hv_perturb"}, f"stable_rank names right_inverse in {uses}"

@@ -79,6 +79,18 @@ def test_sr_formula_validates():
         sr_formula(1, 0, 1)
 
 
+@pytest.mark.parametrize("args", [(2.5, 1, 1), (1, 2.0, 3), (1, 1, True), ("1", 1, 1)])
+def test_sr_formula_rejects_non_integers(args):
+    # sr_formula(2.5, 1, 1) once returned 3.0 and sr_formula(1, 2.0, 3) 2.0.
+    with pytest.raises(TypeError):
+        sr_formula(*args)
+
+
+def test_sr_formula_takes_integers_as_int():
+    value = sr_formula(np.int64(2), np.int32(3), np.uint8(5))
+    assert value == sr_formula(2, 3, 5) == 2 and type(value) is int
+
+
 def test_predicted_rank_matches_formula():
     for rows in range(1, 5):
         for cols in range(1, 5):
@@ -268,10 +280,9 @@ def test_warfield_b_to_a_checks_the_truncation_dual():
     space = scalar_space()
     one, zero = scalar(space, 1.0), scalar(space, 0.0)
     t = ModuleTuple((one, zero))
-    y = ModuleTuple((one, zero))
-    z = ModuleTuple((scalar(space, 2.0),))  # pairs with the truncation to 2
+    z = ModuleTuple((scalar(space, 2.0),))  # pairs with the head to 2
     with pytest.raises(DomainError, match="truncation dual residual"):
-        stable_rank._warfield(t, y, z, 1e-9, 1)
+        stable_rank._warfield(t, ModuleTuple((one,)), ModuleTuple((zero,)), z, 1e-9)
 
 
 def trivial_warfield_instance():
@@ -348,14 +359,16 @@ def test_bass_reduce_sound_on_both_routes():
 
 
 @pytest.mark.parametrize("pipeline, length, calls", [
-    (hv_perturb, 2, {"is_unimodular": 2, "dual_witness": 1}),
-    (bass_reduce, 3, {"is_unimodular": 1, "dual_witness": 1}),
+    (hv_perturb, 2, {"is_unimodular": 2, "dual_witness": 1, "pairing": 1}),
+    (bass_reduce, 3, {"is_unimodular": 1, "dual_witness": 1, "pairing": 1}),
 ])
 def test_each_fact_is_decided_once(monkeypatch, pipeline, length, calls):
     # hv_perturb: the padded tuple by its dual witness, the reduced and the
     # moved tuple by is_unimodular.  bass_reduce: the input by its dual
     # witness, the reduced tuple by is_unimodular.  The polar completion of
-    # the dual's head comes with its own dual, so nothing else is decided.
+    # the dual's head comes with its own dual, so nothing else is decided,
+    # and the one pairing is that dual's residual: Warfield's step takes the
+    # witness as it is, with no pairing to invert.
     space = ModuleSpace(Algebra((1,)), 1, 2)
     t = random_unimodular(space, np.random.default_rng(12), length)
     counts = {}
@@ -680,12 +693,11 @@ def test_density_takes_integer_counts_and_seeds_as_int():
     assert all(type(v) is int for v in (report.k, report.trials, report.seed))
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
-def test_every_tolerance_entry_point_rejects_bad_values(bad):
+def tolerance_entry_points(bad):
     space = scalar_space()
     unit_tuple = ModuleTuple(tuple(space.standard_unimodular_tuple()))
     u = normalize_tuple(unit_tuple)
-    calls = [
+    return [
         lambda: space.right_algebra_unit().is_invertible(bad),
         lambda: space.right_algebra_unit().inv_sqrt(bad),
         lambda: normalize_tuple(unit_tuple, bad),
@@ -695,9 +707,24 @@ def test_every_tolerance_entry_point_rejects_bad_values(bad):
         lambda: hv_pad(unit_tuple, u, bad),
         lambda: PerturbationParams(eps=bad),
         lambda: PerturbationParams(eps=0.1, tol=bad),
+        lambda: dual_witness(unit_tuple, bad),
     ]
-    for call in calls:
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_every_tolerance_entry_point_rejects_bad_values(bad):
+    for call in tolerance_entry_points(bad):
         with pytest.raises(ValueError):
+            call()
+
+
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_every_tolerance_entry_point_rejects_booleans(flag):
+    # True once passed as 1.0: PerturbationParams(eps=True, tol=True) was
+    # built, is_unimodular(t, True) called a unimodular 1-tuple not unimodular
+    # and a density report read "tolerance": true.
+    for call in tolerance_entry_points(flag):
+        with pytest.raises(TypeError, match="not the boolean"):
             call()
 
 
