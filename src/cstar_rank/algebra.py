@@ -115,10 +115,16 @@ def matrix_to_json(block) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(block)]
 
 
+def _json_entry(re, im) -> complex:
+    if isinstance(re, bool) or isinstance(im, bool):  # complex(True, 0) is 1
+        raise TypeError(f"matrix entries must be numbers, not booleans: [{re!r}, {im!r}]")
+    return complex(re, im)
+
+
 def matrix_from_json(rows) -> np.ndarray:
-    """Inverse of :func:`matrix_to_json`; rejects infinite and NaN entries."""
+    """Inverse of :func:`matrix_to_json`; rejects boolean, infinite and NaN entries."""
     block = np.array(
-        [[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128
+        [[_json_entry(re, im) for re, im in row] for row in rows], dtype=np.complex128
     )
     if not np.isfinite(block).all():
         raise ValueError("matrix entries must be finite (found inf or nan)")
@@ -334,12 +340,6 @@ class AlgebraElement(_Blocks):
         return self._new([np.linalg.inv(b) for b in self.blocks])
 
     # -- functional calculus -----------------------------------------------
-
-    def eigenvalues(self) -> tuple:
-        """Per-block eigenvalues (ascending) of a self-adjoint element."""
-        if not self.is_self_adjoint():
-            raise DomainError("eigenvalues are only computed for self-adjoint elements")
-        return tuple(np.linalg.eigvalsh(_hermitized(b)) for b in self.blocks)
 
     def positive_part(self) -> "AlgebraElement":
         """Spectral positive part: keep nonnegative eigenvalues, zero the rest.

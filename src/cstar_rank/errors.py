@@ -29,10 +29,5 @@ class ReductionFailedError(DomainError):
     """No unimodular reduction exists: the counting bound rules every one out.
 
     Raised when the tuple, or the truncation that ``bass_reduce`` completes,
-    is shorter than the stable rank.  The reductions draw nothing, so
-    ``eta_schedule`` is always empty; it is kept for callers that read it.
+    is shorter than the stable rank.
     """
-
-    def __init__(self, message, eta_schedule=()):
-        super().__init__(message)
-        self.eta_schedule = tuple(eta_schedule)

@@ -65,8 +65,8 @@ def _ceil_div(a: int, b: int) -> int:
 class _SpaceOps:
     """Operations shared by matrix and corner spaces.
 
-    A space sets ``right_algebra``, ``left_algebra`` and ``_right_unit`` at
-    construction and provides ``block_shapes`` (stored element blocks),
+    A space sets ``right_algebra`` and ``left_algebra`` at construction and
+    provides ``block_shapes`` (stored element blocks),
     ``compressed_shapes`` (per block ``(r_i, s_i)``) and these hooks:
 
     * ``_core(i, block)`` / ``_embed(i, core)`` between a stored element block
@@ -87,7 +87,8 @@ class _SpaceOps:
         return sum(r * s for r, s in self.compressed_shapes)
 
     def right_algebra_unit(self) -> AlgebraElement:
-        return self._right_unit
+        """The unit of the right algebra, built when asked for."""
+        return self.right_algebra.unit()
 
     def zero(self) -> "ModuleElement":
         return ModuleElement._wrap(
@@ -102,7 +103,7 @@ class _SpaceOps:
     def element(self, blocks) -> "ModuleElement":
         """Build an element from one matrix per stored block (copies the data),
         projected into the space (``p x q`` on a corner)."""
-        return self._projected(ModuleElement(self, blocks).blocks)
+        return ModuleElement(self, blocks)
 
     def random_element(self, rng) -> "ModuleElement":
         """I.i.d. standard complex Gaussian entries in the stored block shapes,
@@ -134,9 +135,6 @@ class _SpaceOps:
     def right_margin(self, b) -> float:
         """Invertibility margin of ``b``, the kernel's rule on the compressed image."""
         return self._compress(b).margin()
-
-    def right_is_invertible(self, b, tol: float = DEFAULT_TOL) -> bool:
-        return self._compress(b).is_invertible(tol)
 
     def right_inverse(self, b, tol: float = DEFAULT_TOL, check: bool = True):
         c = self._compress(b)
@@ -197,7 +195,8 @@ class ModuleSpace(_SpaceOps):
 
     Per block ``i`` of the base algebra, elements are complex matrices of
     shape ``(rows * k_i, cols * k_i)``.  The right and left algebras are the
-    amplifications of the base, built once at construction.
+    amplifications of the base, built once at construction; they hold block
+    sizes only, so a declared shape allocates nothing.
     """
 
     alg: Algebra
@@ -205,17 +204,14 @@ class ModuleSpace(_SpaceOps):
     cols: int
     right_algebra: Algebra = field(init=False, repr=False, compare=False)
     left_algebra: Algebra = field(init=False, repr=False, compare=False)
-    _right_unit: AlgebraElement = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", _shape_int(self.rows))
         object.__setattr__(self, "cols", _shape_int(self.cols))
         if self.rows < 1 or self.cols < 1:
             raise ValueError("module shape needs rows >= 1 and cols >= 1")
-        right = self.alg.matrix_algebra(self.cols)
-        object.__setattr__(self, "right_algebra", right)
+        object.__setattr__(self, "right_algebra", self.alg.matrix_algebra(self.cols))
         object.__setattr__(self, "left_algebra", self.alg.matrix_algebra(self.rows))
-        object.__setattr__(self, "_right_unit", right.unit())
 
     @property
     def block_shapes(self) -> tuple:
@@ -268,7 +264,8 @@ class ModuleElement(_Blocks):
 
     Supports ``x + y``, ``x - y``, scalar multiples, the right action
     ``x * b`` by the right algebra and the left action ``a * x`` by the left
-    algebra.
+    algebra.  The constructor copies and shape-checks ``blocks``, then projects
+    them into the space (``p x q`` on a corner), as ``space.element`` does.
     """
 
     __slots__ = ("space",)
@@ -276,6 +273,7 @@ class ModuleElement(_Blocks):
 
     def __init__(self, space, blocks):
         super().__init__(space, blocks, space.block_shapes)
+        self.blocks = space._projected(self.blocks).blocks
 
     def _new(self, blocks):
         return ModuleElement._wrap(self.space, blocks)
@@ -419,7 +417,7 @@ def is_unimodular(t: ModuleTuple, tol: float = DEFAULT_TOL) -> bool:
     _require_positive_finite("tol", tol)
     if t.space.rank_obstruction(len(t)):
         return False
-    return t.space.right_is_invertible(gram(t), tol)
+    return t.space.right_margin(gram(t)) > tol
 
 
 def unimodularity_margin(t: ModuleTuple) -> float:
@@ -538,7 +536,6 @@ class CornerSpace(_SpaceOps):
         self.ambient = self.right_algebra = self.left_algebra = ambient
         self.p = p
         self.q = q
-        self._right_unit = q
         self._row_bases = tuple(_range_basis(b) for b in p.blocks)
         self._col_bases = tuple(_range_basis(b) for b in q.blocks)
         self.compressed_shapes = tuple(
@@ -568,6 +565,9 @@ class CornerSpace(_SpaceOps):
 
     def _project(self, i, g):
         return self.p.blocks[i] @ g @ self.q.blocks[i]
+
+    def right_algebra_unit(self) -> AlgebraElement:
+        return self.q
 
     def _stacked_space(self, k):
         """``diag(p, ..., p) M_{kN}(A) diag(q, 0, ..., 0)``: the entries go down the
@@ -645,10 +645,6 @@ def space_from_json_dict(data):
     return CornerSpace.from_json_dict(data)
 
 
-def element_from_json_dict(data) -> ModuleElement:
-    return tuple_from_json_list([data])[0]
-
-
 def tuple_from_json_list(data) -> ModuleTuple:
     """The one JSON-to-element path: every entry must declare the first's space
     and lie in it, within ``PROJECTION_TOL`` relative; blocks are kept bit for bit."""
@@ -659,8 +655,8 @@ def tuple_from_json_list(data) -> ModuleTuple:
     for item in data:
         if item["space"] != data[0]["space"]:
             raise ShapeMismatchError("tuple entries declare different spaces")
-        x = ModuleElement(space, [matrix_from_json(m) for m in item["blocks"]])
-        moved = _gate_norm((x - space._projected(x.blocks)).blocks, PROJECTION_TOL)
+        x = ModuleElement._wrap(space, [matrix_from_json(m) for m in item["blocks"]])
+        moved = _gate_norm((x - ModuleElement(space, x.blocks)).blocks, PROJECTION_TOL)
         # Only an entry that moves needs its own norm.
         if moved > PROJECTION_TOL and moved > PROJECTION_TOL * x.norm():
             raise ValueError(

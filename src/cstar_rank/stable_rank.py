@@ -272,22 +272,20 @@ def bass_reduce(t: ModuleTuple, params: PerturbationParams) -> ReductionCoeffici
     the tuple is scaled.  This is the one-entry case of the collapse that
     :func:`hv_perturb` runs on all of its padding entries at once.
 
-    Raises :class:`ReductionFailedError`, with an empty ``eta_schedule``, when
-    the counting bound rules out every truncation.  Of ``params`` it reads only ``tol``.
+    Raises :class:`ReductionFailedError` when the counting bound rules out
+    every truncation.  Of ``params`` it reads only ``tol``.
     """
-    return _collapse(t, None, params, 1)[0]
+    if len(t) < 2:
+        raise ShapeMismatchError("need a tuple of length at least 2 to reduce")
+    return _collapse(t, dual_witness(t, params.tol), params, 1)[0]
 
 
-def _collapse(t: ModuleTuple, z: ModuleTuple | None, params: PerturbationParams, r: int):
-    """The Bass reduction of the last ``r`` entries onto the first ``n`` from the
-    canonical dual ``z`` of ``t``, by default its :func:`dual_witness`: only
-    ``z_1..z_n`` are replaced, by their polar completion."""
+def _collapse(t: ModuleTuple, z: ModuleTuple, params: PerturbationParams, r: int):
+    """The Bass reduction of the last ``r`` entries onto the first ``n >= 1`` from
+    the canonical dual ``z`` of ``t``: only ``z_1..z_n`` are replaced, by their
+    polar completion."""
     n = len(t) - r
-    if n < 1:
-        raise ShapeMismatchError(f"need a tuple of length at least {r + 1} to reduce")
     space = t.space
-    if z is None:
-        z = dual_witness(t, params.tol)
     _refuse_below_stable_rank(space, n)
 
     # eta = ||z|| >= ||z_tail|| is homogeneous of degree 1 in z, so ||a|| <= 1 at every scale.
@@ -349,8 +347,8 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
     A space that is not full has no unimodular tuple, so picking ``u``
     raises :class:`ModuleNotFullError`.  A tuple shorter than the stable
     rank of the space can never be reduced to a unimodular one (the counting
-    bound), so it raises :class:`ReductionFailedError` with an empty
-    ``eta_schedule`` before any padding or reduction.
+    bound), so it raises :class:`ReductionFailedError` before any padding or
+    reduction.
     """
     space = t.space
     eps = params.eps

@@ -369,6 +369,35 @@ def test_non_finite_entries_are_a_parse_error(tmp_path, capsys, entry):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("where", ["re", "im", "p", "q"])
+def test_boolean_entries_are_a_parse_error(tmp_path, capsys, where):
+    # complex(True, 0) is 1, so a boolean entry once passed as a number and check exited 0.
+    alg = Algebra((1,))
+    p = alg.matrix_algebra(2).element([np.diag([1.0, 0.0])])
+    data = ModuleTuple((corner_space(alg, 2, p, p).random_element(np.random.default_rng(0)),)).to_json_list()
+    entry = data[0]["space"][where]["blocks"][0][0] if where in ("p", "q") else data[0]["blocks"][0][0]
+    entry[0] = [True, entry[0][1]] if where != "im" else [entry[0][0], False]
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, ["check", "--input", str(path), "--no-timestamp"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad input:") and "boolean" in err
+
+
+def test_a_big_declared_shape_fails_on_its_blocks_before_allocating(tmp_path, capsys):
+    # The unit of the right algebra M_100000(C) alone would take 149 GiB; the
+    # space allocates nothing, so the block shape check answers first.
+    data = [{"space": {"algebra": {"blocks": [1]}, "rows": 100000, "cols": 100000},
+             "blocks": [[[[1.0, 0.0]]]]}]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, ["check", "--input", str(path), "--no-timestamp"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: block has shape (1, 1), expected (100000, 100000)\n"
+
+
 def test_unparsable_env_tolerance_names_the_rule(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CSTAR_RANK_TOL", "abc")
     space = ModuleSpace(Algebra((1,)), 1, 1)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from cstar_rank import (
+    DEFAULT_TOL,
     Algebra,
     DegenerateModuleError,
     DomainError,
+    ModuleElement,
     ModuleSpace,
     ModuleTuple,
     ShapeMismatchError,
@@ -568,8 +570,8 @@ def test_corner_right_algebra_ops_match_kernel(base, size, p_ranks, q_ranks, sha
         expected = min(s[-1] for s in svals) / max(1.0, max(s[0] for s in svals))
         assert corner.right_margin(b) == pytest.approx(expected, rel=1e-9, abs=1e-14)
         for tol in (1e-9, 1e-3):
-            assert corner.right_is_invertible(b, tol) == compress(b).is_invertible(tol)
-    assert not corner.right_is_invertible(singular)
+            assert (corner.right_margin(b) > tol) == compress(b).is_invertible(tol)
+    assert not corner.right_margin(singular) > DEFAULT_TOL
 
     standard = corner.standard_unimodular_tuple()
     assert len(standard) == corner.predicted_stable_rank()
@@ -704,6 +706,35 @@ def _per_block_gaussian(rng, shape):
     # The draw of every random element before draws were batched: one call
     # for the real parts and one for the imaginary parts of each block.
     return np.sqrt(0.5) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def test_the_constructor_projects_like_space_element():
+    # One way into a space: ModuleElement(space, b) is space.element(b) bit for
+    # bit, p b q on a corner, even for blocks that lie outside the corner.
+    rng = np.random.default_rng(19)
+    spaces = [ModuleSpace(Algebra((1, 2)), 2, 3)] + [
+        corner_with_ranks(base, size, p_ranks, q_ranks, rng)
+        for base, size, p_ranks, q_ranks, _ in CORNER_CASES
+    ]
+    for space in spaces:
+        for _ in range(3):
+            drawn = [_per_block_gaussian(rng, shape) for shape in space.block_shapes]
+            built = ModuleElement(space, drawn)
+            assert all(np.array_equal(a, b) for a, b in zip(built.blocks, space.element(drawn).blocks))
+            if isinstance(space, ModuleSpace):
+                expected = drawn
+            else:
+                expected = [pb @ g @ qb for pb, g, qb in zip(space.p.blocks, drawn, space.q.blocks)]
+                assert not all(np.array_equal(a, b) for a, b in zip(drawn, expected))
+            assert all(np.array_equal(a, b) for a, b in zip(built.blocks, expected))
+    # On diag(1, 0) M_2(C), e_22 is outside the corner and projects to 0, so
+    # (e_11, e_22) is not unimodular by either route.
+    big = Algebra((1,)).matrix_algebra(2)
+    corner = corner_space(Algebra((1,)), 2, big.element([np.diag([1.0, 0.0])]), big.unit())
+    t = ModuleTuple((corner.element([np.diag([1.0, 0.0])]), ModuleElement(corner, [np.diag([0.0, 1.0])])))
+    assert not t[1].blocks[0].any()
+    assert not is_unimodular(t)
+    assert not gen_oracle(t)
 
 
 def test_random_elements_keep_the_per_block_draw_order():

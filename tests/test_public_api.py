@@ -20,7 +20,6 @@ PUBLIC_NAMES = {
     "ModuleTuple",
     "corner_space",
     "dual_witness",
-    "element_from_json_dict",
     "gen_oracle",
     "generation_margin",
     "gram",

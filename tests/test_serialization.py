@@ -14,7 +14,6 @@ from cstar_rank import (
     ShapeMismatchError,
     corner_space,
     density_experiment,
-    element_from_json_dict,
     space_from_json_dict,
     tuple_from_json_list,
 )
@@ -63,7 +62,7 @@ def test_module_element_and_tuple_roundtrip():
     rng = np.random.default_rng(1)
     space = ModuleSpace(Algebra((1, 2)), 2, 3)
     x = space.random_element(rng)
-    back = element_from_json_dict(roundtrip(x.to_json_dict()))
+    back = tuple_from_json_list([roundtrip(x.to_json_dict())])[0]
     assert back.space == space
     assert all(np.array_equal(a, b) for a, b in zip(x.blocks, back.blocks))
 
@@ -92,7 +91,7 @@ def test_corner_element_roundtrip():
     p = big.element([np.diag([1.0, 0.0])])
     corner = corner_space(alg, 2, p, p)
     x = corner.random_element(np.random.default_rng(2))
-    back = element_from_json_dict(roundtrip(x.to_json_dict()))
+    back = tuple_from_json_list([roundtrip(x.to_json_dict())])[0]
     assert back.space == corner
     assert all(np.array_equal(a, b) for a, b in zip(x.blocks, back.blocks))
 
@@ -109,10 +108,10 @@ def test_corner_entries_must_lie_in_the_corner():
         data["blocks"] = [matrix_to_json(scale * x.blocks[0] + nudge * below)]
         if refused:
             with pytest.raises(ValueError, match="not in its space"):
-                element_from_json_dict(data)
+                tuple_from_json_list([data])[0]
             continue
         # Within PROJECTION_TOL relative the entry loads unchanged.
-        back = element_from_json_dict(data)
+        back = tuple_from_json_list([data])[0]
         assert np.array_equal(back.blocks[0], matrix_from_json(data["blocks"][0]))
 
 

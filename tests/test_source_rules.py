@@ -17,7 +17,9 @@ that is only compared with a bound may be a Frobenius norm, taken in one place,
 ``hv_perturb`` collapses its padding in one step, with no stage loop.  Each
 intermediate tuple of a reduction is decided unimodular once, by its dual
 witness, and only the outputs are checked with ``is_unimodular``.  The
-reductions are deterministic: ``stable_rank`` draws nothing.
+reductions are deterministic: ``stable_rank`` draws nothing.  The public
+``ModuleElement`` constructor projects its blocks into the space; inside the
+package only ``space.element`` and the JSON loader call it.
 """
 
 import ast
@@ -36,7 +38,6 @@ ALLOWED = {
     ("algebra", "_extreme_svals"),
     ("algebra", "_shifted_polar"),
     ("algebra", "_hermitian_calculus"),
-    ("algebra", "AlgebraElement.eigenvalues"),
     ("hilbert_module", "_range_basis"),
     # Independent references of the acceptance battery.
     ("acceptance", "criterion_kernel_numerics.direct_sq"),
@@ -104,10 +105,26 @@ def _allowed_scope(module, scope, scopes=ALLOWED):
     return None
 
 
-def _uses(names):
+class _NamedCalls(_NamedUses):
+    """Collects name, scope and line of every call of a name in ``names``;
+    reading or importing the name is not a call."""
+
+    def visit_Call(self, node):
+        for name in _read_names(node.func):
+            if name in self.names:
+                self.found.append((name, ".".join(self.scope), node.lineno))
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node):
+        self.generic_visit(node)
+
+    visit_ImportFrom = visit_Attribute
+
+
+def _uses(names, visitor_class=_NamedUses):
     """``(module, name, scope, line)`` of every use of ``names`` in the package."""
     for path in sorted(SRC.glob("*.py")):
-        visitor = _NamedUses(names)
+        visitor = visitor_class(names)
         visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
         for name, scope, line in visitor.found:
             yield path.stem, name, scope, line
@@ -224,6 +241,24 @@ def test_space_classes_leave_elements_to_the_shared_path():
     assert not stray, "space method names ModuleElement: " + ", ".join(stray)
     # The rule is not vacuous: the shared base does name it.
     assert _names_module_element(classes["_SpaceOps"])
+
+
+#: The only callers of the public element constructor, which copies, checks and
+#: projects; internal code keeps the trusted ``_wrap`` and ``_projected`` paths.
+ELEMENT_CONSTRUCTORS = {("hilbert_module", "_SpaceOps.element"), ("hilbert_module", "tuple_from_json_list")}
+
+
+def test_only_the_space_and_the_loader_construct_elements():
+    used, stray = set(), []
+    for module, _, scope, line in _uses({"ModuleElement"}, _NamedCalls):
+        allowed = _allowed_scope(module, scope, ELEMENT_CONSTRUCTORS)
+        if allowed is None:
+            stray.append(f"{module}.py:{line} in {scope or '<module>'}")
+        else:
+            used.add(allowed)
+    assert not stray, "ModuleElement(...) outside the space and the loader: " + ", ".join(stray)
+    # The rule is not vacuous: both callers do construct.
+    assert used == ELEMENT_CONSTRUCTORS
 
 
 def test_hv_perturb_collapses_its_padding_in_one_step():

@@ -323,9 +323,8 @@ def test_bass_reduce_fails_below_stable_rank():
     space = ModuleSpace(Algebra((1,)), 1, 2)
     rng = np.random.default_rng(4)
     t = random_unimodular(space, rng, 2)
-    with pytest.raises(ReductionFailedError, match="counting bound") as err:
+    with pytest.raises(ReductionFailedError, match="counting bound"):
         bass_reduce(t, PerturbationParams(eps=0.1, seed=1))
-    assert err.value.eta_schedule == ()
 
 
 def test_bass_reduce_reduces_a_pair_with_a_zero_head():
@@ -533,9 +532,8 @@ def test_hv_perturb_below_rounding_still_fails_from_the_counting_bound():
     # tests on rounding noise and then invert a singular matrix.
     space = ModuleSpace(Algebra((1,)), 1, 2)
     t = ModuleTuple((space.random_element(np.random.default_rng(5)),))
-    with pytest.raises(ReductionFailedError, match="stable rank 2") as err:
+    with pytest.raises(ReductionFailedError, match="stable rank 2"):
         hv_perturb(t, PerturbationParams(eps=0.1, tol=1e-25, seed=0))
-    assert err.value.eta_schedule == ()
 
 
 def test_hv_perturb_rejects_non_full_corner():
