@@ -6,7 +6,7 @@ Timestamps and wall time are included unless ``--no-timestamp`` is given, so
 that identical configurations produce byte-identical reports.
 
 Exit status: 0 on success, 1 on domain errors (singular inputs, failed
-reductions, overflow, ...), 2 on usage or parse errors.
+reductions, overflow, ...) and on memory exhaustion, 2 on usage or parse errors.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import asdict
 import numpy as np
 
 from ._version import __version__
-from .algebra import DEFAULT_TOL, Algebra
+from .algebra import DEFAULT_TOL, Algebra, _require_positive_finite
 from .errors import CstarRankError, DomainError
 from .hilbert_module import (
     ModuleSpace,
@@ -48,15 +48,14 @@ from .stable_rank import (
 
 
 def _positive(convert, message):
-    """An argparse type: ``convert`` the text, then require ``0 < value < inf``."""
+    """An argparse type: ``convert`` the text, then apply the one positive-number rule."""
 
     def parse(text):
         try:
             value = convert(text)
+            _require_positive_finite("value", value)
         except ValueError:
-            value = math.nan
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(message.format(text))
+            raise argparse.ArgumentTypeError(message.format(text)) from None
         return value
 
     return parse
@@ -299,6 +298,9 @@ def main(argv=None) -> int:
         return 2
     except CstarRankError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
     _emit(report, args.out_path)

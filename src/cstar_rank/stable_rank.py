@@ -28,7 +28,7 @@ unimodular, with deterministic per-trial seeding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -206,11 +206,8 @@ def warfield_b_to_a(t: ModuleTuple, y: ModuleTuple, tol: float = DEFAULT_TOL) ->
         raise ShapeMismatchError("need a tuple of length at least 2")
     if len(y) != n + 1:
         raise ShapeMismatchError(f"witness length {len(y)} does not match tuple length {n + 1}")
-    residual = _gate_norm((pairing(y, t) - t.space.right_algebra_unit()).blocks, WITNESS_TOL)
-    if residual > WITNESS_TOL:
-        raise DomainError(
-            f"witness pairing residual {residual:.3g} exceeds {WITNESS_TOL:g}"
-        )
+    _require_residual((pairing(y, t) - t.space.right_algebra_unit()).blocks, WITNESS_TOL,
+                      "witness pairing residual")
     head, tail = ModuleTuple(y.entries[:n]), ModuleTuple(y.entries[n:])
     try:
         z = dual_witness(head, tol)
@@ -225,27 +222,28 @@ def _warfield(t: ModuleTuple, head: ModuleTuple, tail: ModuleTuple, z: ModuleTup
     its head: the coefficients ``a_jk = z_j tail_k*`` and the collapsed tuple,
     whose pairing with ``head`` is that of the witness with ``t``.  ``z`` is
     certified by its pairing residual alone."""
-    dual_residual = _gate_norm((pairing(head, z) - t.space.right_algebra_unit()).blocks, WITNESS_TOL)
-    if dual_residual > WITNESS_TOL:
-        raise DomainError(
-            f"truncation dual residual {dual_residual:.3g} exceeds {WITNESS_TOL:g}"
-        )
+    _require_residual((pairing(head, z) - t.space.right_algebra_unit()).blocks, WITNESS_TOL,
+                      "truncation dual residual")
 
     # Per block, a_jk = z_j tail_k*: the stacked dual times the stacked tail's adjoint.
     a_blocks = [zb @ yb.conj().T for zb, yb in zip(z._stacked(), tail._stacked())]
     # The telescoping identity sum_j a_jk* head_j = tail_k, one product per block.
-    tele_residual = _gate_norm([ab.conj().T @ hb - yb for ab, hb, yb
-                                in zip(a_blocks, head._stacked(), tail._stacked())], TELESCOPE_TOL)
-    if tele_residual > TELESCOPE_TOL:
-        raise DomainError(
-            f"telescoping residual {tele_residual:.3g} exceeds {TELESCOPE_TOL:g}"
-        )
+    _require_residual([ab.conj().T @ hb - yb for ab, hb, yb
+                       in zip(a_blocks, head._stacked(), tail._stacked())], TELESCOPE_TOL,
+                      "telescoping residual")
 
     a = ReductionCoefficients._from_blocks(t.space, a_blocks)
     reduced = warfield_forward(t, a)
     if not is_unimodular(reduced, tol):
         raise DomainError("reduced tuple failed the unimodularity postcondition")
     return a, reduced
+
+
+def _require_residual(blocks, bound: float, what: str) -> None:
+    """The one residual gate: ``DomainError`` when the norm of ``blocks`` exceeds ``bound``."""
+    residual = _gate_norm(blocks, bound)
+    if residual > bound:
+        raise DomainError(f"{what} {residual:.3g} exceeds {bound:g}")
 
 
 def _refuse_below_stable_rank(space, n: int) -> None:
@@ -277,21 +275,21 @@ def bass_reduce(t: ModuleTuple, params: PerturbationParams) -> ReductionCoeffici
     """
     if len(t) < 2:
         raise ShapeMismatchError("need a tuple of length at least 2 to reduce")
-    return _collapse(t, dual_witness(t, params.tol), params, 1)[0]
+    z = dual_witness(t, params.tol)
+    _refuse_below_stable_rank(t.space, len(t) - 1)
+    return _collapse(t, z, params, 1)[0]
 
 
 def _collapse(t: ModuleTuple, z: ModuleTuple, params: PerturbationParams, r: int):
     """The Bass reduction of the last ``r`` entries onto the first ``n >= 1`` from
     the canonical dual ``z`` of ``t``: only ``z_1..z_n`` are replaced, by their
-    polar completion."""
+    polar completion; the caller has refused ``n`` below the counting bound."""
     n = len(t) - r
-    space = t.space
-    _refuse_below_stable_rank(space, n)
 
     # eta = ||z|| >= ||z_tail|| is homogeneous of degree 1 in z, so ||a|| <= 1 at every scale.
     heads, duals = _shifted_polar(ModuleTuple(z.entries[:n])._cores(), z.norm())
-    return _warfield(t, space._tuple_from_cores(n, heads), ModuleTuple(z.entries[n:]),
-                     space._tuple_from_cores(n, duals), params.tol)
+    return _warfield(t, t.space._tuple_from_cores(n, heads), ModuleTuple(z.entries[n:]),
+                     t.space._tuple_from_cores(n, duals), params.tol)
 
 
 def _pad_with_bump(t: ModuleTuple, u: ModuleTuple, eps: float, tol: float):
@@ -322,12 +320,8 @@ def hv_pad(
     """
     _require_positive_finite("eps", eps)
     _same_space(t, u, "tuples live over different spaces")
-    unit = t.space.right_algebra_unit()
-    residual = _gate_norm((gram(u) - unit).blocks, WITNESS_TOL)
-    if residual > WITNESS_TOL:
-        raise DomainError(
-            f"padding tuple is not normalized: ||<u,u> - 1|| = {residual:.3g}"
-        )
+    _require_residual((gram(u) - t.space.right_algebra_unit()).blocks, WITNESS_TOL,
+                      "padding tuple is not normalized: ||<u,u> - 1|| =")
     return _pad_with_bump(t, u, eps, tol)[0]
 
 
@@ -402,17 +396,9 @@ class DensityReport:
             )
 
     def to_json_dict(self) -> dict:
-        return {
-            "space": self.space,
-            "k": self.k,
-            "trials": self.trials,
-            "seed": self.seed,
-            "tolerance": self.tol,
-            "unimodular_fraction": self.unimodular_fraction,
-            "predicted_sr": self.predicted_sr,
-            "exact_obstruction": self.exact_obstruction,
-            "version": self.version,
-        }
+        data = asdict(self)
+        data["tolerance"] = data.pop("tol")
+        return data
 
 
 def density_experiment(

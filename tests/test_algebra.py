@@ -33,6 +33,11 @@ def test_construction_rejects_degenerate_algebras():
         Algebra((2, -1))
 
 
+def test_matrix_amplification_needs_a_positive_size():
+    with pytest.raises(ValueError, match="matrix amplification needs n >= 1"):
+        Algebra((1, 2)).matrix_algebra(0)
+
+
 def test_element_shape_validation():
     alg = Algebra((2,))
     with pytest.raises(ShapeMismatchError):
@@ -331,6 +336,19 @@ def test_inv_sqrt_rejects_non_positive():
         alg.element([np.diag([1.0, -1.0])]).inv_sqrt()
     with pytest.raises(DomainError):
         alg.zero().inv_sqrt()
+
+
+def test_inv_sqrt_rejects_non_self_adjoint():
+    a = Algebra((2,)).element([np.array([[2.0, 1.0], [0.0, 2.0]])])
+    with pytest.raises(DomainError, match="inv_sqrt needs a self-adjoint element"):
+        a.inv_sqrt()
+
+
+@pytest.mark.parametrize("other", [3, np.eye(2)])
+@pytest.mark.parametrize("combine", [lambda a, b: a + b, lambda a, b: a - b])
+def test_elements_combine_only_with_elements(combine, other):
+    with pytest.raises(TypeError, match="^expected an AlgebraElement, got "):
+        combine(Algebra((2,)).unit(), other)
 
 
 def test_cross_algebra_operations_fail():

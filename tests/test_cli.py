@@ -450,6 +450,21 @@ def test_failed_postcondition_is_a_domain_error(tmp_path, capsys, monkeypatch):
     assert "not below sqrt(eps)+eps" in err
 
 
+def test_memory_exhaustion_exits_1_with_an_error_line(capsys, monkeypatch):
+    # numpy raises a MemoryError subclass when a draw buffer is too big to allocate.
+    def exhausted(seed, trials, size):
+        raise MemoryError("Unable to allocate 5.96 GiB for an array with shape (1, 800000000)")
+
+    monkeypatch.setattr(stable_rank, "trial_draws", exhausted)
+    code, out, err = run_cli(
+        capsys, ["density", "--blocks", "1", "--rows", "2", "--cols", "2", "--k", "1", "--trials", "1"]
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: out of memory: Unable to allocate 5.96 GiB for an array with shape (1, 800000000)\n"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "corner, edit",
     [
@@ -556,3 +571,18 @@ def test_verify_suite_takes_only_out(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["verify-suite"])
     assert code == 0
     assert out.splitlines()[-1] == "1/1 criteria passed"
+
+
+@pytest.mark.parametrize("count, details", [
+    (1, "check 0 failed"),
+    (3, "check 0 failed; check 1 failed; check 2 failed"),
+    (5, "check 0 failed; check 1 failed; check 2 failed (+2 more)"),
+])
+def test_a_failed_criterion_shows_its_first_three_messages(count, details):
+    @acceptance._criterion("fake")
+    def criterion(failures):
+        failures.extend(f"check {i} failed" for i in range(count))
+        return "the details of a pass"
+
+    result = criterion()
+    assert (result.name, result.passed, result.details) == ("fake", False, details)

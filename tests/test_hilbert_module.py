@@ -24,6 +24,7 @@ from cstar_rank import (
     normalize_tuple,
     pairing,
     stack,
+    tuple_from_json_list,
     unimodularity_margin,
 )
 
@@ -391,6 +392,25 @@ def test_tuple_validation():
         ModuleTuple((a, b))
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 1), (1, 0)])
+def test_module_space_needs_a_positive_shape(rows, cols):
+    with pytest.raises(ValueError, match="rows >= 1 and cols >= 1"):
+        ModuleSpace(Algebra((1,)), rows, cols)
+
+
+def test_an_empty_json_list_is_no_tuple():
+    with pytest.raises(ValueError, match="needs at least one entry"):
+        tuple_from_json_list([])
+
+
+@pytest.mark.parametrize("kind", ["matrix", "corner"])
+def test_tuples_of_different_lengths_do_not_subtract(kind):
+    rng = np.random.default_rng(29)
+    t = random_tuple(space_of_kind(kind, rng), rng, 2)
+    with pytest.raises(ShapeMismatchError, match="tuples have different lengths"):
+        t - ModuleTuple(t.entries[:1])
+
+
 def test_mixed_space_inner_product_fails():
     a = scalar_space().zero()
     b = ModuleSpace(Algebra((1,)), 1, 2).zero()
@@ -495,6 +515,17 @@ def test_corner_rejects_non_projections_and_zero_q():
         corner_space(alg, 3, good, big.zero())
 
 
+def test_corner_rejects_a_zero_size_and_projections_outside_its_ambient_algebra():
+    alg = Algebra((1,))
+    unit = alg.matrix_algebra(2).unit()
+    with pytest.raises(ValueError, match="ambient matrix size must be >= 1"):
+        corner_space(alg, 0, unit, unit)
+    foreign = alg.matrix_algebra(3).unit()
+    for p, q, name in ((foreign, unit, "p"), (unit, foreign, "q")):
+        with pytest.raises(ShapeMismatchError, match=rf"^{name} must live in the ambient algebra M_2\(A\)$"):
+            corner_space(alg, 2, p, q)
+
+
 def test_corner_fullness_detects_dead_blocks():
     alg = Algebra((1,))
     big = alg.matrix_algebra(2)
@@ -520,6 +551,13 @@ def corner_with_ranks(base, size, p_ranks, q_ranks, rng):
         for ranks in (p_ranks, q_ranks)
     )
     return corner_space(Algebra(base), size, p, q)
+
+
+def space_of_kind(kind, rng):
+    """``M_{2x3}(C + M_2)``, or a corner of ``M_2(C + M_2)`` with compressed blocks 1x2 and 2x4."""
+    if kind == "matrix":
+        return ModuleSpace(Algebra((1, 2)), 2, 3)
+    return corner_with_ranks((1, 2), 2, (1, 2), (2, 4), rng)
 
 
 # (base, size, p ranks, q ranks, (rows, cols) of the matching matrix module)

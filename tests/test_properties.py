@@ -5,8 +5,9 @@ Herman-Vaserstein perturbation bound, its refusal below the stable rank,
 Warfield's collapse of several trailing entries in one step, both reductions
 on inputs scaled up to 1e6, the scale equivariance of the Bass step, the
 invariance of both verdicts and the equivariance of both reductions under
-unitaries that mix the entries, and the batched density trials against their
-per-trial reference.
+unitaries that mix the entries, the invariance of both verdicts under right
+invertibles and Bass's elementary matrices, and the batched density trials
+against their per-trial reference.
 
 Matrix spaces ``M_{rows x cols}(A)`` and corners ``p M_N(A) q`` with randomly
 oriented projections of random ranks, dead blocks (``rank q_i = 0`` or
@@ -414,9 +415,10 @@ def mixed(t, u) -> ModuleTuple:
     return ModuleTuple(head + t.entries[k:])
 
 
-def in_band(margin, tol=DEFAULT_TOL) -> bool:
-    """Whether a margin lies in criterion 3's undecided band ``[tol/10, 10 tol]``."""
-    return tol / 10 <= margin <= 10 * tol
+def in_band(margin, tol=DEFAULT_TOL, spread=1.0) -> bool:
+    """Whether a margin lies in criterion 3's undecided band ``[tol/10, 10 tol]``,
+    widened by the factor ``spread`` on both sides."""
+    return tol / (10 * spread) <= margin <= 10 * tol * spread
 
 
 #: Unit inputs, and inputs scaled by 0.3, whose Gram sums fall below eps = 0.5
@@ -474,6 +476,81 @@ def test_bass_reduce_is_unitary_equivariant_on_the_head(case, extra, seed, scale
     ut = mixed(t, u)
     expected = mixed(warfield_forward(t, bass_reduce(t, params)), u)
     assert largest_gap(warfield_forward(ut, bass_reduce(ut, params))._stacked(), expected._stacked()) <= 1e-12
+
+
+def random_right_invertible(space, seed):
+    """A right-algebra invertible ``g`` with ``||g|| = 1`` and condition ``c <= 10``, and ``c``.
+
+    Per block ``g = V h V*``, with ``V`` the basis of the range of ``q`` on a
+    corner (the identity on a matrix space) and ``h`` in the compressed algebra."""
+    rng = np.random.default_rng(seed)
+    bases = getattr(space, "_col_bases", [np.eye(s) for _, s in space.compressed_shapes])
+    svals = [rng.uniform(0.1, 1.0, s) for _, s in space.compressed_shapes]
+    top = max(sv.max() for sv in svals if sv.size)
+    blocks = [v @ random_unitary(len(sv), rng.integers(2**32)) @ np.diag(sv / top)
+              @ random_unitary(len(sv), rng.integers(2**32)) @ v.conj().T for v, sv in zip(bases, svals)]
+    c = top / min(sv.min() for sv in svals if sv.size)
+    return space.right_algebra.element(blocks), c
+
+
+def random_elementary(space, n, seed):
+    """Bass's elementary matrix ``x_j -> x_j + a x_k`` (``j != k``), with ``||a|| <= 1``
+    acting on the space (``a = p a p`` on a corner), as a map of tuples, and its condition."""
+    rng = np.random.default_rng(seed)
+    j, k = rng.choice(n, 2, replace=False)
+    a = space.left_algebra.random_element(rng)
+    p = getattr(space, "p", None)
+    a = a if p is None else p * a * p
+    if a.norm() > 0:
+        a = (rng.uniform(0.0, 1.0) / a.norm()) * a
+    s = a.norm()
+    # [[1, s], [0, 1]] and its inverse both have norm (s + sqrt(s^2 + 4)) / 2.
+    c = ((s + math.sqrt(s * s + 4)) / 2) ** 2
+
+    def act(t):
+        entries = list(t.entries)
+        entries[j] = entries[j] + a * entries[k]
+        return ModuleTuple(tuple(entries))
+
+    return act, c
+
+
+def assert_verdicts_kept(t, moved, c):
+    """Under an invertible of condition ``c``, the unimodularity margin moves by at
+    most ``c^2`` and the generation margin by at most ``c``, so neither verdict may
+    change unless the margin of ``t`` lies in the undecided band widened by ``c^2``."""
+    for verdict, margin, power in ((is_unimodular, unimodularity_margin, 2), (gen_oracle, generation_margin, 1)):
+        low, high = sorted((margin(t), margin(moved)))
+        if low > 1e-6:
+            assert high <= low * c**power * (1 + 1e-6)
+        if not in_band(margin(t), spread=c**2):
+            assert verdict(moved) == verdict(t)
+
+
+@PROPERTY_SETTINGS
+@given(spaces, st.integers(0, 1), seeds, unit_or_small, st.booleans())
+def test_right_invertibles_keep_both_verdicts(case, extra, seed, scale, with_zero):
+    # Lg_n(M) is invariant under right multiplication by an invertible g: the
+    # Gram sum becomes g* G g and each stacked core X becomes X h.
+    space, _ = case
+    k = (space.predicted_stable_rank() or 1) + extra
+    t = random_tuple(space, k, seed, zero_at=seed if with_zero else None)
+    t = ModuleTuple(tuple(scale * x for x in t.entries))
+    g, c = random_right_invertible(space, seed)
+    assert_verdicts_kept(t, ModuleTuple(tuple(x * g for x in t.entries)), c)
+
+
+@PROPERTY_SETTINGS
+@given(spaces, st.integers(0, 1), seeds, unit_or_small, st.booleans())
+def test_elementary_matrices_keep_both_verdicts(case, extra, seed, scale, with_zero):
+    # Lg_n(M) is invariant under GL_n of the left algebra, Bass's elementary
+    # matrices E included: the stacked form X becomes E X.
+    space, _ = case
+    k = max(2, (space.predicted_stable_rank() or 1) + extra)
+    t = random_tuple(space, k, seed, zero_at=seed if with_zero else None)
+    t = ModuleTuple(tuple(scale * x for x in t.entries))
+    act, c = random_elementary(space, k, seed)
+    assert_verdicts_kept(t, act(t), c)
 
 
 def per_trial_margins(space, k, trials, seed):

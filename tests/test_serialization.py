@@ -146,6 +146,15 @@ def test_density_report_embeds_provenance():
     assert data["space"] == {"algebra": {"blocks": [1]}, "rows": 1, "cols": 1}
 
 
+def test_density_report_keeps_its_schema():
+    # The report is its dataclass fields, with tol under the key "tolerance".
+    report = density_experiment(ModuleSpace(Algebra((1,)), 1, 2), 2, 10, seed=3)
+    assert sorted(report.to_json_dict()) == [
+        "exact_obstruction", "k", "predicted_sr", "seed", "space", "tolerance",
+        "trials", "unimodular_fraction", "version",
+    ]
+
+
 def test_tuple_entries_must_declare_one_space():
     # Both corners store 2x2 blocks, so only the declared spaces differ.
     alg = Algebra((1,))

@@ -19,7 +19,10 @@ intermediate tuple of a reduction is decided unimodular once, by its dual
 witness, and only the outputs are checked with ``is_unimodular``.  The
 reductions are deterministic: ``stable_rank`` draws nothing.  The public
 ``ModuleElement`` constructor projects its blocks into the space; inside the
-package only ``space.element`` and the JSON loader call it.
+package only ``space.element`` and the JSON loader call it.  Each rule has one
+home: a residual judged only by its bound is refused by ``_require_residual``,
+each pipeline call refuses below the counting bound once, and the CLI takes the
+positive-number rule from ``algebra``.
 """
 
 import ast
@@ -341,3 +344,39 @@ def test_only_the_damping_inverts():
             if "right_inverse" in _read_names(n):
                 uses.setdefault(getattr(top, "name", "<module>"), []).append(n.lineno)
     assert set(uses) == {"hv_perturb"}, f"stable_rank names right_inverse in {uses}"
+
+
+def _scopes_naming(module, name, calls_only=False):
+    """``{top-level scope: lines}`` of every read (or only every call) of ``name`` in ``module``."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    uses = {}
+    for top in tree.body:
+        for n in ast.walk(top):
+            if calls_only:
+                hit = isinstance(n, ast.Call) and name in _read_names(n.func)
+            else:
+                hit = isinstance(n, (ast.Name, ast.Attribute)) and name in _read_names(n)
+            if hit:
+                uses.setdefault(getattr(top, "name", "<module>"), []).append(n.lineno)
+    return uses
+
+
+def test_residual_gates_share_one_rule():
+    # Every "norm of a residual exceeds its bound" refusal goes through
+    # _require_residual; the distance gate has its own comparison and message.
+    uses = _scopes_naming("stable_rank", "_gate_norm")
+    assert set(uses) == {"_require_residual", "hv_perturb"}, f"stable_rank names _gate_norm in {uses}"
+    assert len(uses["hv_perturb"]) == 1, "hv_perturb takes a gate norm outside its distance gate"
+
+
+def test_each_call_refuses_below_the_stable_rank_once():
+    # The pipelines refuse up front; the collapse they share trusts them.
+    calls = _scopes_naming("stable_rank", "_refuse_below_stable_rank", calls_only=True)
+    assert set(calls) == {"bass_reduce", "hv_perturb"}, f"counting-bound refusal called in {calls}"
+    assert all(len(lines) == 1 for lines in calls.values()), calls
+
+
+def test_the_cli_leaves_the_positive_number_rule_to_the_library():
+    # cli._positive applies algebra._require_positive_finite, not its own copy.
+    found = [(name, line) for module, name, _, line in _uses({"math.inf", "math.nan"}) if module == "cli"]
+    assert not found, f"cli names {found}"

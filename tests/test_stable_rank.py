@@ -34,7 +34,7 @@ from cstar_rank import (
     warfield_b_to_a,
     warfield_forward,
 )
-from test_hilbert_module import CORNER_CASES, corner_with_ranks
+from test_hilbert_module import CORNER_CASES, corner_with_ranks, space_of_kind
 
 
 def scalar_space():
@@ -175,6 +175,27 @@ def test_adjointable_norm_bounds_action():
             coeffs.apply([foreign.random_element(rng) for _ in range(2)])
 
 
+@pytest.mark.parametrize("kind", ["matrix", "corner"])
+def test_coefficients_need_a_nonempty_rectangular_array(kind):
+    space = space_of_kind(kind, np.random.default_rng(31))
+    one = space.left_algebra.unit()
+    for empty in ([], [[]]):
+        with pytest.raises(ValueError, match="coefficient array must be nonempty"):
+            ReductionCoefficients(space, empty)
+    with pytest.raises(ShapeMismatchError, match="coefficient rows have unequal lengths"):
+        ReductionCoefficients(space, [[one], [one, one]])
+
+
+@pytest.mark.parametrize("kind", ["matrix", "corner"])
+def test_apply_needs_one_entry_per_column(kind):
+    rng = np.random.default_rng(37)
+    space = space_of_kind(kind, rng)
+    one = space.left_algebra.unit()
+    coeffs = ReductionCoefficients(space, [[one, one]])
+    with pytest.raises(ShapeMismatchError, match="expected 2 tuple entries, got 1"):
+        coeffs.apply([space.random_element(rng)])
+
+
 def test_coefficients_validate_parent_algebra():
     space = ModuleSpace(Algebra((2,)), 2, 2)
     wrong = Algebra((2,)).unit()  # not the left algebra M_2(M_2)
@@ -258,6 +279,20 @@ def test_warfield_b_to_a_checks_pairing_residual():
     y = ModuleTuple((one, one))  # pairing sums to 2, not 1
     with pytest.raises(DomainError):
         warfield_b_to_a(t, y)
+
+
+@pytest.mark.parametrize("kind", ["matrix", "corner"])
+def test_reductions_refuse_tuples_too_short_to_reduce(kind):
+    rng = np.random.default_rng(41)
+    space = space_of_kind(kind, rng)
+    t = random_tuple(space, rng, 2)
+    single = ModuleTuple(t.entries[:1])
+    with pytest.raises(ShapeMismatchError, match="^need a tuple of length at least 2$"):
+        warfield_b_to_a(single, single)
+    with pytest.raises(ShapeMismatchError, match="witness length 1 does not match tuple length 2"):
+        warfield_b_to_a(t, single)
+    with pytest.raises(ShapeMismatchError, match="need a tuple of length at least 2 to reduce"):
+        bass_reduce(single, PerturbationParams(eps=0.1))
 
 
 def test_warfield_b_to_a_random_instances():
@@ -418,7 +453,7 @@ def test_hv_pad_rejects_unnormalized_padding():
     space = scalar_space()
     t = ModuleTuple((scalar(space, 0.0),))
     u = ModuleTuple((scalar(space, 2.0),))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^padding tuple is not normalized: \|\|<u,u> - 1\|\| = 3 exceeds 1e-08$"):
         hv_pad(t, u, 1.0)
 
 
@@ -641,6 +676,15 @@ def test_density_below_rounding_on_an_obstructed_cell_is_a_domain_error():
         stable_rank.DensityReport(
             space=space.to_json_dict(), k=1, trials=2, seed=0, tol=1e-30,
             unimodular_fraction=0.5, predicted_sr=3, exact_obstruction=True,
+        )
+
+
+@pytest.mark.parametrize("fraction", [-0.1, 1.5, math.nan])
+def test_density_report_fractions_lie_in_the_unit_interval(fraction):
+    with pytest.raises(ValueError, match=r"unimodular_fraction must lie in \[0, 1\]"):
+        stable_rank.DensityReport(
+            space={}, k=1, trials=2, seed=0, tol=1e-9,
+            unimodular_fraction=fraction, predicted_sr=1, exact_obstruction=False,
         )
 
 
