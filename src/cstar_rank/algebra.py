@@ -192,13 +192,20 @@ def _require_positive_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-class _Blocks:
-    """An immutable tuple of nonempty complex blocks; nothing about them is cached.
+def _require_same_parent(a, b, message: str) -> None:
+    """The one parent comparison: ``ShapeMismatchError(message)`` unless ``a`` is or equals ``b``."""
+    if a is not b and a != b:
+        raise ShapeMismatchError(message)
 
-    A subclass names its parent slot in ``_parent``, passes the block shapes
-    its parent prescribes to ``__init__``, and defines ``_new`` (same parent,
-    new blocks) and ``_require_same`` (operand of the same kind over an equal
-    parent).
+
+class _Blocks:
+    """An immutable tuple of nonempty complex blocks over a parent; nothing about them is cached.
+
+    Algebra elements, module elements and coefficient arrays are its kinds.  A
+    subclass names its parent slot in ``_parent`` and its operand wording in
+    ``_kind`` and ``_foreign``, and passes the block shapes its parent
+    prescribes to ``__init__``.  An operand is of the same kind over an equal
+    parent, with blocks of the same shape.
     """
 
     __slots__ = ("blocks",)
@@ -206,33 +213,38 @@ class _Blocks:
     def __init__(self, parent, blocks, shapes):
         blocks = tuple(blocks)
         if len(blocks) != len(shapes):
-            raise ShapeMismatchError(
-                f"expected {len(shapes)} blocks, got {len(blocks)}"
-            )
-        frozen = []
+            raise ShapeMismatchError(f"expected {len(shapes)} blocks, got {len(blocks)}")
+        copies = []
         for block, shape in zip(blocks, shapes):
             arr = np.array(block, dtype=np.complex128)
             if arr.shape != shape:
-                raise ShapeMismatchError(
-                    f"block has shape {arr.shape}, expected {shape}"
-                )
-            arr.setflags(write=False)
-            frozen.append(arr)
-        setattr(self, self._parent, parent)
-        self.blocks = tuple(frozen)
+                raise ShapeMismatchError(f"block has shape {arr.shape}, expected {shape}")
+            copies.append(arr)
+        self._hold(parent, copies)
 
     @classmethod
     def _wrap(cls, parent, blocks):
         # Trusted fast path for internally produced arrays; no copy, no check.
         el = cls.__new__(cls)
-        setattr(el, cls._parent, parent)
-        out = []
-        for b in blocks:
-            b = np.asarray(b, dtype=np.complex128)
-            b.setflags(write=False)
-            out.append(b)
-        el.blocks = tuple(out)
+        el._hold(parent, blocks)
         return el
+
+    def _hold(self, parent, blocks):
+        """The one freezing rule: ``blocks`` as read-only complex arrays over ``parent``."""
+        setattr(self, self._parent, parent)
+        self.blocks = tuple(np.asarray(b, dtype=np.complex128) for b in blocks)
+        for b in self.blocks:
+            b.setflags(write=False)
+
+    def _new(self, blocks):
+        return self._wrap(getattr(self, self._parent), blocks)
+
+    def _require_same(self, other):
+        if not isinstance(other, type(self)):
+            raise TypeError(f"expected {self._kind}, got {type(other).__name__}")
+        _require_same_parent(getattr(self, self._parent), getattr(other, other._parent), self._foreign)
+        if self.blocks[0].shape != other.blocks[0].shape:
+            raise ShapeMismatchError(self._foreign)
 
     def __add__(self, other):
         self._require_same(other)
@@ -281,18 +293,10 @@ class AlgebraElement(_Blocks):
 
     __slots__ = ("algebra",)
     _parent = "algebra"
+    _kind, _foreign = "an AlgebraElement", "elements belong to different algebras"
 
     def __init__(self, algebra: Algebra, blocks):
         super().__init__(algebra, blocks, [(k, k) for k in algebra.block_sizes])
-
-    def _new(self, blocks):
-        return AlgebraElement._wrap(self.algebra, blocks)
-
-    def _require_same(self, other):
-        if not isinstance(other, AlgebraElement):
-            raise TypeError(f"expected an AlgebraElement, got {type(other).__name__}")
-        if other.algebra != self.algebra:
-            raise ShapeMismatchError("elements belong to different algebras")
 
     # -- product ------------------------------------------------------------
 

@@ -67,7 +67,10 @@ _positive_float = _positive(float, "must be a positive finite number, got {!r}")
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:  # nested deeper than the parser's stack
+            raise ValueError("JSON nests too deeply to parse") from None
 
 
 def _load_tuple(path) -> ModuleTuple:

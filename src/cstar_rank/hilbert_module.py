@@ -42,6 +42,7 @@ from .algebra import (
     _hermitized,
     _margin,
     _require_positive_finite,
+    _require_same_parent,
     _shape_int,
     matrix_from_json,
     matrix_to_json,
@@ -248,12 +249,6 @@ class ModuleSpace(_SpaceOps):
         return cls(Algebra.from_json_dict(data["algebra"]), data["rows"], data["cols"])
 
 
-def _same_space(x, y, message="elements belong to different module spaces"):
-    """The one same-space rule, for elements and tuples alike."""
-    if x.space is not y.space and x.space != y.space:
-        raise ShapeMismatchError(message)
-
-
 def _require_acting(a, algebra, side):
     if a.algebra != algebra:
         raise ShapeMismatchError(f"{side} operand is not in the {side} algebra of the space")
@@ -270,18 +265,11 @@ class ModuleElement(_Blocks):
 
     __slots__ = ("space",)
     _parent = "space"
+    _kind, _foreign = "a ModuleElement", "elements belong to different module spaces"
 
     def __init__(self, space, blocks):
         super().__init__(space, blocks, space.block_shapes)
         self.blocks = space._projected(self.blocks).blocks
-
-    def _new(self, blocks):
-        return ModuleElement._wrap(self.space, blocks)
-
-    def _require_same(self, other):
-        if not isinstance(other, ModuleElement):
-            raise TypeError(f"expected a ModuleElement, got {type(other).__name__}")
-        _same_space(self, other)
 
     # -- module actions: blockwise products, projected back into the space ------
 
@@ -305,6 +293,11 @@ class ModuleElement(_Blocks):
 
     def __repr__(self):
         return f"<ModuleElement in {self.space!r}, norm={self._norm_text()}>"
+
+
+def _same_space(x, y, message=ModuleElement._foreign):
+    """The one same-space rule, for elements and tuples alike."""
+    _require_same_parent(x.space, y.space, message)
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._version import __version__
-from .algebra import (DEFAULT_TOL, AlgebraElement, _extreme_svals, _gate_norm, _require_positive_finite,
-                      _shape_int, _shifted_polar)
+from .algebra import (DEFAULT_TOL, AlgebraElement, _Blocks, _gate_norm, _require_positive_finite, _shape_int,
+                      _shifted_polar)
 from .errors import (
     DomainError,
     ReductionFailedError,
@@ -85,7 +85,7 @@ class PerturbationParams:
         object.__setattr__(self, "seed", _shape_int(self.seed))
 
 
-class ReductionCoefficients:
+class ReductionCoefficients(_Blocks):
     """A rectangular array of left-algebra coefficients acting on tuples.
 
     An ``n x r`` array maps an ``r``-tuple ``(y_1, ..., y_r)`` to the
@@ -93,7 +93,12 @@ class ReductionCoefficients:
     ``M^r -> M^n``, stored in ``blocks`` as one read-only ``(n L) x (r L)``
     matrix per left-algebra block of size ``L``, whose largest singular value
     is :func:`adjointable_norm`; ``coeffs`` builds views of them on read.
+    Arrays of one shape over one space add, subtract and scale blockwise.
     """
+
+    __slots__ = ("space",)
+    _parent = "space"
+    _kind, _foreign = "ReductionCoefficients", "coefficient arrays differ in space or shape"
 
     def __init__(self, space, coeffs):
         coeffs = tuple(tuple(row) for row in coeffs)
@@ -105,21 +110,13 @@ class ReductionCoefficients:
                 raise ShapeMismatchError("coefficient rows have unequal lengths")
             if any(a.algebra != left for a in row):
                 raise ShapeMismatchError("coefficients must live in the left algebra of the space")
-        self._set(space, [np.block([[a.blocks[i] for a in row] for row in coeffs])
-                          for i in range(left.num_blocks)])
+        super().__init__(space, [np.block([[a.blocks[i] for a in row] for row in coeffs])
+                                 for i in range(left.num_blocks)],
+                         [(len(coeffs) * k, len(coeffs[0]) * k) for k in left.block_sizes])
 
-    @classmethod
-    def _from_blocks(cls, space, blocks) -> "ReductionCoefficients":
-        """Trusted constructor from the block matrices; no copy, no check."""
-        a = cls.__new__(cls)
-        a._set(space, blocks)
-        return a
-
-    def _set(self, space, blocks):
-        self.space, self.blocks = space, tuple(blocks)
-        for b in self.blocks:
-            b.setflags(write=False)
-        self.shape = tuple(d // space.left_algebra.block_sizes[0] for d in self.blocks[0].shape)
+    @property
+    def shape(self) -> tuple:
+        return tuple(d // self.space.left_algebra.block_sizes[0] for d in self.blocks[0].shape)
 
     @property
     def coeffs(self) -> tuple:
@@ -169,7 +166,7 @@ class ReductionCoefficients:
 
 def adjointable_norm(a: ReductionCoefficients) -> float:
     """Norm of the array as an operator ``M^r -> M^n``: the largest singular value of its blocks."""
-    return max(_extreme_svals(a.blocks)[0])
+    return a.norm()
 
 
 def warfield_forward(t: ModuleTuple, a: ReductionCoefficients) -> ModuleTuple:
@@ -232,7 +229,7 @@ def _warfield(t: ModuleTuple, head: ModuleTuple, tail: ModuleTuple, z: ModuleTup
                        in zip(a_blocks, head._stacked(), tail._stacked())], TELESCOPE_TOL,
                       "telescoping residual")
 
-    a = ReductionCoefficients._from_blocks(t.space, a_blocks)
+    a = ReductionCoefficients._wrap(t.space, a_blocks)
     reduced = warfield_forward(t, a)
     if not is_unimodular(reduced, tol):
         raise DomainError("reduced tuple failed the unimodularity postcondition")

@@ -155,6 +155,19 @@ def test_malformed_json_is_a_parse_error(tmp_path, capsys):
     assert "line 1" in err and "column" in err
 
 
+@pytest.mark.parametrize("command", [["check"], ["dual"], ["reduce"], ["pad", "--eps", "0.1"],
+                                     ["perturb", "--eps", "0.1"]])
+def test_over_deep_json_is_a_parse_error(tmp_path, capsys, command):
+    # Valid JSON nested past the parser's recursion limit once escaped as a
+    # raw RecursionError traceback with exit 1.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_cli(capsys, command + ["--input", str(path)])
+    assert code == 2
+    assert err.startswith("error: ") and "nests too deeply" in err
+    assert "Traceback" not in out + err
+
+
 def test_missing_file_is_a_parse_error(capsys):
     code, _, err = run_cli(capsys, ["check", "--input", "/nonexistent/x.json"])
     assert code == 2

@@ -22,7 +22,10 @@ reductions are deterministic: ``stable_rank`` draws nothing.  The public
 package only ``space.element`` and the JSON loader call it.  Each rule has one
 home: a residual judged only by its bound is refused by ``_require_residual``,
 each pipeline call refuses below the counting bound once, and the CLI takes the
-positive-number rule from ``algebra``.
+positive-number rule from ``algebra``.  Algebra elements, module elements
+and coefficient arrays are kinds of one container, ``algebra._Blocks``, which
+alone freezes blocks and defines the operand rule.  The acceptance seeds count
+runs; none comes from CPython's tuple hash.
 """
 
 import ast
@@ -374,6 +377,38 @@ def test_each_call_refuses_below_the_stable_rank_once():
     calls = _scopes_naming("stable_rank", "_refuse_below_stable_rank", calls_only=True)
     assert set(calls) == {"bass_reduce", "hv_perturb"}, f"counting-bound refusal called in {calls}"
     assert all(len(lines) == 1 for lines in calls.values()), calls
+
+
+def test_only_the_block_container_freezes():
+    # Algebra elements, module elements and coefficient arrays are all _Blocks;
+    # a setflags call elsewhere would be a second freezing rule.
+    calls = [(module, scope) for module, _, scope, _ in _uses({"setflags"}, _NamedCalls)]
+    stray = [f"{module}.py in {scope or '<module>'}" for module, scope in calls
+             if _allowed_scope(module, scope, {("algebra", "_Blocks")}) is None]
+    assert not stray, "setflags outside algebra._Blocks: " + ", ".join(stray)
+    # The rule is not vacuous: the container does freeze.
+    assert calls
+
+
+def test_the_operand_rule_is_defined_once():
+    # _new and _require_same live in _Blocks; a kind names only its wording.
+    defined = [
+        (path.stem, cls.name, node.name)
+        for path in sorted(SRC.glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name in {"_new", "_require_same"}
+    ]
+    assert sorted(defined) == [("algebra", "_Blocks", "_new"), ("algebra", "_Blocks", "_require_same")], defined
+
+
+def test_acceptance_seeds_do_not_hash():
+    # A seed from hash((...)) is tied to CPython's tuple hash; the criteria
+    # count their runs instead.
+    tree = ast.parse((SRC / "acceptance.py").read_text(encoding="utf-8"))
+    lines = [n.lineno for n in ast.walk(tree) if "hash" in _read_names(n)]
+    assert not lines, f"acceptance.py names hash at lines {lines}"
 
 
 def test_the_cli_leaves_the_positive_number_rule_to_the_library():

@@ -135,17 +135,21 @@ def test_adjointable_norm_bounds_action():
          corner_with_ranks(*CORNER_CASES[2][:4], corner_rng), ModuleSpace(Algebra(base), 1, 2)),
     ]
     rng = np.random.default_rng(0)
+    # Inputs of the block-value checks come from their own generator, so rng draws as before.
+    other_rng = np.random.default_rng(1)
     for space, same_left, foreign in cases:
         left = space.left_algebra
         for _ in range(100):
-            coeffs = ReductionCoefficients(
+            coeffs, other = (ReductionCoefficients(
                 space,
                 [
-                    [left.random_element(rng) for _ in range(2)]
+                    [left.random_element(g) for _ in range(2)]
                     for _ in range(3)
                 ],
-            )
+            ) for g in (rng, other_rng))
             bound = adjointable_norm(coeffs)
+            # The norm of the array is the container's norm: the same SVD.
+            assert bound == coeffs.norm()
             # One read-only block matrix per left-algebra block, rebuilt bit for bit.
             again = ReductionCoefficients(space, coeffs.coeffs)
             assert all(np.array_equal(a, b) for a, b in zip(again.blocks, coeffs.blocks))
@@ -162,6 +166,17 @@ def test_adjointable_norm_bounds_action():
                 assert out.norm() <= bound * in_norm + 1e-9
                 reference = _apply_per_entry(coeffs, entries)
                 assert (out - ModuleTuple(tuple(reference))).norm() <= 1e-12 * bound * in_norm
+                # Arrays are block values: sums, negation and scalar multiples act linearly.
+                scale = (bound + other.norm()) * in_norm
+                linear = [
+                    (coeffs + other, [a + b for a, b in zip(out, other.apply(entries))]),
+                    (-coeffs, [-a for a in out]),
+                    (2 * coeffs, [2 * a for a in out]),
+                ]
+                for combined, expected in linear:
+                    assert not any(b.flags.writeable for b in combined.blocks)
+                    gap = ModuleTuple(tuple(combined.apply(entries))) - ModuleTuple(tuple(expected))
+                    assert gap.norm() <= 1e-12 * scale
         # A tuple of another space with the same left algebra maps into its own space.
         entries = [same_left.random_element(rng) for _ in range(2)]
         out = coeffs.apply(entries)
@@ -173,6 +188,17 @@ def test_adjointable_norm_bounds_action():
         )
         with pytest.raises(ShapeMismatchError):
             coeffs.apply([foreign.random_element(rng) for _ in range(2)])
+        # The operand rule: an array over another space or of another shape,
+        # and anything that is not an array, are refused.
+        one = left.unit()
+        for mismatched in (ReductionCoefficients(same_left, [[one] * 2] * 3),
+                           ReductionCoefficients(space, [[one] * 2] * 2),
+                           ReductionCoefficients(space, [[one] * 3] * 3)):
+            with pytest.raises(ShapeMismatchError, match="coefficient arrays differ in space or shape"):
+                coeffs + mismatched
+        for stranger in (1.0, left.unit(), space.random_element(other_rng)):
+            with pytest.raises(TypeError, match="expected ReductionCoefficients"):
+                coeffs - stranger
 
 
 @pytest.mark.parametrize("kind", ["matrix", "corner"])
@@ -304,6 +330,8 @@ def test_warfield_b_to_a_random_instances():
         b_inv = space.right_inverse(gram(y), 1e-9)
         t = ModuleTuple(tuple(yk * b_inv for yk in y.entries))
         coeffs = warfield_b_to_a(t, y)
+        # Built by the trusted wrap, and read-only like every block value.
+        assert not any(b.flags.writeable for b in coeffs.blocks)
         reduced = warfield_forward(t, coeffs)
         assert is_unimodular(reduced)
         telescoped = coeffs.coeffs[0][0].adjoint() * y[0]
