@@ -29,6 +29,9 @@ DEFAULT_TOL = 1e-9
 #: Relative tolerance for accepting an element as self-adjoint.
 SELF_ADJOINT_RTOL = 1e-10
 
+#: The one non-finite refusal of the spectral routines.
+_NOT_FINITE = "singular values are not finite (overflow or non-finite entries)"
+
 
 def _extreme_svals(blocks) -> tuple[list, list]:
     """Largest and smallest singular value per nonempty block.
@@ -50,7 +53,7 @@ def _extreme_svals(blocks) -> tuple[list, list]:
     else:
         finite = all(map(math.isfinite, extremes))
     if not finite:
-        raise DomainError("singular values are not finite (overflow or non-finite entries)")
+        raise DomainError(_NOT_FINITE)
     return tops, bottoms
 
 
@@ -63,7 +66,7 @@ def _shifted_polar(blocks, shift) -> tuple[list, list]:
     except np.linalg.LinAlgError:  # LAPACK gives up on NaN entries
         factors = [(None, np.array([math.nan]), None)]
     if not all(np.isfinite(s).all() for _, s, _ in factors):
-        raise DomainError("singular values are not finite (overflow or non-finite entries)")
+        raise DomainError(_NOT_FINITE)
     return ([(u * (s + shift)) @ vh for u, s, vh in factors],
             [(u / (s + shift)) @ vh for u, s, vh in factors])
 
@@ -95,7 +98,10 @@ def _hermitized(block):
 
 def _hermitian_calculus(blocks, f) -> list:
     """``v f(w) v*`` per block, from the eigendecomposition ``v w v*`` of its
-    hermitized part; ``f`` maps the ascending eigenvalues and may raise."""
+    hermitized part; ``f`` maps the ascending eigenvalues and may raise.
+    Non-finite blocks raise the non-finite ``DomainError`` before LAPACK sees them."""
+    if not all(np.isfinite(b).all() for b in blocks):
+        raise DomainError(_NOT_FINITE)
     out = []
     for b in blocks:
         w, v = np.linalg.eigh(_hermitized(b))
@@ -305,11 +311,6 @@ class AlgebraElement(_Blocks):
             self._require_same(other)
             return self._new([a @ b for a, b in zip(self.blocks, other.blocks)])
         return _Blocks.__mul__(self, other)
-
-    def __truediv__(self, other):
-        if isinstance(other, numbers.Number):
-            return self.__mul__(1.0 / complex(other))
-        return NotImplemented
 
     # -- involution ---------------------------------------------------------
 

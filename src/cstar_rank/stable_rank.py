@@ -10,11 +10,12 @@ completion of the canonical one's head, mirroring the classical Bass
 reduction argument.  Both are the one-entry case of Warfield's step,
 which collapses any number of trailing entries at once when the witness's
 truncation is unimodular.  :func:`hv_pad` appends a spectral bump
-``y_k = u_k * (1 - b0/eps)^+`` that makes any tuple unimodular, and
+``y_k = u_k * (eps - b0)^+/eps`` that makes any tuple unimodular, and
 :func:`hv_perturb` chains padding with one reduction of all the padding
 entries and a damping factor ``(1 + k*b)^{-1}`` to move an arbitrary tuple
-onto a unimodular one while travelling less than ``sqrt(eps) + eps``; its
-gates, like every norm only compared with a bound, go through
+onto a unimodular one while travelling less than ``sqrt(eps) + eps``; where
+``b0 >= eps`` the bump is 0 and it returns the closed form, the tuple itself.
+Its gates, like every norm only compared with a bound, go through
 ``algebra._gate_norm``.
 
 Each intermediate tuple is decided unimodular once, by the :func:`dual_witness`
@@ -33,8 +34,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._version import __version__
-from .algebra import (DEFAULT_TOL, AlgebraElement, _Blocks, _gate_norm, _require_positive_finite, _shape_int,
-                      _shifted_polar)
+from .algebra import (DEFAULT_TOL, AlgebraElement, _Blocks, _gate_norm, _hermitian_calculus,
+                      _require_positive_finite, _shape_int, _shifted_polar)
 from .errors import (
     DomainError,
     ReductionFailedError,
@@ -289,10 +290,18 @@ def _collapse(t: ModuleTuple, z: ModuleTuple, params: PerturbationParams, r: int
                      t.space._tuple_from_cores(n, duals), params.tol)
 
 
-def _pad_with_bump(t: ModuleTuple, u: ModuleTuple, eps: float, tol: float):
-    """The padded tuple, its bump and its :func:`dual_witness`, which decides it."""
+def _bump(t: ModuleTuple, eps: float) -> AlgebraElement:
+    """The spectral bump ``b = (eps - b0)^+ / eps`` of the Gram sum ``b0``: the
+    eigenvalues ``w`` of its compressed form map to ``clip(eps - w, 0, eps) / eps``,
+    in real arithmetic, so no ``1/eps`` overflows and every ``w >= eps`` gives an exact 0."""
     space = t.space
-    bump = space.right_positive_part(space.right_algebra_unit() - gram(t) / eps)
+    b0 = space._compress(gram(t))
+    bump = _hermitian_calculus(b0.blocks, lambda w: np.clip(eps - w, 0.0, eps) / eps)
+    return space._expand(b0._new(bump))
+
+
+def _pad_with_bump(t: ModuleTuple, u: ModuleTuple, bump: AlgebraElement, tol: float):
+    """The tuple padded with ``u b`` and its :func:`dual_witness`, which decides it."""
     padded = ModuleTuple(t.entries + tuple(uk * bump for uk in u.entries))
     try:
         dual = dual_witness(padded, tol)
@@ -301,7 +310,7 @@ def _pad_with_bump(t: ModuleTuple, u: ModuleTuple, eps: float, tol: float):
             "padded tuple failed the unimodularity postcondition; this can only "
             "happen for inputs far outside the working tolerance"
         ) from exc
-    return padded, bump, dual
+    return padded, dual
 
 
 def hv_pad(
@@ -309,8 +318,8 @@ def hv_pad(
 ) -> ModuleTuple:
     """Append the spectral bump of a normalized tuple, forcing unimodularity.
 
-    With ``b0`` the Gram sum of ``t`` and ``b = (1 - b0/eps)^+``, the returned
-    tuple is ``(x_1, ..., x_n, u_1 b, ..., u_r b)``.  Its Gram sum is
+    With ``b0`` the Gram sum of ``t`` and ``b = (1 - b0/eps)^+ = (eps - b0)^+/eps``,
+    the returned tuple is ``(x_1, ..., x_n, u_1 b, ..., u_r b)``.  Its Gram sum is
     ``b0 + b^2``, a function of ``b0`` with spectrum bounded away from zero,
     so the result is always unimodular.  ``u`` must satisfy
     ``sum <u_k, u_k> = 1`` (normalize with :func:`normalize_tuple` first).
@@ -319,7 +328,7 @@ def hv_pad(
     _same_space(t, u, "tuples live over different spaces")
     _require_residual((gram(u) - t.space.right_algebra_unit()).blocks, WITNESS_TOL,
                       "padding tuple is not normalized: ||<u,u> - 1|| =")
-    return _pad_with_bump(t, u, eps, tol)[0]
+    return _pad_with_bump(t, u, _bump(t, eps), tol)[0]
 
 
 def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
@@ -335,6 +344,10 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
     ``(x + a . y) d^{-1}``.  The damping bounds the distance while keeping
     unimodularity, which both get verified before returning.
 
+    The bump comes first.  Where ``b0 >= eps`` it is exactly 0, so the dual's
+    padding tail, ``a`` and ``k - 1`` vanish and ``d = 1``: the closed form is
+    ``t`` itself, returned after the same two checks, at distance 0.
+
     A space that is not full has no unimodular tuple, so picking ``u``
     raises :class:`ModuleNotFullError`.  A tuple shorter than the stable
     rank of the space can never be reduced to a unimodular one (the counting
@@ -345,14 +358,20 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
     eps = params.eps
     u = space.standard_unimodular_tuple()
     _refuse_below_stable_rank(space, len(t))
-    padded, bump, dual = _pad_with_bump(t, u, eps, params.tol)
-    coeffs, reduced = _collapse(padded, dual, params, len(u))
+    bump = _bump(t, eps)
+    moved = t  # the closed form where b = 0
+    if any(b.any() for b in bump.blocks):
+        padded, dual = _pad_with_bump(t, u, bump, params.tol)
+        coeffs, reduced = _collapse(padded, dual, params, len(u))
 
-    k = math.floor(adjointable_norm(coeffs) / eps) + 1
-    damp = space.right_algebra_unit() + k * bump
-    # d = 1 + k*b with b >= 0 is invertible by construction; no tolerance gate.
-    damp_inv = space.right_inverse(damp, params.tol, check=False)
-    moved = ModuleTuple(tuple(v * damp_inv for v in reduced.entries))
+        try:
+            k = math.floor(adjointable_norm(coeffs) / eps) + 1
+        except OverflowError:  # ||a|| <= 1, so only a subnormal eps gets here
+            raise DomainError(f"the damping k = floor(||a||/eps) + 1 overflows at eps={eps:g}") from None
+        damp = space.right_algebra_unit() + k * bump
+        # d = 1 + k*b with b >= 0 is invertible by construction; no tolerance gate.
+        damp_inv = space.right_inverse(damp, params.tol, check=False)
+        moved = ModuleTuple(tuple(v * damp_inv for v in reduced.entries))
 
     if not is_unimodular(moved, params.tol):
         raise DomainError("perturbed tuple failed the unimodularity postcondition")

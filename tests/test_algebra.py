@@ -364,7 +364,9 @@ def test_scalar_operations():
     alg = Algebra((2,))
     u = alg.unit()
     assert ((2 * u) - (u * 2)).norm() == 0.0
-    assert ((u / 4) - 0.25 * u).norm() == 0.0
+    # Elements do not divide: u * (1/c) turns the zero entries NaN once 1/c overflows.
+    with pytest.raises(TypeError):
+        u / 4
     assert ((1j * u) * (1j * u) + u).norm() < 1e-15
 
 

@@ -450,6 +450,69 @@ def test_overflowing_padding_is_a_domain_error(tmp_path, capsys, command):
     assert "not finite" in err
 
 
+def half_scalar():
+    space = ModuleSpace(Algebra((1,)), 1, 1)
+    return ModuleTuple((space.element([np.array([[0.5]], dtype=complex)]),))
+
+
+def test_perturb_at_a_subnormal_eps_returns_the_input(tmp_path, capsys):
+    # b0 = 0.25 >= eps, so the bump (eps - b0)^+/eps is 0; taken as 1 - b0/eps,
+    # it once overflowed into a NaN block and exit 1.
+    t = half_scalar()
+    path = write_tuple(tmp_path / "half.json", t)
+    code, out, err = run_cli(
+        capsys, ["perturb", "--input", path, "--eps", "1e-320", "--no-timestamp"]
+    )
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert result["distance"] == 0.0
+    assert result["perturbed"] == t.to_json_list()
+
+
+def test_pad_at_a_subnormal_eps_pads_with_zero(tmp_path, capsys):
+    t = half_scalar()
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({"tuple": t.to_json_list(), "pad_with": None}))
+    code, out, err = run_cli(
+        capsys, ["pad", "--input", str(path), "--eps", "1e-320", "--no-timestamp"]
+    )
+    assert (code, err) == (0, "")
+    head, padding = tuple_from_json_list(json.loads(out)["result"]["padded"])
+    assert head.to_json_dict() == t[0].to_json_dict()
+    assert not any(b.any() for b in padding.blocks)
+
+
+def test_perturb_at_a_subnormal_eps_refuses_an_unbounded_damping(tmp_path, capsys):
+    # The zero tuple's bump is 1, and its damping k = floor(||a||/eps) + 1 has
+    # no float value at eps = 1e-320.
+    space = ModuleSpace(Algebra((1,)), 1, 1)
+    path = write_tuple(tmp_path / "zero.json", ModuleTuple((space.zero(),)))
+    code, out, err = run_cli(
+        capsys, ["perturb", "--input", path, "--eps", "1e-320", "--no-timestamp"]
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: the damping k = floor(||a||/eps) + 1 overflows at eps=9.99989e-321\n"
+
+
+@pytest.mark.parametrize("eps", ["1e-160", "1e-300"])
+def test_an_overflowing_bump_leaves_lapack_silent(tmp_path, capfd, eps):
+    # With an entry of 1e150 the Gram sum is near 1e300, and b0/eps overflowed;
+    # LAPACK then printed DLASCL complaints to the process's own stdout, which
+    # only capfd sees, before the non-finite rule raised.
+    space = ModuleSpace(Algebra((1, 2)), 1, 2)
+    rng = np.random.default_rng(0)
+    entries = [space.random_element(rng) for _ in range(3)]
+    blocks = [np.array(b) for b in entries[0].blocks]
+    blocks[1][1, 0] = 1e150
+    entries[0] = space.element(blocks)
+    path = write_tuple(tmp_path / "big.json", ModuleTuple(tuple(entries)))
+    code = main(["perturb", "--input", path, "--eps", eps, "--no-timestamp"])
+    out, err = capfd.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_failed_postcondition_is_a_domain_error(tmp_path, capsys, monkeypatch):
     # A negative sqrt puts the distance bound below every distance.
     monkeypatch.setattr(stable_rank, "math", SimpleNamespace(floor=math.floor, sqrt=lambda x: -1.0))

@@ -1,7 +1,8 @@
 """Property tests over random shapes: fullness, the counting bounds, the
 generation oracle against its span-map reference, agreement of the two
 unimodularity routes, the dual witness, the C*-identity, the
-Herman-Vaserstein perturbation bound, its refusal below the stable rank,
+Herman-Vaserstein perturbation bound, its closed form where the bump is
+zero, its refusal below the stable rank,
 Warfield's collapse of several trailing entries in one step, both reductions
 on inputs scaled up to 1e6, the scale equivariance of the Bass step, the
 invariance of both verdicts and the equivariance of both reductions under
@@ -265,6 +266,44 @@ def test_hv_perturb_lands_on_a_unimodular_tuple_within_the_bound(case, extra, se
     assert (t - moved).norm() < math.sqrt(eps) + eps
 
 
+@settings(max_examples=HV_EXAMPLES, deadline=None)
+@given(spaces, st.integers(0, 1), seeds, st.sampled_from([0.01, 0.1, 1.0]),
+       st.floats(1.5, 100.0), st.floats(0.01, 0.6))
+@example(ROW_SPACE, 0, 0, 0.01, 1.5, 0.6)
+def test_hv_perturb_returns_the_input_exactly_when_its_bump_is_zero(
+        case, extra, seed, eps, above, below):
+    # Scaled by c with c^2 lambda_min(G) >= eps, the bump (eps - c^2 G)^+/eps is
+    # 0 and the input comes back as it is; scaled below, the bump is nonzero
+    # and the one collapse runs.
+    space, _ = case
+    assume(is_full(space))
+    t = random_tuple(space, space.predicted_stable_rank() + extra, seed)
+    assume(is_unimodular(t))
+    smallest = min_eigenvalue_on_unit(space, gram(t))
+    params = PerturbationParams(eps=eps, seed=seed)
+
+    def scaled(ratio):
+        c = math.sqrt(ratio * eps / smallest)
+        return ModuleTuple(tuple(c * x for x in t.entries))
+
+    collapses = []
+    collapse = stable_rank._collapse
+
+    def spy(*args):
+        collapses.append(args)
+        return collapse(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stable_rank, "_collapse", spy)
+        large = scaled(above)
+        assert hv_perturb(large, params) is large
+        assert not collapses
+        small = scaled(below)
+        moved = hv_perturb(small, params)
+        assert len(collapses) == 1
+        assert moved is not small and is_unimodular(moved)
+
+
 @PROPERTY_SETTINGS
 @given(spaces, seeds, st.sampled_from([DEFAULT_TOL, 1e-25]))
 @example(ROW_SPACE, 0, 1e-25)
@@ -290,8 +329,12 @@ def test_tuples_below_the_stable_rank_fail_from_the_counting_bound(case, seed, t
             t = random_tuple(space, n, seed)
             with pytest.raises(ReductionFailedError, match="counting bound"):
                 hv_perturb(t, PerturbationParams(eps=0.1, tol=tol, seed=seed))
+        # At norm 0.1 the Gram sum lies below eps, so the bump is nonzero and
+        # the collapse runs.
+        t = random_tuple(space, bound, seed)
+        t = ModuleTuple(tuple(0.1 / t.norm() * x for x in t.entries))
         with pytest.raises(Reached):
-            hv_perturb(random_tuple(space, bound, seed), PerturbationParams(eps=0.1, seed=seed))
+            hv_perturb(t, PerturbationParams(eps=0.1, seed=seed))
 
 
 @settings(max_examples=HV_EXAMPLES, deadline=None)

@@ -34,6 +34,7 @@ from cstar_rank import (
     warfield_b_to_a,
     warfield_forward,
 )
+from cstar_rank.algebra import _hermitian_calculus
 from test_hilbert_module import CORNER_CASES, corner_with_ranks, space_of_kind
 
 
@@ -55,6 +56,24 @@ def random_unimodular(space, rng, k):
         if is_unimodular(t):
             return t
     raise AssertionError("sampling failed")
+
+
+def scaled_to_norm(t, norm):
+    """``t`` scaled to the given norm: below ``sqrt(eps)`` its Gram sum lies
+    below ``eps``, so ``hv_perturb``'s bump is nonzero and it pads and reduces."""
+    return ModuleTuple(tuple(norm / t.norm() * x for x in t.entries))
+
+
+def spy_on(monkeypatch, names):
+    """Count the calls ``stable_rank`` makes to each of ``names``."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def spy(*args, _name=name, _original=getattr(stable_rank, name)):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(stable_rank, name, spy)
+    return counts
 
 
 # -- the ceiling formula ---------------------------------------------------------
@@ -431,15 +450,11 @@ def test_each_fact_is_decided_once(monkeypatch, pipeline, length, calls):
     # the dual's head comes with its own dual, so nothing else is decided,
     # and the one pairing is that dual's residual: Warfield's step takes the
     # witness as it is, with no pairing to invert.
+    # At norm 0.1 the Gram sum lies below eps, so hv_perturb pads and reduces;
+    # bass_reduce makes the same calls at every scale.
     space = ModuleSpace(Algebra((1,)), 1, 2)
-    t = random_unimodular(space, np.random.default_rng(12), length)
-    counts = {}
-    for name in calls:
-        def spy(*args, _name=name, _original=getattr(stable_rank, name)):
-            counts[_name] = counts.get(_name, 0) + 1
-            return _original(*args)
-
-        monkeypatch.setattr(stable_rank, name, spy)
+    t = scaled_to_norm(random_unimodular(space, np.random.default_rng(12), length), 0.1)
+    counts = spy_on(monkeypatch, calls)
     pipeline(t, PerturbationParams(eps=0.1, seed=3))
     assert counts == calls
 
@@ -551,7 +566,12 @@ def reference_hv_perturb(t, params):
     space, eps = t.space, params.eps
     u = space.standard_unimodular_tuple()
     unit = space.right_algebra_unit()
-    bump = space.right_positive_part(unit - gram(t) / eps)
+    # b = (eps - b0)^+ / eps on the compressed Gram sum; nonzero, so the reduction runs.
+    b0 = space._compress(gram(t))
+    bump = space._expand(b0._new(
+        _hermitian_calculus(b0.blocks, lambda w: np.clip(eps - w, 0.0, eps) / eps)
+    ))
+    assert any(b.any() for b in bump.blocks)
     padded = hv_pad(t, u, eps, params.tol)
     coeffs, _ = stable_rank._collapse(padded, dual_witness(padded, params.tol), params, len(u))
     k = math.floor(adjointable_norm(coeffs) / eps) + 1
@@ -569,10 +589,12 @@ def test_hv_perturb_matches_pad_collapse_damp(eps):
         corner_with_ranks(*CORNER_CASES[1][:4], rng),
     ]
     for space in spaces:
-        # Small tuples get a nonzero bump, so their reductions move them.
+        # At norm at most sqrt(eps) the Gram sum lies at or below eps, so every
+        # bump is nonzero and the reductions move the tuples; at the top of the
+        # range the largest eigenvalue's bump is about 0.
         for seed, scale in [(0, 0.05), (1, 0.05), (2, 0.3), (3, 1.0)]:
             t = random_tuple(space, rng, space.predicted_stable_rank())
-            t = ModuleTuple(tuple(scale * x for x in t.entries))
+            t = scaled_to_norm(t, scale * math.sqrt(eps))
             params = PerturbationParams(eps=eps, seed=seed)
             moved, expected = hv_perturb(t, params), reference_hv_perturb(t, params)
             assert all(
@@ -656,12 +678,18 @@ def zero_scalar_perturbation():
     return lambda: hv_perturb(t, PerturbationParams(eps=0.01, seed=1))
 
 
+def unit_scalar_perturbation():
+    # b0 = 1 >= eps: the bump is 0 and the input comes back as it is.
+    t = ModuleTuple((scalar(scalar_space(), 1.0),))
+    return lambda: hv_perturb(t, PerturbationParams(eps=0.01, seed=1))
+
+
 def test_hv_perturb_checks_the_telescoping_of_its_whole_padding(monkeypatch):
     # Two padding entries, collapsed in one step; no residual is negative, so
     # the telescoping gate over both trailing entries fails.
     space = ModuleSpace(Algebra((1,)), 1, 2)
     assert len(space.standard_unimodular_tuple()) == 2
-    t = random_tuple(space, np.random.default_rng(12), 2)
+    t = scaled_to_norm(random_tuple(space, np.random.default_rng(12), 2), 0.05)
     monkeypatch.setattr(stable_rank, "TELESCOPE_TOL", -1.0)
     with pytest.raises(DomainError, match="telescoping residual"):
         hv_perturb(t, PerturbationParams(eps=0.01, seed=1))
@@ -675,6 +703,14 @@ def test_hv_perturb_checks_the_unimodularity_postcondition(monkeypatch):
         run()
 
 
+def test_hv_perturb_checks_the_unimodularity_postcondition_on_a_zero_bump(monkeypatch):
+    # With a zero bump the one unimodularity check is the one on the input.
+    run = unit_scalar_perturbation()
+    corrupt_last_call(monkeypatch, "is_unimodular", lambda verdict: False, run)
+    with pytest.raises(DomainError, match="perturbed tuple failed"):
+        run()
+
+
 def test_hv_perturb_checks_the_distance_bound(monkeypatch):
     # A negative sqrt puts the bound sqrt(eps) + eps below every distance.
     monkeypatch.setattr(
@@ -682,6 +718,29 @@ def test_hv_perturb_checks_the_distance_bound(monkeypatch):
     )
     with pytest.raises(DomainError, match="not below"):
         zero_scalar_perturbation()()
+
+
+def test_hv_perturb_checks_the_distance_bound_on_a_zero_bump(monkeypatch):
+    # The input itself moves 0, which is not below a negative bound either.
+    monkeypatch.setattr(
+        stable_rank, "math", SimpleNamespace(floor=math.floor, sqrt=lambda x: -1.0)
+    )
+    with pytest.raises(DomainError, match="moved 0, not below"):
+        unit_scalar_perturbation()()
+
+
+@pytest.mark.parametrize("kind", ["matrix", "corner"])
+def test_a_zero_bump_returns_the_input_itself(monkeypatch, kind):
+    # Where b0 >= eps the bump is exactly 0: the padding, the coefficients and
+    # k - 1 vanish and d = 1, so the closed form is t, and only the output
+    # postcondition decides anything.
+    rng = np.random.default_rng(14)
+    space = space_of_kind(kind, rng)
+    t = random_unimodular(space, rng, space.predicted_stable_rank())
+    smallest = min(np.linalg.eigvalsh(b)[0] for b in space._compress(gram(t)).blocks)
+    counts = spy_on(monkeypatch, ["dual_witness", "_collapse", "is_unimodular"])
+    assert hv_perturb(t, PerturbationParams(eps=smallest / 2)) is t
+    assert counts == {"dual_witness": 0, "_collapse": 0, "is_unimodular": 1}
 
 
 # -- density experiments ----------------------------------------------------------------------
