@@ -148,6 +148,9 @@ class _SpaceOps:
     def right_inv_sqrt(self, b, tol: float = DEFAULT_TOL):
         return self._expand(self._compress(b).inv_sqrt(tol))
 
+    def right_positive_part(self, b):
+        return self._expand(self._compress(b).positive_part())
+
     # -- fullness and stable rank ------------------------------------------------------
 
     def predicted_stable_rank(self):

@@ -29,6 +29,7 @@ unimodular, with deterministic per-trial seeding.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -361,13 +362,15 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
     bump = _bump(t, eps)
     moved = t  # the closed form where b = 0
     if any(b.any() for b in bump.blocks):
+        if eps < sys.float_info.min:  # ||a|| <= 1, but ||a||/eps may have no float value
+            raise DomainError(
+                f"a nonzero bump needs the damping k = floor(||a||/eps) + 1, "
+                f"which may overflow at a subnormal eps={eps:g}"
+            )
         padded, dual = _pad_with_bump(t, u, bump, params.tol)
         coeffs, reduced = _collapse(padded, dual, params, len(u))
 
-        try:
-            k = math.floor(adjointable_norm(coeffs) / eps) + 1
-        except OverflowError:  # ||a|| <= 1, so only a subnormal eps gets here
-            raise DomainError(f"the damping k = floor(||a||/eps) + 1 overflows at eps={eps:g}") from None
+        k = math.floor(adjointable_norm(coeffs) / eps) + 1
         damp = space.right_algebra_unit() + k * bump
         # d = 1 + k*b with b >= 0 is invertible by construction; no tolerance gate.
         damp_inv = space.right_inverse(damp, params.tol, check=False)

@@ -483,15 +483,18 @@ def test_pad_at_a_subnormal_eps_pads_with_zero(tmp_path, capsys):
 
 
 def test_perturb_at_a_subnormal_eps_refuses_an_unbounded_damping(tmp_path, capsys):
-    # The zero tuple's bump is 1, and its damping k = floor(||a||/eps) + 1 has
-    # no float value at eps = 1e-320.
+    # The zero tuple's bump is 1, and its damping k = floor(||a||/eps) + 1 may
+    # have no float value at eps = 1e-320, so it is refused before padding.
     space = ModuleSpace(Algebra((1,)), 1, 1)
     path = write_tuple(tmp_path / "zero.json", ModuleTuple((space.zero(),)))
     code, out, err = run_cli(
         capsys, ["perturb", "--input", path, "--eps", "1e-320", "--no-timestamp"]
     )
     assert (code, out) == (1, "")
-    assert err == "error: the damping k = floor(||a||/eps) + 1 overflows at eps=9.99989e-321\n"
+    assert err == (
+        "error: a nonzero bump needs the damping k = floor(||a||/eps) + 1, "
+        "which may overflow at a subnormal eps=9.99989e-321\n"
+    )
 
 
 @pytest.mark.parametrize("eps", ["1e-160", "1e-300"])

@@ -602,6 +602,7 @@ def test_corner_right_algebra_ops_match_kernel(base, size, p_ranks, q_ranks, sha
     assert_matches(corner.right_inverse(general), compress(general).inverse())
     assert_matches(corner.right_inverse(general, check=False), compress(general).inverse())
     assert_matches(corner.right_inv_sqrt(positive), compress(positive).inv_sqrt())
+    assert_matches(corner.right_positive_part(indefinite), compress(indefinite).positive_part())
     for b in (general, positive, indefinite, singular):
         svals = [np.linalg.svd(c, compute_uv=False) for c in compress(b).blocks]
         expected = min(s[-1] for s in svals) / max(1.0, max(s[0] for s in svals))
@@ -644,6 +645,9 @@ def test_corner_right_algebra_ops_match_kernel(base, size, p_ranks, q_ranks, sha
         )
     assert_matches(corner.right_inverse(general), matrix.right_inverse(compress(general)))
     assert_matches(corner.right_inv_sqrt(positive), matrix.right_inv_sqrt(compress(positive)))
+    assert_matches(
+        corner.right_positive_part(indefinite), matrix.right_positive_part(compress(indefinite))
+    )
     for xc, xm in zip(standard, matrix.standard_unimodular_tuple(), strict=True):
         for i, (ub, vb) in enumerate(zip(u_bases, v_bases)):
             np.testing.assert_allclose(ub.conj().T @ xc.blocks[i] @ vb, xm.blocks[i], atol=1e-12)
