@@ -6,7 +6,8 @@ Timestamps and wall time are included unless ``--no-timestamp`` is given, so
 that identical configurations produce byte-identical reports.
 
 Exit status: 0 on success, 1 on domain errors (singular inputs, failed
-reductions, overflow, ...) and on memory exhaustion, 2 on usage or parse errors.
+reductions, overflow, ...), on memory exhaustion and when the output closes
+early, 2 on usage or parse errors.
 """
 
 from __future__ import annotations
@@ -275,16 +276,7 @@ def _run_verify_suite(args) -> int:
     return 0 if not failed else 1
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
-    if args.command == "verify-suite":
-        return _run_verify_suite(args)
-
+def _run_command(args) -> int:
     try:
         report = run(args)
     except json.JSONDecodeError as exc:
@@ -308,6 +300,29 @@ def main(argv=None) -> int:
 
     _emit(report, args.out_path)
     return 0
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+
+    command = _run_verify_suite if args.command == "verify-suite" else _run_command
+    try:
+        code = command(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+    except BrokenPipeError:
+        # The reader closed the output early (``| head``).  Point stdout at
+        # devnull, so that the flush at exit has nothing left to fail on.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: broken pipe: the output closed before the report was written",
+              file=sys.stderr)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -5,6 +5,11 @@ seeded explicitly, and every draw is taken here.  Batch experiments derive
 one independent seed per trial by XOR-ing the base seed with the trial index,
 so results never depend on evaluation order.
 
+The one seeding rule: a seed, reduced to 64 bits, seeds ``PCG64`` through
+numpy's ``SeedSequence``, as :func:`rng_from_seed` does.  :func:`trial_draws`
+hashes the state words of all its trials' sequences in one pass and hands each
+trial's ``PCG64`` its row, so its bits are those of :func:`rng_from_seed`.
+
 The one draw order: a random element with blocks of shapes ``(r_i, s_i)``
 takes ``2 * sum r_i s_i`` standard normals in one call, block by block, the
 real parts and then the imaginary parts, each row-major; ``k`` elements in a
@@ -13,11 +18,19 @@ row take ``k`` such runs.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+
+# ``SeedSequence.generate_state``'s hash, as numpy writes it: output word j is
+# pool word ``j % 4`` XOR ``INIT_B * MULT_B**j``, times ``INIT_B * MULT_B**(j+1)``,
+# then XOR its own top 16 bits, all mod 2**32.  PCG64 takes 8 words, (2, 4) here.
+_HASH = [0x8B51F9DD * pow(0x58F38DED, j, 1 << 32) % (1 << 32) for j in range(9)]
+_HASH_XOR = np.array(_HASH[:8], dtype="<u4").reshape(2, 4)
+_HASH_MULT = np.array(_HASH[1:], dtype="<u4").reshape(2, 4)
 
 
 def derived_seed(seed: int, index: int) -> int:
@@ -56,13 +69,37 @@ def random_blocks(rng, shapes) -> list:
     return list(gaussian_blocks(rng.standard_normal(draw_size(shapes)), shapes))
 
 
+@functools.cache
+def _state_words():
+    """The ``ISeedSequence`` that hands ``PCG64`` words hashed beforehand, built
+    on first use: importing ``numpy.random`` would add ~14 ms to every CLI run."""
+
+    class StateWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return StateWords
+
+
 def trial_draws(seed: int, trials: int, size: int) -> np.ndarray:
     """``(trials, size)`` standard normals; row ``i`` comes from seed ``seed XOR i``.
 
     Row ``i`` holds what ``rng_from_seed(derived_seed(seed, i))`` yields first,
-    taken in one call.
+    taken in one call.  Each trial's ``SeedSequence`` mixes its entropy, and
+    the state words of all trials are hashed together.
     """
+    words = np.empty((trials, 2, 4), dtype="<u4")
+    for index in range(trials):
+        words[index] = np.random.SeedSequence(derived_seed(seed, index)).pool
+    words ^= _HASH_XOR
+    words *= _HASH_MULT
+    words ^= words >> 16
+    states = words.reshape(trials, 8).view("<u8").astype(np.uint64, copy=False)
     draws = np.empty((trials, size))
-    for index, row in enumerate(draws):
-        rng_from_seed(derived_seed(seed, index)).standard_normal(out=row)
+    state_words = _state_words()
+    for state, row in zip(states, draws):
+        np.random.Generator(np.random.PCG64(state_words(state))).standard_normal(out=row)
     return draws

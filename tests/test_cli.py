@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,6 +39,16 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(args, **kwargs):
+    """A fresh interpreter that imports the package from this checkout."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], env=env, text=True, **kwargs)
 
 
 def test_sr_formula_report(capsys):
@@ -665,3 +679,71 @@ def test_a_failed_criterion_shows_its_first_three_messages(count, details):
 
     result = criterion()
     assert (result.name, result.passed, result.details) == ("fake", False, details)
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy.random takes about 14 ms to import, which every run of a command
+    # that draws nothing would pay; sampling loads it on the first draw.
+    # (numpy before 2.0 loads it itself.)
+    code = (
+        "import sys, numpy; print('numpy.random' in sys.modules); "
+        "import cstar_rank.cli; print('numpy.random' in sys.modules)"
+    )
+    result = run_python(["-c", code], capture_output=True, check=True)
+    by_numpy, after_cli = result.stdout.split()
+    assert after_cli == by_numpy
+
+
+def run_cli_into_a_closed_pipe(argv):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return run_python(["-m", "cstar_rank.cli", *argv], stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+
+
+def test_a_closed_stdout_is_one_error_line(tmp_path):
+    space = ModuleSpace(Algebra((1,)), 1, 2)
+    t = unimodular_pair(space)
+    pad_input = tmp_path / "pad.json"
+    pad_input.write_text(json.dumps({"tuple": t.to_json_list()}))
+    for argv in (
+        ["check", "--input", write_tuple(tmp_path / "t.json", t)],
+        ["pad", "--input", str(pad_input), "--eps", "0.5"],
+    ):
+        result = run_cli_into_a_closed_pipe(argv)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: broken pipe")
+        assert result.stderr.count("\n") == 1
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: every flush raises ``BrokenPipeError``."""
+
+    def __init__(self):
+        read, self.fd = os.pipe()
+        os.close(read)
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        os.write(self.fd, b"x")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_verify_suite_into_a_closed_stdout_is_one_error_line(capsys, monkeypatch):
+    monkeypatch.setattr(
+        acceptance, "ALL_CRITERIA", (_fake_criterion("fake-pass", True, "all good", 0.4),)
+    )
+    stdout = ClosedPipe()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        assert main(["verify-suite"]) == 1
+        stdout.flush()  # stdout now points at devnull
+    finally:
+        os.close(stdout.fd)
+    assert capsys.readouterr().err.startswith("error: broken pipe")

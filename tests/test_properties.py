@@ -651,6 +651,23 @@ def test_nonzero_scalars_keep_the_unimodularity_verdict(case, extra, seed, c):
         assert is_unimodular(scaled(t, c)) == is_unimodular(t)
 
 
+@PROPERTY_SETTINGS
+@given(st.integers(-(2**70), 2**70), st.integers(1, 64))
+@example(0, 8)
+@example(-1, 8)
+@example(2**32 - 1, 8)  # the largest one-word SeedSequence entropy
+@example(2**32 - 3, 8)  # XOR 0..7 gives the top eight one-word seeds, reordered
+@example(2**32, 8)  # the smallest two-word entropy
+@example(2**63, 8)
+@example(2**64 - 1, 8)
+def test_trial_draws_equal_the_per_trial_generators(seed, trials):
+    draws = trial_draws(seed, trials, 5)
+    assert draws.shape == (trials, 5)
+    for index, row in enumerate(draws):
+        reference = rng_from_seed(derived_seed(seed, index)).standard_normal(5)
+        assert np.array_equal(row, reference)
+
+
 def per_trial_margins(space, k, trials, seed):
     """Reference for the batched trials: the loop ``density_experiment`` ran
     before, one generator and ``k`` calls of ``random_element`` per trial."""

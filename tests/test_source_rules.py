@@ -7,13 +7,14 @@ factorization that keeps the singular vectors under the same rule, and every
 functional calculus through one eigh loop.  A private SVD loop elsewhere once
 turned an overflow into a raw ``LinAlgError`` instead of a ``DomainError``;
 this test keeps such loops out.
-Every generator and draw stays in ``sampling``, which defines the one draw
-order that seeded reports depend on.  A tuple is stacked into one element of
-``M^n`` in one place, ``ModuleTuple._stacked``, which its norm, ``stack`` and
-the generation oracle read.  A coefficient array is assembled into its block
-matrices in one place, the ``ReductionCoefficients`` constructor.  A norm
-that is only compared with a bound may be a Frobenius norm, taken in one place,
-``algebra._gate_norm``, which knows when it decides as the SVD would.
+Every generator, seeding and draw stays in ``sampling``, which defines the
+one seeding rule and the one draw order that seeded reports depend on.  A tuple
+is stacked into one element of ``M^n`` in one place, ``ModuleTuple._stacked``,
+which its norm, ``stack`` and the generation oracle read.  A coefficient
+array is assembled into its block matrices in one place, the
+``ReductionCoefficients`` constructor.  A norm that is only compared with a
+bound may be a Frobenius norm, taken in one place, ``algebra._gate_norm``,
+which knows when it decides as the SVD would.
 ``hv_perturb`` collapses its padding in one step, with no stage loop.  Each
 intermediate tuple of a reduction is decided unimodular once, by its dual
 witness, and only the outputs are checked with ``is_unimodular``.  The
@@ -35,7 +36,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "cstar_rank"
 
 SPECTRAL = {"svd", "eigh", "eigvalsh"}
 
-RANDOM = {"standard_normal", "Generator", "PCG64"}
+RANDOM = {"standard_normal", "Generator", "PCG64", "SeedSequence", "ISeedSequence"}
 
 #: ``(module, scope)`` of every place allowed to name a spectral routine.  A
 #: scope is the dotted path of the enclosing classes and functions, then of
@@ -156,8 +157,8 @@ def test_random_draws_stay_in_sampling():
         for module, _, scope, line in uses
         if module != "sampling"
     ]
-    assert not stray, "generator or draw outside sampling.py: " + ", ".join(stray)
-    # The rule is not vacuous: sampling names all three.
+    assert not stray, "generator, seeding or draw outside sampling.py: " + ", ".join(stray)
+    # The rule is not vacuous: sampling names all five.
     assert {name for _, name, _, _ in uses} == RANDOM
 
 
