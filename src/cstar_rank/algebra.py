@@ -86,10 +86,11 @@ def _gate_norm(blocks, bound) -> float:
     return max(_extreme_svals(blocks)[0])
 
 
-def _margin(tops, bottoms) -> float:
+def _margin(tops, bottoms):
     """The one invertibility rule: the smallest singular value over all blocks
-    divided by ``max(1, largest)``, from the extremes of one matrix per block."""
-    return min(bottoms) / max(1.0, max(tops))
+    divided by ``max(1, largest)``, from the extremes of one matrix per block,
+    or of one stack per block, which gives one margin per matrix of the stack."""
+    return np.minimum.reduce(bottoms) / np.maximum(1.0, np.maximum.reduce(tops))
 
 
 def _hermitized(block):
@@ -330,7 +331,7 @@ class AlgebraElement(_Blocks):
 
     def margin(self) -> float:
         """Smallest singular value over ``max(1, norm)``; invertible at ``tol`` iff above it."""
-        return _margin(*_extreme_svals(self.blocks))
+        return float(_margin(*_extreme_svals(self.blocks)))
 
     def is_invertible(self, tol: float = DEFAULT_TOL) -> bool:
         """Whether :meth:`margin` exceeds ``tol``."""
@@ -370,13 +371,13 @@ class AlgebraElement(_Blocks):
         norm = self.norm()
         if not self._is_self_adjoint_at(norm):
             raise DomainError("inv_sqrt needs a self-adjoint element")
-        threshold = tol * max(1.0, norm)
 
         def inverse_root(w):
-            if w[0] <= threshold:
+            margin = _margin([norm], [w[0]])
+            if margin <= tol:
                 raise DomainError(
                     f"inv_sqrt needs a positive definite element; "
-                    f"smallest eigenvalue {w[0]:g} at threshold {threshold:g}"
+                    f"smallest eigenvalue {w[0]:g}, margin {margin:g} at tol={tol:g}"
                 )
             return w ** -0.5
 

@@ -118,8 +118,8 @@ class _SpaceOps:
         :meth:`random_element` take from one generator.  The Gram sums of all
         rows are summed in :func:`pairing`'s order, entry by entry and block
         by block, and compressed; then one stacked SVD per block gives the
-        extremes that the margin rule reads per tuple, so each margin is bit
-        for bit the one of the tuple itself.
+        extremes that the margin rule reads for all tuples in one call, so
+        each margin is bit for bit the one of the tuple itself.
         """
         trials = len(draws)
         grams = [np.zeros((trials, s, s), dtype=np.complex128) for _, s in self.block_shapes]
@@ -129,7 +129,7 @@ class _SpaceOps:
                 grams[i] += x.conj().swapaxes(-1, -2) @ x
         stacked_sums = AlgebraElement._wrap(self.right_algebra, grams)
         tops, bottoms = _extreme_svals(self._compress(stacked_sums).blocks)
-        return np.array([_margin(t, b) for t, b in zip(zip(*tops), zip(*bottoms))])
+        return _margin(tops, bottoms)
 
     # -- right algebra helpers: the kernel's operations on the compressed image --
 

@@ -7,8 +7,10 @@ so results never depend on evaluation order.
 
 The one seeding rule: a seed, reduced to 64 bits, seeds ``PCG64`` through
 numpy's ``SeedSequence``, as :func:`rng_from_seed` does.  :func:`trial_draws`
-hashes the state words of all its trials' sequences in one pass and hands each
-trial's ``PCG64`` its row, so its bits are those of :func:`rng_from_seed`.
+mixes the entropy pools of all its trials' sequences in one numpy pass from 10
+trials on (below that numpy's ``SeedSequence`` mixes each pool, which is
+cheaper there), hashes their state words in one pass and hands each trial's
+``PCG64`` its row, so its bits are those of :func:`rng_from_seed`.
 
 The one draw order: a random element with blocks of shapes ``(r_i, s_i)``
 takes ``2 * sum r_i s_i`` standard normals in one call, block by block, the
@@ -25,12 +27,47 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-# ``SeedSequence.generate_state``'s hash, as numpy writes it: output word j is
-# pool word ``j % 4`` XOR ``INIT_B * MULT_B**j``, times ``INIT_B * MULT_B**(j+1)``,
-# then XOR its own top 16 bits, all mod 2**32.  PCG64 takes 8 words, (2, 4) here.
+# numpy's ``SeedSequence`` as it writes it, in uint32 arithmetic mod 2**32.
+# Each hash step XORs a word with one constant, multiplies by a second and
+# XORs the product with its own top 16 bits, as :func:`_hashed` does.
+#
+# ``generate_state``: output word j hashes pool word ``j % 4`` with
+# ``INIT_B * MULT_B**j`` and ``INIT_B * MULT_B**(j+1)``.  PCG64 takes 8 words,
+# (2, 4) here.
 _HASH = [0x8B51F9DD * pow(0x58F38DED, j, 1 << 32) % (1 << 32) for j in range(9)]
 _HASH_XOR = np.array(_HASH[:8], dtype="<u4").reshape(2, 4)
 _HASH_MULT = np.array(_HASH[1:], dtype="<u4").reshape(2, 4)
+
+# The entropy mixing that fills the pool: hash step i takes ``INIT_A * MULT_A**i``
+# and ``INIT_A * MULT_A**(i+1)``.  Steps 0-3 hash the seed's low and high word
+# and two zeros into the pool; a seed below 2**32 has one word and mixes as if
+# its high word were 0.  Then round ``src`` of 4 hashes pool word ``src`` with
+# steps ``4 + 3 src`` to ``6 + 3 src``, one per other word ``dst`` in order, and
+# sets ``dst`` to ``L dst - R hash``, XORed with its own top 16 bits.
+_MIX = [0x43B0D7E5 * pow(0x931E8875, j, 1 << 32) % (1 << 32) for j in range(17)]
+_MIX_L = np.uint32(0xCA01F9DD)
+_MIX_R = np.uint32(0x4973F715)
+
+
+def _round_constants(first):
+    """Per round, ``(4, 4, 1)``: step ``first + 3 src + d`` at the d-th other
+    word, and 0 at ``src``, whose word the round keeps."""
+    rows = []
+    for src in range(4):
+        steps = iter(_MIX[first + 3 * src :])
+        rows.append([0 if dst == src else next(steps) for dst in range(4)])
+    return np.array(rows, dtype="<u4").reshape(4, 4, 1)
+
+
+_FILL_XOR = np.array(_MIX[:4], dtype="<u4").reshape(4, 1)
+_FILL_MULT = np.array(_MIX[1:5], dtype="<u4").reshape(4, 1)
+_ROUND_XOR = _round_constants(4)
+_ROUND_MULT = _round_constants(5)
+
+# Trials from which :func:`trial_draws` mixes all pools in one numpy pass.  The
+# pass costs about 35-45 us at any count and a ``SeedSequence`` about 4-5 us, so
+# they break even near 10 trials (py3.11, numpy 2.4, one CPU).
+_POOL_PASS_TRIALS = 10
 
 
 def derived_seed(seed: int, index: int) -> int:
@@ -84,19 +121,50 @@ def _state_words():
     return StateWords
 
 
+def _hashed(words, xor, mult):
+    """One hash step of uint32 ``words`` (a new array); see the tables above."""
+    words = words ^ xor
+    words *= mult
+    words ^= words >> 16
+    return words
+
+
+def _pools(seed: int, trials: int) -> np.ndarray:
+    """``(trials, 4)`` uint32: row ``i`` is ``SeedSequence(derived_seed(seed, i)).pool``.
+
+    Below ``_POOL_PASS_TRIALS`` trials numpy mixes each pool, which is cheaper
+    there; from it, all pools are mixed in one pass over a ``(4, trials)`` array.
+    """
+    if trials < _POOL_PASS_TRIALS:
+        pools = np.empty((trials, 4), dtype="<u4")
+        for index in range(trials):
+            pools[index] = np.random.SeedSequence(derived_seed(seed, index)).pool
+        return pools
+    seeds = np.arange(trials, dtype="<u8")
+    seeds ^= np.uint64(derived_seed(seed, 0))
+    pool = np.zeros((4, trials), dtype="<u4")
+    pool[:2] = seeds.view("<u4").reshape(trials, 2).T
+    pool = _hashed(pool, _FILL_XOR, _FILL_MULT)
+    for src in range(4):
+        kept = pool[src].copy()
+        mixed = _hashed(kept, _ROUND_XOR[src], _ROUND_MULT[src])
+        mixed *= _MIX_R
+        pool *= _MIX_L
+        pool -= mixed
+        pool ^= pool >> 16
+        pool[src] = kept
+    return np.ascontiguousarray(pool.T)
+
+
 def trial_draws(seed: int, trials: int, size: int) -> np.ndarray:
     """``(trials, size)`` standard normals; row ``i`` comes from seed ``seed XOR i``.
 
     Row ``i`` holds what ``rng_from_seed(derived_seed(seed, i))`` yields first,
-    taken in one call.  Each trial's ``SeedSequence`` mixes its entropy, and
-    the state words of all trials are hashed together.
+    taken in one call.  The ``SeedSequence`` pools of all trials are mixed in
+    one numpy pass from 10 trials on (below, numpy mixes each trial's), and
+    their state words are hashed together.
     """
-    words = np.empty((trials, 2, 4), dtype="<u4")
-    for index in range(trials):
-        words[index] = np.random.SeedSequence(derived_seed(seed, index)).pool
-    words ^= _HASH_XOR
-    words *= _HASH_MULT
-    words ^= words >> 16
+    words = _hashed(_pools(seed, trials)[:, None], _HASH_XOR, _HASH_MULT)
     states = words.reshape(trials, 8).view("<u8").astype(np.uint64, copy=False)
     draws = np.empty((trials, size))
     state_words = _state_words()

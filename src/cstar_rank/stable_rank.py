@@ -427,7 +427,8 @@ def density_experiment(
 
     Trial ``i`` draws its randomness from the derived seed ``seed XOR i``, so
     the report is reproducible and independent of evaluation order.  The
-    trials are batched: the generator state words of all trials are hashed in
+    trials are batched: from 10 trials on, the generator entropy pools of all
+    trials are mixed in one pass; the state words of all trials are hashed in
     one pass, each trial takes its ``k`` elements' draws in one call, and
     the Gram sums and margins of all trials are computed together, one block
     at a time.  Every margin is bit for bit the one of the tuple that

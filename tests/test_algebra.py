@@ -120,6 +120,7 @@ def test_margin_is_relative_and_refuses_non_finite_values():
     alg = Algebra((1, 2))
     a = alg.element([np.array([[4.0]]), np.diag([2.0, 0.5])])
     assert a.margin() == 0.5 / 4.0
+    assert type(a.margin()) is float  # reports and messages print it
     assert a.is_invertible(0.12) and not a.is_invertible(0.13)
     for bad in (np.inf, np.nan):
         b = alg.element([np.array([[1.0]]), np.diag([bad, 1.0])])

@@ -50,7 +50,7 @@ from cstar_rank import (
     unimodularity_margin,
     warfield_forward,
 )
-from cstar_rank.sampling import derived_seed, draw_size, rng_from_seed, trial_draws
+from cstar_rank.sampling import _POOL_PASS_TRIALS, derived_seed, draw_size, rng_from_seed, trial_draws
 from cstar_rank.stable_rank import TELESCOPE_TOL, WITNESS_TOL
 from test_hilbert_module import corner_with_ranks, random_projection
 
@@ -660,6 +660,11 @@ def test_nonzero_scalars_keep_the_unimodularity_verdict(case, extra, seed, c):
 @example(2**32, 8)  # the smallest two-word entropy
 @example(2**63, 8)
 @example(2**64 - 1, 8)
+# The smallest count mixed in one numpy pass, and the largest that numpy mixes per trial.
+@example(2**32 - 3, _POOL_PASS_TRIALS)
+@example(2**32 - 3, _POOL_PASS_TRIALS - 1)
+@example(-1, 64)
+@example(2**64 - 1, 64)
 def test_trial_draws_equal_the_per_trial_generators(seed, trials):
     draws = trial_draws(seed, trials, 5)
     assert draws.shape == (trials, 5)
@@ -692,11 +697,15 @@ DEAD_COLUMN_CORNER = (
 
 
 @PROPERTY_SETTINGS
-@given(spaces, lengths, st.integers(1, 6), seeds)
+@given(spaces, lengths, st.integers(1, 20), seeds)
 @example(ZERO_ROW_CORNER, 2, 1, 0)
 @example(ZERO_ROW_CORNER, 4, 5, 1)
 @example(DEAD_COLUMN_CORNER, 1, 1, 2)
 @example(DEAD_COLUMN_CORNER, 3, 4, 3)
+# Both sides of the count from which trial_draws mixes its pools in one pass.
+@example(ZERO_ROW_CORNER, 2, _POOL_PASS_TRIALS, 4)
+@example(DEAD_COLUMN_CORNER, 3, _POOL_PASS_TRIALS - 1, 5)
+@example(PAIR_SPACE, 2, _POOL_PASS_TRIALS, 6)
 def test_batched_trial_margins_equal_the_per_trial_loop(case, k, trials, seed):
     space, shapes = case
     assert space.compressed_shapes == shapes

@@ -26,7 +26,9 @@ each pipeline call refuses below the counting bound once, and the CLI takes the
 positive-number rule from ``algebra``.  Algebra elements, module elements
 and coefficient arrays are kinds of one container, ``algebra._Blocks``, which
 alone freezes blocks and defines the operand rule.  The acceptance seeds count
-runs; none comes from CPython's tuple hash.
+runs; none comes from CPython's tuple hash.  The margin rule, the smallest
+singular value over ``max(1, largest)``, is written once, in ``algebra._margin``,
+for one element and for a stack of trials alike.
 """
 
 import ast
@@ -416,3 +418,26 @@ def test_the_cli_leaves_the_positive_number_rule_to_the_library():
     # cli._positive applies algebra._require_positive_finite, not its own copy.
     found = [(name, line) for module, name, _, line in _uses({"math.inf", "math.nan"}) if module == "cli"]
     assert not found, f"cli names {found}"
+
+
+class _CallsWithOne(_NamedCalls):
+    """Collects the calls of ``names`` that take the literal 1 as an argument."""
+
+    def visit_Call(self, node):
+        if any(isinstance(a, ast.Constant) and a.value == 1 for a in node.args):
+            super().visit_Call(node)
+        else:
+            self.generic_visit(node)
+
+
+MARGIN_RULE = ("algebra", "_margin")
+
+
+def test_the_margin_rule_is_written_once():
+    # AlgebraElement.margin, the batched trial margins and inv_sqrt's positivity
+    # test all apply _margin; a max(1, ...) elsewhere would be a second copy.
+    uses = [(module, scope) for module, _, scope, _ in _uses({"max", "maximum"}, _CallsWithOne)]
+    stray = [f"{module}.py in {scope or '<module>'}" for module, scope in uses if (module, scope) != MARGIN_RULE]
+    assert not stray, "max(1, ...) outside algebra._margin: " + ", ".join(stray)
+    # The rule is not vacuous: the margin does scale by it.
+    assert uses == [MARGIN_RULE]
