@@ -38,11 +38,14 @@ def _extreme_svals(blocks) -> tuple[list, list]:
 
     A matrix gives floats; a stack ``(t, m, n)`` gives arrays of length ``t``
     from one SVD call.  The one non-finite rule: ``DomainError`` unless all
-    of them are finite.
+    of them are finite.  Non-finite blocks raise it before LAPACK sees them,
+    which would print its complaints to the process's stdout.
     """
+    if not all(np.isfinite(b).all() for b in blocks):
+        raise DomainError(_NOT_FINITE)
     try:
         svals = [np.linalg.svd(b, compute_uv=False) for b in blocks]
-    except np.linalg.LinAlgError:  # LAPACK gives up on NaN entries
+    except np.linalg.LinAlgError:  # no convergence
         svals = [np.array([math.nan])]
     tops = [s[..., 0] if s.ndim > 1 else float(s[0]) for s in svals]
     bottoms = [s[..., -1] if s.ndim > 1 else float(s[-1]) for s in svals]

@@ -39,6 +39,7 @@ from .algebra import (
     _Blocks,
     _extreme_svals,
     _gate_norm,
+    _hermitian_calculus,
     _hermitized,
     _margin,
     _require_positive_finite,
@@ -73,7 +74,8 @@ class _SpaceOps:
     * ``_core(i, block)`` / ``_embed(i, core)`` between a stored element block
       and its ``r_i x s_i`` core;
     * ``_compress(b)`` / ``_expand(c)`` between a right-algebra element and
-      its image in the sum of the ``M_{s_i}(C)`` with ``s_i > 0``;
+      its image in the sum of the ``M_{s_i}(C)`` with ``s_i > 0``; other
+      modules reach them through ``right_*`` and ``_right_calculus`` only;
     * ``_project(i, g)`` from any matrix of the stored block shape to an
       element block, the one place that knows how an element is stored;
     * ``_stacked_space(k)``, the space that :func:`stack` embeds a
@@ -148,8 +150,10 @@ class _SpaceOps:
     def right_inv_sqrt(self, b, tol: float = DEFAULT_TOL):
         return self._expand(self._compress(b).inv_sqrt(tol))
 
-    def right_positive_part(self, b):
-        return self._expand(self._compress(b).positive_part())
+    def _right_calculus(self, b, f):
+        """``f`` of the hermitized ``b`` by :func:`_hermitian_calculus` on its compressed image."""
+        c = self._compress(b)
+        return self._expand(c._new(_hermitian_calculus(c.blocks, f)))
 
     # -- fullness and stable rank ------------------------------------------------------
 

@@ -6,11 +6,10 @@ one independent seed per trial by XOR-ing the base seed with the trial index,
 so results never depend on evaluation order.
 
 The one seeding rule: a seed, reduced to 64 bits, seeds ``PCG64`` through
-numpy's ``SeedSequence``, as :func:`rng_from_seed` does.  :func:`trial_draws`
-mixes the entropy pools of all its trials' sequences in one numpy pass from 10
-trials on (below that numpy's ``SeedSequence`` mixes each pool, which is
-cheaper there), hashes their state words in one pass and hands each trial's
-``PCG64`` its row, so its bits are those of :func:`rng_from_seed`.
+numpy's ``SeedSequence``, as :func:`rng_from_seed` does.  Below 5 trials each
+row of :func:`trial_draws` is :func:`rng_from_seed`'s draw; from 5 on, one pass
+mixes the entropy pools of all trials and hashes their state words, and each
+trial's ``PCG64`` takes its row, with the bits of :func:`rng_from_seed`.
 
 The one draw order: a random element with blocks of shapes ``(r_i, s_i)``
 takes ``2 * sum r_i s_i`` standard normals in one call, block by block, the
@@ -64,10 +63,10 @@ _FILL_MULT = np.array(_MIX[1:5], dtype="<u4").reshape(4, 1)
 _ROUND_XOR = _round_constants(4)
 _ROUND_MULT = _round_constants(5)
 
-# Trials from which :func:`trial_draws` mixes all pools in one numpy pass.  The
-# pass costs about 35-45 us at any count and a ``SeedSequence`` about 4-5 us, so
-# they break even near 10 trials (py3.11, numpy 2.4, one CPU).
-_POOL_PASS_TRIALS = 10
+# Trials from which :func:`trial_draws` seeds in one pass.  Timed interleaved on
+# one CPU (py3.11, numpy 2.4), the pass costs about 60 us plus 5 us a trial and
+# the :func:`rng_from_seed` loop 17-20 us a trial: they break even at 5 trials.
+_POOL_PASS_TRIALS = 5
 
 
 def derived_seed(seed: int, index: int) -> int:
@@ -130,16 +129,9 @@ def _hashed(words, xor, mult):
 
 
 def _pools(seed: int, trials: int) -> np.ndarray:
-    """``(trials, 4)`` uint32: row ``i`` is ``SeedSequence(derived_seed(seed, i)).pool``.
-
-    Below ``_POOL_PASS_TRIALS`` trials numpy mixes each pool, which is cheaper
-    there; from it, all pools are mixed in one pass over a ``(4, trials)`` array.
-    """
-    if trials < _POOL_PASS_TRIALS:
-        pools = np.empty((trials, 4), dtype="<u4")
-        for index in range(trials):
-            pools[index] = np.random.SeedSequence(derived_seed(seed, index)).pool
-        return pools
+    """``(trials, 4)`` uint32: row ``i`` is the entropy pool that numpy's
+    ``SeedSequence`` mixes from ``derived_seed(seed, i)``, all rows in one pass
+    over a ``(4, trials)`` array."""
     seeds = np.arange(trials, dtype="<u8")
     seeds ^= np.uint64(derived_seed(seed, 0))
     pool = np.zeros((4, trials), dtype="<u4")
@@ -160,13 +152,17 @@ def trial_draws(seed: int, trials: int, size: int) -> np.ndarray:
     """``(trials, size)`` standard normals; row ``i`` comes from seed ``seed XOR i``.
 
     Row ``i`` holds what ``rng_from_seed(derived_seed(seed, i))`` yields first,
-    taken in one call.  The ``SeedSequence`` pools of all trials are mixed in
-    one numpy pass from 10 trials on (below, numpy mixes each trial's), and
-    their state words are hashed together.
+    taken in one call.  Below ``_POOL_PASS_TRIALS`` trials each row is that
+    generator's draw; from it on, the entropy pools of all trials are mixed in
+    one pass and their state words are hashed together.
     """
+    draws = np.empty((trials, size))
+    if trials < _POOL_PASS_TRIALS:
+        for index, row in enumerate(draws):
+            rng_from_seed(derived_seed(seed, index)).standard_normal(out=row)
+        return draws
     words = _hashed(_pools(seed, trials)[:, None], _HASH_XOR, _HASH_MULT)
     states = words.reshape(trials, 8).view("<u8").astype(np.uint64, copy=False)
-    draws = np.empty((trials, size))
     state_words = _state_words()
     for state, row in zip(states, draws):
         np.random.Generator(np.random.PCG64(state_words(state))).standard_normal(out=row)

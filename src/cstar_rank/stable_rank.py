@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._version import __version__
-from .algebra import (DEFAULT_TOL, AlgebraElement, _Blocks, _gate_norm, _hermitian_calculus,
+from .algebra import (DEFAULT_TOL, AlgebraElement, _Blocks, _gate_norm,
                       _require_positive_finite, _shape_int, _shifted_polar)
 from .errors import (
     DomainError,
@@ -295,10 +295,7 @@ def _bump(t: ModuleTuple, eps: float) -> AlgebraElement:
     """The spectral bump ``b = (eps - b0)^+ / eps`` of the Gram sum ``b0``: the
     eigenvalues ``w`` of its compressed form map to ``clip(eps - w, 0, eps) / eps``,
     in real arithmetic, so no ``1/eps`` overflows and every ``w >= eps`` gives an exact 0."""
-    space = t.space
-    b0 = space._compress(gram(t))
-    bump = _hermitian_calculus(b0.blocks, lambda w: np.clip(eps - w, 0.0, eps) / eps)
-    return space._expand(b0._new(bump))
+    return t.space._right_calculus(gram(t), lambda w: np.clip(eps - w, 0.0, eps) / eps)
 
 
 def _pad_with_bump(t: ModuleTuple, u: ModuleTuple, bump: AlgebraElement, tol: float):
@@ -427,13 +424,13 @@ def density_experiment(
 
     Trial ``i`` draws its randomness from the derived seed ``seed XOR i``, so
     the report is reproducible and independent of evaluation order.  The
-    trials are batched: from 10 trials on, the generator entropy pools of all
-    trials are mixed in one pass; the state words of all trials are hashed in
-    one pass, each trial takes its ``k`` elements' draws in one call, and
-    the Gram sums and margins of all trials are computed together, one block
-    at a time.  Every margin is bit for bit the one of the tuple that
-    ``k`` calls of ``space.random_element`` on the trial's generator give, so
-    reports are byte-identical to a trial-by-trial loop.
+    trials are batched: below 5 trials each trial's draws are
+    ``rng_from_seed``'s, and from 5 on one pass seeds all trials.  Each trial
+    takes its ``k`` elements' draws in one call, and the Gram sums and margins
+    of all trials are computed together, one block at a time.  Every margin is
+    bit for bit the one of the tuple that ``k`` calls of ``space.random_element``
+    on the trial's generator give, so reports are byte-identical to a
+    trial-by-trial loop.
     """
     k, trials, seed = _shape_int(k), _shape_int(trials), _shape_int(seed)
     if k < 1:

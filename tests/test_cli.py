@@ -511,19 +511,29 @@ def test_perturb_at_a_subnormal_eps_refuses_an_unbounded_damping(tmp_path, capsy
     )
 
 
-@pytest.mark.parametrize("eps", ["1e-160", "1e-300"])
-def test_an_overflowing_bump_leaves_lapack_silent(tmp_path, capfd, eps):
-    # With an entry of 1e150 the Gram sum is near 1e300, and b0/eps overflowed;
-    # LAPACK then printed DLASCL complaints to the process's own stdout, which
-    # only capfd sees, before the non-finite rule raised.
-    space = ModuleSpace(Algebra((1, 2)), 1, 2)
+def overflowing_tuple(base, rows, cols, k, entries):
+    """A random ``k``-tuple with ``{(entry, block, row, col): value}`` set."""
+    space = ModuleSpace(Algebra(base), rows, cols)
     rng = np.random.default_rng(0)
-    entries = [space.random_element(rng) for _ in range(3)]
-    blocks = [np.array(b) for b in entries[0].blocks]
-    blocks[1][1, 0] = 1e150
-    entries[0] = space.element(blocks)
-    path = write_tuple(tmp_path / "big.json", ModuleTuple(tuple(entries)))
-    code = main(["perturb", "--input", path, "--eps", eps, "--no-timestamp"])
+    blocks = [[np.array(b) for b in space.random_element(rng).blocks] for _ in range(k)]
+    for (j, i, row, col), value in entries.items():
+        blocks[j][i][row, col] = value
+    return ModuleTuple(tuple(space.element(b) for b in blocks))
+
+
+@pytest.mark.parametrize("command, t", [
+    # With an entry of 1e150 the Gram sum is near 1e300, and b0/eps overflowed.
+    *(pytest.param(["perturb", "--eps", eps], overflowing_tuple((1, 2), 1, 2, 3, {(0, 1, 1, 0): 1e150}),
+                   id=eps) for eps in ("1e-160", "1e-300")),
+    # Entries of 1e308 make the Gram sum infinite, which reached the SVD.
+    *(pytest.param([command], overflowing_tuple((2,), 2, 3, 2, {(0, 0, 2, 3): 1e308j, (1, 0, 3, 0): 1e308}),
+                   id=command) for command in ("check", "dual", "reduce")),
+])
+def test_an_overflowing_bump_leaves_lapack_silent(tmp_path, capfd, command, t):
+    # LAPACK printed DLASCL complaints on non-finite blocks to the process's
+    # own stdout, which only capfd sees, before the non-finite rule raised.
+    path = write_tuple(tmp_path / "big.json", t)
+    code = main([*command, "--input", path, "--no-timestamp"])
     out, err = capfd.readouterr()
     assert code == 1
     assert out == ""

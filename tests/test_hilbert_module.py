@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstar_rank import (
     DEFAULT_TOL,
@@ -457,31 +459,28 @@ def test_corner_recovers_algebra_as_module():
     assert not is_unimodular(ModuleTuple((zero,)))
 
 
-def test_corner_matches_matrix_module_verdicts():
-    alg = Algebra((1,))
-    big = alg.matrix_algebra(4)
-    p = diag_projection(big, [[1, 1, 0, 0]])
-    q = diag_projection(big, [[1, 1, 1, 0]])
-    corner = corner_space(alg, 4, p, q)
-    matrix = ModuleSpace(alg, 2, 3)
-    rng = np.random.default_rng(15)
-    u_basis = corner._row_bases[0]
-    v_basis = corner._col_bases[0]
-    for _ in range(100):
-        corner_entries = []
-        matrix_entries = []
-        for _ in range(2):
-            raw = np.sqrt(0.5) * (
-                rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            )
-            xc = corner.element([raw])
-            compressed = u_basis.conj().T @ xc.blocks[0] @ v_basis
-            corner_entries.append(xc)
-            matrix_entries.append(matrix.element([compressed]))
-        tc = ModuleTuple(tuple(corner_entries))
-        tm = ModuleTuple(tuple(matrix_entries))
-        assert is_unimodular(tc) == is_unimodular(tm)
-        assert gen_oracle(tc) == gen_oracle(tm) == is_unimodular(tc)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 3), st.data(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_corner_matches_matrix_module_verdicts(d, size, data, k, seed):
+    # p M_size(M_d) q with rank p = r d and rank q = s d is M_{r x s}(M_d) on
+    # the cores U* x V: same verdicts, same stable rank and the same margins.
+    r = data.draw(st.integers(1, size), label="r")
+    s = data.draw(st.integers(1, size), label="s")
+    rng = np.random.default_rng(seed)
+    corner = corner_with_ranks((d,), size, (r * d,), (s * d,), rng)
+    matrix = ModuleSpace(Algebra((d,)), r, s)
+    tc = random_tuple(corner, rng, k)
+    tm = ModuleTuple(tuple(matrix.element([corner._core(0, x.blocks[0])]) for x in tc))
+    assert corner.predicted_stable_rank() == matrix.predicted_stable_rank()
+    assert is_unimodular(tc) == is_unimodular(tm)
+    assert gen_oracle(tc) == gen_oracle(tm)
+    margins = (unimodularity_margin, generation_margin)
+    if not any(DEFAULT_TOL / 10 <= margin(tc) <= DEFAULT_TOL * 10 for margin in margins):
+        assert gen_oracle(tc) == is_unimodular(tc)
+    # Both margins are relative to max(1, norm), so rounding moves them by
+    # about 1e-16 in absolute terms, also where the counting bound puts them at 0.
+    for margin in margins:
+        assert margin(tc) == pytest.approx(margin(tm), rel=1e-12, abs=1e-12)
 
 
 def test_projection_is_unimodular_in_its_own_corner():
@@ -586,6 +585,9 @@ def test_corner_right_algebra_ops_match_kernel(base, size, p_ranks, q_ranks, sha
     def compress(b):
         return core.element([v_bases[i].conj().T @ b.blocks[i] @ v_bases[i] for i in live])
 
+    def clipped(w):  # the kernel's positive part
+        return np.clip(w, 0.0, None)
+
     def assert_matches(result, expected):
         for i, qb in enumerate(q.blocks):  # lands in the corner algebra q A q
             np.testing.assert_allclose(qb @ result.blocks[i] @ qb, result.blocks[i], atol=1e-10)
@@ -602,7 +604,7 @@ def test_corner_right_algebra_ops_match_kernel(base, size, p_ranks, q_ranks, sha
     assert_matches(corner.right_inverse(general), compress(general).inverse())
     assert_matches(corner.right_inverse(general, check=False), compress(general).inverse())
     assert_matches(corner.right_inv_sqrt(positive), compress(positive).inv_sqrt())
-    assert_matches(corner.right_positive_part(indefinite), compress(indefinite).positive_part())
+    assert_matches(corner._right_calculus(indefinite, clipped), compress(indefinite).positive_part())
     for b in (general, positive, indefinite, singular):
         svals = [np.linalg.svd(c, compute_uv=False) for c in compress(b).blocks]
         expected = min(s[-1] for s in svals) / max(1.0, max(s[0] for s in svals))
@@ -646,7 +648,8 @@ def test_corner_right_algebra_ops_match_kernel(base, size, p_ranks, q_ranks, sha
     assert_matches(corner.right_inverse(general), matrix.right_inverse(compress(general)))
     assert_matches(corner.right_inv_sqrt(positive), matrix.right_inv_sqrt(compress(positive)))
     assert_matches(
-        corner.right_positive_part(indefinite), matrix.right_positive_part(compress(indefinite))
+        corner._right_calculus(indefinite, clipped),
+        matrix._right_calculus(compress(indefinite), clipped),
     )
     for xc, xm in zip(standard, matrix.standard_unimodular_tuple(), strict=True):
         for i, (ub, vb) in enumerate(zip(u_bases, v_bases)):

@@ -660,7 +660,7 @@ def test_nonzero_scalars_keep_the_unimodularity_verdict(case, extra, seed, c):
 @example(2**32, 8)  # the smallest two-word entropy
 @example(2**63, 8)
 @example(2**64 - 1, 8)
-# The smallest count mixed in one numpy pass, and the largest that numpy mixes per trial.
+# The smallest count seeded in one numpy pass, and the largest seeded by rng_from_seed per trial.
 @example(2**32 - 3, _POOL_PASS_TRIALS)
 @example(2**32 - 3, _POOL_PASS_TRIALS - 1)
 @example(-1, 64)
@@ -702,7 +702,7 @@ DEAD_COLUMN_CORNER = (
 @example(ZERO_ROW_CORNER, 4, 5, 1)
 @example(DEAD_COLUMN_CORNER, 1, 1, 2)
 @example(DEAD_COLUMN_CORNER, 3, 4, 3)
-# Both sides of the count from which trial_draws mixes its pools in one pass.
+# Both sides of the count from which trial_draws seeds in one pass.
 @example(ZERO_ROW_CORNER, 2, _POOL_PASS_TRIALS, 4)
 @example(DEAD_COLUMN_CORNER, 3, _POOL_PASS_TRIALS - 1, 5)
 @example(PAIR_SPACE, 2, _POOL_PASS_TRIALS, 6)

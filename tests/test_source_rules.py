@@ -8,9 +8,12 @@ functional calculus through one eigh loop.  A private SVD loop elsewhere once
 turned an overflow into a raw ``LinAlgError`` instead of a ``DomainError``;
 this test keeps such loops out.
 Every generator, seeding and draw stays in ``sampling``, which defines the
-one seeding rule and the one draw order that seeded reports depend on.  A tuple
-is stacked into one element of ``M^n`` in one place, ``ModuleTuple._stacked``,
-which its norm, ``stack`` and the generation oracle read.  A coefficient
+one seeding rule and the one draw order that seeded reports depend on; it
+seeds through ``rng_from_seed`` or the one-pass mix, never a ``SeedSequence``
+of its own.  ``stable_rank`` reaches the compression hooks of a space only
+through its right-algebra helpers.  A tuple is stacked into one element of
+``M^n`` in one place, ``ModuleTuple._stacked``, which its norm, ``stack`` and
+the generation oracle read.  A coefficient
 array is assembled into its block matrices in one place, the
 ``ReductionCoefficients`` constructor.  A norm that is only compared with a
 bound may be a Frobenius norm, taken in one place, ``algebra._gate_norm``,
@@ -38,7 +41,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "cstar_rank"
 
 SPECTRAL = {"svd", "eigh", "eigvalsh"}
 
-RANDOM = {"standard_normal", "Generator", "PCG64", "SeedSequence", "ISeedSequence"}
+RANDOM = {"standard_normal", "Generator", "PCG64", "ISeedSequence"}
 
 #: ``(module, scope)`` of every place allowed to name a spectral routine.  A
 #: scope is the dotted path of the enclosing classes and functions, then of
@@ -160,8 +163,16 @@ def test_random_draws_stay_in_sampling():
         if module != "sampling"
     ]
     assert not stray, "generator, seeding or draw outside sampling.py: " + ", ".join(stray)
-    # The rule is not vacuous: sampling names all five.
+    # The rule is not vacuous: sampling names all four.
     assert {name for _, name, _, _ in uses} == RANDOM
+
+
+def test_only_rng_from_seed_and_the_pass_seed():
+    # rng_from_seed seeds through the SeedSequence inside PCG64, and the pass
+    # in trial_draws writes that mixing out; a SeedSequence built by hand
+    # would be a third seeding route.
+    found = [f"{module}.py:{line}" for module, _, _, line in _uses({"SeedSequence"})]
+    assert not found, "SeedSequence named at " + ", ".join(found)
 
 
 #: The one place allowed to stack blocks: the stacked form of a tuple.
@@ -338,6 +349,14 @@ def test_reductions_draw_nothing():
         if name in DRAWS
     ]
     assert not stray, "stable_rank draws: " + ", ".join(stray)
+
+
+def test_stable_rank_leaves_the_compression_to_the_space():
+    # The bump is the space's _right_calculus; the compression hooks are named
+    # only in hilbert_module, so a change to them stays there.
+    for hook in ("_compress", "_expand"):
+        uses = _scopes_naming("stable_rank", hook)
+        assert not uses, f"stable_rank names {hook} in {uses}"
 
 
 def test_only_the_damping_inverts():
