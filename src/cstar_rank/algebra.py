@@ -5,8 +5,10 @@ An :class:`Algebra` records the block sizes ``(k1, ..., ks)`` of a direct sum
 ``k_i x k_i`` matrix per block.  Sums, products and adjoints act blockwise,
 the norm is the largest singular value over all blocks, and spectral
 operations (positive part, inverse square root) go through per-block
-Hermitian eigendecompositions.  Elements are immutable, so values can be
-shared freely between workers.
+Hermitian eigendecompositions.  Every LAPACK call of the package goes through
+:func:`_lapack`, which refuses non-finite blocks before LAPACK sees them and
+turns LAPACK's failures into ``DomainError``.  Elements are immutable, so
+values can be shared freely between workers.
 """
 
 from __future__ import annotations
@@ -33,20 +35,26 @@ SELF_ADJOINT_RTOL = 1e-10
 _NOT_FINITE = "singular values are not finite (overflow or non-finite entries)"
 
 
+def _lapack(routine: str, blocks, **options) -> list:
+    """``np.linalg.<routine>(b, **options)`` per block, the one LAPACK boundary: non-finite
+    blocks raise the non-finite ``DomainError`` before LAPACK sees them (it would print to
+    stdout), and a ``LinAlgError`` becomes a ``DomainError`` naming the routine and reason."""
+    if not all(np.isfinite(b).all() for b in blocks):
+        raise DomainError(_NOT_FINITE)
+    try:
+        return [getattr(np.linalg, routine)(b, **options) for b in blocks]
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(f"LAPACK {routine} failed: {exc}") from None
+
+
 def _extreme_svals(blocks) -> tuple[list, list]:
     """Largest and smallest singular value per nonempty block.
 
     A matrix gives floats; a stack ``(t, m, n)`` gives arrays of length ``t``
-    from one SVD call.  The one non-finite rule: ``DomainError`` unless all
-    of them are finite.  Non-finite blocks raise it before LAPACK sees them,
-    which would print its complaints to the process's stdout.
+    from one SVD call.  ``DomainError`` unless all of them are finite: beside
+    the non-finite blocks that :func:`_lapack` refuses, finite ones can overflow.
     """
-    if not all(np.isfinite(b).all() for b in blocks):
-        raise DomainError(_NOT_FINITE)
-    try:
-        svals = [np.linalg.svd(b, compute_uv=False) for b in blocks]
-    except np.linalg.LinAlgError:  # no convergence
-        svals = [np.array([math.nan])]
+    svals = _lapack("svd", blocks, compute_uv=False)
     tops = [s[..., 0] if s.ndim > 1 else float(s[0]) for s in svals]
     bottoms = [s[..., -1] if s.ndim > 1 else float(s[-1]) for s in svals]
     # Each extreme on its own: a sum of finite ones may overflow.
@@ -64,10 +72,7 @@ def _shifted_polar(blocks, shift) -> tuple[list, list]:
     """Per tall block ``Z = U S V*``, with polar isometry ``W = U V*``, the pair
     ``W (|Z| + shift) = U (S + shift) V*`` and ``W (|Z| + shift)^{-1}``, which pair
     to the unit: one thin SVD per block, under :func:`_extreme_svals`'s non-finite rule."""
-    try:
-        factors = [np.linalg.svd(b, full_matrices=False) for b in blocks]
-    except np.linalg.LinAlgError:  # LAPACK gives up on NaN entries
-        factors = [(None, np.array([math.nan]), None)]
+    factors = _lapack("svd", blocks, full_matrices=False)
     if not all(np.isfinite(s).all() for _, s, _ in factors):
         raise DomainError(_NOT_FINITE)
     return ([(u * (s + shift)) @ vh for u, s, vh in factors],
@@ -102,15 +107,9 @@ def _hermitized(block):
 
 def _hermitian_calculus(blocks, f) -> list:
     """``v f(w) v*`` per block, from the eigendecomposition ``v w v*`` of its
-    hermitized part; ``f`` maps the ascending eigenvalues and may raise.
-    Non-finite blocks raise the non-finite ``DomainError`` before LAPACK sees them."""
-    if not all(np.isfinite(b).all() for b in blocks):
-        raise DomainError(_NOT_FINITE)
-    out = []
-    for b in blocks:
-        w, v = np.linalg.eigh(_hermitized(b))
-        out.append(_hermitized((v * f(w)) @ v.conj().T))
-    return out
+    hermitized part; ``f`` maps the ascending eigenvalues and may raise."""
+    return [_hermitized((v * f(w)) @ v.conj().T)
+            for w, v in _lapack("eigh", [_hermitized(b) for b in blocks])]
 
 
 def _shape_int(value) -> int:
@@ -346,7 +345,7 @@ class AlgebraElement(_Blocks):
             raise InvertibilityError(
                 f"element is numerically singular at tol={tol:g}"
             )
-        return self._new([np.linalg.inv(b) for b in self.blocks])
+        return self._new(_lapack("inv", self.blocks))
 
     # -- functional calculus -----------------------------------------------
 

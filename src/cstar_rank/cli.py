@@ -6,8 +6,9 @@ Timestamps and wall time are included unless ``--no-timestamp`` is given, so
 that identical configurations produce byte-identical reports.
 
 Exit status: 0 on success, 1 on domain errors (singular inputs, failed
-reductions, overflow, ...), on memory exhaustion and when the output closes
-early, 2 on usage or parse errors.
+reductions, overflow, a LAPACK failure, ...), on memory exhaustion and when
+the output closes early, 2 on usage or parse errors and when an ``--input``
+cannot be read or an ``--out`` cannot be written.
 """
 
 from __future__ import annotations
@@ -123,6 +124,8 @@ def _reduce(args, residuals):
 
 def _pad(args, residuals):
     data = _load_json(args.input_path)
+    if not isinstance(data, dict) or "tuple" not in data:
+        raise ValueError('pad expects {"tuple": [...], "pad_with": [...] | null}')
     t = tuple_from_json_list(data["tuple"])
     if data.get("pad_with") is not None:
         u = normalize_tuple(tuple_from_json_list(data["pad_with"]), args.tol)
@@ -285,9 +288,6 @@ def _run_command(args) -> int:
             file=sys.stderr,
         )
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: bad input: {exc!r}", file=sys.stderr)
         return 2
@@ -322,6 +322,9 @@ def main(argv=None) -> int:
         print("error: broken pipe: the output closed before the report was written",
               file=sys.stderr)
         return 1
+    except OSError as exc:  # an --input that cannot be read or an --out that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

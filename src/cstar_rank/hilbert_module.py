@@ -41,6 +41,7 @@ from .algebra import (
     _gate_norm,
     _hermitian_calculus,
     _hermitized,
+    _lapack,
     _margin,
     _require_positive_finite,
     _require_same_parent,
@@ -140,12 +141,14 @@ class _SpaceOps:
         return self._compress(b).margin()
 
     def right_inverse(self, b, tol: float = DEFAULT_TOL, check: bool = True):
+        """Inverse of ``b``, the kernel's inverse on its compressed image.
+
+        ``check=False`` skips the margin test at ``tol`` (one SVD per block),
+        for a ``b`` the caller has just decided invertible; non-finite blocks
+        and a singular matrix that LAPACK refuses still raise ``DomainError``.
+        """
         c = self._compress(b)
-        if check:
-            return self._expand(c.inverse(tol))
-        return self._expand(
-            AlgebraElement._wrap(c.algebra, [np.linalg.inv(cb) for cb in c.blocks])
-        )
+        return self._expand(c.inverse(tol) if check else c._new(_lapack("inv", c.blocks)))
 
     def right_inv_sqrt(self, b, tol: float = DEFAULT_TOL):
         return self._expand(self._compress(b).inv_sqrt(tol))
@@ -498,10 +501,10 @@ def is_full(space) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _range_basis(block) -> np.ndarray:
-    """Orthonormal basis of the range of a projection block (eigenvalue > 1/2)."""
-    w, v = np.linalg.eigh(_hermitized(block))
-    return np.ascontiguousarray(v[:, w > 0.5])
+def _range_bases(proj) -> tuple:
+    """Orthonormal bases of the ranges of a projection's blocks (eigenvalue > 1/2)."""
+    return tuple(np.ascontiguousarray(v[:, w > 0.5])
+                 for w, v in _lapack("eigh", [_hermitized(b) for b in proj.blocks]))
 
 
 class CornerSpace(_SpaceOps):
@@ -533,8 +536,8 @@ class CornerSpace(_SpaceOps):
         self.ambient = self.right_algebra = self.left_algebra = ambient
         self.p = p
         self.q = q
-        self._row_bases = tuple(_range_basis(b) for b in p.blocks)
-        self._col_bases = tuple(_range_basis(b) for b in q.blocks)
+        self._row_bases = _range_bases(p)
+        self._col_bases = _range_bases(q)
         self.compressed_shapes = tuple(
             (u.shape[1], v.shape[1]) for u, v in zip(self._row_bases, self._col_bases)
         )

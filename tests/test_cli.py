@@ -161,6 +161,24 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["result"] == 1
 
 
+def test_an_unwritable_out_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # The report was written outside the error handlers: a raw traceback with
+    # exit 1 for a command, an escaping FileNotFoundError for verify-suite.
+    target = str(tmp_path / "missing" / "report.json")
+    path = write_tuple(tmp_path / "t.json", unimodular_pair(ModuleSpace(Algebra((1,)), 1, 2)))
+    for argv in (["sr-formula", "--sr-a", "1", "--n", "1", "--m", "1"], ["check", "--input", path]):
+        code, out, err = run_cli(capsys, [*argv, "--out", target])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and target in err
+    monkeypatch.setattr(
+        acceptance, "ALL_CRITERIA", (_fake_criterion("fake-pass", True, "all good", 0.4),)
+    )
+    code, out, err = run_cli(capsys, ["verify-suite", "--out", target])
+    assert code == 2
+    assert out.splitlines()[-1] == "1/1 criteria passed"
+    assert err.startswith("error: ") and err.count("\n") == 1 and target in err
+
+
 def test_malformed_json_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{this is not json")
@@ -221,6 +239,20 @@ def test_dual_below_rounding_gives_no_witness(tmp_path, capsys, twin, phrase):
     assert code == 1
     assert out == ""
     assert phrase in err
+
+
+@pytest.mark.parametrize("command, multiples", [("dual", (1, 1)), ("dual", (1, 2)), ("reduce", (1, 2, 3))],
+                         ids=["dual-x-x", "dual-x-2x", "reduce-x-2x-3x"])
+def test_an_exactly_singular_gram_sum_below_rounding_is_a_domain_error(tmp_path, capfd, command, multiples):
+    # With x = [[1, 2]] these Gram sums are exactly singular, yet pass
+    # tol=1e-25 on rounding noise; LAPACK's inverse then refused them with a
+    # raw LinAlgError, which exited 2.
+    x = ModuleSpace(Algebra((1,)), 1, 2).element([np.array([[1.0, 2.0]])])
+    path = write_tuple(tmp_path / "row.json", ModuleTuple(tuple(c * x for c in multiples)))
+    code = main([command, "--input", path, "--tol", "1e-25", "--no-timestamp"])
+    out, err = capfd.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: LAPACK inv failed") and err.count("\n") == 1
 
 
 def test_density_below_rounding_on_an_obstructed_cell_is_a_domain_error(capsys):
@@ -623,6 +655,14 @@ def test_pad_with_explicit_padding(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "different spaces" in err
+
+    # The bare tuple list that check takes is not a pad input.
+    path.write_text(json.dumps(t.to_json_list()))
+    code, out, err = run_cli(
+        capsys, ["pad", "--input", str(path), "--eps", "0.5", "--no-timestamp"]
+    )
+    assert (code, out) == (2, "")
+    assert 'pad expects {"tuple": [...], "pad_with": [...] | null}' in err
 
 
 def _fake_criterion(name, passed, details, seconds):

@@ -343,6 +343,40 @@ def test_gen_oracle_agrees_with_unimodularity():
     assert count >= 500
 
 
+#: Every kernel and right-algebra call that reaches LAPACK, on an element ``b``
+#: of the right algebra of ``space``.
+LAPACK_CALLS = {
+    "margin": lambda space, b: b.margin(),
+    "norm": lambda space, b: b.norm(),
+    "inverse": lambda space, b: b.inverse(),
+    "inv_sqrt": lambda space, b: b.inv_sqrt(),
+    "positive_part": lambda space, b: b.positive_part(),
+    "right_inverse": lambda space, b: space.right_inverse(b),
+    "right_inverse_unchecked": lambda space, b: space.right_inverse(b, check=False),
+    "right_inv_sqrt": lambda space, b: space.right_inv_sqrt(b),
+    "_right_calculus": lambda space, b: space._right_calculus(b, np.abs),
+}
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("corner", [False, True], ids=["matrix", "corner"])
+@pytest.mark.parametrize("call", list(LAPACK_CALLS))
+def test_lapack_calls_refuse_one_non_finite_entry(bad, corner, call):
+    # Each call refuses b before LAPACK sees it; the unchecked inverse once
+    # returned [[0, 0], [0, 1]] for diag(inf, 1), and NaN blocks for a NaN.
+    if corner:
+        alg = Algebra((1,))
+        ambient = alg.matrix_algebra(2)
+        space = corner_space(alg, 2, ambient.unit(), ambient.element([np.diag([1.0, 0.0])]))
+    else:
+        space = ModuleSpace(Algebra((1, 2)), 1, 1)
+    blocks = [np.eye(k, dtype=complex) for k in space.right_algebra.block_sizes]
+    blocks[-1][0, 0] = bad
+    b = space.right_algebra.element(blocks)
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="not finite"):
+        LAPACK_CALLS[call](space, b)
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 @pytest.mark.parametrize("base, rows, cols", [((1,), 1, 1), ((2,), 2, 3), ((1, 2), 1, 2)])
 def test_generation_route_refuses_non_finite_entries(bad, base, rows, cols):

@@ -1,12 +1,12 @@
 """Where the package takes spectral factorizations and random draws, checked
 on its source.
 
-Every singular value goes through ``algebra._extreme_svals``, which holds the
-one non-finite rule, or through ``algebra._shifted_polar``, the one
-factorization that keeps the singular vectors under the same rule, and every
-functional calculus through one eigh loop.  A private SVD loop elsewhere once
-turned an overflow into a raw ``LinAlgError`` instead of a ``DomainError``;
-this test keeps such loops out.
+Every factorization and inverse goes through ``algebra._lapack``, the one
+LAPACK boundary, which refuses non-finite blocks before LAPACK sees them and
+turns LAPACK's failures into ``DomainError``.  A private SVD loop once turned
+an overflow into a raw ``LinAlgError`` instead of a ``DomainError``, and an
+unguarded inverse once exited 2 on an exactly singular Gram sum; this test
+keeps such calls out.
 Every generator, seeding and draw stays in ``sampling``, which defines the
 one seeding rule and the one draw order that seeded reports depend on; it
 seeds through ``rng_from_seed`` or the one-pass mix, never a ``SeedSequence``
@@ -39,18 +39,16 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cstar_rank"
 
-SPECTRAL = {"svd", "eigh", "eigvalsh"}
+#: ``numpy.linalg`` itself, the routines the package calls from it, and its error type.
+LAPACK = {"linalg", "svd", "eigh", "eigvalsh", "inv", "LinAlgError"}
 
 RANDOM = {"standard_normal", "Generator", "PCG64", "ISeedSequence"}
 
-#: ``(module, scope)`` of every place allowed to name a spectral routine.  A
+#: ``(module, scope)`` of every place allowed to name a name in ``LAPACK``.  A
 #: scope is the dotted path of the enclosing classes and functions, then of
 #: the variable an assignment binds; it covers everything nested inside it.
 ALLOWED = {
-    ("algebra", "_extreme_svals"),
-    ("algebra", "_shifted_polar"),
-    ("algebra", "_hermitian_calculus"),
-    ("hilbert_module", "_range_basis"),
+    ("algebra", "_lapack"),
     # Independent references of the acceptance battery.
     ("acceptance", "criterion_kernel_numerics.direct_sq"),
     ("acceptance", "_min_eigenvalue"),
@@ -144,13 +142,13 @@ def _uses(names, visitor_class=_NamedUses):
 
 def test_spectral_factorizations_stay_in_the_allowed_scopes():
     used, stray = set(), []
-    for module, _, scope, line in _uses(SPECTRAL):
+    for module, name, scope, line in _uses(LAPACK):
         allowed = _allowed_scope(module, scope)
         if allowed is None:
-            stray.append(f"{module}.py:{line} in {scope or '<module>'}")
+            stray.append(f"{module}.py:{line} names {name} in {scope or '<module>'}")
         else:
             used.add(allowed)
-    assert not stray, "spectral routine outside the allowed scopes: " + ", ".join(stray)
+    assert not stray, "numpy.linalg outside algebra._lapack: " + ", ".join(stray)
     # An entry nothing uses any more must leave the list.
     assert used == ALLOWED
 
