@@ -47,22 +47,33 @@ def _lapack(routine: str, blocks, **options) -> list:
         raise DomainError(f"LAPACK {routine} failed: {exc}") from None
 
 
-def _extreme_svals(blocks) -> tuple[list, list]:
+def _extreme_svals(blocks, hermitian=False) -> tuple[list, list]:
     """Largest and smallest singular value per nonempty block.
 
     A matrix gives floats; a stack ``(t, m, n)`` gives arrays of length ``t``
-    from one SVD call.  ``DomainError`` unless all of them are finite: beside
-    the non-finite blocks that :func:`_lapack` refuses, finite ones can overflow.
+    from one LAPACK call.  ``hermitian`` blocks, such as Gram sums, take them
+    from ``eigvalsh`` as the largest and smallest eigenvalue modulus; others
+    from the SVD.  ``DomainError`` unless all of them are finite: beside the
+    non-finite blocks that :func:`_lapack` refuses, finite ones can overflow.
     """
-    svals = _lapack("svd", blocks, compute_uv=False)
-    tops = [s[..., 0] if s.ndim > 1 else float(s[0]) for s in svals]
-    bottoms = [s[..., -1] if s.ndim > 1 else float(s[-1]) for s in svals]
+    stacked = len(blocks) > 0 and blocks[0].ndim > 2
+    if hermitian:
+        # A rank-deficient Gram sum can give a tiny negative eigenvalue, so neither end
+        # of the ascending eigenvalues need be the smallest modulus.
+        eigenvalues = _lapack("eigvalsh", blocks)
+        if stacked:
+            moduli = [np.abs(w) for w in eigenvalues]
+            tops, bottoms = [m.max(-1) for m in moduli], [m.min(-1) for m in moduli]
+        else:
+            moduli = [[abs(v) for v in w.tolist()] for w in eigenvalues]
+            tops, bottoms = [max(m) for m in moduli], [min(m) for m in moduli]
+    else:
+        svals = _lapack("svd", blocks, compute_uv=False)
+        tops = [s[..., 0] if stacked else float(s[0]) for s in svals]
+        bottoms = [s[..., -1] if stacked else float(s[-1]) for s in svals]
     # Each extreme on its own: a sum of finite ones may overflow.
     extremes = tops + bottoms
-    if svals and svals[0].ndim > 1:
-        finite = np.isfinite(extremes).all()
-    else:
-        finite = all(map(math.isfinite, extremes))
+    finite = np.isfinite(extremes).all() if stacked else all(map(math.isfinite, extremes))
     if not finite:
         raise DomainError(_NOT_FINITE)
     return tops, bottoms

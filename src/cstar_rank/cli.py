@@ -2,8 +2,9 @@
 
 Every command emits a single JSON report carrying the tool version, the
 effective tolerance and seed, the result, and any residuals worth recording.
-Timestamps and wall time are included unless ``--no-timestamp`` is given, so
-that identical configurations produce byte-identical reports.
+Timestamps and wall times, ``verify-suite``'s per-criterion seconds among
+them, are included unless ``--no-timestamp`` is given, so that identical
+configurations produce byte-identical reports.
 
 Exit status: 0 on success, 1 on domain errors (singular inputs, failed
 reductions, overflow, a LAPACK failure, ...), on memory exhaustion and when
@@ -166,6 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", dest="out_path", default=None, help="write the report here instead of stdout")
+    output.add_argument(
+        "--no-timestamp",
+        action="store_true",
+        help="omit timestamp and wall time so reports are byte-identical",
+    )
     common = argparse.ArgumentParser(add_help=False, parents=[output])
     # Every report echoes a seed.  density draws from --seed; reduce and perturb
     # still accept --seed, but their reductions are deterministic and do not read it.
@@ -178,11 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         # A string default goes through the same validator as the flag.
         default=os.environ.get("CSTAR_RANK_TOL", DEFAULT_TOL),
         help="invertibility tolerance (env CSTAR_RANK_TOL overrides the default)",
-    )
-    common.add_argument(
-        "--no-timestamp",
-        action="store_true",
-        help="omit timestamp and wall time so reports are byte-identical",
     )
 
     p = sub.add_parser("sr-formula", parents=[common], help="stable rank of the n x m matrix module")
@@ -225,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.set_defaults(handler=_density)
 
-    # The battery pins its own tolerances and seeds, so it takes only --out.
+    # The battery pins its own tolerances and seeds, so it takes only --out and --no-timestamp.
     sub.add_parser("verify-suite", parents=[output], help="run the full acceptance battery")
     return parser
 
@@ -266,15 +267,15 @@ def _run_verify_suite(args) -> int:
 
     results = run_all()
     for res in results:
-        print(res.line())
+        print(res.line(timed=not args.no_timestamp))
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     if args.out_path:
-        summary = {
-            "command": "verify-suite",
-            "version": __version__,
-            "criteria": [asdict(r) for r in results],
-        }
+        criteria = [asdict(r) for r in results]
+        if args.no_timestamp:
+            for criterion in criteria:
+                del criterion["seconds"]
+        summary = {"command": "verify-suite", "version": __version__, "criteria": criteria}
         _emit(summary, args.out_path)
     return 0 if not failed else 1
 

@@ -9,7 +9,7 @@ invertibility of the vertically stacked matrix.
 
 Two independent routes decide whether a tuple generates the module:
 
-* :func:`is_unimodular` tests invertibility of the Gram sum;
+* :func:`is_unimodular` tests invertibility of the Gram sum, from its eigenvalues;
 * :func:`gen_oracle` reads the critical singular value of the span map
   ``(a_1, ..., a_k) -> sum_j a_j . x_j`` from the stacked entry cores.
 
@@ -120,9 +120,9 @@ class _SpaceOps:
         Row ``t`` holds the standard normals that ``k`` calls of
         :meth:`random_element` take from one generator.  The Gram sums of all
         rows are summed in :func:`pairing`'s order, entry by entry and block
-        by block, and compressed; then one stacked SVD per block gives the
-        extremes that the margin rule reads for all tuples in one call, so
-        each margin is bit for bit the one of the tuple itself.
+        by block; then :meth:`_gram_margin` takes the margins of all tuples
+        in one call, one stacked ``eigvalsh`` per block, so each margin is
+        bit for bit the one of the tuple itself.
         """
         trials = len(draws)
         grams = [np.zeros((trials, s, s), dtype=np.complex128) for _, s in self.block_shapes]
@@ -130,9 +130,12 @@ class _SpaceOps:
             for i, drawn in enumerate(gaussian_blocks(entry, self.block_shapes)):
                 x = self._project(i, drawn)
                 grams[i] += x.conj().swapaxes(-1, -2) @ x
-        stacked_sums = AlgebraElement._wrap(self.right_algebra, grams)
-        tops, bottoms = _extreme_svals(self._compress(stacked_sums).blocks)
-        return _margin(tops, bottoms)
+        return self._gram_margin(AlgebraElement._wrap(self.right_algebra, grams))
+
+    def _gram_margin(self, g):
+        """The margin rule on the compressed image of a Gram sum ``g``, or of a stack
+        of them: ``g`` is Hermitian, so its extremes come from its eigenvalue moduli."""
+        return _margin(*_extreme_svals(self._compress(g).blocks, hermitian=True))
 
     # -- right algebra helpers: the kernel's operations on the compressed image --
 
@@ -417,12 +420,13 @@ def is_unimodular(t: ModuleTuple, tol: float = DEFAULT_TOL) -> bool:
     _require_positive_finite("tol", tol)
     if t.space.rank_obstruction(len(t)):
         return False
-    return t.space.right_margin(gram(t)) > tol
+    return unimodularity_margin(t) > tol
 
 
 def unimodularity_margin(t: ModuleTuple) -> float:
-    """Relative smallest singular value of the Gram sum (invertible iff > tol)."""
-    return t.space.right_margin(gram(t))
+    """Smallest eigenvalue modulus of the Gram sum over ``max(1, largest)``, the
+    margin rule on its singular values (invertible iff > tol)."""
+    return float(t.space._gram_margin(gram(t)))
 
 
 def dual_witness(t: ModuleTuple, tol: float = DEFAULT_TOL) -> ModuleTuple:
@@ -439,7 +443,7 @@ def dual_witness(t: ModuleTuple, tol: float = DEFAULT_TOL) -> ModuleTuple:
             f"n*r_i >= s_i fails in some block for n={len(t)}"
         )
     b = gram(t)
-    margin = t.space.right_margin(b)
+    margin = t.space._gram_margin(b)
     if not margin > tol:
         raise DomainError(
             f"tuple is not unimodular at tol={tol:g} (margin {margin:.3g})"

@@ -244,15 +244,15 @@ def test_dual_below_rounding_gives_no_witness(tmp_path, capsys, twin, phrase):
 @pytest.mark.parametrize("command, multiples", [("dual", (1, 1)), ("dual", (1, 2)), ("reduce", (1, 2, 3))],
                          ids=["dual-x-x", "dual-x-2x", "reduce-x-2x-3x"])
 def test_an_exactly_singular_gram_sum_below_rounding_is_a_domain_error(tmp_path, capfd, command, multiples):
-    # With x = [[1, 2]] these Gram sums are exactly singular, yet pass
-    # tol=1e-25 on rounding noise; LAPACK's inverse then refused them with a
-    # raw LinAlgError, which exited 2.
+    # With x = [[1, 2]] these Gram sums are exactly singular.  Their SVD margins
+    # once passed tol=1e-25 on rounding noise, and LAPACK's inverse then refused
+    # them with a raw LinAlgError, which exited 2; their eigenvalue margins are 0.
     x = ModuleSpace(Algebra((1,)), 1, 2).element([np.array([[1.0, 2.0]])])
     path = write_tuple(tmp_path / "row.json", ModuleTuple(tuple(c * x for c in multiples)))
     code = main([command, "--input", path, "--tol", "1e-25", "--no-timestamp"])
     out, err = capfd.readouterr()
     assert (code, out) == (1, "")
-    assert err.startswith("error: LAPACK inv failed") and err.count("\n") == 1
+    assert err.startswith("error: tuple is not unimodular at tol=1e-25 (margin 0)") and err.count("\n") == 1
 
 
 def test_density_below_rounding_on_an_obstructed_cell_is_a_domain_error(capsys):
@@ -267,8 +267,9 @@ def test_density_below_rounding_on_an_obstructed_cell_is_a_domain_error(capsys):
 
 @pytest.mark.parametrize("seed", [3, 4, 5, 6])
 def test_check_below_rounding_applies_the_counting_bound(tmp_path, capsys, seed):
-    # These 1-tuples of M_{1x2}(C) were once called unimodular at tol 1e-25.
-    x = ModuleSpace(Algebra((1,)), 1, 2).random_element(np.random.default_rng(seed))
+    # 1-tuples of M_{1x2}(C) like these were once called unimodular at tol 1e-25.
+    # The Gram sum of M_{1x3}(C) has rank 1 of 3, so its margin is rounding noise.
+    x = ModuleSpace(Algebra((1,)), 1, 3).random_element(np.random.default_rng(seed))
     path = write_tuple(tmp_path / "row.json", ModuleTuple((x,)))
     code, out, _ = run_cli(capsys, ["check", "--input", path, "--tol", "1e-25", "--no-timestamp"])
     assert code == 0
@@ -699,13 +700,13 @@ def test_verify_suite_prints_one_line_per_criterion(tmp_path, capsys, monkeypatc
     assert out.splitlines()[-1] == "1/1 criteria passed"
 
 
-def test_verify_suite_takes_only_out(capsys, monkeypatch):
+def test_verify_suite_takes_no_tolerance(capsys, monkeypatch):
     # The battery pins its own tolerances, so neither the flag nor the
     # environment variable may look as if it changed them.
     monkeypatch.setattr(
         acceptance, "ALL_CRITERIA", (_fake_criterion("fake-pass", True, "all good", 0.4),)
     )
-    for flag in (["--tol", "0.5"], ["--no-timestamp"]):
+    for flag in (["--tol", "0.5"],):
         code, out, err = run_cli(capsys, ["verify-suite", *flag])
         assert code == 2
         assert out == ""
@@ -714,6 +715,24 @@ def test_verify_suite_takes_only_out(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["verify-suite"])
     assert code == 0
     assert out.splitlines()[-1] == "1/1 criteria passed"
+
+
+def test_verify_suite_without_timestamps_repeats_byte_for_byte(tmp_path, capsys, monkeypatch):
+    # Each criterion's wall time once stood in the table and the --out file,
+    # so no two runs could be diffed; --no-timestamp drops it from both.
+    runs = []
+    for seconds in (0.4, 12.0):
+        monkeypatch.setattr(
+            acceptance, "ALL_CRITERIA", (_fake_criterion("fake-pass", True, "all good", seconds),)
+        )
+        target = tmp_path / f"suite-{seconds}.json"
+        code, out, _ = run_cli(capsys, ["verify-suite", "--no-timestamp", "--out", str(target)])
+        assert code == 0
+        runs.append((out, target.read_text()))
+    assert runs[0] == runs[1]
+    out, text = runs[0]
+    assert out.splitlines() == ["PASS  fake-pass                 all good", "1/1 criteria passed"]
+    assert json.loads(text)["criteria"] == [{"name": "fake-pass", "passed": True, "details": "all good"}]
 
 
 @pytest.mark.parametrize("count, details", [

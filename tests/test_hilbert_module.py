@@ -355,6 +355,7 @@ LAPACK_CALLS = {
     "right_inverse_unchecked": lambda space, b: space.right_inverse(b, check=False),
     "right_inv_sqrt": lambda space, b: space.right_inv_sqrt(b),
     "_right_calculus": lambda space, b: space._right_calculus(b, np.abs),
+    "_gram_margin": lambda space, b: space._gram_margin(b),
 }
 
 
@@ -375,6 +376,15 @@ def test_lapack_calls_refuse_one_non_finite_entry(bad, corner, call):
     b = space.right_algebra.element(blocks)
     with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="not finite"):
         LAPACK_CALLS[call](space, b)
+
+
+def test_the_unchecked_inverse_of_an_exactly_singular_element_is_a_domain_error():
+    # The margin gate is skipped, so LAPACK itself refuses; its LinAlgError
+    # must arrive as the boundary's DomainError, not escape as a ValueError.
+    space = ModuleSpace(Algebra((1,)), 2, 2)
+    b = space.right_algebra.element([np.diag([1.0, 0.0])])
+    with pytest.raises(DomainError, match="^LAPACK inv failed"):
+        space.right_inverse(b, check=False)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -730,9 +740,9 @@ def test_bad_element_input_is_a_shape_mismatch_on_both_space_kinds(kind):
 
 
 def test_is_unimodular_applies_the_counting_bound_first():
-    # No 1-tuple of M_{1x2}(C) is unimodular, though rounding noise in the
-    # Gram sum passes a tol far below it.
-    space = ModuleSpace(Algebra((1,)), 1, 2)
+    # No 1-tuple of M_{1x3}(C) is unimodular, though rounding noise in the
+    # rank-1 Gram sum passes a tol far below it.
+    space = ModuleSpace(Algebra((1,)), 1, 3)
     for seed in (3, 4, 5, 6):
         t = ModuleTuple((space.random_element(np.random.default_rng(seed)),))
         assert unimodularity_margin(t) > 1e-25

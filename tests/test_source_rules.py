@@ -31,7 +31,9 @@ and coefficient arrays are kinds of one container, ``algebra._Blocks``, which
 alone freezes blocks and defines the operand rule.  The acceptance seeds count
 runs; none comes from CPython's tuple hash.  The margin rule, the smallest
 singular value over ``max(1, largest)``, is written once, in ``algebra._margin``,
-for one element and for a stack of trials alike.
+for one element and for a stack of trials alike.  Only Gram sums, which are
+Hermitian, take their extremes from ``eigvalsh``, through one helper of the
+space; every other margin and every norm keeps the SVD.
 """
 
 import ast
@@ -40,7 +42,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "cstar_rank"
 
 #: ``numpy.linalg`` itself, the routines the package calls from it, and its error type.
-LAPACK = {"linalg", "svd", "eigh", "eigvalsh", "inv", "LinAlgError"}
+LAPACK = {"linalg", "svd", "eigh", "eigvalsh", "inv", "cholesky", "LinAlgError"}
 
 RANDOM = {"standard_normal", "Generator", "PCG64", "ISeedSequence"}
 
@@ -51,7 +53,7 @@ ALLOWED = {
     ("algebra", "_lapack"),
     # Independent references of the acceptance battery.
     ("acceptance", "criterion_kernel_numerics.direct_sq"),
-    ("acceptance", "_min_eigenvalue"),
+    ("acceptance", "_bounded_below"),
 }
 
 
@@ -458,3 +460,59 @@ def test_the_margin_rule_is_written_once():
     assert not stray, "max(1, ...) outside algebra._margin: " + ", ".join(stray)
     # The rule is not vacuous: the margin does scale by it.
     assert uses == [MARGIN_RULE]
+
+
+class _HermitianRequests(_NamedUses):
+    """Collects every ``hermitian=`` keyword other than the literal ``False``, and
+    every string naming a routine in ``names``, the way ``_lapack`` is told one."""
+
+    def visit_keyword(self, node):
+        if node.arg == "hermitian" and not (isinstance(node.value, ast.Constant) and node.value.value is False):
+            self.found.append(("hermitian", ".".join(self.scope), node.lineno))
+        self.generic_visit(node)
+
+    def visit_Constant(self, node):
+        if node.value in self.names:
+            self.found.append((node.value, ".".join(self.scope), node.lineno))
+
+
+#: The one place that hands ``eigvalsh`` to LAPACK, the one place that asks it for
+#: Hermitian extremes, and the callers of that Gram-margin helper.
+EIGENVALUE_EXTREMES = ("algebra", "_extreme_svals")
+GRAM_MARGIN = ("hilbert_module", "_SpaceOps._gram_margin")
+GRAM_MARGIN_CALLERS = {
+    ("hilbert_module", "_SpaceOps.random_gram_margins"),
+    ("hilbert_module", "unimodularity_margin"),
+    ("hilbert_module", "dual_witness"),
+}
+
+
+def _confined(uses, scopes):
+    """``(stray, used)``: the ``(module, scope, line)`` of ``uses`` outside ``scopes``,
+    and the scopes that some use falls in."""
+    stray, used = [], set()
+    for module, scope, line in uses:
+        allowed = _allowed_scope(module, scope, scopes)
+        if allowed is None:
+            stray.append(f"{module}.py:{line} in {scope or '<module>'}")
+        else:
+            used.add(allowed)
+    return stray, used
+
+
+def test_only_gram_sums_take_their_extremes_from_eigenvalues():
+    # A Hermitian matrix's singular values are its eigenvalue moduli; another
+    # element's are not.  So right_margin, AlgebraElement.margin, the norms and the
+    # generation oracle keep the SVD, and the oracle shares no routine with the Gram route.
+    found = list(_uses({"eigvalsh"}, _HermitianRequests))
+    for name, scope in (("eigvalsh", EIGENVALUE_EXTREMES), ("hermitian", GRAM_MARGIN)):
+        uses = [(module, s, line) for module, n, s, line in found if n == name]
+        stray, used = _confined(uses, {scope})
+        assert not stray, f"{name} outside the Gram-margin route: " + ", ".join(stray)
+        # The rule is not vacuous: the route does take it.
+        assert used == {scope}
+    uses = [(module, scope, line) for module, _, scope, line in _uses({"_gram_margin"}, _NamedCalls)]
+    stray, used = _confined(uses, GRAM_MARGIN_CALLERS)
+    assert not stray, "Gram margin taken outside its callers: " + ", ".join(stray)
+    # An entry nothing uses any more must leave the list.
+    assert used == GRAM_MARGIN_CALLERS
