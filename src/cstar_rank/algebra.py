@@ -47,14 +47,15 @@ def _lapack(routine: str, blocks, **options) -> list:
         raise DomainError(f"LAPACK {routine} failed: {exc}") from None
 
 
-def _extreme_svals(blocks, hermitian=False) -> tuple[list, list]:
+def _extreme_svals(blocks, hermitian=False) -> tuple:
     """Largest and smallest singular value per nonempty block.
 
     A matrix gives floats; a stack ``(t, m, n)`` gives arrays of length ``t``
     from one LAPACK call.  ``hermitian`` blocks, such as Gram sums, take them
-    from ``eigvalsh`` as the largest and smallest eigenvalue modulus; others
-    from the SVD.  ``DomainError`` unless all of them are finite: beside the
-    non-finite blocks that :func:`_lapack` refuses, finite ones can overflow.
+    from ``eigvalsh`` as the largest and smallest eigenvalue modulus and give a
+    third list, their smallest eigenvalues; others take them from the SVD.
+    ``DomainError`` unless all of them are finite: beside the non-finite blocks
+    that :func:`_lapack` refuses, finite ones can overflow.
     """
     stacked = len(blocks) > 0 and blocks[0].ndim > 2
     if hermitian:
@@ -67,6 +68,7 @@ def _extreme_svals(blocks, hermitian=False) -> tuple[list, list]:
         else:
             moduli = [[abs(v) for v in w.tolist()] for w in eigenvalues]
             tops, bottoms = [max(m) for m in moduli], [min(m) for m in moduli]
+        lows = [w[..., 0] if stacked else float(w[0]) for w in eigenvalues]
     else:
         svals = _lapack("svd", blocks, compute_uv=False)
         tops = [s[..., 0] if stacked else float(s[0]) for s in svals]
@@ -76,7 +78,7 @@ def _extreme_svals(blocks, hermitian=False) -> tuple[list, list]:
     finite = np.isfinite(extremes).all() if stacked else all(map(math.isfinite, extremes))
     if not finite:
         raise DomainError(_NOT_FINITE)
-    return tops, bottoms
+    return (tops, bottoms, lows) if hermitian else (tops, bottoms)
 
 
 def _shifted_polar(blocks, shift) -> tuple[list, list]:

@@ -31,8 +31,8 @@ from .errors import CstarRankError, DomainError
 from .hilbert_module import (
     ModuleSpace,
     ModuleTuple,
+    _is_unimodular_at,
     dual_witness,
-    is_unimodular,
     normalize_tuple,
     pairing,
     tuple_from_json_list,
@@ -87,8 +87,8 @@ def _sr_formula(args, residuals):
 
 def _check(args, residuals):
     t = _load_tuple(args.input_path)
-    residuals["unimodularity_margin"] = unimodularity_margin(t)
-    return {"unimodular": is_unimodular(t, args.tol)}
+    residuals["unimodularity_margin"] = margin = unimodularity_margin(t)
+    return {"unimodular": _is_unimodular_at(t, args.tol, margin)}
 
 
 def _dual(args, residuals):

@@ -133,9 +133,14 @@ class _SpaceOps:
         return self._gram_margin(AlgebraElement._wrap(self.right_algebra, grams))
 
     def _gram_margin(self, g):
-        """The margin rule on the compressed image of a Gram sum ``g``, or of a stack
-        of them: ``g`` is Hermitian, so its extremes come from its eigenvalue moduli."""
-        return _margin(*_extreme_svals(self._compress(g).blocks, hermitian=True))
+        """The margin rule on the compressed image of a Gram sum ``g``, or of a stack of them."""
+        return self._gram_spectrum(g)[0]
+
+    def _gram_spectrum(self, g):
+        """The margin of :meth:`_gram_margin` and each compressed block's smallest eigenvalue,
+        from one ``eigvalsh``: ``g`` is Hermitian, so its extremes are its eigenvalue moduli."""
+        tops, bottoms, lows = _extreme_svals(self._compress(g).blocks, hermitian=True)
+        return _margin(tops, bottoms), lows
 
     # -- right algebra helpers: the kernel's operations on the compressed image --
 
@@ -417,10 +422,15 @@ def is_unimodular(t: ModuleTuple, tol: float = DEFAULT_TOL) -> bool:
     The counting bound decides first: a tuple that it rules out is not
     unimodular at any ``tol``, even where rounding noise passes a tiny one.
     """
+    return _is_unimodular_at(t, tol)
+
+
+def _is_unimodular_at(t: ModuleTuple, tol: float, margin=None) -> bool:
+    """:func:`is_unimodular`'s rule on a ``margin`` of ``t`` already taken (``None``: taken here)."""
     _require_positive_finite("tol", tol)
     if t.space.rank_obstruction(len(t)):
         return False
-    return unimodularity_margin(t) > tol
+    return (unimodularity_margin(t) if margin is None else margin) > tol
 
 
 def unimodularity_margin(t: ModuleTuple) -> float:

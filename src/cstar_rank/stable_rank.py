@@ -13,14 +13,14 @@ truncation is unimodular.  :func:`hv_pad` appends a spectral bump
 ``y_k = u_k * (eps - b0)^+/eps`` that makes any tuple unimodular, and
 :func:`hv_perturb` chains padding with one reduction of all the padding
 entries and a damping factor ``(1 + k*b)^{-1}`` to move an arbitrary tuple
-onto a unimodular one while travelling less than ``sqrt(eps) + eps``; where
-``b0 >= eps`` the bump is 0 and it returns the closed form, the tuple itself.
-Its gates, like every norm only compared with a bound, go through
-``algebra._gate_norm``.
+onto a unimodular one while travelling less than ``sqrt(eps) + eps``.  One
+spectrum of the Gram sum ``b0`` picks its route: where ``b0 >= eps`` the bump
+is 0 and the closed form is the tuple itself; only the other route builds ``u``.
+Its gates, like every norm only compared with a bound, go through ``algebra._gate_norm``.
 
 Each intermediate tuple is decided unimodular once, by the :func:`dual_witness`
 that proves it, and the dual is passed forward (the polar completion of its head
-comes with its own dual); only the outputs are checked with :func:`is_unimodular`.
+comes with its own dual); only the outputs are decided, by :func:`is_unimodular`'s rule.
 
 :func:`density_experiment` estimates how often random Gaussian tuples are
 unimodular, with deterministic per-trial seeding.
@@ -44,6 +44,7 @@ from .errors import (
 )
 from .hilbert_module import (
     ModuleTuple,
+    _is_unimodular_at,
     _same_space,
     dual_witness,
     gram,
@@ -248,9 +249,10 @@ def _require_residual(blocks, bound: float, what: str) -> None:
 def _refuse_below_stable_rank(space, n: int) -> None:
     """The one counting-bound refusal: no ``n``-tuple is unimodular, so nothing is reduced."""
     if space.rank_obstruction(n):
+        # The standard tuple's length is the stable rank; a space that is not full has neither.
         raise ReductionFailedError(
             f"no reduction can succeed: the counting bound n*r_i >= s_i fails in some block "
-            f"for n={n}, below the stable rank {space.predicted_stable_rank()} of the space"
+            f"for n={n}, below the stable rank {len(space.standard_unimodular_tuple())} of the space"
         )
 
 
@@ -291,11 +293,11 @@ def _collapse(t: ModuleTuple, z: ModuleTuple, params: PerturbationParams, r: int
                      t.space._tuple_from_cores(n, duals), params.tol)
 
 
-def _bump(t: ModuleTuple, eps: float) -> AlgebraElement:
-    """The spectral bump ``b = (eps - b0)^+ / eps`` of the Gram sum ``b0``: the
+def _bump(space, b0: AlgebraElement, eps: float) -> AlgebraElement:
+    """The spectral bump ``b = (eps - b0)^+ / eps`` of a Gram sum ``b0``: the
     eigenvalues ``w`` of its compressed form map to ``clip(eps - w, 0, eps) / eps``,
     in real arithmetic, so no ``1/eps`` overflows and every ``w >= eps`` gives an exact 0."""
-    return t.space._right_calculus(gram(t), lambda w: np.clip(eps - w, 0.0, eps) / eps)
+    return space._right_calculus(b0, lambda w: np.clip(eps - w, 0.0, eps) / eps)
 
 
 def _pad_with_bump(t: ModuleTuple, u: ModuleTuple, bump: AlgebraElement, tol: float):
@@ -326,54 +328,55 @@ def hv_pad(
     _same_space(t, u, "tuples live over different spaces")
     _require_residual((gram(u) - t.space.right_algebra_unit()).blocks, WITNESS_TOL,
                       "padding tuple is not normalized: ||<u,u> - 1|| =")
-    return _pad_with_bump(t, u, _bump(t, eps), tol)[0]
+    return _pad_with_bump(t, u, _bump(t.space, gram(t), eps), tol)[0]
 
 
 def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
     """Move a tuple onto a nearby unimodular one, at distance below
     ``sqrt(eps) + eps``.
 
-    Pipeline: pick the deterministic shortest unimodular tuple ``u`` of the
-    space, whose Gram sum is already the unit; pad ``t`` with its spectral
-    bump ``b``; collapse all ``r`` padding entries in one Bass reduction
-    (Warfield's step, the ``r``-entry case of :func:`bass_reduce`), which
-    returns the ``n x r`` coefficients ``a``; damp with ``d = 1 + k b`` where
-    ``k`` is the smallest integer exceeding ``norm(a)/eps``; return
-    ``(x + a . y) d^{-1}``.  The damping bounds the distance while keeping
-    unimodularity, which both get verified before returning.
+    The route comes from one spectrum: one ``eigvalsh`` of the Gram sum ``b0``
+    of ``t`` gives its unimodularity margin and smallest eigenvalue.  Where that
+    eigenvalue is at least ``eps`` the bump ``b = (eps - b0)^+/eps`` is exactly
+    0, as it is wherever its clip comes out 0, so the padding, ``a`` and ``k - 1``
+    vanish and ``d = 1``: the closed form is ``t`` itself, decided by that margin.
 
-    The bump comes first.  Where ``b0 >= eps`` it is exactly 0, so the dual's
-    padding tail, ``a`` and ``k - 1`` vanish and ``d = 1``: the closed form is
-    ``t`` itself, returned after the same two checks, at distance 0.
+    Otherwise, on the same ``b0``: pick the deterministic shortest unimodular
+    tuple ``u`` of the space, whose Gram sum is already the unit; pad ``t`` with
+    ``u b``; collapse all ``r`` padding entries in one Bass reduction (Warfield's
+    step, the ``r``-entry case of :func:`bass_reduce`), which returns the ``n x r``
+    coefficients ``a``; damp with ``d = 1 + k b`` where ``k`` is the smallest
+    integer exceeding ``norm(a)/eps``; return ``(x + a . y) d^{-1}``.  The damping
+    bounds the distance while keeping unimodularity; both routes verify both.
 
-    A space that is not full has no unimodular tuple, so picking ``u``
-    raises :class:`ModuleNotFullError`.  A tuple shorter than the stable
-    rank of the space can never be reduced to a unimodular one (the counting
-    bound), so it raises :class:`ReductionFailedError` before any padding or
-    reduction.
+    A space that is not full has no unimodular tuple: :class:`ModuleNotFullError`.
+    A tuple shorter than the stable rank of the space can never be reduced to a
+    unimodular one (the counting bound): :class:`ReductionFailedError`, before
+    its Gram sum is formed.
     """
-    space = t.space
-    eps = params.eps
-    u = space.standard_unimodular_tuple()
+    space, eps = t.space, params.eps
     _refuse_below_stable_rank(space, len(t))
-    bump = _bump(t, eps)
-    moved = t  # the closed form where b = 0
-    if any(b.any() for b in bump.blocks):
+    b0 = gram(t)
+    margin, lows = space._gram_spectrum(b0)
+    bump = _bump(space, b0, eps) if min(lows) < eps else None
+    if bump is None or not any(b.any() for b in bump.blocks):
+        moved, unimodular = t, _is_unimodular_at(t, params.tol, margin)
+    else:
         if eps < sys.float_info.min:  # ||a|| <= 1, but ||a||/eps may have no float value
             raise DomainError(
                 f"a nonzero bump needs the damping k = floor(||a||/eps) + 1, "
                 f"which may overflow at a subnormal eps={eps:g}"
             )
+        u = space.standard_unimodular_tuple()
         padded, dual = _pad_with_bump(t, u, bump, params.tol)
         coeffs, reduced = _collapse(padded, dual, params, len(u))
-
         k = math.floor(adjointable_norm(coeffs) / eps) + 1
-        damp = space.right_algebra_unit() + k * bump
         # d = 1 + k*b with b >= 0 is invertible by construction; no tolerance gate.
-        damp_inv = space.right_inverse(damp, params.tol, check=False)
+        damp_inv = space.right_inverse(space.right_algebra_unit() + k * bump, params.tol, check=False)
         moved = ModuleTuple(tuple(v * damp_inv for v in reduced.entries))
+        unimodular = is_unimodular(moved, params.tol)
 
-    if not is_unimodular(moved, params.tol):
+    if not unimodular:
         raise DomainError("perturbed tuple failed the unimodularity postcondition")
     bound = math.sqrt(eps) + eps
     distance = _gate_norm((t - moved)._stacked(), bound)

@@ -369,6 +369,8 @@ def test_one_collapse_removes_every_trailing_entry(case, r, extra, seed):
     for k in range(r):
         telescoped = sum((a[j][k].adjoint() * head[j] for j in range(1, n)), a[0][k].adjoint() * head[0])
         assert (telescoped - tail[k]).norm() <= TELESCOPE_TOL
+    # The library's bound, stated as its number: a changed constant fails here.
+    assert TELESCOPE_TOL == 1e-7
     if r == 1:
         expected = bass_reduce(t, params)
         assert all(np.array_equal(b, c) for b, c in zip(coeffs.blocks, expected.blocks))

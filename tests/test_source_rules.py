@@ -33,7 +33,8 @@ runs; none comes from CPython's tuple hash.  The margin rule, the smallest
 singular value over ``max(1, largest)``, is written once, in ``algebra._margin``,
 for one element and for a stack of trials alike.  Only Gram sums, which are
 Hermitian, take their extremes from ``eigvalsh``, through one helper of the
-space; every other margin and every norm keeps the SVD.
+space; every other margin and every norm keeps the SVD.  ``hv_perturb`` forms
+its Gram sum once, for its route, its zero-route verdict and its bump.
 """
 
 import ast
@@ -299,18 +300,21 @@ def test_hv_perturb_collapses_its_padding_in_one_step():
 #: The output postconditions of ``stable_rank``: the reduced and the moved tuple.
 POSTCONDITIONS = {"_warfield", "hv_perturb"}
 
+#: The unimodularity decision: the public test, and its rule on a margin already taken.
+DECISIONS = {"is_unimodular", "_is_unimodular_at"}
+
 
 def test_reductions_decide_each_intermediate_tuple_once():
-    # The dual witness that decides an intermediate tuple is passed forward; an
-    # ``is_unimodular`` call elsewhere would decide that fact a second time.
-    # The import is not a use: it brings the name in for the postconditions.
+    # The dual witness that decides an intermediate tuple is passed forward; a
+    # decision elsewhere would decide that fact a second time.
+    # The import is not a use: it brings the names in for the postconditions.
     tree = ast.parse((SRC / "stable_rank.py").read_text(encoding="utf-8"))
     uses = {}
     for top in tree.body:
         scope = getattr(top, "name", "<module>")
         for n in ast.walk(top):
-            if (isinstance(n, ast.Name) and n.id == "is_unimodular") or (
-                isinstance(n, ast.Attribute) and n.attr == "is_unimodular"
+            if (isinstance(n, ast.Name) and n.id in DECISIONS) or (
+                isinstance(n, ast.Attribute) and n.attr in DECISIONS
             ):
                 uses.setdefault(scope, []).append(n.lineno)
     stray = [
@@ -318,7 +322,7 @@ def test_reductions_decide_each_intermediate_tuple_once():
         for scope, lines in uses.items()
         if scope not in POSTCONDITIONS
     ]
-    assert not stray, "is_unimodular outside the output postconditions: " + ", ".join(stray)
+    assert not stray, "unimodularity decided outside the output postconditions: " + ", ".join(stray)
     # The rule is not vacuous: both postconditions do check.
     assert set(uses) == POSTCONDITIONS
 
@@ -477,13 +481,20 @@ class _HermitianRequests(_NamedUses):
 
 
 #: The one place that hands ``eigvalsh`` to LAPACK, the one place that asks it for
-#: Hermitian extremes, and the callers of that Gram-margin helper.
+#: Hermitian extremes, and the callers of that Gram-spectrum helper and of the
+#: Gram-margin helper that reads it.
 EIGENVALUE_EXTREMES = ("algebra", "_extreme_svals")
-GRAM_MARGIN = ("hilbert_module", "_SpaceOps._gram_margin")
+GRAM_SPECTRUM = ("hilbert_module", "_SpaceOps._gram_spectrum")
 GRAM_MARGIN_CALLERS = {
-    ("hilbert_module", "_SpaceOps.random_gram_margins"),
-    ("hilbert_module", "unimodularity_margin"),
-    ("hilbert_module", "dual_witness"),
+    "_gram_spectrum": {
+        ("hilbert_module", "_SpaceOps._gram_margin"),
+        ("stable_rank", "hv_perturb"),
+    },
+    "_gram_margin": {
+        ("hilbert_module", "_SpaceOps.random_gram_margins"),
+        ("hilbert_module", "unimodularity_margin"),
+        ("hilbert_module", "dual_witness"),
+    },
 }
 
 
@@ -505,14 +516,22 @@ def test_only_gram_sums_take_their_extremes_from_eigenvalues():
     # element's are not.  So right_margin, AlgebraElement.margin, the norms and the
     # generation oracle keep the SVD, and the oracle shares no routine with the Gram route.
     found = list(_uses({"eigvalsh"}, _HermitianRequests))
-    for name, scope in (("eigvalsh", EIGENVALUE_EXTREMES), ("hermitian", GRAM_MARGIN)):
+    for name, scope in (("eigvalsh", EIGENVALUE_EXTREMES), ("hermitian", GRAM_SPECTRUM)):
         uses = [(module, s, line) for module, n, s, line in found if n == name]
         stray, used = _confined(uses, {scope})
         assert not stray, f"{name} outside the Gram-margin route: " + ", ".join(stray)
         # The rule is not vacuous: the route does take it.
         assert used == {scope}
-    uses = [(module, scope, line) for module, _, scope, line in _uses({"_gram_margin"}, _NamedCalls)]
-    stray, used = _confined(uses, GRAM_MARGIN_CALLERS)
-    assert not stray, "Gram margin taken outside its callers: " + ", ".join(stray)
-    # An entry nothing uses any more must leave the list.
-    assert used == GRAM_MARGIN_CALLERS
+    for helper, callers in GRAM_MARGIN_CALLERS.items():
+        uses = [(module, scope, line) for module, _, scope, line in _uses({helper}, _NamedCalls)]
+        stray, used = _confined(uses, callers)
+        assert not stray, f"{helper} called outside its callers: " + ", ".join(stray)
+        # An entry nothing uses any more must leave the list.
+        assert used == callers
+
+
+def test_hv_perturb_forms_the_gram_sum_once():
+    # One Gram sum gives the route, the zero route's verdict and the bump; a
+    # second gram(t) would decide the same fact again.
+    uses = _scopes_naming("stable_rank", "gram")
+    assert len(uses["hv_perturb"]) == 1, f"hv_perturb names gram at lines {uses['hv_perturb']}"

@@ -31,9 +31,11 @@ from cstar_rank import (
     normalize_tuple,
     sr_formula,
     stable_rank,
+    unimodularity_margin,
     warfield_b_to_a,
     warfield_forward,
 )
+from cstar_rank import algebra, hilbert_module
 from cstar_rank.algebra import _hermitian_calculus
 from test_hilbert_module import CORNER_CASES, corner_with_ranks, space_of_kind
 
@@ -380,6 +382,22 @@ def test_warfield_b_to_a_checks_the_telescoping_identity(monkeypatch):
         warfield_b_to_a(*trivial_warfield_instance())
 
 
+@pytest.mark.parametrize("tail, refused", [(60.0, True), (10.0, False)])
+def test_the_telescoping_gate_sits_at_1e_7(tail, refused):
+    # The dual z = 1 + 5e-9 of the head 1 passes its pairing gate at WITNESS_TOL
+    # = 1e-8, and the telescoping residual is tail * 5e-9: 3e-7 for a tail of
+    # 60, which the gate at 1e-7 refuses, and 5e-8 for a tail of 10, which it passes.
+    space = scalar_space()
+    one, zero = scalar(space, 1.0), scalar(space, 0.0)
+    z = ModuleTuple((scalar(space, 1.0 + 5e-9),))
+    args = (ModuleTuple((one, zero)), ModuleTuple((one,)), ModuleTuple((scalar(space, tail),)), z, 1e-9)
+    if refused:
+        with pytest.raises(DomainError, match=r"telescoping residual 3e-07 exceeds 1e-07"):
+            stable_rank._warfield(*args)
+    else:
+        stable_rank._warfield(*args)
+
+
 def test_warfield_b_to_a_checks_the_reduced_tuple(monkeypatch):
     def collapse_to_zero(t, a):
         return ModuleTuple(tuple(x.space.zero() for x in t.entries[: a.shape[0]]))
@@ -704,9 +722,10 @@ def test_hv_perturb_checks_the_unimodularity_postcondition(monkeypatch):
 
 
 def test_hv_perturb_checks_the_unimodularity_postcondition_on_a_zero_bump(monkeypatch):
-    # With a zero bump the one unimodularity check is the one on the input.
+    # With a zero bump the one unimodularity check is the one on the input, the
+    # decision rule applied to the margin of the spectrum that chose the route.
     run = unit_scalar_perturbation()
-    corrupt_last_call(monkeypatch, "is_unimodular", lambda verdict: False, run)
+    corrupt_last_call(monkeypatch, "_is_unimodular_at", lambda verdict: False, run)
     with pytest.raises(DomainError, match="perturbed tuple failed"):
         run()
 
@@ -733,14 +752,81 @@ def test_hv_perturb_checks_the_distance_bound_on_a_zero_bump(monkeypatch):
 def test_a_zero_bump_returns_the_input_itself(monkeypatch, kind):
     # Where b0 >= eps the bump is exactly 0: the padding, the coefficients and
     # k - 1 vanish and d = 1, so the closed form is t, and only the output
-    # postcondition decides anything.
+    # postcondition decides anything, on the margin the route was taken from.
     rng = np.random.default_rng(14)
     space = space_of_kind(kind, rng)
     t = random_unimodular(space, rng, space.predicted_stable_rank())
     smallest = min(np.linalg.eigvalsh(b)[0] for b in space._compress(gram(t)).blocks)
-    counts = spy_on(monkeypatch, ["dual_witness", "_collapse", "is_unimodular"])
+    counts = spy_on(monkeypatch, ["dual_witness", "_collapse", "is_unimodular", "_is_unimodular_at"])
     assert hv_perturb(t, PerturbationParams(eps=smallest / 2)) is t
-    assert counts == {"dual_witness": 0, "_collapse": 0, "is_unimodular": 1}
+    assert counts == {"dual_witness": 0, "_collapse": 0, "is_unimodular": 0, "_is_unimodular_at": 1}
+
+
+def test_the_route_boundary_is_the_smallest_eigenvalue_at_eps():
+    # Half the standard tuple has Gram sum exactly 0.25 * 1: at eps = 0.25 every
+    # eigenvalue clips to a zero bump, and one ulp above it the bump is nonzero.
+    space = ModuleSpace(Algebra((1, 2)), 1, 2)
+    t = ModuleTuple(tuple(0.5 * x for x in space.standard_unimodular_tuple().entries))
+    assert all(np.array_equal(b, 0.25 * np.eye(len(b))) for b in gram(t).blocks)
+    assert hv_perturb(t, PerturbationParams(eps=0.25)) is t
+    eps = np.nextafter(0.25, 1)
+    moved = hv_perturb(t, PerturbationParams(eps=eps))
+    assert moved is not t
+    assert is_unimodular(moved)
+    assert (t - moved).norm() < math.sqrt(eps) + eps
+
+
+def count_lapack_and_gram(monkeypatch):
+    """Count, by routine, the calls of the LAPACK boundary in ``algebra`` and in
+    ``hilbert_module``, which imports it, and the calls of ``gram`` everywhere."""
+    counts = {}
+    for module in (algebra, hilbert_module):
+        def lapack(routine, blocks, _original=module._lapack, **options):
+            counts[routine] = counts.get(routine, 0) + 1
+            return _original(routine, blocks, **options)
+
+        monkeypatch.setattr(module, "_lapack", lapack)
+    for module in (hilbert_module, stable_rank):
+        def spy(t, _original=module.gram):
+            counts["gram"] = counts.get("gram", 0) + 1
+            return _original(t)
+
+        monkeypatch.setattr(module, "gram", spy)
+    return counts
+
+
+@pytest.mark.parametrize("kind", ["matrix", "corner"])
+def test_each_route_makes_exactly_its_lapack_calls(monkeypatch, kind):
+    # The zero route forms one Gram sum and takes one eigvalsh, whose margin is
+    # the verdict's, bit for bit; the collapse route adds the bump's eigh, the
+    # padded dual, the polar completion and the damping; a tuple below the
+    # counting bound is refused before any of them.
+    rng = np.random.default_rng(15)
+    space = space_of_kind(kind, rng)
+    n = space.predicted_stable_rank()
+    t = random_unimodular(space, rng, n)
+    smallest = min(np.linalg.eigvalsh(b)[0] for b in space._compress(gram(t)).blocks)
+    small = scaled_to_norm(random_tuple(space, rng, n), 0.05)
+    short = random_tuple(space, rng, n - 1)
+    expected_margin = unimodularity_margin(t)
+    decided = []
+    decide = stable_rank._is_unimodular_at
+    monkeypatch.setattr(stable_rank, "_is_unimodular_at",
+                        lambda t, tol, margin: decided.append(margin) or decide(t, tol, margin))
+    counts = count_lapack_and_gram(monkeypatch)
+
+    assert hv_perturb(t, PerturbationParams(eps=smallest / 2)) is t
+    assert counts == {"eigvalsh": 1, "gram": 1}
+    assert decided == [expected_margin]
+
+    counts.clear()
+    assert hv_perturb(small, PerturbationParams(eps=0.1)) is not small
+    assert counts == {"gram": 4, "eigh": 1, "eigvalsh": 4, "inv": 2, "svd": 3}
+
+    counts.clear()
+    with pytest.raises(ReductionFailedError):
+        hv_perturb(short, PerturbationParams(eps=0.1))
+    assert counts == {}
 
 
 # -- density experiments ----------------------------------------------------------------------
