@@ -13,6 +13,7 @@ values can be shared freely between workers.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -111,18 +112,18 @@ def _margin(tops, bottoms):
     """The one invertibility rule: the smallest singular value over all blocks
     divided by ``max(1, largest)``, from the extremes of one matrix per block,
     or of one stack per block, which gives one margin per matrix of the stack."""
-    return np.minimum.reduce(bottoms) / np.maximum(1.0, np.maximum.reduce(tops))
+    return functools.reduce(np.minimum, bottoms) / np.maximum(1.0, functools.reduce(np.maximum, tops))
 
 
 def _hermitized(block):
     return (block + block.conj().T) / 2.0
 
 
-def _hermitian_calculus(blocks, f) -> list:
-    """``v f(w) v*`` per block, from the eigendecomposition ``v w v*`` of its
-    hermitized part; ``f`` maps the ascending eigenvalues and may raise."""
-    return [_hermitized((v * f(w)) @ v.conj().T)
-            for w, v in _lapack("eigh", [_hermitized(b) for b in blocks])]
+def _hermitian_calculus(blocks):
+    """``f -> [v f(w) v* per block]``, from one eigendecomposition ``v w v*`` of each
+    block's hermitized part, taken here; ``f`` maps the ascending eigenvalues and may raise."""
+    pairs = _lapack("eigh", [_hermitized(b) for b in blocks])
+    return lambda f: [_hermitized((v * f(w)) @ v.conj().T) for w, v in pairs]
 
 
 def _shape_int(value) -> int:
@@ -374,7 +375,7 @@ class AlgebraElement(_Blocks):
                 f"positive_part needs a self-adjoint element; "
                 f"anti-hermitian residual {residual:g}"
             )
-        return self._new(_hermitian_calculus(self.blocks, lambda w: np.clip(w, 0.0, None)))
+        return self._new(_hermitian_calculus(self.blocks)(lambda w: np.clip(w, 0.0, None)))
 
     def inv_sqrt(self, tol: float = DEFAULT_TOL) -> "AlgebraElement":
         """Inverse square root of a positive definite element.
@@ -396,7 +397,7 @@ class AlgebraElement(_Blocks):
                 )
             return w ** -0.5
 
-        return self._new(_hermitian_calculus(self.blocks, inverse_root))
+        return self._new(_hermitian_calculus(self.blocks)(inverse_root))
 
     # -- serialization -------------------------------------------------------
 

@@ -88,7 +88,7 @@ def _sr_formula(args, residuals):
 def _check(args, residuals):
     t = _load_tuple(args.input_path)
     residuals["unimodularity_margin"] = margin = unimodularity_margin(t)
-    return {"unimodular": _is_unimodular_at(t, args.tol, margin)}
+    return {"unimodular": _is_unimodular_at(t.space, t._stacked(), args.tol, margin)}
 
 
 def _dual(args, residuals):

@@ -76,7 +76,7 @@ class _SpaceOps:
       and its ``r_i x s_i`` core;
     * ``_compress(b)`` / ``_expand(c)`` between a right-algebra element and
       its image in the sum of the ``M_{s_i}(C)`` with ``s_i > 0``; other
-      modules reach them through ``right_*`` and ``_right_calculus`` only;
+      modules reach them through ``right_*``, ``_right_calculus`` and ``_gram_*`` only;
     * ``_project(i, g)`` from any matrix of the stored block shape to an
       element block, the one place that knows how an element is stored;
     * ``_stacked_space(k)``, the space that :func:`stack` embeds a
@@ -137,10 +137,19 @@ class _SpaceOps:
         return self._gram_spectrum(g)[0]
 
     def _gram_spectrum(self, g):
-        """The margin of :meth:`_gram_margin` and each compressed block's smallest eigenvalue,
-        from one ``eigvalsh``: ``g`` is Hermitian, so its extremes are its eigenvalue moduli."""
+        """The margin of :meth:`_gram_margin` and each compressed block's smallest eigenvalue modulus
+        and eigenvalue, from one ``eigvalsh``: ``g`` is Hermitian, so its extremes are their moduli."""
         tops, bottoms, lows = _extreme_svals(self._compress(g).blocks, hermitian=True)
-        return _margin(tops, bottoms), lows
+        return _margin(tops, bottoms), bottoms, lows
+
+    def _stacked_pairing(self, y, x) -> AlgebraElement:
+        """:func:`pairing` on stacked forms, summed over the entries' row slices in order, so
+        a Gram sum and its margin are bit for bit the same however the tuple is held."""
+        acc = [np.zeros((s, s), dtype=np.complex128) for _, s in self.block_shapes]
+        for g, yb, xb, shape in zip(acc, y, x, self.block_shapes):
+            for term in yb.reshape(-1, *shape).conj().swapaxes(-1, -2) @ xb.reshape(-1, *shape):
+                g += term
+        return AlgebraElement._wrap(self.right_algebra, acc)
 
     # -- right algebra helpers: the kernel's operations on the compressed image --
 
@@ -161,10 +170,11 @@ class _SpaceOps:
     def right_inv_sqrt(self, b, tol: float = DEFAULT_TOL):
         return self._expand(self._compress(b).inv_sqrt(tol))
 
-    def _right_calculus(self, b, f):
-        """``f`` of the hermitized ``b`` by :func:`_hermitian_calculus` on its compressed image."""
+    def _right_calculus(self, b):
+        """``f -> f(b)``, ``b`` hermitized, from one :func:`_hermitian_calculus` of its compressed image."""
         c = self._compress(b)
-        return self._expand(c._new(_hermitian_calculus(c.blocks, f)))
+        calculus = _hermitian_calculus(c.blocks)
+        return lambda f: self._expand(c._new(calculus(f)))
 
     # -- fullness and stable rank ------------------------------------------------------
 
@@ -186,22 +196,35 @@ class _SpaceOps:
         """Deterministic shortest unimodular tuple: partial identity columns.
 
         Per block the cores of the returned entries stack to the identity
-        padded with zero rows, so the Gram sum is exactly the unit.
+        padded with zero rows, so the Gram sum is the unit.
         """
-        length = self.predicted_stable_rank()
-        if length is None:
+        if self.predicted_stable_rank() is None:
             raise ModuleNotFullError(
                 "corner has a zero row projection against a nonzero column "
                 "projection; no unimodular tuple exists"
             )
-        return self._tuple_from_cores(
-            length, [np.eye(length * r, s, dtype=np.complex128) for r, s in self.compressed_shapes]
-        )
+        return self._tuple_from_stacked(self._standard_padding(self.right_algebra_unit()))
 
-    def _tuple_from_cores(self, k, cores) -> "ModuleTuple":
-        """The ``k``-tuple whose ``(k r_i) x s_i`` stacked cores are ``cores``, embedded at once."""
-        slabs = [self._embed(i, c.reshape(k, r, s))
-                 for i, (c, (r, s)) in enumerate(zip(cores, self.compressed_shapes))]
+    def _standard_padding(self, b) -> list:
+        """The stacked form of ``u b``, ``u`` the standard tuple of a full space, built
+        without ``u``: per block its cores stack to the compressed ``b`` over zero rows."""
+        k, blocks = self.predicted_stable_rank(), iter(self._compress(b).blocks)
+        return self._stacked_from_cores(k, [np.eye(k * r, s, dtype=np.complex128) @ next(blocks) if s
+                                            else np.eye(k * r, 0) for r, s in self.compressed_shapes])
+
+    def _stacked_cores(self, k, stacked) -> list:
+        """Per block the ``(k r_i) x s_i`` stack of the cores of a ``k``-tuple's stacked form."""
+        return [self._core(i, b.reshape(k, *self.block_shapes[i])).reshape(k * r, s)
+                for i, (b, (r, s)) in enumerate(zip(stacked, self.compressed_shapes))]
+
+    def _stacked_from_cores(self, k, cores) -> list:
+        """The stacked form of the ``k``-tuple whose ``(k r_i) x s_i`` stacked cores are ``cores``."""
+        return [self._embed(i, c.reshape(k, r, s)).reshape(-1, self.block_shapes[i][1])
+                for i, (c, (r, s)) in enumerate(zip(cores, self.compressed_shapes))]
+
+    def _tuple_from_stacked(self, stacked) -> "ModuleTuple":
+        """The tuple whose stacked form is ``stacked``: its entries' blocks are its row slices."""
+        slabs = [b.reshape(-1, *shape) for b, shape in zip(stacked, self.block_shapes)]
         return ModuleTuple([ModuleElement._wrap(self, blocks) for blocks in zip(*slabs)])
 
 
@@ -228,15 +251,10 @@ class ModuleSpace(_SpaceOps):
             raise ValueError("module shape needs rows >= 1 and cols >= 1")
         object.__setattr__(self, "right_algebra", self.alg.matrix_algebra(self.cols))
         object.__setattr__(self, "left_algebra", self.alg.matrix_algebra(self.rows))
-
-    @property
-    def block_shapes(self) -> tuple:
-        return tuple(
-            (self.rows * k, self.cols * k) for k in self.alg.block_sizes
-        )
-
-    # Blocks and right-algebra elements are already their compressed form.
-    compressed_shapes = block_shapes
+        shapes = tuple((self.rows * k, self.cols * k) for k in self.alg.block_sizes)
+        # Blocks and right-algebra elements are already their compressed form.
+        for name in ("block_shapes", "compressed_shapes"):
+            object.__setattr__(self, name, shapes)
 
     def _core(self, i, block):
         return block
@@ -351,12 +369,6 @@ class ModuleTuple:
         """Per block, the entries' blocks stacked down one matrix: the tuple in ``M^n``."""
         return [np.vstack(column) for column in zip(*(x.blocks for x in self.entries))]
 
-    def _cores(self) -> list:
-        """Per block the ``(k r_i) x s_i`` stack of the entries' cores, from the stacked form at once."""
-        space, k = self.space, len(self.entries)
-        return [space._core(i, b.reshape(k, *space.block_shapes[i])).reshape(k * r, s)
-                for i, (b, (r, s)) in enumerate(zip(self._stacked(), space.compressed_shapes))]
-
     def norm(self) -> float:
         """Norm of the tuple as one element of ``M^n``, from its stacked form."""
         return max(_extreme_svals(self._stacked())[0])
@@ -391,14 +403,9 @@ def pairing(y: ModuleTuple, x: ModuleTuple) -> AlgebraElement:
     """
     if len(y.entries) != len(x.entries):
         raise ShapeMismatchError("tuples of different lengths cannot be paired")
-    space = x.space
     _same_space(y, x)
-    acc = [np.zeros((s, s), dtype=np.complex128) for _, s in space.block_shapes]
-    for yk, xk in zip(y.entries, x.entries):
-        yblocks = yk.blocks
-        for i, xb in enumerate(xk.blocks):
-            acc[i] += yblocks[i].conj().T @ xb
-    return AlgebraElement._wrap(space.right_algebra, acc)
+    xs = x._stacked()
+    return x.space._stacked_pairing(xs if y is x else y._stacked(), xs)
 
 
 def gram(t: ModuleTuple) -> AlgebraElement:
@@ -422,15 +429,18 @@ def is_unimodular(t: ModuleTuple, tol: float = DEFAULT_TOL) -> bool:
     The counting bound decides first: a tuple that it rules out is not
     unimodular at any ``tol``, even where rounding noise passes a tiny one.
     """
-    return _is_unimodular_at(t, tol)
+    return _is_unimodular_at(t.space, t._stacked(), tol)
 
 
-def _is_unimodular_at(t: ModuleTuple, tol: float, margin=None) -> bool:
-    """:func:`is_unimodular`'s rule on a ``margin`` of ``t`` already taken (``None``: taken here)."""
+def _is_unimodular_at(space, stacked, tol: float, margin=None) -> bool:
+    """:func:`is_unimodular`'s rule on a tuple's stacked form, and on its ``margin`` if
+    already taken; its Gram sum is that of the tuple, bit for bit."""
     _require_positive_finite("tol", tol)
-    if t.space.rank_obstruction(len(t)):
+    if space.rank_obstruction(len(stacked[0]) // space.block_shapes[0][0]):
         return False
-    return (unimodularity_margin(t) if margin is None else margin) > tol
+    if margin is None:
+        margin = space._gram_margin(space._stacked_pairing(stacked, stacked))
+    return bool(margin > tol)
 
 
 def unimodularity_margin(t: ModuleTuple) -> float:
@@ -446,21 +456,28 @@ def dual_witness(t: ModuleTuple, tol: float = DEFAULT_TOL) -> ModuleTuple:
     A tuple that the counting bound rules out raises :class:`DomainError`
     at any ``tol``, before the Gram sum is formed.
     """
+    return t.space._tuple_from_stacked(_stacked_dual(t.space, t._stacked(), tol)[0])
+
+
+def _stacked_dual(space, stacked, tol: float):
+    """:func:`dual_witness` on a tuple's stacked form: the stacked dual, one product per
+    block, and its norm ``||b^{-1}||^{1/2}``, read from the ``eigvalsh`` that decides ``b``."""
     _require_positive_finite("tol", tol)
-    if t.space.rank_obstruction(len(t)):
+    k = len(stacked[0]) // space.block_shapes[0][0]
+    if space.rank_obstruction(k):
         raise DomainError(
             f"tuple is not unimodular at any tol: the counting bound "
-            f"n*r_i >= s_i fails in some block for n={len(t)}"
+            f"n*r_i >= s_i fails in some block for n={k}"
         )
-    b = gram(t)
-    margin = t.space._gram_margin(b)
+    b = space._stacked_pairing(stacked, stacked)
+    margin, bottoms, _ = space._gram_spectrum(b)
     if not margin > tol:
         raise DomainError(
             f"tuple is not unimodular at tol={tol:g} (margin {margin:.3g})"
         )
     # Invertibility was just established, so skip the redundant gate.
-    c = t.space.right_inverse(b, tol, check=False).adjoint()
-    return ModuleTuple(tuple(x * c for x in t.entries))
+    c = space.right_inverse(b, tol, check=False).adjoint()
+    return [x @ cb for x, cb in zip(stacked, c.blocks)], min(bottoms) ** -0.5
 
 
 def normalize_tuple(t: ModuleTuple, tol: float = DEFAULT_TOL) -> ModuleTuple:
@@ -490,7 +507,7 @@ def generation_margin(t: ModuleTuple) -> float:
     """
     space, k = t.space, len(t)
     live = [(i, r, s) for i, (r, s) in enumerate(space.compressed_shapes) if r * s]
-    cores = t._cores()
+    cores = space._stacked_cores(k, t._stacked())
     tops, bottoms = _extreme_svals([cores[i] for i, _, _ in live])
     margin = np.inf
     for (_, r, s), top, bottom in zip(live, tops, bottoms):
@@ -548,6 +565,7 @@ class CornerSpace(_SpaceOps):
         self.alg = alg
         self.size = size
         self.ambient = self.right_algebra = self.left_algebra = ambient
+        self.block_shapes = tuple((k, k) for k in ambient.block_sizes)
         self.p = p
         self.q = q
         self._row_bases = _range_bases(p)
@@ -566,10 +584,6 @@ class CornerSpace(_SpaceOps):
         )
 
     # -- structure -----------------------------------------------------------
-
-    @property
-    def block_shapes(self) -> tuple:
-        return tuple((k, k) for k in self.ambient.block_sizes)
 
     def _core(self, i, block):
         return self._row_bases[i].conj().T @ block @ self._col_bases[i]

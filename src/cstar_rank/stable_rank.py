@@ -15,12 +15,13 @@ truncation is unimodular.  :func:`hv_pad` appends a spectral bump
 entries and a damping factor ``(1 + k*b)^{-1}`` to move an arbitrary tuple
 onto a unimodular one while travelling less than ``sqrt(eps) + eps``.  One
 spectrum of the Gram sum ``b0`` picks its route: where ``b0 >= eps`` the bump
-is 0 and the closed form is the tuple itself; only the other route builds ``u``.
+is 0 and the closed form is the tuple itself; only the other route pads.
 Its gates, like every norm only compared with a bound, go through ``algebra._gate_norm``.
 
-Each intermediate tuple is decided unimodular once, by the :func:`dual_witness`
-that proves it, and the dual is passed forward (the polar completion of its head
-comes with its own dual); only the outputs are decided, by :func:`is_unimodular`'s rule.
+The reductions run on stacked forms (``ModuleTuple._stacked``) and build a tuple only
+for their outputs.  Each intermediate tuple is decided unimodular once, by the
+:func:`dual_witness` rule on its stacked form, and the dual is passed forward (the polar
+completion of its head comes with its own dual); the outputs by :func:`is_unimodular`'s rule.
 
 :func:`density_experiment` estimates how often random Gaussian tuples are
 unimodular, with deterministic per-trial seeding.
@@ -46,10 +47,8 @@ from .hilbert_module import (
     ModuleTuple,
     _is_unimodular_at,
     _same_space,
-    dual_witness,
+    _stacked_dual,
     gram,
-    is_unimodular,
-    pairing,
     space_from_json_dict,
 )
 from .sampling import draw_size, trial_draws
@@ -189,6 +188,12 @@ def warfield_forward(t: ModuleTuple, a: ReductionCoefficients) -> ModuleTuple:
     return ModuleTuple(tuple(x + c for x, c in zip(head, contrib)))
 
 
+def _split(space, stacked, n: int) -> tuple[list, list]:
+    """The stacked forms of the first ``n`` entries and of the rest."""
+    cuts = [n * rows for rows, _ in space.block_shapes]
+    return [b[:c] for b, c in zip(stacked, cuts)], [b[c:] for b, c in zip(stacked, cuts)]
+
+
 def warfield_b_to_a(t: ModuleTuple, y: ModuleTuple, tol: float = DEFAULT_TOL) -> ReductionCoefficients:
     """Reduction coefficients from a dual witness with unimodular truncation.
 
@@ -206,37 +211,39 @@ def warfield_b_to_a(t: ModuleTuple, y: ModuleTuple, tol: float = DEFAULT_TOL) ->
         raise ShapeMismatchError("need a tuple of length at least 2")
     if len(y) != n + 1:
         raise ShapeMismatchError(f"witness length {len(y)} does not match tuple length {n + 1}")
-    _require_residual((pairing(y, t) - t.space.right_algebra_unit()).blocks, WITNESS_TOL,
+    _same_space(y, t)
+    space, x, w = t.space, t._stacked(), y._stacked()
+    _require_residual((space._stacked_pairing(w, x) - space.right_algebra_unit()).blocks, WITNESS_TOL,
                       "witness pairing residual")
-    head, tail = ModuleTuple(y.entries[:n]), ModuleTuple(y.entries[n:])
+    head, tail = _split(space, w, n)
     try:
-        z = dual_witness(head, tol)
+        z, _ = _stacked_dual(space, head, tol)
     except DomainError as exc:
         raise DomainError(f"truncated witness (y_1, ..., y_n) is not unimodular: {exc}") from exc
-    return _warfield(t, head, tail, z, tol)[0]
+    return _warfield(space, x, n, head, tail, z, tol)[0]
 
 
-def _warfield(t: ModuleTuple, head: ModuleTuple, tail: ModuleTuple, z: ModuleTuple, tol: float):
-    """Warfield's step on the last ``len(tail)`` entries, from a witness
-    ``(head, tail)`` whose pairing with ``t`` is invertible and a dual ``z`` of
-    its head: the coefficients ``a_jk = z_j tail_k*`` and the collapsed tuple,
-    whose pairing with ``head`` is that of the witness with ``t``.  ``z`` is
-    certified by its pairing residual alone."""
-    _require_residual((pairing(head, z) - t.space.right_algebra_unit()).blocks, WITNESS_TOL,
+def _warfield(space, x, n: int, head, tail, z, tol: float):
+    """Warfield's step on stacked forms, on the entries of ``x`` after the first ``n``, from
+    a witness ``(head, tail)`` whose pairing with ``x`` is invertible and a dual ``z`` of
+    its head: the coefficients ``a_jk = z_j tail_k*`` and the stacked collapsed tuple,
+    whose pairing with ``head`` is that of the witness with ``x``.  ``z`` is certified
+    by its pairing residual alone."""
+    _require_residual((space._stacked_pairing(head, z) - space.right_algebra_unit()).blocks, WITNESS_TOL,
                       "truncation dual residual")
 
     # Per block, a_jk = z_j tail_k*: the stacked dual times the stacked tail's adjoint.
-    a_blocks = [zb @ yb.conj().T for zb, yb in zip(z._stacked(), tail._stacked())]
+    a = [zb @ yb.conj().T for zb, yb in zip(z, tail)]
     # The telescoping identity sum_j a_jk* head_j = tail_k, one product per block.
-    _require_residual([ab.conj().T @ hb - yb for ab, hb, yb
-                       in zip(a_blocks, head._stacked(), tail._stacked())], TELESCOPE_TOL,
-                      "telescoping residual")
+    _require_residual([ab.conj().T @ hb - yb for ab, hb, yb in zip(a, head, tail)],
+                      TELESCOPE_TOL, "telescoping residual")
 
-    a = ReductionCoefficients._wrap(t.space, a_blocks)
-    reduced = warfield_forward(t, a)
-    if not is_unimodular(reduced, tol):
+    # warfield_forward on stacked forms: a_jk = z_j tail_k* acts inside the corner already.
+    kept, collapsed = _split(space, x, n)
+    reduced = [hb + ab @ yb for hb, ab, yb in zip(kept, a, collapsed)]
+    if not _is_unimodular_at(space, reduced, tol):
         raise DomainError("reduced tuple failed the unimodularity postcondition")
-    return a, reduced
+    return ReductionCoefficients._wrap(space, a), reduced
 
 
 def _require_residual(blocks, bound: float, what: str) -> None:
@@ -262,7 +269,8 @@ def bass_reduce(t: ModuleTuple, params: PerturbationParams) -> ReductionCoeffici
     Takes the canonical dual witness ``z`` of the tuple and replaces its first
     ``n`` entries by their polar completion: per block, with ``Z_h = W |Z_h|``
     the stacked core of ``z_1..z_n`` (tall once the counting bound passes) and
-    ``eta = ||z||``, the head ``c = W (|Z_h| + eta)`` has the truncation dual
+    ``eta = ||z|| = lambda_min(G)^{-1/2}``, read from the ``eigvalsh`` that decides
+    the tuple, the head ``c = W (|Z_h| + eta)`` has the truncation dual
     ``w = W (|Z_h| + eta)^{-1}``, and the pairing ``d* = 1 + eta |Z_h| G``, with
     ``G`` the Gram sum, is similar to ``1 + eta G^1/2 |Z_h| G^1/2 >= 1``.
     Warfield's step needs only that pairing to be invertible, so it takes the
@@ -276,41 +284,40 @@ def bass_reduce(t: ModuleTuple, params: PerturbationParams) -> ReductionCoeffici
     """
     if len(t) < 2:
         raise ShapeMismatchError("need a tuple of length at least 2 to reduce")
-    z = dual_witness(t, params.tol)
+    x = t._stacked()
+    z, eta = _stacked_dual(t.space, x, params.tol)
     _refuse_below_stable_rank(t.space, len(t) - 1)
-    return _collapse(t, z, params, 1)[0]
+    return _collapse(t.space, x, z, eta, len(t) - 1, params.tol)[0]
 
 
-def _collapse(t: ModuleTuple, z: ModuleTuple, params: PerturbationParams, r: int):
-    """The Bass reduction of the last ``r`` entries onto the first ``n >= 1`` from
-    the canonical dual ``z`` of ``t``: only ``z_1..z_n`` are replaced, by their
-    polar completion; the caller has refused ``n`` below the counting bound."""
-    n = len(t) - r
-
+def _collapse(space, x, z, eta: float, n: int, tol: float):
+    """The Bass reduction of the entries of the stacked ``x`` after the first ``n >= 1``,
+    from its stacked canonical dual ``z`` and ``eta = ||z||``: only ``z_1..z_n`` are
+    replaced, by their polar completion; the caller has refused ``n`` below the counting bound."""
+    head, tail = _split(space, z, n)
     # eta = ||z|| >= ||z_tail|| is homogeneous of degree 1 in z, so ||a|| <= 1 at every scale.
-    heads, duals = _shifted_polar(ModuleTuple(z.entries[:n])._cores(), z.norm())
-    return _warfield(t, t.space._tuple_from_cores(n, heads), ModuleTuple(z.entries[n:]),
-                     t.space._tuple_from_cores(n, duals), params.tol)
+    heads, duals = _shifted_polar(space._stacked_cores(n, head), eta)
+    return _warfield(space, x, n, space._stacked_from_cores(n, heads), tail,
+                     space._stacked_from_cores(n, duals), tol)
 
 
-def _bump(space, b0: AlgebraElement, eps: float) -> AlgebraElement:
-    """The spectral bump ``b = (eps - b0)^+ / eps`` of a Gram sum ``b0``: the
-    eigenvalues ``w`` of its compressed form map to ``clip(eps - w, 0, eps) / eps``,
-    in real arithmetic, so no ``1/eps`` overflows and every ``w >= eps`` gives an exact 0."""
-    return space._right_calculus(b0, lambda w: np.clip(eps - w, 0.0, eps) / eps)
+def _bump(w, eps: float):
+    """The bump ``(eps - w)^+ / eps`` of a Gram sum's eigenvalues ``w``, in real arithmetic, so
+    no ``1/eps`` overflows and every ``w >= eps`` gives an exact 0."""
+    return (eps - w).clip(0.0, eps) / eps
 
 
-def _pad_with_bump(t: ModuleTuple, u: ModuleTuple, bump: AlgebraElement, tol: float):
-    """The tuple padded with ``u b`` and its :func:`dual_witness`, which decides it."""
-    padded = ModuleTuple(t.entries + tuple(uk * bump for uk in u.entries))
+def _pad_with_bump(space, x, padding, tol: float):
+    """The stacked ``x`` over its stacked ``padding``, with the stacked dual and its norm
+    from the :func:`dual_witness` rule, which decides it."""
+    padded = [np.concatenate((xb, pb)) for xb, pb in zip(x, padding)]
     try:
-        dual = dual_witness(padded, tol)
+        return (padded, *_stacked_dual(space, padded, tol))
     except DomainError as exc:
         raise DomainError(
             "padded tuple failed the unimodularity postcondition; this can only "
             "happen for inputs far outside the working tolerance"
         ) from exc
-    return padded, dual
 
 
 def hv_pad(
@@ -326,9 +333,12 @@ def hv_pad(
     """
     _require_positive_finite("eps", eps)
     _same_space(t, u, "tuples live over different spaces")
-    _require_residual((gram(u) - t.space.right_algebra_unit()).blocks, WITNESS_TOL,
+    space, us = t.space, u._stacked()
+    _require_residual((space._stacked_pairing(us, us) - space.right_algebra_unit()).blocks, WITNESS_TOL,
                       "padding tuple is not normalized: ||<u,u> - 1|| =")
-    return _pad_with_bump(t, u, _bump(t.space, gram(t), eps), tol)[0]
+    bump = space._right_calculus(gram(t))(lambda w: _bump(w, eps))
+    padding = [ub @ bb for ub, bb in zip(us, bump.blocks)]
+    return space._tuple_from_stacked(_pad_with_bump(space, t._stacked(), padding, tol)[0])
 
 
 def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
@@ -341,12 +351,13 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
     0, as it is wherever its clip comes out 0, so the padding, ``a`` and ``k - 1``
     vanish and ``d = 1``: the closed form is ``t`` itself, decided by that margin.
 
-    Otherwise, on the same ``b0``: pick the deterministic shortest unimodular
-    tuple ``u`` of the space, whose Gram sum is already the unit; pad ``t`` with
-    ``u b``; collapse all ``r`` padding entries in one Bass reduction (Warfield's
-    step, the ``r``-entry case of :func:`bass_reduce`), which returns the ``n x r``
-    coefficients ``a``; damp with ``d = 1 + k b`` where ``k`` is the smallest
-    integer exceeding ``norm(a)/eps``; return ``(x + a . y) d^{-1}``.  The damping
+    Otherwise, on the stacked tuple, one ``eigh`` of ``b0`` gives ``b = v f(w) v*``;
+    pad ``t`` with ``u b``, ``u`` the deterministic shortest unimodular tuple, whose
+    stacked cores are the identity over zero rows, so ``u`` is never built; collapse
+    all ``r`` padding entries in one Bass reduction (Warfield's step, the ``r``-entry
+    case of :func:`bass_reduce`), which returns the ``n x r`` coefficients ``a``; damp
+    with ``d = 1 + k b``, ``k`` the smallest integer exceeding ``norm(a)/eps``, and
+    return ``(x + a . y) d^{-1}``, ``d^{-1} = v (1 + k f(w))^{-1} v*``.  The damping
     bounds the distance while keeping unimodularity; both routes verify both.
 
     A space that is not full has no unimodular tuple: :class:`ModuleNotFullError`.
@@ -357,29 +368,31 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
     space, eps = t.space, params.eps
     _refuse_below_stable_rank(space, len(t))
     b0 = gram(t)
-    margin, lows = space._gram_spectrum(b0)
-    bump = _bump(space, b0, eps) if min(lows) < eps else None
+    margin, _, lows = space._gram_spectrum(b0)
+    calculus = space._right_calculus(b0) if min(lows) < eps else None
+    bump = calculus(lambda w: _bump(w, eps)) if calculus else None
+    x = t._stacked()
     if bump is None or not any(b.any() for b in bump.blocks):
-        moved, unimodular = t, _is_unimodular_at(t, params.tol, margin)
+        moved, stacked = t, x
     else:
         if eps < sys.float_info.min:  # ||a|| <= 1, but ||a||/eps may have no float value
             raise DomainError(
                 f"a nonzero bump needs the damping k = floor(||a||/eps) + 1, "
                 f"which may overflow at a subnormal eps={eps:g}"
             )
-        u = space.standard_unimodular_tuple()
-        padded, dual = _pad_with_bump(t, u, bump, params.tol)
-        coeffs, reduced = _collapse(padded, dual, params, len(u))
+        padded, dual, eta = _pad_with_bump(space, x, space._standard_padding(bump), params.tol)
+        coeffs, reduced = _collapse(space, padded, dual, eta, len(t), params.tol)
         k = math.floor(adjointable_norm(coeffs) / eps) + 1
-        # d = 1 + k*b with b >= 0 is invertible by construction; no tolerance gate.
-        damp_inv = space.right_inverse(space.right_algebra_unit() + k * bump, params.tol, check=False)
-        moved = ModuleTuple(tuple(v * damp_inv for v in reduced.entries))
-        unimodular = is_unimodular(moved, params.tol)
+        # d = 1 + k*b >= 1 shares the eigenvectors of b, so its inverse needs no inversion.
+        damp_inv = calculus(lambda w: 1.0 / (1.0 + k * _bump(w, eps)))
+        stacked = [rb @ db for rb, db in zip(reduced, damp_inv.blocks)]
+        moved = space._tuple_from_stacked(stacked)
 
-    if not unimodular:
+    # The zero route decides t on the margin its route was read from.
+    if not _is_unimodular_at(space, stacked, params.tol, margin if moved is t else None):
         raise DomainError("perturbed tuple failed the unimodularity postcondition")
     bound = math.sqrt(eps) + eps
-    distance = _gate_norm((t - moved)._stacked(), bound)
+    distance = _gate_norm([xb - mb for xb, mb in zip(x, stacked)], bound)
     if not distance < bound:
         raise DomainError(
             f"perturbed tuple moved {distance:.6g}, not below sqrt(eps)+eps = {bound:.6g}"

@@ -51,6 +51,7 @@ from cstar_rank import (
     warfield_forward,
 )
 from cstar_rank.sampling import _POOL_PASS_TRIALS, derived_seed, draw_size, rng_from_seed, trial_draws
+from cstar_rank.hilbert_module import _stacked_dual
 from cstar_rank.stable_rank import TELESCOPE_TOL, WITNESS_TOL
 from test_hilbert_module import corner_with_ranks, random_projection
 
@@ -352,14 +353,14 @@ def test_one_collapse_removes_every_trailing_entry(case, r, extra, seed):
     witnesses = []
     warfield = stable_rank._warfield
 
-    def spy(t, head, tail, z, tol):
-        witnesses.append((head, tail, z))
-        return warfield(t, head, tail, z, tol)
+    def spy(space, x, n, head, tail, z, tol):
+        witnesses.append((space._tuple_from_stacked(head), space._tuple_from_stacked(tail)))
+        return warfield(space, x, n, head, tail, z, tol)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stable_rank, "_warfield", spy)
-        coeffs, reduced = stable_rank._collapse(t, dual_witness(t, params.tol), params, r)
-    ((head, tail, _),) = witnesses
+        coeffs, reduced = collapse(t, n, params.tol)
+    ((head, tail),) = witnesses
     assert coeffs.shape == (n, r) and len(reduced) == n
     assert is_unimodular(reduced)
     # Warfield's identity: the head pairs the reduced tuple as the witness pairs t.
@@ -374,6 +375,14 @@ def test_one_collapse_removes_every_trailing_entry(case, r, extra, seed):
     if r == 1:
         expected = bass_reduce(t, params)
         assert all(np.array_equal(b, c) for b, c in zip(coeffs.blocks, expected.blocks))
+
+
+def collapse(t, n, tol):
+    """The private collapse of all but the first ``n`` entries of ``t``, on its stacked
+    form, from its stacked dual; the collapsed tuple is built from its stacked form."""
+    x = t._stacked()
+    coeffs, reduced = stable_rank._collapse(t.space, x, *_stacked_dual(t.space, x, tol), n, tol)
+    return coeffs, t.space._tuple_from_stacked(reduced)
 
 
 #: Input scales, log-uniform in [1, 1e6].
@@ -439,10 +448,8 @@ def test_the_bass_step_is_scale_equivariant(case, r, extra, seed, scale):
     t = random_tuple(space, n + r, seed)
     assume(is_unimodular(t))
     scaled = ModuleTuple(tuple(scale * x for x in t.entries))
-    coeffs, reduced = stable_rank._collapse(t, dual_witness(t, DEFAULT_TOL), PerturbationParams(eps=0.1), r)
-    scaled_params = PerturbationParams(eps=0.1, tol=DEFAULT_TOL * min(1.0, scale) ** 2)
-    scaled_coeffs, scaled_reduced = stable_rank._collapse(
-        scaled, dual_witness(scaled, scaled_params.tol), scaled_params, r)
+    coeffs, reduced = collapse(t, n, DEFAULT_TOL)
+    scaled_coeffs, scaled_reduced = collapse(scaled, n, DEFAULT_TOL * min(1.0, scale) ** 2)
     assert adjointable_norm(coeffs) <= 1 + 1e-12
     assert adjointable_norm(scaled_coeffs) <= 1 + 1e-12
     assert largest_gap(scaled_coeffs.blocks, coeffs.blocks) <= 1e-12

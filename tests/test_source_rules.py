@@ -18,9 +18,11 @@ array is assembled into its block matrices in one place, the
 ``ReductionCoefficients`` constructor.  A norm that is only compared with a
 bound may be a Frobenius norm, taken in one place, ``algebra._gate_norm``,
 which knows when it decides as the SVD would.
-``hv_perturb`` collapses its padding in one step, with no stage loop.  Each
+``hv_perturb`` collapses its padding in one step, with no stage loop.  The
+reductions work on stacked forms and build a tuple only for their outputs; the
+padded tuple is the one stacked form joined onto another.  Each
 intermediate tuple of a reduction is decided unimodular once, by its dual
-witness, and only the outputs are checked with ``is_unimodular``.  The
+witness, and only the outputs are checked with ``is_unimodular``'s rule.  The
 reductions are deterministic: ``stable_rank`` draws nothing.  The public
 ``ModuleElement`` constructor projects its blocks into the space; inside the
 package only ``space.element`` and the JSON loader call it.  Each rule has one
@@ -34,7 +36,8 @@ singular value over ``max(1, largest)``, is written once, in ``algebra._margin``
 for one element and for a stack of trials alike.  Only Gram sums, which are
 Hermitian, take their extremes from ``eigvalsh``, through one helper of the
 space; every other margin and every norm keeps the SVD.  ``hv_perturb`` forms
-its Gram sum once, for its route, its zero-route verdict and its bump.
+its Gram sum once, for its route, its zero-route verdict and its bump, and
+inverts nothing: the damping's inverse comes from the bump's eigendecomposition.
 """
 
 import ast
@@ -176,21 +179,21 @@ def test_only_rng_from_seed_and_the_pass_seed():
     assert not found, "SeedSequence named at " + ", ".join(found)
 
 
-#: The one place allowed to stack blocks: the stacked form of a tuple.
-STACKING = {"vstack"}
-STACKED_FORM = ("hilbert_module", "ModuleTuple._stacked")
+#: The one place allowed to stack blocks, the stacked form of a tuple, and the one
+#: place allowed to join two stacked forms, the padded tuple.
+STACKING = {
+    "vstack": ("hilbert_module", "ModuleTuple._stacked"),
+    "concatenate": ("stable_rank", "_pad_with_bump"),
+}
 
 
 def test_tuples_are_stacked_in_one_place():
-    uses = [(module, scope) for module, _, scope, _ in _uses(STACKING)]
-    stray = [
-        f"{module}.py in {scope or '<module>'}"
-        for module, scope in uses
-        if (module, scope) != STACKED_FORM
-    ]
-    assert not stray, "per-entry stacking outside ModuleTuple._stacked: " + ", ".join(stray)
-    # The rule is not vacuous: the stacked form does stack.
-    assert uses == [STACKED_FORM]
+    uses = [(name, _allowed_scope(module, scope, {STACKING[name]}), f"{module}.py in {scope or '<module>'}")
+            for module, name, scope, _ in _uses(set(STACKING))]
+    stray = [f"{name} in {where}" for name, allowed, where in uses if allowed is None]
+    assert not stray, "stacking outside ModuleTuple._stacked and the padding: " + ", ".join(stray)
+    # The rule is not vacuous: each place does stack, once.
+    assert sorted((name, allowed) for name, allowed, _ in uses) == sorted(STACKING.items())
 
 
 #: The one place allowed to assemble a block matrix: coefficient storage.
@@ -304,6 +307,11 @@ POSTCONDITIONS = {"_warfield", "hv_perturb"}
 DECISIONS = {"is_unimodular", "_is_unimodular_at"}
 
 
+#: Where ``stable_rank`` decides an intermediate tuple by its stacked dual witness:
+#: the input of the Bass step, the witness's truncation and the padded tuple.
+INTERMEDIATE_DECISIONS = {"bass_reduce", "warfield_b_to_a", "_pad_with_bump"}
+
+
 def test_reductions_decide_each_intermediate_tuple_once():
     # The dual witness that decides an intermediate tuple is passed forward; a
     # decision elsewhere would decide that fact a second time.
@@ -325,6 +333,10 @@ def test_reductions_decide_each_intermediate_tuple_once():
     assert not stray, "unimodularity decided outside the output postconditions: " + ", ".join(stray)
     # The rule is not vacuous: both postconditions do check.
     assert set(uses) == POSTCONDITIONS
+    # Each intermediate tuple is decided by the one dual witness that proves it.
+    duals = _scopes_naming("stable_rank", "_stacked_dual", calls_only=True)
+    assert set(duals) == INTERMEDIATE_DECISIONS, duals
+    assert all(len(lines) == 1 for lines in duals.values()), duals
 
 
 #: Names through which a reduction would draw, or its retry schedule would start.
@@ -364,15 +376,12 @@ def test_stable_rank_leaves_the_compression_to_the_space():
 
 
 def test_only_the_damping_inverts():
-    # Warfield's step takes the polar completion as it is; an inverse anywhere
-    # but hv_perturb's damping d = 1 + k b would renormalize a witness again.
-    tree = ast.parse((SRC / "stable_rank.py").read_text(encoding="utf-8"))
-    uses = {}
-    for top in tree.body:
-        for n in ast.walk(top):
-            if "right_inverse" in _read_names(n):
-                uses.setdefault(getattr(top, "name", "<module>"), []).append(n.lineno)
-    assert set(uses) == {"hv_perturb"}, f"stable_rank names right_inverse in {uses}"
+    # Warfield's step takes the polar completion as it is, and the damping
+    # d = 1 + k b shares the eigenvectors of the bump b, so its inverse is the
+    # calculus of that one eigh: an inverse in stable_rank would renormalize a
+    # witness again or factor the Gram sum a second time.
+    uses = _scopes_naming("stable_rank", "right_inverse")
+    assert not uses, f"stable_rank names right_inverse in {uses}"
 
 
 def _scopes_naming(module, name, calls_only=False):
@@ -488,12 +497,13 @@ GRAM_SPECTRUM = ("hilbert_module", "_SpaceOps._gram_spectrum")
 GRAM_MARGIN_CALLERS = {
     "_gram_spectrum": {
         ("hilbert_module", "_SpaceOps._gram_margin"),
+        ("hilbert_module", "_stacked_dual"),
         ("stable_rank", "hv_perturb"),
     },
     "_gram_margin": {
         ("hilbert_module", "_SpaceOps.random_gram_margins"),
         ("hilbert_module", "unimodularity_margin"),
-        ("hilbert_module", "dual_witness"),
+        ("hilbert_module", "_is_unimodular_at"),
     },
 }
 
@@ -528,6 +538,33 @@ def test_only_gram_sums_take_their_extremes_from_eigenvalues():
         assert not stray, f"{helper} called outside its callers: " + ", ".join(stray)
         # An entry nothing uses any more must leave the list.
         assert used == callers
+
+
+#: What builds a tuple, and the only scopes of ``stable_rank`` allowed to call it:
+#: the outputs of ``warfield_forward``, ``hv_pad`` and ``hv_perturb``,
+#: ``ReductionCoefficients.apply``, which holds its input entries as one tuple, and
+#: the counting-bound refusal, whose message reads the standard tuple's length.
+TUPLE_BUILDERS = {"ModuleTuple", "_tuple_from_stacked", "standard_unimodular_tuple"}
+TUPLE_OUTPUTS = {
+    ("stable_rank", "ReductionCoefficients.apply"),
+    ("stable_rank", "warfield_forward"),
+    ("stable_rank", "hv_pad"),
+    ("stable_rank", "hv_perturb"),
+    ("stable_rank", "_refuse_below_stable_rank"),
+}
+
+
+def test_stable_rank_builds_tuples_only_for_outputs():
+    # The reductions run on stacked forms, one matrix per block; an intermediate
+    # tuple, the standard tuple among them, would bring back a wrap per entry
+    # and a stacking per use.
+    calls = [(module, scope, line) for module, _, scope, line in _uses(TUPLE_BUILDERS, _NamedCalls)
+             if module == "stable_rank"]
+    stray, used = _confined(calls, TUPLE_OUTPUTS)
+    assert not stray, "stable_rank builds a tuple outside its outputs: " + ", ".join(stray)
+    # The rule is not vacuous: each output is built, and hv_perturb's once.
+    assert used == TUPLE_OUTPUTS
+    assert len(_scopes_naming("stable_rank", "_tuple_from_stacked", calls_only=True)["hv_perturb"]) == 1
 
 
 def test_hv_perturb_forms_the_gram_sum_once():

@@ -36,7 +36,6 @@ from cstar_rank import (
     warfield_forward,
 )
 from cstar_rank import algebra, hilbert_module
-from cstar_rank.algebra import _hermitian_calculus
 from test_hilbert_module import CORNER_CASES, corner_with_ranks, space_of_kind
 
 
@@ -359,6 +358,12 @@ def test_warfield_b_to_a_random_instances():
         assert (telescoped - y[1]).norm() <= 1e-7
 
 
+def warfield(t, head, tail, z, tol):
+    """Warfield's step on the stacked forms of the tuples given."""
+    return stable_rank._warfield(t.space, t._stacked(), len(head), head._stacked(), tail._stacked(),
+                                 z._stacked(), tol)
+
+
 def test_warfield_b_to_a_checks_the_truncation_dual():
     # A dual passed forward by the reduction is certified only by its residual.
     space = scalar_space()
@@ -366,7 +371,7 @@ def test_warfield_b_to_a_checks_the_truncation_dual():
     t = ModuleTuple((one, zero))
     z = ModuleTuple((scalar(space, 2.0),))  # pairs with the head to 2
     with pytest.raises(DomainError, match="truncation dual residual"):
-        stable_rank._warfield(t, ModuleTuple((one,)), ModuleTuple((zero,)), z, 1e-9)
+        warfield(t, ModuleTuple((one,)), ModuleTuple((zero,)), z, 1e-9)
 
 
 def trivial_warfield_instance():
@@ -393,18 +398,23 @@ def test_the_telescoping_gate_sits_at_1e_7(tail, refused):
     args = (ModuleTuple((one, zero)), ModuleTuple((one,)), ModuleTuple((scalar(space, tail),)), z, 1e-9)
     if refused:
         with pytest.raises(DomainError, match=r"telescoping residual 3e-07 exceeds 1e-07"):
-            stable_rank._warfield(*args)
+            warfield(*args)
     else:
-        stable_rank._warfield(*args)
+        warfield(*args)
 
 
 def test_warfield_b_to_a_checks_the_reduced_tuple(monkeypatch):
-    def collapse_to_zero(t, a):
-        return ModuleTuple(tuple(x.space.zero() for x in t.entries[: a.shape[0]]))
-
-    monkeypatch.setattr(stable_rank, "warfield_forward", collapse_to_zero)
-    with pytest.raises(DomainError, match="reduced tuple failed"):
+    # The last split is that of the tuple being collapsed: with both halves zero,
+    # the reduced tuple is 0.
+    def run():
         warfield_b_to_a(*trivial_warfield_instance())
+
+    def zeros(halves):
+        return tuple([np.zeros_like(b) for b in half] for half in halves)
+
+    corrupt_last_call(monkeypatch, "_split", zeros, run)
+    with pytest.raises(DomainError, match="reduced tuple failed"):
+        run()
 
 
 # -- Bass reduction -------------------------------------------------------------------
@@ -458,16 +468,17 @@ def test_bass_reduce_sound_on_both_routes():
 
 
 @pytest.mark.parametrize("pipeline, length, calls", [
-    (hv_perturb, 2, {"is_unimodular": 2, "dual_witness": 1, "pairing": 1}),
-    (bass_reduce, 3, {"is_unimodular": 1, "dual_witness": 1, "pairing": 1}),
+    (hv_perturb, 2, {"_is_unimodular_at": 2, "_stacked_dual": 1, "_require_residual": 2}),
+    (bass_reduce, 3, {"_is_unimodular_at": 1, "_stacked_dual": 1, "_require_residual": 2}),
 ])
 def test_each_fact_is_decided_once(monkeypatch, pipeline, length, calls):
-    # hv_perturb: the padded tuple by its dual witness, the reduced and the
-    # moved tuple by is_unimodular.  bass_reduce: the input by its dual
-    # witness, the reduced tuple by is_unimodular.  The polar completion of
-    # the dual's head comes with its own dual, so nothing else is decided,
-    # and the one pairing is that dual's residual: Warfield's step takes the
-    # witness as it is, with no pairing to invert.
+    # hv_perturb: the padded tuple by its stacked dual witness, the reduced and
+    # the moved tuple by is_unimodular's rule.  bass_reduce: the input by its
+    # stacked dual witness, the reduced tuple by is_unimodular's rule.  The
+    # polar completion of the dual's head comes with its own dual, so nothing
+    # else is decided, and the two residuals are that dual's pairing and the
+    # telescoping: Warfield's step takes the witness as it is, with no pairing
+    # to invert.
     # At norm 0.1 the Gram sum lies below eps, so hv_perturb pads and reduces;
     # bass_reduce makes the same calls at every scale.
     space = ModuleSpace(Algebra((1,)), 1, 2)
@@ -535,11 +546,11 @@ def test_hv_pad_checks_the_padded_tuple(monkeypatch):
     t = ModuleTuple((space.zero(),))
     u = ModuleTuple((scalar(space, 1.0),))
 
-    def refuse(t, tol):
+    def refuse(space, stacked, tol):
         raise DomainError("refused")
 
-    # The padded tuple's dual witness decides it.
-    monkeypatch.setattr(stable_rank, "dual_witness", refuse)
+    # The padded tuple's dual witness, on its stacked form, decides it.
+    monkeypatch.setattr(stable_rank, "_stacked_dual", refuse)
     with pytest.raises(DomainError, match="padded tuple failed"):
         hv_pad(t, u, 1.0)
 
@@ -578,22 +589,84 @@ def test_hv_perturb_already_unimodular_stays_close():
     assert (t - moved).norm() < math.sqrt(0.25) + 0.25
 
 
+def hermitized(b):
+    return (b + b.conj().T) / 2.0
+
+
 def reference_hv_perturb(t, params):
-    """``hv_perturb`` from its pieces: pad, collapse the padding in one
-    reduction, damp by the norm of its coefficients."""
-    space, eps = t.space, params.eps
+    """``hv_perturb``'s collapse route in plain numpy, in its order of operations on
+    stacked forms, with the space's hooks only to compress and embed: one ``eigh`` of
+    the Gram sum gives the bump and the damping's inverse, the padding is the bump
+    over zero rows, and ``eta`` is the padded Gram sum's smallest eigenvalue to the
+    power -1/2.  Gram sums are summed over the entries in order, as ``pairing`` does."""
+    space, eps, tol = t.space, params.eps, params.tol
+    n, r = len(t), space.predicted_stable_rank()
+
+    def gram_of(stacked):
+        grams = []
+        for b, shape in zip(stacked, space.block_shapes):
+            entries = b.reshape(-1, *shape)
+            grams.append(np.zeros((shape[1], shape[1]), dtype=complex))
+            for term in entries.conj().swapaxes(-1, -2) @ entries:
+                grams[-1] += term
+        return space._compress(space.right_algebra.element(grams)).blocks
+
+    def split(stacked, k):
+        return ([b[:k * rows] for b, (rows, _) in zip(stacked, space.block_shapes)],
+                [b[k * rows:] for b, (rows, _) in zip(stacked, space.block_shapes)])
+
+    compressed_unit = space._compress(space.right_algebra_unit())
+
+    def expanded(blocks):  # blocks of the compressed right algebra, back in the right algebra
+        return space._expand(compressed_unit._new(blocks)).blocks
+
+    x = [np.vstack(column) for column in zip(*(e.blocks for e in t))]
+    pairs = [np.linalg.eigh(hermitized(b)) for b in gram_of(x)]
+    assert min(w[0] for w, _ in pairs) < eps  # a nonzero bump: the collapse route
+
+    def calculus(f):
+        return expanded([hermitized((v * f(w)) @ v.conj().T) for w, v in pairs])
+
+    def bump(w):
+        return np.clip(eps - w, 0.0, eps) / eps
+
+    compressed_bump = iter(space._compress(space.right_algebra.element(calculus(bump))).blocks)
+    padding = space._stacked_from_cores(r, [np.eye(r * rs, s, dtype=complex) @ next(compressed_bump) if s
+                                            else np.eye(r * rs, 0) for rs, s in space.compressed_shapes])
+    padded = [np.concatenate((xb, pb)) for xb, pb in zip(x, padding)]
+    g = gram_of(padded)
+    moduli = [np.abs(np.linalg.eigvalsh(b)) for b in g]
+    smallest = min(m.min() for m in moduli)
+    assert smallest / max(1.0, max(m.max() for m in moduli)) > tol
+    c = expanded([np.linalg.inv(b) for b in g])
+    dual = [pb @ cb.conj().T for pb, cb in zip(padded, c)]
+    eta = smallest ** -0.5
+    z_head, z_tail = split(dual, n)
+    factors = [np.linalg.svd(b, full_matrices=False) for b in space._stacked_cores(n, z_head)]
+    w_head = space._stacked_from_cores(n, [(u / (sv + eta)) @ vh for u, sv, vh in factors])
+    a = [wb @ yb.conj().T for wb, yb in zip(w_head, z_tail)]
+    kept, collapsed = split(padded, n)
+    reduced = [hb + ab @ yb for hb, ab, yb in zip(kept, a, collapsed)]
+    k = math.floor(max(np.linalg.svd(ab, compute_uv=False)[0] for ab in a) / eps) + 1
+    damp_inv = calculus(lambda w: 1.0 / (1.0 + k * bump(w)))
+    return [rb @ db for rb, db in zip(reduced, damp_inv)]
+
+
+def public_hv_perturb(t, params):
+    """``hv_perturb`` from its public pieces: pad with the standard tuple, take the
+    padded tuple's dual witness, collapse the padding by the polar completion of its
+    head with ``eta = ||z||``, and damp with ``right_inverse(1 + k b)``."""
+    space, eps, n = t.space, params.eps, len(t)
     u = space.standard_unimodular_tuple()
-    unit = space.right_algebra_unit()
-    # b = (eps - b0)^+ / eps on the compressed Gram sum; nonzero, so the reduction runs.
-    b0 = space._compress(gram(t))
-    bump = space._expand(b0._new(
-        _hermitian_calculus(b0.blocks, lambda w: np.clip(eps - w, 0.0, eps) / eps)
-    ))
-    assert any(b.any() for b in bump.blocks)
     padded = hv_pad(t, u, eps, params.tol)
-    coeffs, _ = stable_rank._collapse(padded, dual_witness(padded, params.tol), params, len(u))
+    z = dual_witness(padded, params.tol)
+    head, tail = ModuleTuple(z.entries[:n]), ModuleTuple(z.entries[n:])
+    factors = [np.linalg.svd(b, full_matrices=False) for b in space._stacked_cores(n, head._stacked())]
+    w = space._stacked_from_cores(n, [(u / (sv + z.norm())) @ vh for u, sv, vh in factors])
+    coeffs = ReductionCoefficients._wrap(space, [wb @ yb.conj().T for wb, yb in zip(w, tail._stacked())])
     k = math.floor(adjointable_norm(coeffs) / eps) + 1
-    damp_inv = space.right_inverse(unit + k * bump, params.tol)
+    bump = space._right_calculus(gram(t))(lambda w: np.clip(eps - w, 0.0, eps) / eps)
+    damp_inv = space.right_inverse(space.right_algebra_unit() + k * bump, params.tol)
     return ModuleTuple(tuple(v * damp_inv for v in warfield_forward(padded, coeffs).entries))
 
 
@@ -614,12 +687,14 @@ def test_hv_perturb_matches_pad_collapse_damp(eps):
             t = random_tuple(space, rng, space.predicted_stable_rank())
             t = scaled_to_norm(t, scale * math.sqrt(eps))
             params = PerturbationParams(eps=eps, seed=seed)
-            moved, expected = hv_perturb(t, params), reference_hv_perturb(t, params)
-            assert all(
-                np.array_equal(a, b)
-                for x, y in zip(moved, expected)
-                for a, b in zip(x.blocks, y.blocks)
-            )
+            moved = hv_perturb(t, params)
+            expected = reference_hv_perturb(t, params)
+            assert all(np.array_equal(a, b) for a, b in zip(moved._stacked(), expected))
+            # The public pieces take eta from an SVD and the damping from an inverse
+            # and project each product into the space: the same tuple to rounding.
+            public = public_hv_perturb(t, params)._stacked()
+            gap = max(np.abs(a - b).max() for a, b in zip(moved._stacked(), public))
+            assert gap <= 1e-12 * max(np.abs(b).max() for b in public)
 
 
 def test_hv_perturb_fails_below_stable_rank():
@@ -714,9 +789,9 @@ def test_hv_perturb_checks_the_telescoping_of_its_whole_padding(monkeypatch):
 
 
 def test_hv_perturb_checks_the_unimodularity_postcondition(monkeypatch):
-    # The last unimodularity check is the one on the damped tuple.
+    # The last unimodularity decision is the one on the damped tuple.
     run = zero_scalar_perturbation()
-    corrupt_last_call(monkeypatch, "is_unimodular", lambda verdict: False, run)
+    corrupt_last_call(monkeypatch, "_is_unimodular_at", lambda verdict: False, run)
     with pytest.raises(DomainError, match="perturbed tuple failed"):
         run()
 
@@ -757,9 +832,9 @@ def test_a_zero_bump_returns_the_input_itself(monkeypatch, kind):
     space = space_of_kind(kind, rng)
     t = random_unimodular(space, rng, space.predicted_stable_rank())
     smallest = min(np.linalg.eigvalsh(b)[0] for b in space._compress(gram(t)).blocks)
-    counts = spy_on(monkeypatch, ["dual_witness", "_collapse", "is_unimodular", "_is_unimodular_at"])
+    counts = spy_on(monkeypatch, ["_stacked_dual", "_collapse", "_is_unimodular_at"])
     assert hv_perturb(t, PerturbationParams(eps=smallest / 2)) is t
-    assert counts == {"dual_witness": 0, "_collapse": 0, "is_unimodular": 0, "_is_unimodular_at": 1}
+    assert counts == {"_stacked_dual": 0, "_collapse": 0, "_is_unimodular_at": 1}
 
 
 def test_the_route_boundary_is_the_smallest_eigenvalue_at_eps():
@@ -798,9 +873,12 @@ def count_lapack_and_gram(monkeypatch):
 @pytest.mark.parametrize("kind", ["matrix", "corner"])
 def test_each_route_makes_exactly_its_lapack_calls(monkeypatch, kind):
     # The zero route forms one Gram sum and takes one eigvalsh, whose margin is
-    # the verdict's, bit for bit; the collapse route adds the bump's eigh, the
-    # padded dual, the polar completion and the damping; a tuple below the
-    # counting bound is refused before any of them.
+    # the verdict's, bit for bit; the collapse route adds the bump's eigh, which
+    # also gives the damping's inverse, the padded dual, whose eigvalsh also gives
+    # eta, the polar completion, the coefficients' norm and the two decisions,
+    # each on a stacked form, so gram runs once; a tuple below the counting bound
+    # is refused before any of them.  bass_reduce: the input's dual, the polar
+    # completion and the reduced tuple's decision.
     rng = np.random.default_rng(15)
     space = space_of_kind(kind, rng)
     n = space.predicted_stable_rank()
@@ -808,11 +886,16 @@ def test_each_route_makes_exactly_its_lapack_calls(monkeypatch, kind):
     smallest = min(np.linalg.eigvalsh(b)[0] for b in space._compress(gram(t)).blocks)
     small = scaled_to_norm(random_tuple(space, rng, n), 0.05)
     short = random_tuple(space, rng, n - 1)
+    longer = random_unimodular(space, rng, n + 1)
     expected_margin = unimodularity_margin(t)
     decided = []
     decide = stable_rank._is_unimodular_at
-    monkeypatch.setattr(stable_rank, "_is_unimodular_at",
-                        lambda t, tol, margin: decided.append(margin) or decide(t, tol, margin))
+
+    def recording(space, stacked, tol, margin=None):
+        decided.append(margin)
+        return decide(space, stacked, tol, margin)
+
+    monkeypatch.setattr(stable_rank, "_is_unimodular_at", recording)
     counts = count_lapack_and_gram(monkeypatch)
 
     assert hv_perturb(t, PerturbationParams(eps=smallest / 2)) is t
@@ -821,12 +904,15 @@ def test_each_route_makes_exactly_its_lapack_calls(monkeypatch, kind):
 
     counts.clear()
     assert hv_perturb(small, PerturbationParams(eps=0.1)) is not small
-    assert counts == {"gram": 4, "eigh": 1, "eigvalsh": 4, "inv": 2, "svd": 3}
+    assert counts == {"gram": 1, "eigh": 1, "eigvalsh": 4, "inv": 1, "svd": 2}
 
     counts.clear()
     with pytest.raises(ReductionFailedError):
         hv_perturb(short, PerturbationParams(eps=0.1))
     assert counts == {}
+
+    bass_reduce(longer, PerturbationParams(eps=0.1))
+    assert counts == {"eigvalsh": 2, "inv": 1, "svd": 1}
 
 
 # -- density experiments ----------------------------------------------------------------------
