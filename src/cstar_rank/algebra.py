@@ -36,50 +36,57 @@ SELF_ADJOINT_RTOL = 1e-10
 _NOT_FINITE = "singular values are not finite (overflow or non-finite entries)"
 
 
-def _lapack(routine: str, blocks, **options) -> list:
+def _lapack(routine: str, blocks, then=None, **options):
     """``np.linalg.<routine>(b, **options)`` per block, the one LAPACK boundary: non-finite
     blocks raise the non-finite ``DomainError`` before LAPACK sees them (it would print to
-    stdout), and a ``LinAlgError`` becomes a ``DomainError`` naming the routine and reason."""
+    stdout), and a ``LinAlgError`` becomes a ``DomainError`` naming the routine and reason.
+    With ``then``, also a function that runs that routine on the same blocks under the same
+    rule once the caller has decided on the results: one scan serves both routines."""
     if not all(np.isfinite(b).all() for b in blocks):
         raise DomainError(_NOT_FINITE)
-    try:
-        return [getattr(np.linalg, routine)(b, **options) for b in blocks]
-    except np.linalg.LinAlgError as exc:
-        raise DomainError(f"LAPACK {routine} failed: {exc}") from None
+
+    def run(routine, **options):
+        try:
+            return [getattr(np.linalg, routine)(b, **options) for b in blocks]
+        except np.linalg.LinAlgError as exc:
+            raise DomainError(f"LAPACK {routine} failed: {exc}") from None
+    return (run(routine, **options), lambda: run(then)) if then else run(routine, **options)
 
 
-def _extreme_svals(blocks, hermitian=False) -> tuple:
+def _extreme_svals(blocks, hermitian=False, then=None) -> tuple:
     """Largest and smallest singular value per nonempty block.
 
     A matrix gives floats; a stack ``(t, m, n)`` gives arrays of length ``t``
     from one LAPACK call.  ``hermitian`` blocks, such as Gram sums, take them
     from ``eigvalsh`` as the largest and smallest eigenvalue modulus and give a
-    third list, their smallest eigenvalues; others take them from the SVD.
-    ``DomainError`` unless all of them are finite: beside the non-finite blocks
-    that :func:`_lapack` refuses, finite ones can overflow.
+    third list, their smallest eigenvalues; others take them from the SVD.  ``then`` appends
+    :func:`_lapack`'s function running it on the same blocks.  ``DomainError`` unless all
+    extremes are finite: beside the non-finite blocks that :func:`_lapack` refuses, finite ones can overflow.
     """
     stacked = len(blocks) > 0 and blocks[0].ndim > 2
+    routine, options = ("eigvalsh", {}) if hermitian else ("svd", {"compute_uv": False})
+    found = _lapack(routine, blocks, then, **options)
+    values, *later = found if then else (found,)
     if hermitian:
         # A rank-deficient Gram sum can give a tiny negative eigenvalue, so neither end
         # of the ascending eigenvalues need be the smallest modulus.
-        eigenvalues = _lapack("eigvalsh", blocks)
         if stacked:
-            moduli = [np.abs(w) for w in eigenvalues]
+            moduli = [np.abs(w) for w in values]
             tops, bottoms = [m.max(-1) for m in moduli], [m.min(-1) for m in moduli]
         else:
-            moduli = [[abs(v) for v in w.tolist()] for w in eigenvalues]
+            values = [w.tolist() for w in values]
+            moduli = [[abs(v) for v in w] for w in values]
             tops, bottoms = [max(m) for m in moduli], [min(m) for m in moduli]
-        lows = [w[..., 0] if stacked else float(w[0]) for w in eigenvalues]
+        lows = [w[..., 0] if stacked else w[0] for w in values]
     else:
-        svals = _lapack("svd", blocks, compute_uv=False)
-        tops = [s[..., 0] if stacked else float(s[0]) for s in svals]
-        bottoms = [s[..., -1] if stacked else float(s[-1]) for s in svals]
+        tops = [s[..., 0] if stacked else float(s[0]) for s in values]
+        bottoms = [s[..., -1] if stacked else float(s[-1]) for s in values]
     # Each extreme on its own: a sum of finite ones may overflow.
     extremes = tops + bottoms
     finite = np.isfinite(extremes).all() if stacked else all(map(math.isfinite, extremes))
     if not finite:
         raise DomainError(_NOT_FINITE)
-    return (tops, bottoms, lows) if hermitian else (tops, bottoms)
+    return ((tops, bottoms, lows) if hermitian else (tops, bottoms)) + tuple(later)
 
 
 def _shifted_polar(blocks, shift) -> tuple[list, list]:
@@ -355,11 +362,11 @@ class AlgebraElement(_Blocks):
         return self.margin() > tol
 
     def inverse(self, tol: float = DEFAULT_TOL) -> "AlgebraElement":
-        if not self.is_invertible(tol):
-            raise InvertibilityError(
-                f"element is numerically singular at tol={tol:g}"
-            )
-        return self._new(_lapack("inv", self.blocks))
+        _require_positive_finite("tol", tol)
+        *extremes, invert = _extreme_svals(self.blocks, then="inv")
+        if not _margin(*extremes) > tol:
+            raise InvertibilityError(f"element is numerically singular at tol={tol:g}")
+        return self._new(invert())
 
     # -- functional calculus -----------------------------------------------
 

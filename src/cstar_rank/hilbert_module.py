@@ -74,9 +74,9 @@ class _SpaceOps:
 
     * ``_core(i, block)`` / ``_embed(i, core)`` between a stored element block
       and its ``r_i x s_i`` core;
-    * ``_compress(b)`` / ``_expand(c)`` between a right-algebra element and
-      its image in the sum of the ``M_{s_i}(C)`` with ``s_i > 0``; other
-      modules reach them through ``right_*``, ``_right_calculus`` and ``_gram_*`` only;
+    * ``_compress`` / ``_expand`` between the blocks of a right-algebra element and of
+      its image in ``_core_algebra``, the sum of the ``M_{s_i}(C)`` with ``s_i > 0``;
+      other modules reach them through ``right_*``, ``_right_calculus`` and ``_gram_*`` only;
     * ``_project(i, g)`` from any matrix of the stored block shape to an
       element block, the one place that knows how an element is stored;
     * ``_stacked_space(k)``, the space that :func:`stack` embeds a
@@ -130,32 +130,35 @@ class _SpaceOps:
             for i, drawn in enumerate(gaussian_blocks(entry, self.block_shapes)):
                 x = self._project(i, drawn)
                 grams[i] += x.conj().swapaxes(-1, -2) @ x
-        return self._gram_margin(AlgebraElement._wrap(self.right_algebra, grams))
+        return self._gram_margin(grams)
 
     def _gram_margin(self, g):
-        """The margin rule on the compressed image of a Gram sum ``g``, or of a stack of them."""
+        """The margin rule on the compressed image of a Gram sum's blocks ``g``, or of stacks of them."""
         return self._gram_spectrum(g)[0]
 
-    def _gram_spectrum(self, g):
+    def _gram_spectrum(self, g, then=None):
         """The margin of :meth:`_gram_margin` and each compressed block's smallest eigenvalue modulus
-        and eigenvalue, from one ``eigvalsh``: ``g`` is Hermitian, so its extremes are their moduli."""
-        tops, bottoms, lows = _extreme_svals(self._compress(g).blocks, hermitian=True)
-        return _margin(tops, bottoms), bottoms, lows
+        and eigenvalue, from one ``eigvalsh`` (``g`` is Hermitian), and :func:`_extreme_svals`' ``then``."""
+        tops, bottoms, lows, *later = _extreme_svals(self._compress(g), hermitian=True, then=then)
+        return (_margin(tops, bottoms), bottoms, lows, *later)
 
-    def _stacked_pairing(self, y, x) -> AlgebraElement:
-        """:func:`pairing` on stacked forms, summed over the entries' row slices in order, so
-        a Gram sum and its margin are bit for bit the same however the tuple is held."""
-        acc = [np.zeros((s, s), dtype=np.complex128) for _, s in self.block_shapes]
-        for g, yb, xb, shape in zip(acc, y, x, self.block_shapes):
-            for term in yb.reshape(-1, *shape).conj().swapaxes(-1, -2) @ xb.reshape(-1, *shape):
-                g += term
-        return AlgebraElement._wrap(self.right_algebra, acc)
+    def _stacked_pairing(self, y, x, start=None) -> list:
+        """The blocks of :func:`pairing` on stacked forms, summed over the entries' row slices in
+        order from ``start``, a pairing's blocks, or from 0 (``-0.0 + 0`` is ``0.0``), so a sum
+        is bit for bit the same however the tuple is held, and continued, that of the joined forms."""
+        sums = []
+        for i, (yb, xb, shape) in enumerate(zip(y, x, self.block_shapes)):
+            terms = iter(yb.reshape(-1, *shape).conj().swapaxes(-1, -2) @ xb.reshape(-1, *shape))
+            sums.append(next(terms) + (0 if start is None else start[i]))
+            for term in terms:
+                sums[-1] += term
+        return sums
 
     # -- right algebra helpers: the kernel's operations on the compressed image --
 
     def right_margin(self, b) -> float:
         """Invertibility margin of ``b``, the kernel's rule on the compressed image."""
-        return self._compress(b).margin()
+        return float(_margin(*_extreme_svals(self._compress(b.blocks))))
 
     def right_inverse(self, b, tol: float = DEFAULT_TOL, check: bool = True):
         """Inverse of ``b``, the kernel's inverse on its compressed image.
@@ -164,17 +167,18 @@ class _SpaceOps:
         for a ``b`` the caller has just decided invertible; non-finite blocks
         and a singular matrix that LAPACK refuses still raise ``DomainError``.
         """
-        c = self._compress(b)
-        return self._expand(c.inverse(tol) if check else c._new(_lapack("inv", c.blocks)))
+        c = AlgebraElement._wrap(self._core_algebra, self._compress(b.blocks))
+        inverse = c.inverse(tol).blocks if check else _lapack("inv", c.blocks)
+        return AlgebraElement._wrap(self.right_algebra, self._expand(inverse))
 
     def right_inv_sqrt(self, b, tol: float = DEFAULT_TOL):
-        return self._expand(self._compress(b).inv_sqrt(tol))
+        c = AlgebraElement._wrap(self._core_algebra, self._compress(b.blocks))
+        return AlgebraElement._wrap(self.right_algebra, self._expand(c.inv_sqrt(tol).blocks))
 
-    def _right_calculus(self, b):
-        """``f -> f(b)``, ``b`` hermitized, from one :func:`_hermitian_calculus` of its compressed image."""
-        c = self._compress(b)
-        calculus = _hermitian_calculus(c.blocks)
-        return lambda f: self._expand(c._new(calculus(f)))
+    def _right_calculus(self, g):
+        """``f -> f(b)``, ``b`` hermitized from its blocks ``g``, by one :func:`_hermitian_calculus`."""
+        calculus = _hermitian_calculus(self._compress(g))
+        return lambda f: AlgebraElement._wrap(self.right_algebra, self._expand(calculus(f)))
 
     # -- fullness and stable rank ------------------------------------------------------
 
@@ -208,7 +212,7 @@ class _SpaceOps:
     def _standard_padding(self, b) -> list:
         """The stacked form of ``u b``, ``u`` the standard tuple of a full space, built
         without ``u``: per block its cores stack to the compressed ``b`` over zero rows."""
-        k, blocks = self.predicted_stable_rank(), iter(self._compress(b).blocks)
+        k, blocks = self.predicted_stable_rank(), iter(self._compress(b.blocks))
         return self._stacked_from_cores(k, [np.eye(k * r, s, dtype=np.complex128) @ next(blocks) if s
                                             else np.eye(k * r, 0) for r, s in self.compressed_shapes])
 
@@ -250,6 +254,7 @@ class ModuleSpace(_SpaceOps):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("module shape needs rows >= 1 and cols >= 1")
         object.__setattr__(self, "right_algebra", self.alg.matrix_algebra(self.cols))
+        object.__setattr__(self, "_core_algebra", self.right_algebra)
         object.__setattr__(self, "left_algebra", self.alg.matrix_algebra(self.rows))
         shapes = tuple((self.rows * k, self.cols * k) for k in self.alg.block_sizes)
         # Blocks and right-algebra elements are already their compressed form.
@@ -259,8 +264,8 @@ class ModuleSpace(_SpaceOps):
     def _core(self, i, block):
         return block
 
-    def _compress(self, b):
-        return b
+    def _compress(self, blocks):
+        return blocks
 
     _embed = _project = _core
     _expand = _compress
@@ -367,7 +372,7 @@ class ModuleTuple:
 
     def _stacked(self) -> list:
         """Per block, the entries' blocks stacked down one matrix: the tuple in ``M^n``."""
-        return [np.vstack(column) for column in zip(*(x.blocks for x in self.entries))]
+        return [np.concatenate(column) for column in zip(*(x.blocks for x in self.entries))]
 
     def norm(self) -> float:
         """Norm of the tuple as one element of ``M^n``, from its stacked form."""
@@ -401,11 +406,13 @@ def pairing(y: ModuleTuple, x: ModuleTuple) -> AlgebraElement:
 
     ``x`` is unimodular exactly when some ``y`` makes the pairing 1.
     """
-    if len(y.entries) != len(x.entries):
-        raise ShapeMismatchError("tuples of different lengths cannot be paired")
-    _same_space(y, x)
+    if y is not x:  # a tuple paired with itself needs neither check
+        if len(y.entries) != len(x.entries):
+            raise ShapeMismatchError("tuples of different lengths cannot be paired")
+        _same_space(y, x)
     xs = x._stacked()
-    return x.space._stacked_pairing(xs if y is x else y._stacked(), xs)
+    ys = xs if y is x else y._stacked()
+    return AlgebraElement._wrap(x.space.right_algebra, x.space._stacked_pairing(ys, xs))
 
 
 def gram(t: ModuleTuple) -> AlgebraElement:
@@ -446,7 +453,8 @@ def _is_unimodular_at(space, stacked, tol: float, margin=None) -> bool:
 def unimodularity_margin(t: ModuleTuple) -> float:
     """Smallest eigenvalue modulus of the Gram sum over ``max(1, largest)``, the
     margin rule on its singular values (invertible iff > tol)."""
-    return float(t.space._gram_margin(gram(t)))
+    x = t._stacked()
+    return float(t.space._gram_margin(t.space._stacked_pairing(x, x)))
 
 
 def dual_witness(t: ModuleTuple, tol: float = DEFAULT_TOL) -> ModuleTuple:
@@ -459,9 +467,9 @@ def dual_witness(t: ModuleTuple, tol: float = DEFAULT_TOL) -> ModuleTuple:
     return t.space._tuple_from_stacked(_stacked_dual(t.space, t._stacked(), tol)[0])
 
 
-def _stacked_dual(space, stacked, tol: float):
-    """:func:`dual_witness` on a tuple's stacked form: the stacked dual, one product per
-    block, and its norm ``||b^{-1}||^{1/2}``, read from the ``eigvalsh`` that decides ``b``."""
+def _stacked_dual(space, stacked, tol: float, g=None):
+    """:func:`dual_witness` on a stacked form, given its Gram sum ``b``'s blocks ``g`` if formed: the
+    stacked dual ``x (b^{-1})*``, inverted on the blocks ``b``'s ``eigvalsh`` scanned, and its norm."""
     _require_positive_finite("tol", tol)
     k = len(stacked[0]) // space.block_shapes[0][0]
     if space.rank_obstruction(k):
@@ -469,15 +477,13 @@ def _stacked_dual(space, stacked, tol: float):
             f"tuple is not unimodular at any tol: the counting bound "
             f"n*r_i >= s_i fails in some block for n={k}"
         )
-    b = space._stacked_pairing(stacked, stacked)
-    margin, bottoms, _ = space._gram_spectrum(b)
+    g = space._stacked_pairing(stacked, stacked) if g is None else g
+    margin, bottoms, _, invert = space._gram_spectrum(g, then="inv")
     if not margin > tol:
         raise DomainError(
             f"tuple is not unimodular at tol={tol:g} (margin {margin:.3g})"
         )
-    # Invertibility was just established, so skip the redundant gate.
-    c = space.right_inverse(b, tol, check=False).adjoint()
-    return [x @ cb for x, cb in zip(stacked, c.blocks)], min(bottoms) ** -0.5
+    return [x @ cb.conj().T for x, cb in zip(stacked, space._expand(invert()))], min(bottoms) ** -0.5
 
 
 def normalize_tuple(t: ModuleTuple, tol: float = DEFAULT_TOL) -> ModuleTuple:
@@ -605,16 +611,15 @@ class CornerSpace(_SpaceOps):
         q = AlgebraElement._wrap(big, [np.pad(qb, (0, (k - 1) * len(qb))) for qb in self.q.blocks])
         return CornerSpace(self.alg, k * self.size, p, q)
 
-    def _compress(self, b):
+    def _compress(self, blocks):
         v = self._col_bases
-        blocks = [v[i].conj().T @ b.blocks[i] @ v[i] for i in self._live]
-        return AlgebraElement._wrap(self._core_algebra, blocks)
+        return [v[i].conj().T @ blocks[i] @ v[i] for i in self._live]
 
-    def _expand(self, c):
-        blocks = [np.zeros((k, k), dtype=np.complex128) for k in self.ambient.block_sizes]
-        for i, cb in zip(self._live, c.blocks):
-            blocks[i] = self._col_bases[i] @ cb @ self._col_bases[i].conj().T
-        return AlgebraElement._wrap(self.ambient, blocks)
+    def _expand(self, blocks):
+        expanded = [np.zeros((k, k), dtype=np.complex128) for k in self.ambient.block_sizes]
+        for i, cb in zip(self._live, blocks):
+            expanded[i] = self._col_bases[i] @ cb @ self._col_bases[i].conj().T
+        return expanded
 
     def __eq__(self, other):
         if not isinstance(other, CornerSpace):

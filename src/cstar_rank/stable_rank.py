@@ -14,14 +14,14 @@ truncation is unimodular.  :func:`hv_pad` appends a spectral bump
 :func:`hv_perturb` chains padding with one reduction of all the padding
 entries and a damping factor ``(1 + k*b)^{-1}`` to move an arbitrary tuple
 onto a unimodular one while travelling less than ``sqrt(eps) + eps``.  One
-spectrum of the Gram sum ``b0`` picks its route: where ``b0 >= eps`` the bump
-is 0 and the closed form is the tuple itself; only the other route pads.
+spectrum of the Gram sum ``b0`` picks its route: where ``b0 >= eps`` the bump is 0
+and the closed form is the tuple itself, which moves 0; only the other route pads.
 Its gates, like every norm only compared with a bound, go through ``algebra._gate_norm``.
 
-The reductions run on stacked forms (``ModuleTuple._stacked``) and build a tuple only
-for their outputs.  Each intermediate tuple is decided unimodular once, by the
-:func:`dual_witness` rule on its stacked form, and the dual is passed forward (the polar
-completion of its head comes with its own dual); the outputs by :func:`is_unimodular`'s rule.
+The reductions stack each input once (``ModuleTuple._stacked``) and build a tuple only for
+their outputs.  Each intermediate tuple is decided once, by the :func:`dual_witness` rule on
+its stacked form, which inverts the blocks its ``eigvalsh`` scanned, and the dual is passed
+forward (a polar completion comes with its own dual); the outputs by :func:`is_unimodular`'s rule.
 
 :func:`density_experiment` estimates how often random Gaussian tuples are
 unimodular, with deterministic per-trial seeding.
@@ -48,7 +48,6 @@ from .hilbert_module import (
     _is_unimodular_at,
     _same_space,
     _stacked_dual,
-    gram,
     space_from_json_dict,
 )
 from .sampling import draw_size, trial_draws
@@ -213,8 +212,7 @@ def warfield_b_to_a(t: ModuleTuple, y: ModuleTuple, tol: float = DEFAULT_TOL) ->
         raise ShapeMismatchError(f"witness length {len(y)} does not match tuple length {n + 1}")
     _same_space(y, t)
     space, x, w = t.space, t._stacked(), y._stacked()
-    _require_residual((space._stacked_pairing(w, x) - space.right_algebra_unit()).blocks, WITNESS_TOL,
-                      "witness pairing residual")
+    _require_unit_pairing(space, w, x, "witness pairing residual")
     head, tail = _split(space, w, n)
     try:
         z, _ = _stacked_dual(space, head, tol)
@@ -229,8 +227,7 @@ def _warfield(space, x, n: int, head, tail, z, tol: float):
     its head: the coefficients ``a_jk = z_j tail_k*`` and the stacked collapsed tuple,
     whose pairing with ``head`` is that of the witness with ``x``.  ``z`` is certified
     by its pairing residual alone."""
-    _require_residual((space._stacked_pairing(head, z) - space.right_algebra_unit()).blocks, WITNESS_TOL,
-                      "truncation dual residual")
+    _require_unit_pairing(space, head, z, "truncation dual residual")
 
     # Per block, a_jk = z_j tail_k*: the stacked dual times the stacked tail's adjoint.
     a = [zb @ yb.conj().T for zb, yb in zip(z, tail)]
@@ -244,6 +241,12 @@ def _warfield(space, x, n: int, head, tail, z, tol: float):
     if not _is_unimodular_at(space, reduced, tol):
         raise DomainError("reduced tuple failed the unimodularity postcondition")
     return ReductionCoefficients._wrap(space, a), reduced
+
+
+def _require_unit_pairing(space, y, x, what: str) -> None:
+    """The witness gate: the stacked ``y`` pairs with ``x`` to the unit, within ``WITNESS_TOL``."""
+    unit = space.right_algebra_unit().blocks
+    _require_residual([p - u for p, u in zip(space._stacked_pairing(y, x), unit)], WITNESS_TOL, what)
 
 
 def _require_residual(blocks, bound: float, what: str) -> None:
@@ -307,12 +310,17 @@ def _bump(w, eps: float):
     return (eps - w).clip(0.0, eps) / eps
 
 
-def _pad_with_bump(space, x, padding, tol: float):
-    """The stacked ``x`` over its stacked ``padding``, with the stacked dual and its norm
-    from the :func:`dual_witness` rule, which decides it."""
+def _pad_with_bump(space, x, b0, padding, tol: float, dual: bool):
+    """The stacked ``x`` over its ``padding``, its Gram sum continued from ``b0``, that of ``x``: with its
+    stacked dual and norm, if ``dual``, by the :func:`dual_witness` rule, else by :func:`is_unimodular`'s."""
     padded = [np.concatenate((xb, pb)) for xb, pb in zip(x, padding)]
+    g = space._stacked_pairing(padding, padding, b0)
     try:
-        return (padded, *_stacked_dual(space, padded, tol))
+        if dual:
+            return (padded, *_stacked_dual(space, padded, tol, g))
+        if not _is_unimodular_at(space, padded, tol, space._gram_margin(g)):
+            raise DomainError("the padded tuple is not unimodular")
+        return (padded,)
     except DomainError as exc:
         raise DomainError(
             "padded tuple failed the unimodularity postcondition; this can only "
@@ -333,27 +341,27 @@ def hv_pad(
     """
     _require_positive_finite("eps", eps)
     _same_space(t, u, "tuples live over different spaces")
-    space, us = t.space, u._stacked()
-    _require_residual((space._stacked_pairing(us, us) - space.right_algebra_unit()).blocks, WITNESS_TOL,
-                      "padding tuple is not normalized: ||<u,u> - 1|| =")
-    bump = space._right_calculus(gram(t))(lambda w: _bump(w, eps))
+    space, us, x = t.space, u._stacked(), t._stacked()
+    _require_unit_pairing(space, us, us, "padding tuple is not normalized: ||<u,u> - 1|| =")
+    b0 = space._stacked_pairing(x, x)
+    bump = space._right_calculus(b0)(lambda w: _bump(w, eps))
     padding = [ub @ bb for ub, bb in zip(us, bump.blocks)]
-    return space._tuple_from_stacked(_pad_with_bump(space, t._stacked(), padding, tol)[0])
+    return space._tuple_from_stacked(_pad_with_bump(space, x, b0, padding, tol, dual=False)[0])
 
 
 def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
     """Move a tuple onto a nearby unimodular one, at distance below
     ``sqrt(eps) + eps``.
 
-    The route comes from one spectrum: one ``eigvalsh`` of the Gram sum ``b0``
-    of ``t`` gives its unimodularity margin and smallest eigenvalue.  Where that
-    eigenvalue is at least ``eps`` the bump ``b = (eps - b0)^+/eps`` is exactly
-    0, as it is wherever its clip comes out 0, so the padding, ``a`` and ``k - 1``
-    vanish and ``d = 1``: the closed form is ``t`` itself, decided by that margin.
+    The route comes from one spectrum: ``t`` is stacked once, and one ``eigvalsh`` of
+    its Gram sum ``b0`` gives its unimodularity margin and smallest eigenvalue.  Where
+    that eigenvalue is at least ``eps`` the bump ``b = (eps - b0)^+/eps`` is exactly 0,
+    as it is wherever its clip comes out 0, so the padding, ``a`` and ``k - 1`` vanish
+    and ``d = 1``: the closed form is ``t`` itself, decided by that margin; it moves 0.
 
     Otherwise, on the stacked tuple, one ``eigh`` of ``b0`` gives ``b = v f(w) v*``;
-    pad ``t`` with ``u b``, ``u`` the deterministic shortest unimodular tuple, whose
-    stacked cores are the identity over zero rows, so ``u`` is never built; collapse
+    pad ``t`` with ``u b``, ``u`` the deterministic shortest unimodular tuple, never built (its
+    stacked cores are the identity over zero rows), and continue ``b0`` to its Gram sum; collapse
     all ``r`` padding entries in one Bass reduction (Warfield's step, the ``r``-entry
     case of :func:`bass_reduce`), which returns the ``n x r`` coefficients ``a``; damp
     with ``d = 1 + k b``, ``k`` the smallest integer exceeding ``norm(a)/eps``, and
@@ -367,11 +375,11 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
     """
     space, eps = t.space, params.eps
     _refuse_below_stable_rank(space, len(t))
-    b0 = gram(t)
+    x = t._stacked()
+    b0 = space._stacked_pairing(x, x)
     margin, _, lows = space._gram_spectrum(b0)
     calculus = space._right_calculus(b0) if min(lows) < eps else None
     bump = calculus(lambda w: _bump(w, eps)) if calculus else None
-    x = t._stacked()
     if bump is None or not any(b.any() for b in bump.blocks):
         moved, stacked = t, x
     else:
@@ -380,7 +388,7 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
                 f"a nonzero bump needs the damping k = floor(||a||/eps) + 1, "
                 f"which may overflow at a subnormal eps={eps:g}"
             )
-        padded, dual, eta = _pad_with_bump(space, x, space._standard_padding(bump), params.tol)
+        padded, dual, eta = _pad_with_bump(space, x, b0, space._standard_padding(bump), params.tol, dual=True)
         coeffs, reduced = _collapse(space, padded, dual, eta, len(t), params.tol)
         k = math.floor(adjointable_norm(coeffs) / eps) + 1
         # d = 1 + k*b >= 1 shares the eigenvectors of b, so its inverse needs no inversion.
@@ -388,11 +396,11 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
         stacked = [rb @ db for rb, db in zip(reduced, damp_inv.blocks)]
         moved = space._tuple_from_stacked(stacked)
 
-    # The zero route decides t on the margin its route was read from.
+    # The zero route decides t on the margin its route was read from, and t moves 0.
     if not _is_unimodular_at(space, stacked, params.tol, margin if moved is t else None):
         raise DomainError("perturbed tuple failed the unimodularity postcondition")
     bound = math.sqrt(eps) + eps
-    distance = _gate_norm([xb - mb for xb, mb in zip(x, stacked)], bound)
+    distance = 0.0 if moved is t else _gate_norm([xb - mb for xb, mb in zip(x, stacked)], bound)
     if not distance < bound:
         raise DomainError(
             f"perturbed tuple moved {distance:.6g}, not below sqrt(eps)+eps = {bound:.6g}"

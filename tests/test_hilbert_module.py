@@ -355,8 +355,8 @@ LAPACK_CALLS = {
     "right_inverse": lambda space, b: space.right_inverse(b),
     "right_inverse_unchecked": lambda space, b: space.right_inverse(b, check=False),
     "right_inv_sqrt": lambda space, b: space.right_inv_sqrt(b),
-    "_right_calculus": lambda space, b: space._right_calculus(b)(np.abs),
-    "_gram_margin": lambda space, b: space._gram_margin(b),
+    "_right_calculus": lambda space, b: space._right_calculus(b.blocks)(np.abs),
+    "_gram_margin": lambda space, b: space._gram_margin(b.blocks),
 }
 
 
@@ -649,7 +649,7 @@ def test_corner_right_algebra_ops_match_kernel(base, size, p_ranks, q_ranks, sha
     assert_matches(corner.right_inverse(general), compress(general).inverse())
     assert_matches(corner.right_inverse(general, check=False), compress(general).inverse())
     assert_matches(corner.right_inv_sqrt(positive), compress(positive).inv_sqrt())
-    assert_matches(corner._right_calculus(indefinite)(clipped), compress(indefinite).positive_part())
+    assert_matches(corner._right_calculus(indefinite.blocks)(clipped), compress(indefinite).positive_part())
     for b in (general, positive, indefinite, singular):
         svals = [np.linalg.svd(c, compute_uv=False) for c in compress(b).blocks]
         expected = min(s[-1] for s in svals) / max(1.0, max(s[0] for s in svals))
@@ -693,8 +693,8 @@ def test_corner_right_algebra_ops_match_kernel(base, size, p_ranks, q_ranks, sha
     assert_matches(corner.right_inverse(general), matrix.right_inverse(compress(general)))
     assert_matches(corner.right_inv_sqrt(positive), matrix.right_inv_sqrt(compress(positive)))
     assert_matches(
-        corner._right_calculus(indefinite)(clipped),
-        matrix._right_calculus(compress(indefinite))(clipped),
+        corner._right_calculus(indefinite.blocks)(clipped),
+        matrix._right_calculus(compress(indefinite).blocks)(clipped),
     )
     for xc, xm in zip(standard, matrix.standard_unimodular_tuple(), strict=True):
         for i, (ub, vb) in enumerate(zip(u_bases, v_bases)):

@@ -247,6 +247,25 @@ def test_dual_witness_pairs_to_the_unit_and_bounds_the_gram_sum(case, extra, see
 
 
 @PROPERTY_SETTINGS
+@given(spaces, lengths, lengths, seeds, st.one_of(st.none(), st.integers(0, 7)))
+def test_a_padded_gram_sum_continues_the_gram_sum_of_its_head(case, n, r, seed, zero_at):
+    # hv_pad and hv_perturb start the padded Gram sum from b0, the Gram sum of t, and
+    # add only the padding's terms: pairing adds the entries to zeros in order, so that
+    # is the same sum, bit for bit.
+    space, _ = case
+    t = random_tuple(space, n + r, seed, zero_at)
+    x, padding = ModuleTuple(t.entries[:n])._stacked(), ModuleTuple(t.entries[n:])._stacked()
+    padded = [np.concatenate((xb, pb)) for xb, pb in zip(x, padding)]
+    g = space._stacked_pairing(padding, padding, space._stacked_pairing(x, x))
+    for i, (continued, whole) in enumerate(zip(g, space._stacked_pairing(padded, padded))):
+        summed = np.zeros_like(whole)
+        for entry in t.entries:
+            summed += entry.blocks[i].conj().T @ entry.blocks[i]
+        for bits in (continued, whole):
+            assert np.array_equal(bits.view(np.uint64), summed.view(np.uint64))
+
+
+@PROPERTY_SETTINGS
 @given(st.lists(st.integers(1, 4), min_size=1, max_size=3), seeds, st.integers(-3, 3))
 def test_cstar_identity_holds_in_every_algebra(base, seed, exponent):
     a = (10.0**exponent) * Algebra(tuple(base)).random_element(np.random.default_rng(seed))
@@ -628,7 +647,7 @@ def test_nonzero_scalars_keep_the_generation_margin(case, extra, seed, c):
 
 def gram_condition(t) -> float:
     """Condition number of the Gram sum of ``t`` on the range of the right unit."""
-    svals = [np.linalg.svd(b, compute_uv=False) for b in t.space._compress(gram(t)).blocks]
+    svals = [np.linalg.svd(b, compute_uv=False) for b in t.space._compress(gram(t).blocks)]
     return max(s[0] for s in svals) / min(s[-1] for s in svals)
 
 

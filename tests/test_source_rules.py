@@ -13,7 +13,8 @@ seeds through ``rng_from_seed`` or the one-pass mix, never a ``SeedSequence``
 of its own.  ``stable_rank`` reaches the compression hooks of a space only
 through its right-algebra helpers.  A tuple is stacked into one element of
 ``M^n`` in one place, ``ModuleTuple._stacked``, which its norm, ``stack`` and
-the generation oracle read.  A coefficient
+the generation oracle read; it joins blocks with ``concatenate``, as the padding
+does, and nothing names ``vstack``.  A coefficient
 array is assembled into its block matrices in one place, the
 ``ReductionCoefficients`` constructor.  A norm that is only compared with a
 bound may be a Frobenius norm, taken in one place, ``algebra._gate_norm``,
@@ -36,8 +37,9 @@ singular value over ``max(1, largest)``, is written once, in ``algebra._margin``
 for one element and for a stack of trials alike.  Only Gram sums, which are
 Hermitian, take their extremes from ``eigvalsh``, through one helper of the
 space; every other margin and every norm keeps the SVD.  ``hv_perturb`` forms
-its Gram sum once, for its route, its zero-route verdict and its bump, and
-inverts nothing: the damping's inverse comes from the bump's eigendecomposition.
+its Gram sum once, on its one stacked form, for its route, its zero-route
+verdict, its bump and the start of the padded Gram sum, and inverts nothing:
+the damping's inverse comes from the bump's eigendecomposition.
 """
 
 import ast
@@ -179,21 +181,19 @@ def test_only_rng_from_seed_and_the_pass_seed():
     assert not found, "SeedSequence named at " + ", ".join(found)
 
 
-#: The one place allowed to stack blocks, the stacked form of a tuple, and the one
-#: place allowed to join two stacked forms, the padded tuple.
-STACKING = {
-    "vstack": ("hilbert_module", "ModuleTuple._stacked"),
-    "concatenate": ("stable_rank", "_pad_with_bump"),
-}
+#: What stacks blocks, and the one place allowed to stack them, the stacked form of a
+#: tuple, and the one place allowed to join two stacked forms, the padded tuple.
+STACKING = {"vstack", "concatenate"}
+STACKING_SCOPES = {("hilbert_module", "ModuleTuple._stacked"), ("stable_rank", "_pad_with_bump")}
 
 
 def test_tuples_are_stacked_in_one_place():
-    uses = [(name, _allowed_scope(module, scope, {STACKING[name]}), f"{module}.py in {scope or '<module>'}")
-            for module, name, scope, _ in _uses(set(STACKING))]
-    stray = [f"{name} in {where}" for name, allowed, where in uses if allowed is None]
+    uses = list(_uses(STACKING))
+    stray, used = _confined([(module, scope, line) for module, _, scope, line in uses], STACKING_SCOPES)
     assert not stray, "stacking outside ModuleTuple._stacked and the padding: " + ", ".join(stray)
-    # The rule is not vacuous: each place does stack, once.
-    assert sorted((name, allowed) for name, allowed, _ in uses) == sorted(STACKING.items())
+    # The rule is not vacuous: each place does stack, once, and both join with concatenate.
+    assert used == STACKING_SCOPES and len(uses) == len(STACKING_SCOPES)
+    assert {name for _, name, _, _ in uses} == {"concatenate"}
 
 
 #: The one place allowed to assemble a block matrix: coefficient storage.
@@ -300,15 +300,16 @@ def test_hv_perturb_collapses_its_padding_in_one_step():
     assert not seeds, f"hv_perturb derives seeds at lines {seeds}"
 
 
-#: The output postconditions of ``stable_rank``: the reduced and the moved tuple.
-POSTCONDITIONS = {"_warfield", "hv_perturb"}
+#: The output postconditions of ``stable_rank``: the reduced tuple, ``hv_pad``'s padded
+#: tuple, decided where the padding is joined on, and the moved tuple.
+POSTCONDITIONS = {"_warfield", "_pad_with_bump", "hv_perturb"}
 
 #: The unimodularity decision: the public test, and its rule on a margin already taken.
 DECISIONS = {"is_unimodular", "_is_unimodular_at"}
 
 
 #: Where ``stable_rank`` decides an intermediate tuple by its stacked dual witness:
-#: the input of the Bass step, the witness's truncation and the padded tuple.
+#: the input of the Bass step, the witness's truncation and ``hv_perturb``'s padded tuple.
 INTERMEDIATE_DECISIONS = {"bass_reduce", "warfield_b_to_a", "_pad_with_bump"}
 
 
@@ -331,7 +332,7 @@ def test_reductions_decide_each_intermediate_tuple_once():
         if scope not in POSTCONDITIONS
     ]
     assert not stray, "unimodularity decided outside the output postconditions: " + ", ".join(stray)
-    # The rule is not vacuous: both postconditions do check.
+    # The rule is not vacuous: each postcondition does check.
     assert set(uses) == POSTCONDITIONS
     # Each intermediate tuple is decided by the one dual witness that proves it.
     duals = _scopes_naming("stable_rank", "_stacked_dual", calls_only=True)
@@ -504,6 +505,7 @@ GRAM_MARGIN_CALLERS = {
         ("hilbert_module", "_SpaceOps.random_gram_margins"),
         ("hilbert_module", "unimodularity_margin"),
         ("hilbert_module", "_is_unimodular_at"),
+        ("stable_rank", "_pad_with_bump"),
     },
 }
 
@@ -568,7 +570,9 @@ def test_stable_rank_builds_tuples_only_for_outputs():
 
 
 def test_hv_perturb_forms_the_gram_sum_once():
-    # One Gram sum gives the route, the zero route's verdict and the bump; a
-    # second gram(t) would decide the same fact again.
-    uses = _scopes_naming("stable_rank", "gram")
-    assert len(uses["hv_perturb"]) == 1, f"hv_perturb names gram at lines {uses['hv_perturb']}"
+    # One Gram sum, on the one stacked form, gives the route, the zero route's verdict,
+    # the bump and the start of the padded Gram sum; a second one, or a gram(t) that
+    # stacks t again, would decide the same fact again.
+    uses = _scopes_naming("stable_rank", "_stacked_pairing")
+    assert len(uses["hv_perturb"]) == 1, f"hv_perturb names _stacked_pairing at lines {uses['hv_perturb']}"
+    assert "hv_perturb" not in _scopes_naming("stable_rank", "gram")

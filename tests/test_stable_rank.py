@@ -546,11 +546,11 @@ def test_hv_pad_checks_the_padded_tuple(monkeypatch):
     t = ModuleTuple((space.zero(),))
     u = ModuleTuple((scalar(space, 1.0),))
 
-    def refuse(space, stacked, tol):
-        raise DomainError("refused")
+    def refuse(space, stacked, tol, margin=None):
+        return False
 
-    # The padded tuple's dual witness, on its stacked form, decides it.
-    monkeypatch.setattr(stable_rank, "_stacked_dual", refuse)
+    # The padded tuple is the output: is_unimodular's rule, on its margin, decides it.
+    monkeypatch.setattr(stable_rank, "_is_unimodular_at", refuse)
     with pytest.raises(DomainError, match="padded tuple failed"):
         hv_pad(t, u, 1.0)
 
@@ -609,16 +609,14 @@ def reference_hv_perturb(t, params):
             grams.append(np.zeros((shape[1], shape[1]), dtype=complex))
             for term in entries.conj().swapaxes(-1, -2) @ entries:
                 grams[-1] += term
-        return space._compress(space.right_algebra.element(grams)).blocks
+        return space._compress(grams)
 
     def split(stacked, k):
         return ([b[:k * rows] for b, (rows, _) in zip(stacked, space.block_shapes)],
                 [b[k * rows:] for b, (rows, _) in zip(stacked, space.block_shapes)])
 
-    compressed_unit = space._compress(space.right_algebra_unit())
-
     def expanded(blocks):  # blocks of the compressed right algebra, back in the right algebra
-        return space._expand(compressed_unit._new(blocks)).blocks
+        return space._expand(blocks)
 
     x = [np.vstack(column) for column in zip(*(e.blocks for e in t))]
     pairs = [np.linalg.eigh(hermitized(b)) for b in gram_of(x)]
@@ -630,7 +628,7 @@ def reference_hv_perturb(t, params):
     def bump(w):
         return np.clip(eps - w, 0.0, eps) / eps
 
-    compressed_bump = iter(space._compress(space.right_algebra.element(calculus(bump))).blocks)
+    compressed_bump = iter(space._compress(calculus(bump)))
     padding = space._stacked_from_cores(r, [np.eye(r * rs, s, dtype=complex) @ next(compressed_bump) if s
                                             else np.eye(r * rs, 0) for rs, s in space.compressed_shapes])
     padded = [np.concatenate((xb, pb)) for xb, pb in zip(x, padding)]
@@ -665,7 +663,7 @@ def public_hv_perturb(t, params):
     w = space._stacked_from_cores(n, [(u / (sv + z.norm())) @ vh for u, sv, vh in factors])
     coeffs = ReductionCoefficients._wrap(space, [wb @ yb.conj().T for wb, yb in zip(w, tail._stacked())])
     k = math.floor(adjointable_norm(coeffs) / eps) + 1
-    bump = space._right_calculus(gram(t))(lambda w: np.clip(eps - w, 0.0, eps) / eps)
+    bump = space._right_calculus(gram(t).blocks)(lambda w: np.clip(eps - w, 0.0, eps) / eps)
     damp_inv = space.right_inverse(space.right_algebra_unit() + k * bump, params.tol)
     return ModuleTuple(tuple(v * damp_inv for v in warfield_forward(padded, coeffs).entries))
 
@@ -831,7 +829,7 @@ def test_a_zero_bump_returns_the_input_itself(monkeypatch, kind):
     rng = np.random.default_rng(14)
     space = space_of_kind(kind, rng)
     t = random_unimodular(space, rng, space.predicted_stable_rank())
-    smallest = min(np.linalg.eigvalsh(b)[0] for b in space._compress(gram(t)).blocks)
+    smallest = min(np.linalg.eigvalsh(b)[0] for b in space._compress(gram(t).blocks))
     counts = spy_on(monkeypatch, ["_stacked_dual", "_collapse", "_is_unimodular_at"])
     assert hv_perturb(t, PerturbationParams(eps=smallest / 2)) is t
     assert counts == {"_stacked_dual": 0, "_collapse": 0, "_is_unimodular_at": 1}
@@ -852,38 +850,53 @@ def test_the_route_boundary_is_the_smallest_eigenvalue_at_eps():
 
 
 def count_lapack_and_gram(monkeypatch):
-    """Count, by routine, the calls of the LAPACK boundary in ``algebra`` and in
-    ``hilbert_module``, which imports it, and the calls of ``gram`` everywhere."""
+    """Count, by routine, what the LAPACK boundary runs in ``algebra`` and in
+    ``hilbert_module``, which imports it, a routine run later on the same blocks
+    (``then``) included; ``scans``, its calls, each of which scans its blocks for
+    non-finite entries once; ``gram_sums``, the stacked pairings; and ``gram``."""
     counts = {}
+
+    def count(name):
+        counts[name] = counts.get(name, 0) + 1
+
     for module in (algebra, hilbert_module):
-        def lapack(routine, blocks, _original=module._lapack, **options):
-            counts[routine] = counts.get(routine, 0) + 1
-            return _original(routine, blocks, **options)
+        def lapack(routine, blocks, then=None, _original=module._lapack, **options):
+            count("scans")
+            count(routine)
+            if then is None:
+                return _original(routine, blocks, **options)
+            found, later = _original(routine, blocks, then, **options)
+            return found, lambda: count(then) or later()
 
         monkeypatch.setattr(module, "_lapack", lapack)
-    for module in (hilbert_module, stable_rank):
-        def spy(t, _original=module.gram):
-            counts["gram"] = counts.get("gram", 0) + 1
-            return _original(t)
 
-        monkeypatch.setattr(module, "gram", spy)
+    def gram_sum(self, *args, _original=hilbert_module._SpaceOps._stacked_pairing):
+        count("gram_sums")
+        return _original(self, *args)
+
+    def spy(t, _original=hilbert_module.gram):
+        count("gram")
+        return _original(t)
+
+    monkeypatch.setattr(hilbert_module._SpaceOps, "_stacked_pairing", gram_sum)
+    monkeypatch.setattr(hilbert_module, "gram", spy)
     return counts
 
 
 @pytest.mark.parametrize("kind", ["matrix", "corner"])
 def test_each_route_makes_exactly_its_lapack_calls(monkeypatch, kind):
-    # The zero route forms one Gram sum and takes one eigvalsh, whose margin is
-    # the verdict's, bit for bit; the collapse route adds the bump's eigh, which
-    # also gives the damping's inverse, the padded dual, whose eigvalsh also gives
-    # eta, the polar completion, the coefficients' norm and the two decisions,
-    # each on a stacked form, so gram runs once; a tuple below the counting bound
-    # is refused before any of them.  bass_reduce: the input's dual, the polar
-    # completion and the reduced tuple's decision.
+    # The zero route forms one Gram sum, on the one stacked form of t, and takes one
+    # eigvalsh, whose margin is the verdict's, bit for bit; the collapse route adds the
+    # bump's eigh, which also gives the damping's inverse, the padded dual, whose
+    # eigvalsh also gives eta and scans the blocks it inverts, the polar completion,
+    # the coefficients' norm and the two decisions, each on a stacked form, so gram
+    # never runs; a tuple below the counting bound is refused before any of them.
+    # bass_reduce: the input's dual, the polar completion and the reduced tuple's decision.
     rng = np.random.default_rng(15)
     space = space_of_kind(kind, rng)
     n = space.predicted_stable_rank()
     t = random_unimodular(space, rng, n)
-    smallest = min(np.linalg.eigvalsh(b)[0] for b in space._compress(gram(t)).blocks)
+    smallest = min(np.linalg.eigvalsh(b)[0] for b in space._compress(gram(t).blocks))
     small = scaled_to_norm(random_tuple(space, rng, n), 0.05)
     short = random_tuple(space, rng, n - 1)
     longer = random_unimodular(space, rng, n + 1)
@@ -899,12 +912,12 @@ def test_each_route_makes_exactly_its_lapack_calls(monkeypatch, kind):
     counts = count_lapack_and_gram(monkeypatch)
 
     assert hv_perturb(t, PerturbationParams(eps=smallest / 2)) is t
-    assert counts == {"eigvalsh": 1, "gram": 1}
+    assert counts == {"gram_sums": 1, "eigvalsh": 1, "scans": 1}
     assert decided == [expected_margin]
 
     counts.clear()
     assert hv_perturb(small, PerturbationParams(eps=0.1)) is not small
-    assert counts == {"gram": 1, "eigh": 1, "eigvalsh": 4, "inv": 1, "svd": 2}
+    assert counts == {"gram_sums": 5, "eigh": 1, "eigvalsh": 4, "inv": 1, "svd": 2, "scans": 7}
 
     counts.clear()
     with pytest.raises(ReductionFailedError):
@@ -912,7 +925,56 @@ def test_each_route_makes_exactly_its_lapack_calls(monkeypatch, kind):
     assert counts == {}
 
     bass_reduce(longer, PerturbationParams(eps=0.1))
-    assert counts == {"eigvalsh": 2, "inv": 1, "svd": 1}
+    assert counts == {"gram_sums": 3, "eigvalsh": 2, "inv": 1, "svd": 1, "scans": 3}
+
+
+@pytest.mark.parametrize("kind", ["matrix", "corner"])
+def test_each_decision_makes_exactly_its_lapack_calls(monkeypatch, kind):
+    # Each decision scans its blocks once: the dual's inverse runs on the blocks its
+    # eigvalsh scanned, an inverse on those its margin's SVD scanned, and hv_pad
+    # decides its padded tuple from the margin alone, continuing the Gram sum of t.
+    rng = np.random.default_rng(16)
+    space = space_of_kind(kind, rng)
+    t = random_unimodular(space, rng, space.predicted_stable_rank())
+    u = space.standard_unimodular_tuple()
+    b = space.right_algebra_unit() + gram(t)
+    counts = count_lapack_and_gram(monkeypatch)
+    calls = [
+        (lambda: unimodularity_margin(t), {"gram_sums": 1, "eigvalsh": 1, "scans": 1}),
+        (lambda: generation_margin(t), {"svd": 1, "scans": 1}),
+        (lambda: dual_witness(t), {"gram_sums": 1, "eigvalsh": 1, "inv": 1, "scans": 1}),
+        (lambda: hv_pad(t, u, 0.5), {"gram_sums": 3, "eigh": 1, "eigvalsh": 1, "scans": 2}),
+        (lambda: space.right_inverse(b), {"svd": 1, "inv": 1, "scans": 1}),
+        (lambda: space.right_algebra_unit().inverse(), {"svd": 1, "inv": 1, "scans": 1}),
+    ]
+    for call, expected in calls:
+        counts.clear()
+        call()
+        assert counts == expected
+
+
+@pytest.mark.parametrize("kind", ["matrix", "corner"])
+def test_an_overflowing_gram_sum_never_reaches_lapack(capfd, kind):
+    # Finite entries near 1e155 give a Gram sum with non-finite entries.  Each decision
+    # scans the blocks it hands LAPACK once, and that scan refuses them: LAPACK would
+    # print its complaints to fd 1.  hv_perturb reads its route from that spectrum, so
+    # the eps of either route, and hv_pad's bump, are refused at the same scan.
+    rng = np.random.default_rng(17)
+    space = space_of_kind(kind, rng)
+    rest = [space.random_element(rng) for _ in range(space.predicted_stable_rank() - 1)]
+    t = ModuleTuple((1e155 * space.random_element(rng), *rest))
+    u = space.standard_unimodular_tuple()
+    calls = [
+        lambda: dual_witness(t),
+        lambda: hv_perturb(t, PerturbationParams(eps=1e-300)),
+        lambda: hv_perturb(t, PerturbationParams(eps=1e300)),
+        lambda: hv_pad(t, u, 0.5),
+    ]
+    for call in calls:
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError) as refused:
+            call()
+        assert str(refused.value) == algebra._NOT_FINITE
+    assert capfd.readouterr().out == ""
 
 
 # -- density experiments ----------------------------------------------------------------------
