@@ -16,18 +16,13 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InvertibilityError, ShapeMismatchError
 from .sampling import random_blocks
-
-#: Default relative threshold for invertibility: an element counts as
-#: invertible when its margin, the smallest singular value over all blocks
-#: divided by ``max(1, norm)``, exceeds ``tol``.
-DEFAULT_TOL = 1e-9
+from .scalars import DEFAULT_TOL, _require_positive_finite, _shape_int
 
 #: Relative tolerance for accepting an element as self-adjoint.
 SELF_ADJOINT_RTOL = 1e-10
@@ -133,13 +128,6 @@ def _hermitian_calculus(blocks):
     return lambda f: [_hermitized((v * f(w)) @ v.conj().T) for w, v in pairs]
 
 
-def _shape_int(value) -> int:
-    """A shape, count or seed as an ``int``; ``TypeError`` for ``bool`` and non-integers."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, not the boolean {value!r}")
-    return operator.index(value)
-
-
 def matrix_to_json(block) -> list:
     """Row-major nesting of ``[re, im]`` pairs, full double precision."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(block)]
@@ -211,15 +199,6 @@ class Algebra:
     @classmethod
     def from_json_dict(cls, data) -> "Algebra":
         return cls(tuple(data["blocks"]))
-
-
-def _require_positive_finite(name: str, value) -> None:
-    """The one rule for tolerances and ``eps``: ``0 < value < inf``, else ``ValueError``;
-    ``TypeError`` for ``bool``, which would pass as 1.0."""
-    if isinstance(value, (bool, np.bool_)):
-        raise TypeError(f"{name} must be a number, not the boolean {value!r}")
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _require_same_parent(a, b, message: str) -> None:

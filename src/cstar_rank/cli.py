@@ -15,39 +15,17 @@ cannot be read or an ``--out`` cannot be written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import asdict
-
-import numpy as np
 
 from ._version import __version__
-from .algebra import DEFAULT_TOL, Algebra, _require_positive_finite
 from .errors import CstarRankError, DomainError
-from .hilbert_module import (
-    ModuleSpace,
-    ModuleTuple,
-    _is_unimodular_at,
-    dual_witness,
-    normalize_tuple,
-    pairing,
-    tuple_from_json_list,
-    unimodularity_margin,
-)
-from .stable_rank import (
-    WITNESS_TOL,
-    PerturbationParams,
-    bass_reduce,
-    density_experiment,
-    hv_pad,
-    hv_perturb,
-    sr_formula,
-    warfield_forward,
-)
+from .scalars import DEFAULT_TOL, WITNESS_TOL, _require_positive_finite, sr_formula
 
 
 def _positive(convert, message):
@@ -76,82 +54,115 @@ def _load_json(path):
             raise ValueError("JSON nests too deeply to parse") from None
 
 
-def _load_tuple(path) -> ModuleTuple:
-    return tuple_from_json_list(_load_json(path))
+# Each command has a loader: it imports the modules the command runs and returns the
+# handler, which fills ``residuals`` and returns the result.  The loader runs before
+# ``run`` starts the clock, so a report's wall time holds no imports, and a command
+# loads only what it runs: ``sr-formula`` no numpy, ``check`` and ``dual`` no
+# ``stable_rank``, and only ``density`` ``numpy.random``.
+def _sr_formula():
+    return lambda args, residuals: sr_formula(args.sr_a, args.n, args.m)
 
 
-# Each handler runs one command: it fills ``residuals`` and returns the result.
-def _sr_formula(args, residuals):
-    return sr_formula(args.sr_a, args.n, args.m)
+def _check():
+    from .hilbert_module import _is_unimodular_at, tuple_from_json_list, unimodularity_margin
+
+    def check(args, residuals):
+        t = tuple_from_json_list(_load_json(args.input_path))
+        residuals["unimodularity_margin"] = margin = unimodularity_margin(t)
+        return {"unimodular": _is_unimodular_at(t.space, t._stacked(), args.tol, margin)}
+
+    return check
 
 
-def _check(args, residuals):
-    t = _load_tuple(args.input_path)
-    residuals["unimodularity_margin"] = margin = unimodularity_margin(t)
-    return {"unimodular": _is_unimodular_at(t.space, t._stacked(), args.tol, margin)}
+def _dual():
+    from .hilbert_module import dual_witness, pairing, tuple_from_json_list
+
+    def dual(args, residuals):
+        t = tuple_from_json_list(_load_json(args.input_path))
+        witness = dual_witness(t, args.tol)
+        unit = t.space.right_algebra_unit()
+        residual = (pairing(witness, t) - unit).norm()
+        if residual > WITNESS_TOL:
+            # Below rounding a singular Gram sum can pass tol; its "witness" does not pair to 1.
+            raise DomainError(
+                f"witness pairing residual {residual:.3g} exceeds {WITNESS_TOL:g}; "
+                f"tol={args.tol:g} is below the rounding level of this tuple"
+            )
+        residuals["pairing_residual"] = residual
+        return {"witness": witness.to_json_list()}
+
+    return dual
 
 
-def _dual(args, residuals):
-    t = _load_tuple(args.input_path)
-    witness = dual_witness(t, args.tol)
-    unit = t.space.right_algebra_unit()
-    residual = (pairing(witness, t) - unit).norm()
-    if residual > WITNESS_TOL:
-        # Below rounding a singular Gram sum can pass tol; its "witness" does not pair to 1.
-        raise DomainError(
-            f"witness pairing residual {residual:.3g} exceeds {WITNESS_TOL:g}; "
-            f"tol={args.tol:g} is below the rounding level of this tuple"
-        )
-    residuals["pairing_residual"] = residual
-    return {"witness": witness.to_json_list()}
+def _reduce():
+    from .hilbert_module import tuple_from_json_list, unimodularity_margin
+    from .stable_rank import PerturbationParams, bass_reduce, warfield_forward
+
+    def reduce(args, residuals):
+        t = tuple_from_json_list(_load_json(args.input_path))
+        # bass_reduce does not read eps; any valid value will do.
+        coeffs = bass_reduce(t, PerturbationParams(eps=1.0, tol=args.tol, seed=args.seed))
+        reduced = warfield_forward(t, coeffs)
+        residuals["reduced_margin"] = unimodularity_margin(reduced)
+        return {
+            "coefficients": coeffs.to_json_dict(),
+            "reduced": reduced.to_json_list(),
+            "reduced_unimodular": True,
+        }
+
+    return reduce
 
 
-def _params(args, eps) -> PerturbationParams:
-    return PerturbationParams(eps=eps, tol=args.tol, seed=args.seed)
+def _pad():
+    from .hilbert_module import normalize_tuple, tuple_from_json_list, unimodularity_margin
+    from .stable_rank import hv_pad
+
+    def pad(args, residuals):
+        data = _load_json(args.input_path)
+        if not isinstance(data, dict) or "tuple" not in data:
+            raise ValueError('pad expects {"tuple": [...], "pad_with": [...] | null}')
+        t = tuple_from_json_list(data["tuple"])
+        if data.get("pad_with") is not None:
+            u = normalize_tuple(tuple_from_json_list(data["pad_with"]), args.tol)
+        else:
+            # The standard tuple's Gram sum is already the unit.
+            u = t.space.standard_unimodular_tuple()
+        padded = hv_pad(t, u, args.eps, args.tol)
+        residuals["padded_margin"] = unimodularity_margin(padded)
+        return {"padded": padded.to_json_list(), "unimodular": True}
+
+    return pad
 
 
-def _reduce(args, residuals):
-    t = _load_tuple(args.input_path)
-    # bass_reduce does not read eps; any valid value will do.
-    coeffs = bass_reduce(t, _params(args, eps=1.0))
-    reduced = warfield_forward(t, coeffs)
-    residuals["reduced_margin"] = unimodularity_margin(reduced)
-    return {
-        "coefficients": coeffs.to_json_dict(),
-        "reduced": reduced.to_json_list(),
-        "reduced_unimodular": True,
-    }
+def _perturb():
+    from .hilbert_module import tuple_from_json_list, unimodularity_margin
+    from .stable_rank import PerturbationParams, hv_perturb
+
+    def perturb(args, residuals):
+        t = tuple_from_json_list(_load_json(args.input_path))
+        moved = hv_perturb(t, PerturbationParams(eps=args.eps, tol=args.tol, seed=args.seed))
+        residuals["perturbed_margin"] = unimodularity_margin(moved)
+        return {
+            "perturbed": moved.to_json_list(),
+            "distance": (t - moved).norm(),
+            "distance_bound": math.sqrt(args.eps) + args.eps,
+        }
+
+    return perturb
 
 
-def _pad(args, residuals):
-    data = _load_json(args.input_path)
-    if not isinstance(data, dict) or "tuple" not in data:
-        raise ValueError('pad expects {"tuple": [...], "pad_with": [...] | null}')
-    t = tuple_from_json_list(data["tuple"])
-    if data.get("pad_with") is not None:
-        u = normalize_tuple(tuple_from_json_list(data["pad_with"]), args.tol)
-    else:
-        # The standard tuple's Gram sum is already the unit.
-        u = t.space.standard_unimodular_tuple()
-    padded = hv_pad(t, u, args.eps, args.tol)
-    residuals["padded_margin"] = unimodularity_margin(padded)
-    return {"padded": padded.to_json_list(), "unimodular": True}
+def _density():
+    import numpy.random  # noqa: F401  (the draws' module, loaded here rather than on the clock)
 
+    from .algebra import Algebra
+    from .hilbert_module import ModuleSpace
+    from .stable_rank import density_experiment
 
-def _perturb(args, residuals):
-    t = _load_tuple(args.input_path)
-    moved = hv_perturb(t, _params(args, args.eps))
-    residuals["perturbed_margin"] = unimodularity_margin(moved)
-    return {
-        "perturbed": moved.to_json_list(),
-        "distance": (t - moved).norm(),
-        "distance_bound": math.sqrt(args.eps) + args.eps,
-    }
+    def density(args, residuals):
+        space = ModuleSpace(Algebra(tuple(args.blocks)), args.rows, args.cols)
+        return density_experiment(space, args.k, args.trials, args.seed, args.tol).to_json_dict()
 
-
-def _density(args, residuals):
-    space = ModuleSpace(Algebra(tuple(args.blocks)), args.rows, args.cols)
-    return density_experiment(space, args.k, args.trials, args.seed, args.tol).to_json_dict()
+    return density
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,32 +201,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sr-a", type=_positive_int, required=True, help="stable rank of the base algebra")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--m", type=_positive_int, required=True)
-    p.set_defaults(handler=_sr_formula)
+    p.set_defaults(load=_sr_formula)
 
     p = sub.add_parser("check", parents=[common], help="test a tuple for unimodularity")
     p.add_argument("--input", dest="input_path", required=True, help="JSON file with a module tuple")
-    p.set_defaults(handler=_check)
+    p.set_defaults(load=_check)
 
     p = sub.add_parser("dual", parents=[common], help="dual witness of a unimodular tuple")
     p.add_argument("--input", dest="input_path", required=True)
-    p.set_defaults(handler=_dual)
+    p.set_defaults(load=_dual)
 
     p = sub.add_parser("reduce", parents=[common], help="collapse the last entry of a unimodular tuple")
     p.add_argument("--input", dest="input_path", required=True)
     p.add_argument("--seed", type=int)
-    p.set_defaults(handler=_reduce)
+    p.set_defaults(load=_reduce)
 
     p = sub.add_parser("pad", parents=[common], help="append the spectral bump that forces unimodularity")
     p.add_argument("--input", dest="input_path", required=True,
                    help='JSON file {"tuple": [...], "pad_with": [...]}; pad_with optional')
     p.add_argument("--eps", type=_positive_float, required=True)
-    p.set_defaults(handler=_pad)
+    p.set_defaults(load=_pad)
 
     p = sub.add_parser("perturb", parents=[common], help="move a tuple onto a nearby unimodular one")
     p.add_argument("--input", dest="input_path", required=True)
     p.add_argument("--eps", type=_positive_float, required=True)
     p.add_argument("--seed", type=int)
-    p.set_defaults(handler=_perturb)
+    p.set_defaults(load=_perturb)
 
     p = sub.add_parser("density", parents=[common], help="Monte-Carlo unimodularity density estimate")
     p.add_argument("--blocks", type=_positive_int, nargs="+", required=True, help="base algebra block sizes")
@@ -224,15 +235,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int, required=True, help="tuple length")
     p.add_argument("--trials", type=_positive_int, required=True)
     p.add_argument("--seed", type=int)
-    p.set_defaults(handler=_density)
+    p.set_defaults(load=_density)
 
     # The battery pins its own tolerances and seeds, so it takes only --out and --no-timestamp.
     sub.add_parser("verify-suite", parents=[output], help="run the full acceptance battery")
     return parser
 
 
-def run(args) -> dict:
-    """Run one command and assemble its report (library errors propagate)."""
+def run(args, handler) -> dict:
+    """Run one command's loaded ``handler`` and assemble its report (library errors propagate)."""
     started = time.perf_counter()
     report = {
         "command": args.command,
@@ -241,9 +252,11 @@ def run(args) -> dict:
         "seed": args.seed,
         "residuals": {},
     }
-    # Overflow surfaces as a DomainError from the margin, not as a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        report["result"] = args.handler(args, report["residuals"])
+    # Overflow surfaces as a DomainError from the margin, not as a warning.  A command
+    # that computes in numpy has loaded it; sr-formula has not, and needs no errstate.
+    np = sys.modules.get("numpy")
+    with np.errstate(over="ignore", invalid="ignore") if np else contextlib.nullcontext():
+        report["result"] = handler(args, report["residuals"])
     elapsed = time.perf_counter() - started
     if not args.no_timestamp:
         report["timestamp"] = (
@@ -263,6 +276,8 @@ def _emit(report: dict, out_path) -> None:
 
 
 def _run_verify_suite(args) -> int:
+    from dataclasses import asdict
+
     from .acceptance import run_all
 
     results = run_all()
@@ -281,8 +296,9 @@ def _run_verify_suite(args) -> int:
 
 
 def _run_command(args) -> int:
+    handler = args.load()
     try:
-        report = run(args)
+        report = run(args, handler)
     except json.JSONDecodeError as exc:
         print(
             f"error: malformed JSON: line {exc.lineno} column {exc.colno}: {exc.msg}",

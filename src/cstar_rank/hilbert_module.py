@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    DEFAULT_TOL,
     Algebra,
     AlgebraElement,
     _Blocks,
@@ -43,9 +42,7 @@ from .algebra import (
     _hermitized,
     _lapack,
     _margin,
-    _require_positive_finite,
     _require_same_parent,
-    _shape_int,
     matrix_from_json,
     matrix_to_json,
 )
@@ -56,6 +53,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .sampling import gaussian_blocks, random_blocks
+from .scalars import DEFAULT_TOL, _require_positive_finite, _shape_int
 
 #: Absolute tolerance for accepting ``p`` as a projection (p = p* = p^2).
 PROJECTION_TOL = 1e-10

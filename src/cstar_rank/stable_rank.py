@@ -1,8 +1,9 @@
 """Constructive stable-rank machinery for matrix Hilbert modules.
 
 The pieces fit together as follows.  The ceiling formula
-``ceil((sr_A + m - 1) / n)`` predicts the stable rank of the ``n x m`` matrix
-module.  :func:`warfield_b_to_a` turns a dual witness of an ``(n+1)``-tuple
+``ceil((sr_A + m - 1) / n)``, :func:`sr_formula`, which lives with the numpy-free
+scalar rules, predicts the stable rank of the ``n x m`` matrix module.
+:func:`warfield_b_to_a` turns a dual witness of an ``(n+1)``-tuple
 into reduction coefficients that collapse the last entry onto the first
 ``n``, stored as one block matrix per left-algebra block.
 :func:`bass_reduce` manufactures such a witness in closed form, the polar
@@ -36,8 +37,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._version import __version__
-from .algebra import (DEFAULT_TOL, AlgebraElement, _Blocks, _gate_norm,
-                      _require_positive_finite, _shape_int, _shifted_polar)
+from .algebra import AlgebraElement, _Blocks, _gate_norm, _shifted_polar
 from .errors import (
     DomainError,
     ReductionFailedError,
@@ -51,21 +51,12 @@ from .hilbert_module import (
     space_from_json_dict,
 )
 from .sampling import draw_size, trial_draws
-
-#: Absolute residual accepted for the witness identities ``sum <y, x> = 1``.
-WITNESS_TOL = 1e-8
+# sr_formula is defined with the numpy-free scalar rules and re-exported here.
+from .scalars import (DEFAULT_TOL, WITNESS_TOL, _require_positive_finite, _shape_int,  # noqa: F401
+                      sr_formula)
 
 #: Absolute residual accepted for the telescoping identity of the reduction.
 TELESCOPE_TOL = 1e-7
-
-
-def sr_formula(sr_a: int, n: int, m: int) -> int:
-    """Stable rank of the ``n x m`` matrix module over a base of stable rank
-    ``sr_a``: the ceiling of ``(sr_a + m - 1) / n``, an ``int``."""
-    sr_a, n, m = _shape_int(sr_a), _shape_int(n), _shape_int(m)
-    if sr_a < 1 or n < 1 or m < 1:
-        raise ValueError("sr_formula needs positive arguments")
-    return -(-(sr_a + m - 1) // n)
 
 
 @dataclass(frozen=True)

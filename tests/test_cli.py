@@ -10,6 +10,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from cstar_rank import (
     Algebra,
@@ -573,6 +575,113 @@ def test_an_overflowing_bump_leaves_lapack_silent(tmp_path, capfd, command, t):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def _corner_of_m3():
+    alg = Algebra((1,))
+    p, q = (alg.matrix_algebra(3).element([np.diag(d)]) for d in ([1.0, 1.0, 0.0], [1.0, 0.0, 0.0]))
+    return corner_space(alg, 3, p, q)
+
+
+#: The spaces the fuzz draws its valid inputs from: M_{1x2}(C), M_{1x2}(C+M_2),
+#: M_{2x3}(M_2) and a corner of M_3(C).
+FUZZ_SPACES = (ModuleSpace(Algebra((1,)), 1, 2), ModuleSpace(Algebra((1, 2)), 1, 2),
+               ModuleSpace(Algebra((2,)), 2, 3), _corner_of_m3())
+
+#: What a mutation may put in place of a JSON node; the integers stay small, so
+#: that no declared shape allocates much.
+FUZZ_MENU = (0, 1, -1, 0.5, 1e150, -1e150, 1e-150, 1e308, 1e-320, True, False, None, "x",
+             [], {}, [[1, 2]], [[[0.5, 0.0]]])
+
+
+@st.composite
+def fuzz_cases(draw):
+    """``(argv, document)``: a command of the CLI and a valid input of it."""
+    space = draw(st.sampled_from(FUZZ_SPACES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+
+    def entries():
+        return ModuleTuple(tuple(space.random_element(rng) for _ in range(draw(st.integers(1, 3))))).to_json_list()
+
+    command = draw(st.sampled_from(["check", "dual", "reduce", "perturb", "pad"]))
+    eps = ["--eps", draw(st.sampled_from(["0.1", "0.5", "1e-300"]))] if command in ("perturb", "pad") else []
+    if command == "pad":
+        document = {"tuple": entries(), "pad_with": entries() if draw(st.booleans()) else None}
+    else:
+        document = entries()
+    return [command, *eps], document
+
+
+#: A mutation: replace a node by an item of ``FUZZ_MENU``, drop a list item, or
+#: scale a number; the integer picks the node, modulo the number of candidates.
+fuzz_mutations = st.lists(
+    st.tuples(
+        st.one_of(st.tuples(st.just("replace"), st.sampled_from(FUZZ_MENU)),
+                  st.tuples(st.just("drop"), st.none()),
+                  st.tuples(st.just("scale"), st.sampled_from([1e150, 1e-150]))),
+        st.integers(0, 10**6),
+    ),
+    min_size=1, max_size=3,
+)
+
+
+def _json_nodes(document):
+    """``(container, key)`` of every node below the root of a JSON document."""
+    found = []
+
+    def walk(node):
+        items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        for key, child in list(items):
+            found.append((node, key))
+            walk(child)
+
+    walk(document)
+    return found
+
+
+def _mutate(document, kind, value, pick):
+    nodes = _json_nodes(document)
+    if kind == "drop":
+        nodes = [(c, k) for c, k in nodes if isinstance(c, list)]
+    elif kind == "scale":
+        nodes = [(c, k) for c, k in nodes if type(c[k]) in (int, float)]
+    if nodes:
+        container, key = nodes[pick % len(nodes)]
+        if kind == "drop":
+            del container[key]
+        elif kind == "scale":
+            container[key] *= value
+        else:
+            container[key] = json.loads(json.dumps(value))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=fuzz_cases(), mutations=fuzz_mutations)
+# The two inputs whose overflow once reached LAPACK, which printed DLASCL text on stdout.
+@example(case=(["perturb", "--eps", "1e-300"],
+               overflowing_tuple((1, 2), 1, 2, 3, {(0, 1, 1, 0): 1e150}).to_json_list()), mutations=[])
+@example(case=(["check"], overflowing_tuple((2,), 2, 3, 2, {(0, 0, 2, 3): 1e308j, (1, 0, 3, 0): 1e308}).to_json_list()),
+         mutations=[])
+def test_every_input_ends_in_one_report_or_one_error_line(tmp_path, capfd, case, mutations):
+    # Input defects were found one at a time (booleans, over-deep JSON, a huge
+    # declared shape, LAPACK's text on stdout); every mutated input of every
+    # --input command must end in one JSON report or one error line.
+    argv, document = case
+    document = json.loads(json.dumps(document))
+    for (kind, value), pick in mutations:
+        _mutate(document, kind, value, pick)
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(document))
+    capfd.readouterr()
+    code = main([*argv, "--input", str(path), "--no-timestamp"])
+    out, err = capfd.readouterr()
+    assert code in (0, 1, 2)
+    if code == 0:
+        json.loads(out)
+        assert err == ""
+    else:
+        assert out == ""
+        assert err.startswith("error:") and err.endswith("\n") and err.count("\n") == 1
+
+
 def test_failed_postcondition_is_a_domain_error(tmp_path, capsys, monkeypatch):
     # A negative sqrt puts the distance bound below every distance.
     monkeypatch.setattr(stable_rank, "math", SimpleNamespace(floor=math.floor, sqrt=lambda x: -1.0))
@@ -761,6 +870,60 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     result = run_python(["-c", code], capture_output=True, check=True)
     by_numpy, after_cli = result.stdout.split()
     assert after_cli == by_numpy
+
+
+#: The modules whose loading a command pays: numpy, its draws and the numeric layers.
+NUMERIC_MODULES = ("numpy", "numpy.random", "cstar_rank.algebra", "cstar_rank.hilbert_module",
+                   "cstar_rank.stable_rank")
+
+
+def numeric_modules_after(code):
+    """The ``NUMERIC_MODULES`` that a fresh interpreter holds after running ``code``."""
+    report = f"import sys; print(*[m for m in {NUMERIC_MODULES!r} if m in sys.modules])"
+    result = run_python(["-c", f"{code}\n{report}"], capture_output=True, check=True)
+    return set(result.stdout.splitlines()[-1].split())
+
+
+@pytest.fixture(scope="module")
+def drawn_by_numpy():
+    """``{"numpy.random"}`` if importing numpy loads it (numpy before 2.0), else nothing."""
+    return numeric_modules_after("import numpy") & {"numpy.random"}
+
+
+def test_importing_the_package_loads_no_numpy():
+    # The package binds its public names on the first read of one, so the
+    # command line, imported through the package, parses its options without numpy.
+    assert numeric_modules_after("import cstar_rank, cstar_rank.cli") == set()
+
+
+def test_sr_formula_loads_no_numpy(tmp_path):
+    # The closed form is integer arithmetic; numpy took about 100 ms of each run.
+    argv = ["sr-formula", "--sr-a", "2", "--n", "3", "--m", "5", "--out", str(tmp_path / "r.json")]
+    code = f"from cstar_rank.cli import main\nassert main({argv!r}) == 0"
+    assert numeric_modules_after(code) == set()
+    assert json.loads((tmp_path / "r.json").read_text())["result"] == 2
+
+
+@pytest.mark.parametrize("command, unimodular, exit_code",
+                         [("check", False, 0), ("dual", True, 0), ("dual", False, 1)],
+                         ids=["check", "dual", "dual-fails"])
+def test_check_and_dual_load_no_reduction_and_no_draws(tmp_path, drawn_by_numpy, command, unimodular, exit_code):
+    # The verdict and the witness need the module layer, not stable_rank or numpy.random.
+    space = ModuleSpace(Algebra((1,)), 1, 2)
+    t = unimodular_pair(space) if unimodular else ModuleTuple((space.zero(),))
+    path = write_tuple(tmp_path / "t.json", t)
+    argv = [command, "--input", path, "--out", str(tmp_path / "r.json")]
+    code = f"from cstar_rank.cli import main\nassert main({argv!r}) == {exit_code}"
+    loaded = numeric_modules_after(code)
+    assert loaded == {"numpy", "cstar_rank.algebra", "cstar_rank.hilbert_module"} | drawn_by_numpy
+
+
+def test_reading_a_public_name_loads_the_library(drawn_by_numpy):
+    # A tracer that wraps the layers after reading cstar_rank.DEFAULT_TOL, as the
+    # benchmark's does, must find all three already loaded.
+    loaded = numeric_modules_after("import cstar_rank\ncstar_rank.DEFAULT_TOL")
+    assert loaded == {"numpy", "cstar_rank.algebra", "cstar_rank.hilbert_module",
+                      "cstar_rank.stable_rank"} | drawn_by_numpy
 
 
 def run_cli_into_a_closed_pipe(argv):

@@ -29,7 +29,8 @@ reductions are deterministic: ``stable_rank`` draws nothing.  The public
 package only ``space.element`` and the JSON loader call it.  Each rule has one
 home: a residual judged only by its bound is refused by ``_require_residual``,
 each pipeline call refuses below the counting bound once, and the CLI takes the
-positive-number rule from ``algebra``.  Algebra elements, module elements
+positive-number rule from ``scalars``.  The CLI and ``scalars`` load neither numpy
+nor a numeric module when they are imported: each command loads what it runs.  Algebra elements, module elements
 and coefficient arrays are kinds of one container, ``algebra._Blocks``, which
 alone freezes blocks and defines the operand rule.  The acceptance seeds count
 runs; none comes from CPython's tuple hash.  The margin rule, the smallest
@@ -448,9 +449,45 @@ def test_acceptance_seeds_do_not_hash():
 
 
 def test_the_cli_leaves_the_positive_number_rule_to_the_library():
-    # cli._positive applies algebra._require_positive_finite, not its own copy.
+    # cli._positive applies scalars._require_positive_finite, not its own copy.
     found = [(name, line) for module, name, _, line in _uses({"math.inf", "math.nan"}) if module == "cli"]
     assert not found, f"cli names {found}"
+
+
+#: What loads numpy: numpy itself and the modules of the package that import it.
+NUMERIC = {"numpy", "algebra", "hilbert_module", "stable_rank", "sampling", "acceptance"}
+
+#: The modules imported before a command is chosen, which must not load numpy.
+NUMPY_FREE = ("cli", "scalars")
+
+
+def _imports(module):
+    """``(dotted name, line, in a function)`` of every import in ``module``; ``from m
+    import x`` gives ``m.x``, since ``x`` may be a submodule."""
+    found = []
+
+    def visit(node, deferred):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.extend((alias.name, child.lineno, deferred) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                found.extend((f"{child.module or ''}.{alias.name}".lstrip("."), child.lineno, deferred)
+                             for alias in child.names)
+            visit(child, deferred or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+    visit(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8")), False)
+    return found
+
+
+def test_the_cli_and_the_scalar_rules_import_no_numpy_at_module_level():
+    # sr-formula, --help and --version need no numpy, which took half of each
+    # cold run; the CLI's loaders import a command's modules when it is chosen.
+    stray = [f"{module}.py:{line} imports {name}" for module in NUMPY_FREE
+             for name, line, deferred in _imports(module) if not deferred and NUMERIC & set(name.split("."))]
+    assert not stray, "numpy loaded on import: " + ", ".join(stray)
+    # The rule is not vacuous: the CLI's loaders do import the numeric modules.
+    assert NUMERIC - {"sampling", "acceptance"} <= {
+        part for name, _, deferred in _imports("cli") if deferred for part in name.split(".")}
 
 
 class _CallsWithOne(_NamedCalls):
