@@ -115,20 +115,40 @@ class _SpaceOps:
     def random_gram_margins(self, draws, k: int) -> np.ndarray:
         """:func:`unimodularity_margin` of one random ``k``-tuple per row of ``draws``.
 
-        Row ``t`` holds the standard normals that ``k`` calls of
-        :meth:`random_element` take from one generator.  The Gram sums of all
-        rows are summed in :func:`pairing`'s order, entry by entry and block
-        by block; then :meth:`_gram_margin` takes the margins of all tuples
-        in one call, one stacked ``eigvalsh`` per block, so each margin is
-        bit for bit the one of the tuple itself.
+        Row ``t`` holds the standard normals that ``k`` calls of :meth:`random_element` take from one
+        generator.  Their Gram sums are summed in :func:`pairing`'s order, entry by entry and block by
+        block; :meth:`_gram_margin` takes all margins in one call, one stacked ``eigvalsh`` per block, bit
+        for bit those of the tuples themselves.  :meth:`_unimodular_count` falls back to this rule.
         """
+        return self._gram_margin(self._random_grams(draws, k))
+
+    def _random_grams(self, draws, k: int) -> list:
         trials = len(draws)
         grams = [np.zeros((trials, s, s), dtype=np.complex128) for _, s in self.block_shapes]
         for entry in draws.reshape(trials, k, -1).swapaxes(0, 1):
             for i, drawn in enumerate(gaussian_blocks(entry, self.block_shapes)):
                 x = self._project(i, drawn)
                 grams[i] += x.conj().swapaxes(-1, -2) @ x
-        return self._gram_margin(grams)
+        return grams
+
+    def _unimodular_count(self, draws, k: int, tol: float) -> int:
+        """``count_nonzero(random_gram_margins(draws, k) > tol)``: as ``lambda_max <= tr G``, all
+        trials pass if ``G - (tol (1 + T) + 64 s u T) 1``, ``T`` a trial's largest trace, factors in
+        each compressed block; if a trial fails, or below the counting bound, ``eigvalsh`` decides."""
+        grams = self._random_grams(draws, k)
+        if not self.rank_obstruction(k):
+            blocks = self._compress(grams)
+            traces = np.max([b.diagonal(0, -2, -1).real.sum(-1) for b in blocks], axis=0)
+            # u = 2**-53: a factored G - c 1 has lambda_min(G) > c - 8 s u T (Higham, Accuracy and Stability,
+            # Thm 10.3: |dA| <= gamma_{s+1} |R*||R|, of norm <= 4 (s+1) u tr(R*R) for complex data); eigvalsh
+            # errs by p(s) u ||G|| at each end (LAPACK Users' Guide 4.7); 64 s u T covers both for p(s) <= 25 s.
+            shift = (tol + (tol + 64 * max(b.shape[-1] for b in blocks) * 2.0 ** -53) * traces)[:, None, None]
+            try:
+                _lapack("cholesky", [b - shift * np.eye(b.shape[-1]) for b in blocks])
+                return len(draws)
+            except DomainError:  # not positive definite, or a shift that overflowed
+                pass
+        return int(np.count_nonzero(self._gram_margin(grams) > tol))
 
     def _gram_margin(self, g):
         """The margin rule on the compressed image of a Gram sum's blocks ``g``, or of stacks of them."""

@@ -314,8 +314,8 @@ def _pad_with_bump(space, x, b0, padding, tol: float, dual: bool):
         return (padded,)
     except DomainError as exc:
         raise DomainError(
-            "padded tuple failed the unimodularity postcondition; this can only "
-            "happen for inputs far outside the working tolerance"
+            "padded tuple failed the unimodularity postcondition: the margin is relative, and padding lifts "
+            "eigenvalues below eps only to 1 + eps at most, so Gram sums above about (1 + eps)/tol fail"
         ) from exc
 
 
@@ -441,11 +441,11 @@ def density_experiment(
     the report is reproducible and independent of evaluation order.  The
     trials are batched: below 5 trials each trial's draws are
     ``rng_from_seed``'s, and from 5 on one pass seeds all trials.  Each trial
-    takes its ``k`` elements' draws in one call, and the Gram sums and margins
-    of all trials are computed together, one block at a time.  Every margin is
-    bit for bit the one of the tuple that ``k`` calls of ``space.random_element``
-    on the trial's generator give, so reports are byte-identical to a
-    trial-by-trial loop.
+    takes its ``k`` elements' draws in one call.  ``space._unimodular_count`` forms
+    the Gram sums of all trials one block at a time and decides them by one Cholesky
+    bracket per block, or else by every margin from ``eigvalsh``, bit for bit that of
+    the tuple ``k`` calls of ``space.random_element`` on the trial's generator give;
+    so reports are byte-identical to a trial-by-trial loop.
     """
     k, trials, seed = _shape_int(k), _shape_int(trials), _shape_int(seed)
     if k < 1:
@@ -454,7 +454,7 @@ def density_experiment(
         raise ValueError("trials must be at least 1")
     _require_positive_finite("tol", tol)
     draws = trial_draws(seed, trials, k * draw_size(space.block_shapes))
-    hits = int(np.count_nonzero(space.random_gram_margins(draws, k) > tol))
+    hits = space._unimodular_count(draws, k, tol)
     obstructed = space.rank_obstruction(k)
     if obstructed and hits:
         raise DomainError(

@@ -345,6 +345,20 @@ def test_inv_sqrt_rejects_non_self_adjoint():
         a.inv_sqrt()
 
 
+def with_anti_hermitian_part(relative):
+    """``diag(2, 1)`` plus an anti-Hermitian part of norm ``relative`` times its own: the
+    self-adjointness residual ``||a - a*||`` is then about ``2 relative ||a||``."""
+    return Algebra((2,)).element([np.diag([2.0, 1.0]) + 2.0 * relative * np.array([[0, 1], [-1, 0]])])
+
+
+@pytest.mark.parametrize("call", ["positive_part", "inv_sqrt"])
+def test_self_adjointness_is_judged_at_1e_10_relative(call):
+    # SELF_ADJOINT_RTOL = 1e-10: a residual of 2e-6 relative is refused, one of 2e-12 is not.
+    with pytest.raises(DomainError, match=f"{call} needs a self-adjoint element"):
+        getattr(with_anti_hermitian_part(1e-6), call)()
+    assert getattr(with_anti_hermitian_part(1e-12), call)().is_self_adjoint()
+
+
 @pytest.mark.parametrize("other", [3, np.eye(2)])
 @pytest.mark.parametrize("combine", [lambda a, b: a + b, lambda a, b: a - b])
 def test_elements_combine_only_with_elements(combine, other):

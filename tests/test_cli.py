@@ -695,6 +695,15 @@ def test_failed_postcondition_is_a_domain_error(tmp_path, capsys, monkeypatch):
     assert "not below sqrt(eps)+eps" in err
 
 
+def test_a_large_repeated_tuple_fails_the_padded_gate_with_exit_1(tmp_path, capsys):
+    # (x, x) scaled by 1e4: the padded tuple generates, but its relative margin is about 1/||b0||.
+    x = 1e4 * ModuleSpace(Algebra((1, 2)), 2, 3).random_element(np.random.default_rng(0))
+    path = write_tuple(tmp_path / "x.json", ModuleTuple((x, x)))
+    code, out, err = run_cli(capsys, ["perturb", "--input", path, "--eps", "0.5", "--no-timestamp"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: padded tuple failed the unimodularity postcondition: the margin is relative")
+
+
 def test_memory_exhaustion_exits_1_with_an_error_line(capsys, monkeypatch):
     # numpy raises a MemoryError subclass when a draw buffer is too big to allocate.
     def exhausted(seed, trials, size):

@@ -746,3 +746,26 @@ def test_batched_trial_margins_equal_the_per_trial_loop(case, k, trials, seed):
         assert not reference.any()
     report = density_experiment(space, k, trials, seed)
     assert report.unimodular_fraction == np.count_nonzero(reference > DEFAULT_TOL) / trials
+
+
+@PROPERTY_SETTINGS
+@given(spaces, lengths, st.integers(1, 20), seeds, st.sampled_from([1e-25, 1e-12, 1e-9, 1e-3]),
+       st.one_of(st.just(1.0), st.floats(1e-4, 1e2)))
+@example(ZERO_ROW_CORNER, 2, 5, 0, 1e-25, 1.0)
+@example(DEAD_COLUMN_CORNER, 3, 6, 1, 1e-25, 1.0)
+@example(PAIR_SPACE, 1, 8, 2, 1e-25, 1.0)
+@example(PAIR_SPACE, 2, 20, 3, 1e-3, 1.0)
+# Margins about 1e-6 at tol 1e-3: the bracket must refuse the cell on tol, not on rounding.
+@example(PAIR_SPACE, 2, 20, 4, 1e-3, 1e-3)
+def test_the_cholesky_bracket_counts_as_the_margins(case, k, trials, seed, tol, scale):
+    # Below the counting bound the margins decide; above it the bracket decides each cell
+    # it clears, and a trial it cannot clear sends the cell to the margins.  Scaled draws
+    # move the margins of a cell across tol.  The trials kept lie outside [tol/10, 10 tol],
+    # where no verdict depends on the bracket's slack.
+    space, _ = case
+    draws = scale * trial_draws(seed, trials, k * draw_size(space.block_shapes))
+    margins = space.random_gram_margins(draws, k)
+    kept = draws[(margins < tol / 10) | (margins > 10 * tol)]
+    assume(len(kept))
+    reference = space.random_gram_margins(kept, k)
+    assert space._unimodular_count(kept, k, tol) == np.count_nonzero(reference > tol)

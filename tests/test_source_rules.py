@@ -37,7 +37,9 @@ runs; none comes from CPython's tuple hash.  The margin rule, the smallest
 singular value over ``max(1, largest)``, is written once, in ``algebra._margin``,
 for one element and for a stack of trials alike.  Only Gram sums, which are
 Hermitian, take their extremes from ``eigvalsh``, through one helper of the
-space; every other margin and every norm keeps the SVD.  ``hv_perturb`` forms
+space; every other margin and every norm keeps the SVD.  A density report counts
+its unimodular trials through one helper of the space, which alone hands
+``cholesky`` to LAPACK and falls back to the Gram margins.  ``hv_perturb`` forms
 its Gram sum once, on its one stacked form, for its route, its zero-route
 verdict, its bump and the start of the padded Gram sum, and inverts nothing:
 the damping's inverse comes from the bump's eigendecomposition.
@@ -540,6 +542,7 @@ GRAM_MARGIN_CALLERS = {
     },
     "_gram_margin": {
         ("hilbert_module", "_SpaceOps.random_gram_margins"),
+        ("hilbert_module", "_SpaceOps._unimodular_count"),
         ("hilbert_module", "unimodularity_margin"),
         ("hilbert_module", "_is_unimodular_at"),
         ("stable_rank", "_pad_with_bump"),
@@ -613,3 +616,35 @@ def test_hv_perturb_forms_the_gram_sum_once():
     uses = _scopes_naming("stable_rank", "_stacked_pairing")
     assert len(uses["hv_perturb"]) == 1, f"hv_perturb names _stacked_pairing at lines {uses['hv_perturb']}"
     assert "hv_perturb" not in _scopes_naming("stable_rank", "gram")
+
+
+#: The one place that hands ``cholesky`` to LAPACK: the density count's bracket.
+CHOLESKY_BRACKET = ("hilbert_module", "_SpaceOps._unimodular_count")
+
+
+class _RoutineRequests(_NamedUses):
+    """Collects only the strings naming a routine in ``names``, the way ``_lapack`` is told one;
+    the names themselves are the LAPACK rule's."""
+
+    def visit_Attribute(self, node):
+        self.generic_visit(node)
+
+    visit_ImportFrom = visit_Attribute
+    visit_Constant = _HermitianRequests.visit_Constant
+
+
+def test_only_the_density_count_factors_by_cholesky():
+    # The bracket decides only that a trial's margin exceeds tol, and falls back to
+    # the Gram margins; a Cholesky test elsewhere would be a second unimodularity rule.
+    uses = [(module, scope, line) for module, _, scope, line in _uses({"cholesky"}, _RoutineRequests)]
+    stray, used = _confined(uses, {CHOLESKY_BRACKET})
+    assert not stray, "cholesky handed to LAPACK outside the density count: " + ", ".join(stray)
+    # The rule is not vacuous: the bracket does factor, once.
+    assert used == {CHOLESKY_BRACKET} and len(uses) == 1
+
+
+def test_density_verdicts_have_one_route():
+    # density_experiment counts through the bracket, which falls back to the margins
+    # itself; random_gram_margins in stable_rank would be a second route to a count.
+    assert not _scopes_naming("stable_rank", "random_gram_margins")
+    assert set(_scopes_naming("stable_rank", "_unimodular_count", calls_only=True)) == {"density_experiment"}

@@ -821,6 +821,37 @@ def test_hv_perturb_checks_the_distance_bound_on_a_zero_bump(monkeypatch):
         unit_scalar_perturbation()()
 
 
+def test_hv_perturb_refuses_a_distance_at_its_bound(monkeypatch):
+    # Undamped (k = 0, so d = 1), the zero scalar at eps = 0.25 moves to the unit, distance 1:
+    # above sqrt(eps) + eps = 0.75 and below twice that, so the gate sits at its number.
+    monkeypatch.setattr(stable_rank, "math", SimpleNamespace(floor=lambda x: -1, sqrt=math.sqrt))
+    with pytest.raises(DomainError) as refused:
+        hv_perturb(ModuleTuple((scalar_space().zero(),)), PerturbationParams(eps=0.25))
+    assert str(refused.value) == "perturbed tuple moved 1, not below sqrt(eps)+eps = 0.75"
+
+
+def repeated_at_1e4():
+    """``(x, x)`` on ``M_{2x3}(C + M_2)``, scaled by 1e4: its padded Gram sum is about 1 on the
+    kernel of ``b0`` and about 1e9 on its range, so its margin falls below the default tol."""
+    x = 1e4 * ModuleSpace(Algebra((1, 2)), 2, 3).random_element(np.random.default_rng(0))
+    return ModuleTuple((x, x))
+
+
+@pytest.mark.parametrize("run", [
+    lambda t: hv_perturb(t, PerturbationParams(eps=0.5)),
+    lambda t: hv_pad(t, t.space.standard_unimodular_tuple(), 0.01),
+])
+def test_the_padded_gate_names_the_relative_margin(run):
+    # A repeated tuple at scale 1e4 is far inside the working tolerance; its padded tuple
+    # generates, but the relative margin of the padded Gram sum is about 1/||b0||.
+    with pytest.raises(DomainError) as refused:
+        run(repeated_at_1e4())
+    assert str(refused.value) == (
+        "padded tuple failed the unimodularity postcondition: the margin is relative, and padding lifts "
+        "eigenvalues below eps only to 1 + eps at most, so Gram sums above about (1 + eps)/tol fail"
+    )
+
+
 @pytest.mark.parametrize("kind", ["matrix", "corner"])
 def test_a_zero_bump_returns_the_input_itself(monkeypatch, kind):
     # Where b0 >= eps the bump is exactly 0: the padding, the coefficients and
@@ -849,11 +880,12 @@ def test_the_route_boundary_is_the_smallest_eigenvalue_at_eps():
     assert (t - moved).norm() < math.sqrt(eps) + eps
 
 
-def count_lapack_and_gram(monkeypatch):
+def count_lapack_and_gram(monkeypatch, log=None):
     """Count, by routine, what the LAPACK boundary runs in ``algebra`` and in
     ``hilbert_module``, which imports it, a routine run later on the same blocks
     (``then``) included; ``scans``, its calls, each of which scans its blocks for
-    non-finite entries once; ``gram_sums``, the stacked pairings; and ``gram``."""
+    non-finite entries once; ``gram_sums``, the stacked pairings; and ``gram``.
+    ``log``, if given, gets ``(routine, number of blocks)`` of each call."""
     counts = {}
 
     def count(name):
@@ -863,6 +895,8 @@ def count_lapack_and_gram(monkeypatch):
         def lapack(routine, blocks, then=None, _original=module._lapack, **options):
             count("scans")
             count(routine)
+            if log is not None:
+                log.append((routine, len(blocks)))
             if then is None:
                 return _original(routine, blocks, **options)
             found, later = _original(routine, blocks, then, **options)
@@ -978,6 +1012,58 @@ def test_an_overflowing_gram_sum_never_reaches_lapack(capfd, kind):
 
 
 # -- density experiments ----------------------------------------------------------------------
+
+
+#: A space per kind and a length at its stable rank: ``M_{1x2}(C + M_2)``, two live blocks,
+#: and a corner of ``M_1(C + M_2)`` with compressed blocks 1x0 (dead) and 1x2.
+DENSITY_CELLS = {
+    "matrix": lambda: (ModuleSpace(Algebra((1, 2)), 1, 2), 2, 2),
+    "corner": lambda: (corner_with_ranks((1, 2), 1, (1, 1), (0, 2), np.random.default_rng(3)), 2, 1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DENSITY_CELLS))
+def test_each_density_cell_makes_exactly_its_lapack_calls(monkeypatch, kind):
+    # A clear cell is decided by one stacked cholesky over its live blocks; one near-singular
+    # trial fails it, and the cell takes every margin from eigvalsh; a cell below the counting
+    # bound goes to eigvalsh at once.  No cell forms a pairing.
+    space, k, live = DENSITY_CELLS[kind]()
+    trials, log = 20, []
+    counts = count_lapack_and_gram(monkeypatch, log)
+    assert density_experiment(space, k, trials, seed=5).unimodular_fraction == 1.0
+    assert counts == {"cholesky": 1, "scans": 1} and log == [("cholesky", live)]
+
+    # Trial 0 repeats its first entry: a k-tuple of rank below the counting bound.
+    draw = stable_rank.trial_draws
+
+    def repeating(seed, n, size):
+        draws = draw(seed, n, size)
+        draws[0, size // k:] = np.tile(draws[0, :size // k], k - 1)
+        return draws
+
+    monkeypatch.setattr(stable_rank, "trial_draws", repeating)
+    counts.clear(), log.clear()
+    assert density_experiment(space, k, trials, seed=5).unimodular_fraction == (trials - 1) / trials
+    assert counts == {"cholesky": 1, "eigvalsh": 1, "scans": 2}
+    assert log == [("cholesky", live), ("eigvalsh", live)]
+
+    monkeypatch.setattr(stable_rank, "trial_draws", draw)
+    counts.clear(), log.clear()
+    assert density_experiment(space, k - 1, trials, seed=5).exact_obstruction
+    assert counts == {"eigvalsh": 1, "scans": 1} and log == [("eigvalsh", live)]
+
+
+@pytest.mark.parametrize("kind", sorted(DENSITY_CELLS))
+def test_a_non_finite_density_cell_never_reaches_lapack(capfd, kind):
+    # Draws near 1e200 overflow the Gram sums: the bracket's scan refuses its shifted
+    # blocks, and the margins' scan refuses the Gram sums, before LAPACK sees either.
+    space, k, _ = DENSITY_CELLS[kind]()
+    draws = stable_rank.trial_draws(0, 5, k * stable_rank.draw_size(space.block_shapes))
+    draws[0] *= 1e200
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError) as refused:
+        space._unimodular_count(draws, k, 1e-9)
+    assert str(refused.value) == algebra._NOT_FINITE
+    assert capfd.readouterr().out == ""
 
 
 def test_density_obstructed_case():
