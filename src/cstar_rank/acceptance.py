@@ -33,7 +33,7 @@ from .hilbert_module import (
     pairing,
     unimodularity_margin,
 )
-from .sampling import derived_seed, rng_from_seed
+from .sampling import derived_seed, draw_size, rng_from_seed, trial_draws
 from .stable_rank import (
     PerturbationParams,
     bass_reduce,
@@ -113,7 +113,8 @@ def _bounded_below(b, low) -> bool:
 def criterion_formula_grid(failures) -> str:
     """Density fractions across the (base, n, m, k) grid match the ceiling
     formula exactly, and the square case agrees with the classical matrix
-    algebra formula."""
+    algebra formula.  A cell the counting bound rules out gets its 0 from that
+    bound, so its trials' margins are taken too, and none may pass."""
     cells = 0
     seed_counter = 11000
     for base in [(1,), (2,), (1, 2)]:
@@ -131,6 +132,10 @@ def criterion_formula_grid(failures) -> str:
                             f"base={base} n={n} m={m} k={k}: fraction "
                             f"{report.unimodular_fraction} != {expected}"
                         )
+                    if n * k < m:
+                        draws = trial_draws(seed_counter, 500, k * draw_size(space.block_shapes))
+                        if (space.random_gram_margins(draws, k) > TOL).any():
+                            failures.append(f"base={base} n={n} m={m} k={k}: a margin passes tol")
                     if report.exact_obstruction != (n * k < m):
                         failures.append(
                             f"base={base} n={n} m={m} k={k}: obstruction flag wrong"
@@ -144,7 +149,8 @@ def criterion_formula_grid(failures) -> str:
             classical = -(-(s - 1) // n) + 1
             if sr_formula(s, n, n) != classical:
                 failures.append(f"square case s={s} n={n} disagrees")
-    return f"{cells} grid cells at 500 trials each; square-case identity for s,n<=20"
+    return (f"{cells} grid cells at 500 trials each, obstructed ones by their margins too; "
+            f"square-case identity for s,n<=20")
 
 
 # -- criterion 2 -------------------------------------------------------------

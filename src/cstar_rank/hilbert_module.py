@@ -78,7 +78,8 @@ class _SpaceOps:
     * ``_project(i, g)`` from any matrix of the stored block shape to an
       element block, the one place that knows how an element is stored;
     * ``_stacked_space(k)``, the space that :func:`stack` embeds a
-      ``k``-tuple into.
+      ``k``-tuple into;
+    * ``_rounding_bound(k)``, which no computed margin of a ``k``-tuple below the counting bound exceeds.
 
     ``_core``, ``_embed``, ``_project`` and ``_compress`` also take stacks ``(..., m, n)``.
     """
@@ -134,7 +135,8 @@ class _SpaceOps:
     def _unimodular_count(self, draws, k: int, tol: float) -> int:
         """``count_nonzero(random_gram_margins(draws, k) > tol)``: as ``lambda_max <= tr G``, all
         trials pass if ``G - (tol (1 + T) + 64 s u T) 1``, ``T`` a trial's largest trace, factors in
-        each compressed block; if a trial fails, or below the counting bound, ``eigvalsh`` decides."""
+        each compressed block; if a trial fails, or below the counting bound, ``eigvalsh`` decides.
+        A cell below the counting bound reaches here only at a ``tol`` under :meth:`_rounding_bound`."""
         grams = self._random_grams(draws, k)
         if not self.rank_obstruction(k):
             blocks = self._compress(grams)
@@ -214,23 +216,26 @@ class _SpaceOps:
         """Whether ``k``-tuples are never unimodular for counting reasons."""
         return any(k * r < s for r, s in self.compressed_shapes)
 
+    def _full_stable_rank(self) -> int:
+        """:meth:`predicted_stable_rank`; a space that is not full raises :class:`ModuleNotFullError`."""
+        sr = self.predicted_stable_rank()
+        if sr is None:
+            raise ModuleNotFullError("corner has a zero row projection against a nonzero column "
+                                     "projection; no unimodular tuple exists")
+        return sr
+
     def standard_unimodular_tuple(self) -> "ModuleTuple":
         """Deterministic shortest unimodular tuple: partial identity columns.
 
         Per block the cores of the returned entries stack to the identity
         padded with zero rows, so the Gram sum is the unit.
         """
-        if self.predicted_stable_rank() is None:
-            raise ModuleNotFullError(
-                "corner has a zero row projection against a nonzero column "
-                "projection; no unimodular tuple exists"
-            )
         return self._tuple_from_stacked(self._standard_padding(self.right_algebra_unit()))
 
     def _standard_padding(self, b) -> list:
         """The stacked form of ``u b``, ``u`` the standard tuple of a full space, built
         without ``u``: per block its cores stack to the compressed ``b`` over zero rows."""
-        k, blocks = self.predicted_stable_rank(), iter(self._compress(b.blocks))
+        k, blocks = self._full_stable_rank(), iter(self._compress(b.blocks))
         return self._stacked_from_cores(k, [np.eye(k * r, s, dtype=np.complex128) @ next(blocks) if s
                                             else np.eye(k * r, 0) for r, s in self.compressed_shapes])
 
@@ -290,6 +295,14 @@ class ModuleSpace(_SpaceOps):
 
     def _stacked_space(self, k):
         return ModuleSpace(self.alg, self.rows * k, self.cols)
+
+    def _rounding_bound(self, k):
+        # A block with k r < s has lambda_min(G) = 0.  With T = tr G and u = 2**-53, summing k entries
+        # of r rows errs by about c k r u T, and eigvalsh by p(s) u ||G|| at each end (p(s) <= 25 s, as in
+        # _unimodular_count).  So the computed |lambda|_min is at most (c k r + p(s)) u T, the computed
+        # lambda_max at least T/s less that, and the margin at most about (c k r + p(s)) s u, below B(k).
+        return max((64 * s * (k * r + s) * 2.0 ** -53 for r, s in self.compressed_shapes if k * r < s),
+                   default=np.inf)
 
     # -- serialization -------------------------------------------------------------
 
@@ -620,6 +633,10 @@ class CornerSpace(_SpaceOps):
 
     def right_algebra_unit(self) -> AlgebraElement:
         return self.q
+
+    def _rounding_bound(self, k):
+        # p g q rounds relative to ||g||, not to ||p g q||: no bound from the shapes alone holds.
+        return np.inf
 
     def _stacked_space(self, k):
         """``diag(p, ..., p) M_{kN}(A) diag(q, 0, ..., 0)``: the entries go down the

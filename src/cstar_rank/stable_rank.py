@@ -250,10 +250,10 @@ def _require_residual(blocks, bound: float, what: str) -> None:
 def _refuse_below_stable_rank(space, n: int) -> None:
     """The one counting-bound refusal: no ``n``-tuple is unimodular, so nothing is reduced."""
     if space.rank_obstruction(n):
-        # The standard tuple's length is the stable rank; a space that is not full has neither.
+        # A space that is not full has no stable rank: ModuleNotFullError.
         raise ReductionFailedError(
             f"no reduction can succeed: the counting bound n*r_i >= s_i fails in some block "
-            f"for n={n}, below the stable rank {len(space.standard_unimodular_tuple())} of the space"
+            f"for n={n}, below the stable rank {space._full_stable_rank()} of the space"
         )
 
 
@@ -445,7 +445,8 @@ def density_experiment(
     the Gram sums of all trials one block at a time and decides them by one Cholesky
     bracket per block, or else by every margin from ``eigvalsh``, bit for bit that of
     the tuple ``k`` calls of ``space.random_element`` on the trial's generator give;
-    so reports are byte-identical to a trial-by-trial loop.
+    so reports are byte-identical to a trial-by-trial loop.  A cell the counting bound rules
+    out draws nothing at a ``tol`` at or above ``space._rounding_bound(k)``: no margin passes.
     """
     k, trials, seed = _shape_int(k), _shape_int(trials), _shape_int(seed)
     if k < 1:
@@ -453,8 +454,8 @@ def density_experiment(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     _require_positive_finite("tol", tol)
-    draws = trial_draws(seed, trials, k * draw_size(space.block_shapes))
-    hits = space._unimodular_count(draws, k, tol)
+    hits = 0 if tol >= space._rounding_bound(k) else space._unimodular_count(
+        trial_draws(seed, trials, k * draw_size(space.block_shapes)), k, tol)
     obstructed = space.rank_obstruction(k)
     if obstructed and hits:
         raise DomainError(

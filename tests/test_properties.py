@@ -9,8 +9,8 @@ invariance of both verdicts and the equivariance of both reductions under
 unitaries that mix the entries, the invariance of both verdicts under right
 invertibles and Bass's elementary matrices, the generation margin and the
 dual witness under nonzero scalars (the Gram verdict is an expected failure,
-ROADMAP item 3), and the batched density trials against their per-trial
-reference.
+ROADMAP item 3), the batched density trials against their per-trial
+reference, and the rounding bound on the margins of obstructed density cells.
 
 Matrix spaces ``M_{rows x cols}(A)`` and corners ``p M_N(A) q`` with randomly
 oriented projections of random ranks, dead blocks (``rank q_i = 0`` or
@@ -769,3 +769,24 @@ def test_the_cholesky_bracket_counts_as_the_margins(case, k, trials, seed, tol, 
     assume(len(kept))
     reference = space.random_gram_margins(kept, k)
     assert space._unimodular_count(kept, k, tol) == np.count_nonzero(reference > tol)
+
+
+#: Every ``(rows, cols, k)`` of the density grid that the counting bound rules out.
+OBSTRUCTED_GRID = [(n, m, k) for n in range(1, 7) for m in range(1, 7) for k in range(1, 5) if n * k < m]
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([(1,), (2,), (1, 2), (2, 3)]), st.sampled_from(OBSTRUCTED_GRID),
+       st.integers(1, 20), seeds, st.floats(-150, 100).map(lambda e: 10.0 ** e))
+@example((2, 3), (1, 6, 4), 20, 0, 1e100)
+@example((2, 3), (1, 6, 1), 20, 1, 1e-150)
+@example((1,), (1, 2, 1), 20, 2, 1.0)
+def test_no_obstructed_margin_exceeds_the_rounding_bound(base, cell, trials, seed, scale):
+    # An obstructed Gram sum has exact lambda_min = 0, so its computed margin is rounding
+    # noise, which the rounding bound covers whatever the draws and their scale are.
+    n, m, k = cell
+    space = ModuleSpace(Algebra(base), n, m)
+    bound = space._rounding_bound(k)
+    assert 0 < bound < 1e-11
+    draws = scale * trial_draws(seed, trials, k * draw_size(space.block_shapes))
+    assert (space.random_gram_margins(draws, k) <= bound).all()

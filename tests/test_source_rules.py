@@ -39,7 +39,9 @@ for one element and for a stack of trials alike.  Only Gram sums, which are
 Hermitian, take their extremes from ``eigvalsh``, through one helper of the
 space; every other margin and every norm keeps the SVD.  A density report counts
 its unimodular trials through one helper of the space, which alone hands
-``cholesky`` to LAPACK and falls back to the Gram margins.  ``hv_perturb`` forms
+``cholesky`` to LAPACK and falls back to the Gram margins; before it draws, a cell
+the counting bound rules out is tested against the space's one closed-form
+rounding bound, which only the density report reads.  ``hv_perturb`` forms
 its Gram sum once, on its one stacked form, for its route, its zero-route
 verdict, its bump and the start of the padded Gram sum, and inverts nothing:
 the damping's inverse comes from the bump's eigendecomposition.
@@ -583,16 +585,15 @@ def test_only_gram_sums_take_their_extremes_from_eigenvalues():
 
 
 #: What builds a tuple, and the only scopes of ``stable_rank`` allowed to call it:
-#: the outputs of ``warfield_forward``, ``hv_pad`` and ``hv_perturb``,
-#: ``ReductionCoefficients.apply``, which holds its input entries as one tuple, and
-#: the counting-bound refusal, whose message reads the standard tuple's length.
+#: the outputs of ``warfield_forward``, ``hv_pad`` and ``hv_perturb``, and
+#: ``ReductionCoefficients.apply``, which holds its input entries as one tuple.  The
+#: counting-bound refusal reads the stable rank as a number and builds none.
 TUPLE_BUILDERS = {"ModuleTuple", "_tuple_from_stacked", "standard_unimodular_tuple"}
 TUPLE_OUTPUTS = {
     ("stable_rank", "ReductionCoefficients.apply"),
     ("stable_rank", "warfield_forward"),
     ("stable_rank", "hv_pad"),
     ("stable_rank", "hv_perturb"),
-    ("stable_rank", "_refuse_below_stable_rank"),
 }
 
 
@@ -648,3 +649,14 @@ def test_density_verdicts_have_one_route():
     # itself; random_gram_margins in stable_rank would be a second route to a count.
     assert not _scopes_naming("stable_rank", "random_gram_margins")
     assert set(_scopes_naming("stable_rank", "_unimodular_count", calls_only=True)) == {"density_experiment"}
+    # The rounding bound decides an obstructed cell before anything is drawn: one closed form
+    # per space class, read by density_experiment alone, and the draws are taken only there.
+    tree = ast.parse((SRC / "hilbert_module.py").read_text(encoding="utf-8"))
+    defined = sorted(cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                     for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "_rounding_bound")
+    assert defined == ["CornerSpace", "ModuleSpace"], f"_rounding_bound defined in {defined}"
+    reader = ("stable_rank", "density_experiment")
+    stray, used = _confined([(module, scope, line) for module, _, scope, line
+                             in _uses({"_rounding_bound"}, _NamedCalls)], {reader})
+    assert not stray and used == {reader}, "_rounding_bound called outside density_experiment: " + ", ".join(stray)
+    assert set(_scopes_naming("stable_rank", "trial_draws", calls_only=True)) == {"density_experiment"}

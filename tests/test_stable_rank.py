@@ -1025,8 +1025,10 @@ DENSITY_CELLS = {
 @pytest.mark.parametrize("kind", sorted(DENSITY_CELLS))
 def test_each_density_cell_makes_exactly_its_lapack_calls(monkeypatch, kind):
     # A clear cell is decided by one stacked cholesky over its live blocks; one near-singular
-    # trial fails it, and the cell takes every margin from eigvalsh; a cell below the counting
-    # bound goes to eigvalsh at once.  No cell forms a pairing.
+    # trial fails it, and the cell takes every margin from eigvalsh.  A matrix cell below the
+    # counting bound, at the default tol far above its rounding bound, draws nothing and calls
+    # no LAPACK; a corner has no rounding bound, so its cell goes to eigvalsh at once.  No cell
+    # forms a pairing.
     space, k, live = DENSITY_CELLS[kind]()
     trials, log = 20, []
     counts = count_lapack_and_gram(monkeypatch, log)
@@ -1047,10 +1049,83 @@ def test_each_density_cell_makes_exactly_its_lapack_calls(monkeypatch, kind):
     assert counts == {"cholesky": 1, "eigvalsh": 1, "scans": 2}
     assert log == [("cholesky", live), ("eigvalsh", live)]
 
-    monkeypatch.setattr(stable_rank, "trial_draws", draw)
+    drawn = []
+    monkeypatch.setattr(stable_rank, "trial_draws", lambda *args: drawn.append(args) or draw(*args))
     counts.clear(), log.clear()
     assert density_experiment(space, k - 1, trials, seed=5).exact_obstruction
-    assert counts == {"eigvalsh": 1, "scans": 1} and log == [("eigvalsh", live)]
+    if kind == "matrix":
+        assert counts == {} and log == [] and drawn == []
+    else:
+        assert counts == {"eigvalsh": 1, "scans": 1} and log == [("eigvalsh", live)] and len(drawn) == 1
+
+
+def test_an_obstructed_matrix_cell_is_decided_by_its_rounding_bound(monkeypatch):
+    # M_{1x2}(C + M_2) at k = 1 has blocks 1x2 and 2x4, both below the counting bound, so
+    # B(1) = max 64 s (k r + s) u = max(384 u, 1536 u).  At or above B no margin can pass:
+    # the cell draws nothing and calls no LAPACK.  Just below B it draws, and one eigvalsh
+    # over both blocks finds every margin below tol, as above it.
+    space = ModuleSpace(Algebra((1, 2)), 1, 2)
+    assert space._rounding_bound(1) == 1536 * 2.0 ** -53 == 1.7053025658242404e-13
+    assert space._rounding_bound(2) == math.inf
+    draw, drawn, log = stable_rank.trial_draws, [], []
+    monkeypatch.setattr(stable_rank, "trial_draws", lambda *args: drawn.append(args) or draw(*args))
+    counts = count_lapack_and_gram(monkeypatch, log)
+    for tol in (1.71e-13, 1.7053025658242404e-13):
+        report = density_experiment(space, 1, 20, seed=5, tol=tol)
+        assert report.unimodular_fraction == 0.0 and report.exact_obstruction
+    assert counts == {} and drawn == []
+    report = density_experiment(space, 1, 20, seed=5, tol=1.70e-13)
+    assert report.unimodular_fraction == 0.0 and report.exact_obstruction
+    assert counts == {"eigvalsh": 1, "scans": 1} and log == [("eigvalsh", 2)] and len(drawn) == 1
+
+
+def test_the_bracket_slack_keeps_a_rounded_margin_out_of_the_count():
+    # G = Q diag(1e14, 1e-3) Q*, Q a fixed random unitary, has margin 1e-17 = tol, far below
+    # eigvalsh's rounding of about u ||G|| = 1e-2: eigvalsh rounds lambda_min to 0 and the
+    # trial fails.  G - tol (1 + T) 1 still factors, so the bracket counts the trial unless
+    # its shift carries the slack 64 s u T, about 1.4 here, which sends the cell to eigvalsh.
+    space, tol = ModuleSpace(Algebra((1,)), 2, 2), 1e-17
+    rng = np.random.default_rng(40)
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    x = np.sqrt([1e14, 1e-3])[:, None] * q.conj().T
+    draws = np.sqrt(2.0) * np.concatenate([x.real.ravel(), x.imag.ravel()])[None]
+    (g,) = space._random_grams(draws, 1)
+    assert not space.random_gram_margins(draws, 1)[0] > tol
+    np.linalg.cholesky(g - tol * (1 + np.trace(g[0]).real) * np.eye(2))
+    assert space._unimodular_count(draws, 1, tol) == 0
+
+
+def test_a_refusal_below_the_stable_rank_builds_no_standard_tuple(monkeypatch):
+    # The refusal's message reads the stable rank from predicted_stable_rank; a space that is
+    # not full has none, and raises ModuleNotFullError with the standard tuple's message.
+    padded = []
+    original = hilbert_module._SpaceOps._standard_padding
+    monkeypatch.setattr(hilbert_module._SpaceOps, "_standard_padding",
+                        lambda self, b: padded.append(b) or original(self, b))
+    rng = np.random.default_rng(41)
+    below = ("no reduction can succeed: the counting bound n*r_i >= s_i fails in some block "
+             "for n={}, below the stable rank {} of the space")
+    row = ModuleSpace(Algebra((1,)), 1, 3)
+    with pytest.raises(ReductionFailedError) as refused:
+        hv_perturb(random_tuple(row, rng, 2), PerturbationParams(eps=0.1))
+    assert str(refused.value) == below.format(2, 3)
+    pair = ModuleSpace(Algebra((1,)), 1, 2)
+    with pytest.raises(ReductionFailedError) as refused:
+        bass_reduce(random_unimodular(pair, rng, 2), PerturbationParams(eps=0.1))
+    assert str(refused.value) == below.format(1, 2)
+    big = Algebra((1,)).matrix_algebra(2)
+    dead = corner_space(Algebra((1,)), 2, big.zero(), big.element([np.diag([1.0, 0.0])]))
+    not_full = ("corner has a zero row projection against a nonzero column "
+                "projection; no unimodular tuple exists")
+    for call in (lambda: hv_perturb(ModuleTuple((dead.zero(),)), PerturbationParams(eps=0.1)),
+                 lambda: stable_rank._refuse_below_stable_rank(dead, 5)):
+        with pytest.raises(ModuleNotFullError) as refused:
+            call()
+        assert str(refused.value) == not_full
+    assert padded == []
+    with pytest.raises(ModuleNotFullError) as refused:
+        dead.standard_unimodular_tuple()
+    assert str(refused.value) == not_full
 
 
 @pytest.mark.parametrize("kind", sorted(DENSITY_CELLS))
