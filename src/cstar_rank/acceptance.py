@@ -185,7 +185,7 @@ def criterion_dual_witness(failures) -> str:
                 # Second witness: add a component orthogonal to x in the pairing.
                 w = space.random_element(rng)
                 s = inner_right(w, x)
-                b_inv = space.right_inverse(gram(t), TOL, check=False)
+                b_inv = space.right_inverse(gram(t), TOL)
                 y2 = y + (w - x * (b_inv.adjoint() * s.adjoint()))
                 res2 = (inner_right(y2, x) - unit).norm()
                 if res2 > 1e-8:

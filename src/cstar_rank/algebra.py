@@ -31,37 +31,31 @@ SELF_ADJOINT_RTOL = 1e-10
 _NOT_FINITE = "singular values are not finite (overflow or non-finite entries)"
 
 
-def _lapack(routine: str, blocks, then=None, **options):
+def _lapack(routine: str, blocks, **options) -> list:
     """``np.linalg.<routine>(b, **options)`` per block, the one LAPACK boundary: non-finite
     blocks raise the non-finite ``DomainError`` before LAPACK sees them (it would print to
-    stdout), and a ``LinAlgError`` becomes a ``DomainError`` naming the routine and reason.
-    With ``then``, also a function that runs that routine on the same blocks under the same
-    rule once the caller has decided on the results: one scan serves both routines."""
+    stdout), and a ``LinAlgError`` becomes a ``DomainError`` naming the routine and reason."""
     if not all(np.isfinite(b).all() for b in blocks):
         raise DomainError(_NOT_FINITE)
-
-    def run(routine, **options):
-        try:
-            return [getattr(np.linalg, routine)(b, **options) for b in blocks]
-        except np.linalg.LinAlgError as exc:
-            raise DomainError(f"LAPACK {routine} failed: {exc}") from None
-    return (run(routine, **options), lambda: run(then)) if then else run(routine, **options)
+    try:
+        return [getattr(np.linalg, routine)(b, **options) for b in blocks]
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(f"LAPACK {routine} failed: {exc}") from None
 
 
-def _extreme_svals(blocks, hermitian=False, then=None) -> tuple:
+def _extreme_svals(blocks, hermitian=False) -> tuple:
     """Largest and smallest singular value per nonempty block.
 
     A matrix gives floats; a stack ``(t, m, n)`` gives arrays of length ``t``
     from one LAPACK call.  ``hermitian`` blocks, such as Gram sums, take them
     from ``eigvalsh`` as the largest and smallest eigenvalue modulus and give a
-    third list, their smallest eigenvalues; others take them from the SVD.  ``then`` appends
-    :func:`_lapack`'s function running it on the same blocks.  ``DomainError`` unless all
-    extremes are finite: beside the non-finite blocks that :func:`_lapack` refuses, finite ones can overflow.
+    third list, their smallest eigenvalues; others take them from the SVD.  ``DomainError``
+    unless all extremes are finite: beside the non-finite blocks that :func:`_lapack` refuses,
+    finite ones can overflow.
     """
     stacked = len(blocks) > 0 and blocks[0].ndim > 2
     routine, options = ("eigvalsh", {}) if hermitian else ("svd", {"compute_uv": False})
-    found = _lapack(routine, blocks, then, **options)
-    values, *later = found if then else (found,)
+    values = _lapack(routine, blocks, **options)
     if hermitian:
         # A rank-deficient Gram sum can give a tiny negative eigenvalue, so neither end
         # of the ascending eigenvalues need be the smallest modulus.
@@ -81,7 +75,7 @@ def _extreme_svals(blocks, hermitian=False, then=None) -> tuple:
     finite = np.isfinite(extremes).all() if stacked else all(map(math.isfinite, extremes))
     if not finite:
         raise DomainError(_NOT_FINITE)
-    return ((tops, bottoms, lows) if hermitian else (tops, bottoms)) + tuple(later)
+    return (tops, bottoms, lows) if hermitian else (tops, bottoms)
 
 
 def _shifted_polar(blocks, shift) -> tuple[list, list]:
@@ -341,11 +335,9 @@ class AlgebraElement(_Blocks):
         return self.margin() > tol
 
     def inverse(self, tol: float = DEFAULT_TOL) -> "AlgebraElement":
-        _require_positive_finite("tol", tol)
-        *extremes, invert = _extreme_svals(self.blocks, then="inv")
-        if not _margin(*extremes) > tol:
+        if not self.is_invertible(tol):
             raise InvertibilityError(f"element is numerically singular at tol={tol:g}")
-        return self._new(invert())
+        return self._new(_lapack("inv", self.blocks))
 
     # -- functional calculus -----------------------------------------------
 

@@ -156,23 +156,18 @@ class _SpaceOps:
         """The margin rule on the compressed image of a Gram sum's blocks ``g``, or of stacks of them."""
         return self._gram_spectrum(g)[0]
 
-    def _gram_spectrum(self, g, then=None):
+    def _gram_spectrum(self, g):
         """The margin of :meth:`_gram_margin` and each compressed block's smallest eigenvalue modulus
-        and eigenvalue, from one ``eigvalsh`` (``g`` is Hermitian), and :func:`_extreme_svals`' ``then``."""
-        tops, bottoms, lows, *later = _extreme_svals(self._compress(g), hermitian=True, then=then)
-        return (_margin(tops, bottoms), bottoms, lows, *later)
+        and eigenvalue, from one ``eigvalsh`` (``g`` is Hermitian), and the compressed blocks."""
+        compressed = self._compress(g)
+        tops, bottoms, lows = _extreme_svals(compressed, hermitian=True)
+        return _margin(tops, bottoms), bottoms, lows, compressed
 
-    def _stacked_pairing(self, y, x, start=None) -> list:
+    def _stacked_pairing(self, y, x) -> list:
         """The blocks of :func:`pairing` on stacked forms, summed over the entries' row slices in
-        order from ``start``, a pairing's blocks, or from 0 (``-0.0 + 0`` is ``0.0``), so a sum
-        is bit for bit the same however the tuple is held, and continued, that of the joined forms."""
-        sums = []
-        for i, (yb, xb, shape) in enumerate(zip(y, x, self.block_shapes)):
-            terms = iter(yb.reshape(-1, *shape).conj().swapaxes(-1, -2) @ xb.reshape(-1, *shape))
-            sums.append(next(terms) + (0 if start is None else start[i]))
-            for term in terms:
-                sums[-1] += term
-        return sums
+        order from 0 (``-0.0 + 0`` is ``0.0``), so a sum is bit for bit the same however the tuple is held."""
+        return [sum(yb.reshape(-1, *shape).conj().swapaxes(-1, -2) @ xb.reshape(-1, *shape))
+                for yb, xb, shape in zip(y, x, self.block_shapes)]
 
     # -- right algebra helpers: the kernel's operations on the compressed image --
 
@@ -180,16 +175,10 @@ class _SpaceOps:
         """Invertibility margin of ``b``, the kernel's rule on the compressed image."""
         return float(_margin(*_extreme_svals(self._compress(b.blocks))))
 
-    def right_inverse(self, b, tol: float = DEFAULT_TOL, check: bool = True):
-        """Inverse of ``b``, the kernel's inverse on its compressed image.
-
-        ``check=False`` skips the margin test at ``tol`` (one SVD per block),
-        for a ``b`` the caller has just decided invertible; non-finite blocks
-        and a singular matrix that LAPACK refuses still raise ``DomainError``.
-        """
+    def right_inverse(self, b, tol: float = DEFAULT_TOL):
+        """Inverse of ``b``, the kernel's inverse on its compressed image, margin test included."""
         c = AlgebraElement._wrap(self._core_algebra, self._compress(b.blocks))
-        inverse = c.inverse(tol).blocks if check else _lapack("inv", c.blocks)
-        return AlgebraElement._wrap(self.right_algebra, self._expand(inverse))
+        return AlgebraElement._wrap(self.right_algebra, self._expand(c.inverse(tol).blocks))
 
     def right_inv_sqrt(self, b, tol: float = DEFAULT_TOL):
         c = AlgebraElement._wrap(self._core_algebra, self._compress(b.blocks))
@@ -498,9 +487,9 @@ def dual_witness(t: ModuleTuple, tol: float = DEFAULT_TOL) -> ModuleTuple:
     return t.space._tuple_from_stacked(_stacked_dual(t.space, t._stacked(), tol)[0])
 
 
-def _stacked_dual(space, stacked, tol: float, g=None):
-    """:func:`dual_witness` on a stacked form, given its Gram sum ``b``'s blocks ``g`` if formed: the
-    stacked dual ``x (b^{-1})*``, inverted on the blocks ``b``'s ``eigvalsh`` scanned, and its norm."""
+def _stacked_dual(space, stacked, tol: float):
+    """:func:`dual_witness` on a stacked form: the stacked dual ``x (b^{-1})*``, ``b`` the Gram sum,
+    inverted once its margin passes, and its norm ``lambda_min(b)^{-1/2}``."""
     _require_positive_finite("tol", tol)
     k = len(stacked[0]) // space.block_shapes[0][0]
     if space.rank_obstruction(k):
@@ -508,13 +497,13 @@ def _stacked_dual(space, stacked, tol: float, g=None):
             f"tuple is not unimodular at any tol: the counting bound "
             f"n*r_i >= s_i fails in some block for n={k}"
         )
-    g = space._stacked_pairing(stacked, stacked) if g is None else g
-    margin, bottoms, _, invert = space._gram_spectrum(g, then="inv")
+    margin, bottoms, _, compressed = space._gram_spectrum(space._stacked_pairing(stacked, stacked))
     if not margin > tol:
         raise DomainError(
             f"tuple is not unimodular at tol={tol:g} (margin {margin:.3g})"
         )
-    return [x @ cb.conj().T for x, cb in zip(stacked, space._expand(invert()))], min(bottoms) ** -0.5
+    inverse = space._expand(_lapack("inv", compressed))
+    return [x @ cb.conj().T for x, cb in zip(stacked, inverse)], min(bottoms) ** -0.5
 
 
 def normalize_tuple(t: ModuleTuple, tol: float = DEFAULT_TOL) -> ModuleTuple:

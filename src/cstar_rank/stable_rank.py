@@ -21,8 +21,8 @@ Its gates, like every norm only compared with a bound, go through ``algebra._gat
 
 The reductions stack each input once (``ModuleTuple._stacked``) and build a tuple only for
 their outputs.  Each intermediate tuple is decided once, by the :func:`dual_witness` rule on
-its stacked form, which inverts the blocks its ``eigvalsh`` scanned, and the dual is passed
-forward (a polar completion comes with its own dual); the outputs by :func:`is_unimodular`'s rule.
+its stacked form, and the dual is passed forward (a polar completion comes with its own
+dual); the outputs by :func:`is_unimodular`'s rule.
 
 :func:`density_experiment` estimates how often random Gaussian tuples are
 unimodular, with deterministic per-trial seeding.
@@ -301,17 +301,12 @@ def _bump(w, eps: float):
     return (eps - w).clip(0.0, eps) / eps
 
 
-def _pad_with_bump(space, x, b0, padding, tol: float, dual: bool):
-    """The stacked ``x`` over its ``padding``, its Gram sum continued from ``b0``, that of ``x``: with its
-    stacked dual and norm, if ``dual``, by the :func:`dual_witness` rule, else by :func:`is_unimodular`'s."""
+def _pad_with_bump(space, x, padding, tol: float):
+    """The stacked ``x`` over its ``padding``, with its stacked dual and norm: decided by the
+    :func:`dual_witness` rule."""
     padded = [np.concatenate((xb, pb)) for xb, pb in zip(x, padding)]
-    g = space._stacked_pairing(padding, padding, b0)
     try:
-        if dual:
-            return (padded, *_stacked_dual(space, padded, tol, g))
-        if not _is_unimodular_at(space, padded, tol, space._gram_margin(g)):
-            raise DomainError("the padded tuple is not unimodular")
-        return (padded,)
+        return (padded, *_stacked_dual(space, padded, tol))
     except DomainError as exc:
         raise DomainError(
             "padded tuple failed the unimodularity postcondition: the margin is relative, and padding lifts "
@@ -337,7 +332,7 @@ def hv_pad(
     b0 = space._stacked_pairing(x, x)
     bump = space._right_calculus(b0)(lambda w: _bump(w, eps))
     padding = [ub @ bb for ub, bb in zip(us, bump.blocks)]
-    return space._tuple_from_stacked(_pad_with_bump(space, x, b0, padding, tol, dual=False)[0])
+    return space._tuple_from_stacked(_pad_with_bump(space, x, padding, tol)[0])
 
 
 def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
@@ -352,7 +347,7 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
 
     Otherwise, on the stacked tuple, one ``eigh`` of ``b0`` gives ``b = v f(w) v*``;
     pad ``t`` with ``u b``, ``u`` the deterministic shortest unimodular tuple, never built (its
-    stacked cores are the identity over zero rows), and continue ``b0`` to its Gram sum; collapse
+    stacked cores are the identity over zero rows), and decide the padded tuple by its dual; collapse
     all ``r`` padding entries in one Bass reduction (Warfield's step, the ``r``-entry
     case of :func:`bass_reduce`), which returns the ``n x r`` coefficients ``a``; damp
     with ``d = 1 + k b``, ``k`` the smallest integer exceeding ``norm(a)/eps``, and
@@ -368,7 +363,7 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
     _refuse_below_stable_rank(space, len(t))
     x = t._stacked()
     b0 = space._stacked_pairing(x, x)
-    margin, _, lows = space._gram_spectrum(b0)
+    margin, _, lows, _ = space._gram_spectrum(b0)
     calculus = space._right_calculus(b0) if min(lows) < eps else None
     bump = calculus(lambda w: _bump(w, eps)) if calculus else None
     if bump is None or not any(b.any() for b in bump.blocks):
@@ -379,7 +374,7 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
                 f"a nonzero bump needs the damping k = floor(||a||/eps) + 1, "
                 f"which may overflow at a subnormal eps={eps:g}"
             )
-        padded, dual, eta = _pad_with_bump(space, x, b0, space._standard_padding(bump), params.tol, dual=True)
+        padded, dual, eta = _pad_with_bump(space, x, space._standard_padding(bump), params.tol)
         coeffs, reduced = _collapse(space, padded, dual, eta, len(t), params.tol)
         k = math.floor(adjointable_norm(coeffs) / eps) + 1
         # d = 1 + k*b >= 1 shares the eigenvectors of b, so its inverse needs no inversion.

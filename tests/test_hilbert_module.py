@@ -29,6 +29,7 @@ from cstar_rank import (
     tuple_from_json_list,
     unimodularity_margin,
 )
+from cstar_rank.algebra import _lapack
 
 
 def scalar_space():
@@ -353,7 +354,6 @@ LAPACK_CALLS = {
     "inv_sqrt": lambda space, b: b.inv_sqrt(),
     "positive_part": lambda space, b: b.positive_part(),
     "right_inverse": lambda space, b: space.right_inverse(b),
-    "right_inverse_unchecked": lambda space, b: space.right_inverse(b, check=False),
     "right_inv_sqrt": lambda space, b: space.right_inv_sqrt(b),
     "_right_calculus": lambda space, b: space._right_calculus(b.blocks)(np.abs),
     "_gram_margin": lambda space, b: space._gram_margin(b.blocks),
@@ -364,8 +364,8 @@ LAPACK_CALLS = {
 @pytest.mark.parametrize("corner", [False, True], ids=["matrix", "corner"])
 @pytest.mark.parametrize("call", list(LAPACK_CALLS))
 def test_lapack_calls_refuse_one_non_finite_entry(bad, corner, call):
-    # Each call refuses b before LAPACK sees it; the unchecked inverse once
-    # returned [[0, 0], [0, 1]] for diag(inf, 1), and NaN blocks for a NaN.
+    # Each call refuses b before LAPACK sees it; an inverse without the margin test
+    # once returned [[0, 0], [0, 1]] for diag(inf, 1), and NaN blocks for a NaN.
     if corner:
         alg = Algebra((1,))
         ambient = alg.matrix_algebra(2)
@@ -380,12 +380,10 @@ def test_lapack_calls_refuse_one_non_finite_entry(bad, corner, call):
 
 
 def test_the_unchecked_inverse_of_an_exactly_singular_element_is_a_domain_error():
-    # The margin gate is skipped, so LAPACK itself refuses; its LinAlgError
+    # The boundary itself has no margin gate, so LAPACK refuses; its LinAlgError
     # must arrive as the boundary's DomainError, not escape as a ValueError.
-    space = ModuleSpace(Algebra((1,)), 2, 2)
-    b = space.right_algebra.element([np.diag([1.0, 0.0])])
     with pytest.raises(DomainError, match="^LAPACK inv failed"):
-        space.right_inverse(b, check=False)
+        _lapack("inv", [np.diag([1.0, 0.0]).astype(complex)])
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -647,7 +645,6 @@ def test_corner_right_algebra_ops_match_kernel(base, size, p_ranks, q_ranks, sha
     singular = gram(ModuleTuple((corner.random_element(rng),)))
 
     assert_matches(corner.right_inverse(general), compress(general).inverse())
-    assert_matches(corner.right_inverse(general, check=False), compress(general).inverse())
     assert_matches(corner.right_inv_sqrt(positive), compress(positive).inv_sqrt())
     assert_matches(corner._right_calculus(indefinite.blocks)(clipped), compress(indefinite).positive_part())
     for b in (general, positive, indefinite, singular):

@@ -10,7 +10,8 @@ unitaries that mix the entries, the invariance of both verdicts under right
 invertibles and Bass's elementary matrices, the generation margin and the
 dual witness under nonzero scalars (the Gram verdict is an expected failure,
 ROADMAP item 3), the batched density trials against their per-trial
-reference, and the rounding bound on the margins of obstructed density cells.
+reference, the rounding bound on the margins of obstructed density cells,
+and ``is_unimodular`` and ``dual_witness`` agreeing one ulp either side of the margin.
 
 Matrix spaces ``M_{rows x cols}(A)`` and corners ``p M_N(A) q`` with randomly
 oriented projections of random ranks, dead blocks (``rank q_i = 0`` or
@@ -28,6 +29,7 @@ from hypothesis import strategies as st
 from cstar_rank import (
     DEFAULT_TOL,
     Algebra,
+    DomainError,
     ModuleNotFullError,
     ModuleSpace,
     ModuleTuple,
@@ -247,22 +249,43 @@ def test_dual_witness_pairs_to_the_unit_and_bounds_the_gram_sum(case, extra, see
 
 
 @PROPERTY_SETTINGS
+@given(spaces, lengths, seeds)
+@example(ROW_SPACE, 2, 0)  # k r < s
+def test_the_two_decision_paths_agree_exactly_at_their_edge(case, k, seed):
+    # dual_witness inverts only once the margin passes tol, and is_unimodular compares
+    # that same margin: one ulp below it both accept, one ulp above it both refuse.
+    # Below the counting bound both refuse at every tol, even the smallest.
+    space, _ = case
+    t = random_tuple(space, k, seed)
+    m = unimodularity_margin(t)
+    obstructed = space.rank_obstruction(k)
+    for tol, passes in ((np.nextafter(m, 0.0), not obstructed), (np.nextafter(m, np.inf), False),
+                        (5e-324, not obstructed and m > 5e-324)):
+        if tol == 0.0:  # m is 0 or the smallest subnormal: no tol lies below it
+            continue
+        assert is_unimodular(t, tol) == passes
+        if passes:
+            assert len(dual_witness(t, tol)) == k
+        else:
+            with pytest.raises(DomainError):
+                dual_witness(t, tol)
+
+
+@PROPERTY_SETTINGS
 @given(spaces, lengths, lengths, seeds, st.one_of(st.none(), st.integers(0, 7)))
 def test_a_padded_gram_sum_continues_the_gram_sum_of_its_head(case, n, r, seed, zero_at):
-    # hv_pad and hv_perturb start the padded Gram sum from b0, the Gram sum of t, and
-    # add only the padding's terms: pairing adds the entries to zeros in order, so that
-    # is the same sum, bit for bit.
+    # hv_pad and hv_perturb decide the padded tuple on the Gram sum of its joined
+    # stacked form: pairing adds the entries to zeros in order, the head's and then the
+    # padding's, so that is the Gram sum of t continued by the padding's terms, bit for bit.
     space, _ = case
     t = random_tuple(space, n + r, seed, zero_at)
     x, padding = ModuleTuple(t.entries[:n])._stacked(), ModuleTuple(t.entries[n:])._stacked()
     padded = [np.concatenate((xb, pb)) for xb, pb in zip(x, padding)]
-    g = space._stacked_pairing(padding, padding, space._stacked_pairing(x, x))
-    for i, (continued, whole) in enumerate(zip(g, space._stacked_pairing(padded, padded))):
+    for i, whole in enumerate(space._stacked_pairing(padded, padded)):
         summed = np.zeros_like(whole)
         for entry in t.entries:
             summed += entry.blocks[i].conj().T @ entry.blocks[i]
-        for bits in (continued, whole):
-            assert np.array_equal(bits.view(np.uint64), summed.view(np.uint64))
+        assert np.array_equal(whole.view(np.uint64), summed.view(np.uint64))
 
 
 @PROPERTY_SETTINGS

@@ -43,8 +43,8 @@ its unimodular trials through one helper of the space, which alone hands
 the counting bound rules out is tested against the space's one closed-form
 rounding bound, which only the density report reads.  ``hv_perturb`` forms
 its Gram sum once, on its one stacked form, for its route, its zero-route
-verdict, its bump and the start of the padded Gram sum, and inverts nothing:
-the damping's inverse comes from the bump's eigendecomposition.
+verdict and its bump, and inverts nothing: the damping's inverse comes from
+the bump's eigendecomposition.
 """
 
 import ast
@@ -305,9 +305,9 @@ def test_hv_perturb_collapses_its_padding_in_one_step():
     assert not seeds, f"hv_perturb derives seeds at lines {seeds}"
 
 
-#: The output postconditions of ``stable_rank``: the reduced tuple, ``hv_pad``'s padded
-#: tuple, decided where the padding is joined on, and the moved tuple.
-POSTCONDITIONS = {"_warfield", "_pad_with_bump", "hv_perturb"}
+#: The output postconditions of ``stable_rank``: the reduced tuple and the moved tuple.
+#: ``hv_pad``'s padded tuple is decided by its dual witness, as ``hv_perturb``'s is.
+POSTCONDITIONS = {"_warfield", "hv_perturb"}
 
 #: The unimodularity decision: the public test, and its rule on a margin already taken.
 DECISIONS = {"is_unimodular", "_is_unimodular_at"}
@@ -547,7 +547,6 @@ GRAM_MARGIN_CALLERS = {
         ("hilbert_module", "_SpaceOps._unimodular_count"),
         ("hilbert_module", "unimodularity_margin"),
         ("hilbert_module", "_is_unimodular_at"),
-        ("stable_rank", "_pad_with_bump"),
     },
 }
 
@@ -611,9 +610,9 @@ def test_stable_rank_builds_tuples_only_for_outputs():
 
 
 def test_hv_perturb_forms_the_gram_sum_once():
-    # One Gram sum, on the one stacked form, gives the route, the zero route's verdict,
-    # the bump and the start of the padded Gram sum; a second one, or a gram(t) that
-    # stacks t again, would decide the same fact again.
+    # One Gram sum, on the one stacked form, gives the route, the zero route's verdict
+    # and the bump; a second one, or a gram(t) that stacks t again, would decide the
+    # same fact again.
     uses = _scopes_naming("stable_rank", "_stacked_pairing")
     assert len(uses["hv_perturb"]) == 1, f"hv_perturb names _stacked_pairing at lines {uses['hv_perturb']}"
     assert "hv_perturb" not in _scopes_naming("stable_rank", "gram")

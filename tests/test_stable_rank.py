@@ -546,11 +546,11 @@ def test_hv_pad_checks_the_padded_tuple(monkeypatch):
     t = ModuleTuple((space.zero(),))
     u = ModuleTuple((scalar(space, 1.0),))
 
-    def refuse(space, stacked, tol, margin=None):
-        return False
+    def refuse(space, stacked, tol):
+        raise DomainError("refused")
 
-    # The padded tuple is the output: is_unimodular's rule, on its margin, decides it.
-    monkeypatch.setattr(stable_rank, "_is_unimodular_at", refuse)
+    # The padded tuple is decided by the dual_witness rule, as hv_perturb's is.
+    monkeypatch.setattr(stable_rank, "_stacked_dual", refuse)
     with pytest.raises(DomainError, match="padded tuple failed"):
         hv_pad(t, u, 1.0)
 
@@ -866,6 +866,15 @@ def test_a_zero_bump_returns_the_input_itself(monkeypatch, kind):
     assert counts == {"_stacked_dual": 0, "_collapse": 0, "_is_unimodular_at": 1}
 
 
+def test_the_bump_is_clipped_to_one_on_a_negative_eigenvalue():
+    # b = clip(eps - w, 0, eps)/eps: a rank-deficient Gram sum's rounding can give a
+    # negative eigenvalue w, where 1 - w/eps exceeds 1; the upper clip holds it at 1.
+    assert stable_rank._bump(np.array([-0.125, 0.0, 0.125, 0.5]), 0.25).tolist() == [1.0, 1.0, 0.5, 0.0]
+    # At a tiny eps the unclipped excess is large: -eps alone would give 2.
+    eps = 2.0**-990
+    assert stable_rank._bump(np.array([-eps, 0.0, eps / 2, 2 * eps]), eps).tolist() == [1.0, 1.0, 0.5, 0.0]
+
+
 def test_the_route_boundary_is_the_smallest_eigenvalue_at_eps():
     # Half the standard tuple has Gram sum exactly 0.25 * 1: at eps = 0.25 every
     # eigenvalue clips to a zero bump, and one ulp above it the bump is nonzero.
@@ -882,25 +891,21 @@ def test_the_route_boundary_is_the_smallest_eigenvalue_at_eps():
 
 def count_lapack_and_gram(monkeypatch, log=None):
     """Count, by routine, what the LAPACK boundary runs in ``algebra`` and in
-    ``hilbert_module``, which imports it, a routine run later on the same blocks
-    (``then``) included; ``scans``, its calls, each of which scans its blocks for
-    non-finite entries once; ``gram_sums``, the stacked pairings; and ``gram``.
-    ``log``, if given, gets ``(routine, number of blocks)`` of each call."""
+    ``hilbert_module``, which imports it; ``scans``, its calls, each of which scans
+    its blocks for non-finite entries once; ``gram_sums``, the stacked pairings; and
+    ``gram``.  ``log``, if given, gets ``(routine, number of blocks)`` of each call."""
     counts = {}
 
     def count(name):
         counts[name] = counts.get(name, 0) + 1
 
     for module in (algebra, hilbert_module):
-        def lapack(routine, blocks, then=None, _original=module._lapack, **options):
+        def lapack(routine, blocks, _original=module._lapack, **options):
             count("scans")
             count(routine)
             if log is not None:
                 log.append((routine, len(blocks)))
-            if then is None:
-                return _original(routine, blocks, **options)
-            found, later = _original(routine, blocks, then, **options)
-            return found, lambda: count(then) or later()
+            return _original(routine, blocks, **options)
 
         monkeypatch.setattr(module, "_lapack", lapack)
 
@@ -922,9 +927,9 @@ def test_each_route_makes_exactly_its_lapack_calls(monkeypatch, kind):
     # The zero route forms one Gram sum, on the one stacked form of t, and takes one
     # eigvalsh, whose margin is the verdict's, bit for bit; the collapse route adds the
     # bump's eigh, which also gives the damping's inverse, the padded dual, whose
-    # eigvalsh also gives eta and scans the blocks it inverts, the polar completion,
-    # the coefficients' norm and the two decisions, each on a stacked form, so gram
-    # never runs; a tuple below the counting bound is refused before any of them.
+    # eigvalsh also gives eta, the polar completion, the coefficients' norm and the
+    # two decisions, each on a stacked form, so gram never runs; each LAPACK call
+    # scans its blocks once; a tuple below the counting bound is refused before any of them.
     # bass_reduce: the input's dual, the polar completion and the reduced tuple's decision.
     rng = np.random.default_rng(15)
     space = space_of_kind(kind, rng)
@@ -951,7 +956,7 @@ def test_each_route_makes_exactly_its_lapack_calls(monkeypatch, kind):
 
     counts.clear()
     assert hv_perturb(small, PerturbationParams(eps=0.1)) is not small
-    assert counts == {"gram_sums": 5, "eigh": 1, "eigvalsh": 4, "inv": 1, "svd": 2, "scans": 7}
+    assert counts == {"gram_sums": 5, "eigh": 1, "eigvalsh": 4, "inv": 1, "svd": 2, "scans": 8}
 
     counts.clear()
     with pytest.raises(ReductionFailedError):
@@ -959,14 +964,14 @@ def test_each_route_makes_exactly_its_lapack_calls(monkeypatch, kind):
     assert counts == {}
 
     bass_reduce(longer, PerturbationParams(eps=0.1))
-    assert counts == {"gram_sums": 3, "eigvalsh": 2, "inv": 1, "svd": 1, "scans": 3}
+    assert counts == {"gram_sums": 3, "eigvalsh": 2, "inv": 1, "svd": 1, "scans": 4}
 
 
 @pytest.mark.parametrize("kind", ["matrix", "corner"])
 def test_each_decision_makes_exactly_its_lapack_calls(monkeypatch, kind):
-    # Each decision scans its blocks once: the dual's inverse runs on the blocks its
-    # eigvalsh scanned, an inverse on those its margin's SVD scanned, and hv_pad
-    # decides its padded tuple from the margin alone, continuing the Gram sum of t.
+    # Each LAPACK call scans its blocks once: the dual inverts the Gram sum once its
+    # eigvalsh margin passes, an inverse once its SVD margin passes, and hv_pad decides
+    # its padded tuple by the dual rule, on the Gram sum of the joined stacked form.
     rng = np.random.default_rng(16)
     space = space_of_kind(kind, rng)
     t = random_unimodular(space, rng, space.predicted_stable_rank())
@@ -976,10 +981,10 @@ def test_each_decision_makes_exactly_its_lapack_calls(monkeypatch, kind):
     calls = [
         (lambda: unimodularity_margin(t), {"gram_sums": 1, "eigvalsh": 1, "scans": 1}),
         (lambda: generation_margin(t), {"svd": 1, "scans": 1}),
-        (lambda: dual_witness(t), {"gram_sums": 1, "eigvalsh": 1, "inv": 1, "scans": 1}),
-        (lambda: hv_pad(t, u, 0.5), {"gram_sums": 3, "eigh": 1, "eigvalsh": 1, "scans": 2}),
-        (lambda: space.right_inverse(b), {"svd": 1, "inv": 1, "scans": 1}),
-        (lambda: space.right_algebra_unit().inverse(), {"svd": 1, "inv": 1, "scans": 1}),
+        (lambda: dual_witness(t), {"gram_sums": 1, "eigvalsh": 1, "inv": 1, "scans": 2}),
+        (lambda: hv_pad(t, u, 0.5), {"gram_sums": 3, "eigh": 1, "eigvalsh": 1, "inv": 1, "scans": 3}),
+        (lambda: space.right_inverse(b), {"svd": 1, "inv": 1, "scans": 2}),
+        (lambda: space.right_algebra_unit().inverse(), {"svd": 1, "inv": 1, "scans": 2}),
     ]
     for call, expected in calls:
         counts.clear()
