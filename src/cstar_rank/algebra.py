@@ -43,39 +43,17 @@ def _lapack(routine: str, blocks, **options) -> list:
         raise DomainError(f"LAPACK {routine} failed: {exc}") from None
 
 
-def _extreme_svals(blocks, hermitian=False) -> tuple:
-    """Largest and smallest singular value per nonempty block.
-
-    A matrix gives floats; a stack ``(t, m, n)`` gives arrays of length ``t``
-    from one LAPACK call.  ``hermitian`` blocks, such as Gram sums, take them
-    from ``eigvalsh`` as the largest and smallest eigenvalue modulus and give a
-    third list, their smallest eigenvalues; others take them from the SVD.  ``DomainError``
-    unless all extremes are finite: beside the non-finite blocks that :func:`_lapack` refuses,
-    finite ones can overflow.
-    """
-    stacked = len(blocks) > 0 and blocks[0].ndim > 2
-    routine, options = ("eigvalsh", {}) if hermitian else ("svd", {"compute_uv": False})
-    values = _lapack(routine, blocks, **options)
-    if hermitian:
-        # A rank-deficient Gram sum can give a tiny negative eigenvalue, so neither end
-        # of the ascending eigenvalues need be the smallest modulus.
-        if stacked:
-            moduli = [np.abs(w) for w in values]
-            tops, bottoms = [m.max(-1) for m in moduli], [m.min(-1) for m in moduli]
-        else:
-            values = [w.tolist() for w in values]
-            moduli = [[abs(v) for v in w] for w in values]
-            tops, bottoms = [max(m) for m in moduli], [min(m) for m in moduli]
-        lows = [w[..., 0] if stacked else w[0] for w in values]
-    else:
-        tops = [s[..., 0] if stacked else float(s[0]) for s in values]
-        bottoms = [s[..., -1] if stacked else float(s[-1]) for s in values]
+def _extreme_svals(blocks) -> tuple[list, list]:
+    """Largest and smallest singular value of each nonempty matrix of ``blocks``, as floats from
+    one SVD per block.  ``DomainError`` unless all extremes are finite: beside the non-finite
+    blocks that :func:`_lapack` refuses, finite ones can overflow.  Gram sums take theirs from
+    ``eigvalsh`` in ``hilbert_module``, under the same rule."""
+    values = _lapack("svd", blocks, compute_uv=False)
+    tops, bottoms = [float(s[0]) for s in values], [float(s[-1]) for s in values]
     # Each extreme on its own: a sum of finite ones may overflow.
-    extremes = tops + bottoms
-    finite = np.isfinite(extremes).all() if stacked else all(map(math.isfinite, extremes))
-    if not finite:
+    if not all(map(math.isfinite, tops + bottoms)):
         raise DomainError(_NOT_FINITE)
-    return (tops, bottoms, lows) if hermitian else (tops, bottoms)
+    return tops, bottoms
 
 
 def _shifted_polar(blocks, shift) -> tuple[list, list]:

@@ -28,11 +28,13 @@ and :func:`stack` are shared too: each takes its blocks through the space's
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import (
+    _NOT_FINITE,
     Algebra,
     AlgebraElement,
     _Blocks,
@@ -74,7 +76,7 @@ class _SpaceOps:
       and its ``r_i x s_i`` core;
     * ``_compress`` / ``_expand`` between the blocks of a right-algebra element and of
       its image in ``_core_algebra``, the sum of the ``M_{s_i}(C)`` with ``s_i > 0``;
-      other modules reach them through ``right_*``, ``_right_calculus`` and ``_gram_*`` only;
+      other modules reach them through ``right_*``, ``_right_calculus`` and ``_gram_spectrum`` only;
     * ``_project(i, g)`` from any matrix of the stored block shape to an
       element block, the one place that knows how an element is stored;
     * ``_stacked_space(k)``, the space that :func:`stack` embeds a
@@ -118,10 +120,10 @@ class _SpaceOps:
 
         Row ``t`` holds the standard normals that ``k`` calls of :meth:`random_element` take from one
         generator.  Their Gram sums are summed in :func:`pairing`'s order, entry by entry and block by
-        block; :meth:`_gram_margin` takes all margins in one call, one stacked ``eigvalsh`` per block, bit
+        block; :meth:`_gram_spectrum` takes all margins in one call, one stacked ``eigvalsh`` per block, bit
         for bit those of the tuples themselves.  :meth:`_unimodular_count` falls back to this rule.
         """
-        return self._gram_margin(self._random_grams(draws, k))
+        return self._gram_spectrum(self._random_grams(draws, k))[0]
 
     def _random_grams(self, draws, k: int) -> list:
         trials = len(draws)
@@ -150,17 +152,29 @@ class _SpaceOps:
                 return len(draws)
             except DomainError:  # not positive definite, or a shift that overflowed
                 pass
-        return int(np.count_nonzero(self._gram_margin(grams) > tol))
-
-    def _gram_margin(self, g):
-        """The margin rule on the compressed image of a Gram sum's blocks ``g``, or of stacks of them."""
-        return self._gram_spectrum(g)[0]
+        return int(np.count_nonzero(self._gram_spectrum(grams)[0] > tol))
 
     def _gram_spectrum(self, g):
-        """The margin of :meth:`_gram_margin` and each compressed block's smallest eigenvalue modulus
-        and eigenvalue, from one ``eigvalsh`` (``g`` is Hermitian), and the compressed blocks."""
+        """The margin rule on the compressed image of a Gram sum's blocks ``g``, with each compressed
+        block's smallest eigenvalue modulus and eigenvalue, and the compressed blocks.  ``g`` is
+        Hermitian, so its singular values are its eigenvalue moduli, from one ``eigvalsh`` per block:
+        floats for one sum, arrays over the trials for stacks ``(t, s, s)``.  ``DomainError`` unless
+        all extremes are finite, as in :func:`_extreme_svals`."""
         compressed = self._compress(g)
-        tops, bottoms, lows = _extreme_svals(compressed, hermitian=True)
+        values = _lapack("eigvalsh", compressed)
+        # A rank-deficient Gram sum can give a tiny negative eigenvalue, so neither end
+        # of the ascending eigenvalues need be the smallest modulus.
+        if compressed[0].ndim > 2:
+            moduli = [np.abs(w) for w in values]
+            tops, bottoms = [m.max(-1) for m in moduli], [m.min(-1) for m in moduli]
+            lows, finite = [w[:, 0] for w in values], np.isfinite(tops + bottoms).all()
+        else:
+            values = [w.tolist() for w in values]
+            moduli = [[abs(v) for v in w] for w in values]
+            tops, bottoms = [max(m) for m in moduli], [min(m) for m in moduli]
+            lows, finite = [w[0] for w in values], all(map(math.isfinite, tops + bottoms))
+        if not finite:
+            raise DomainError(_NOT_FINITE)
         return _margin(tops, bottoms), bottoms, lows, compressed
 
     def _stacked_pairing(self, y, x) -> list:
@@ -185,9 +199,10 @@ class _SpaceOps:
         return AlgebraElement._wrap(self.right_algebra, self._expand(c.inv_sqrt(tol).blocks))
 
     def _right_calculus(self, g):
-        """``f -> f(b)``, ``b`` hermitized from its blocks ``g``, by one :func:`_hermitian_calculus`."""
+        """``f ->`` the right-algebra blocks of ``f(b)``, ``b`` hermitized from its blocks ``g``, by one
+        :func:`_hermitian_calculus` of their compressed image."""
         calculus = _hermitian_calculus(self._compress(g))
-        return lambda f: AlgebraElement._wrap(self.right_algebra, self._expand(calculus(f)))
+        return lambda f: self._expand(calculus(f))
 
     # -- fullness and stable rank ------------------------------------------------------
 
@@ -219,12 +234,13 @@ class _SpaceOps:
         Per block the cores of the returned entries stack to the identity
         padded with zero rows, so the Gram sum is the unit.
         """
-        return self._tuple_from_stacked(self._standard_padding(self.right_algebra_unit()))
+        return self._tuple_from_stacked(self._standard_padding(self.right_algebra_unit().blocks))
 
     def _standard_padding(self, b) -> list:
-        """The stacked form of ``u b``, ``u`` the standard tuple of a full space, built
-        without ``u``: per block its cores stack to the compressed ``b`` over zero rows."""
-        k, blocks = self._full_stable_rank(), iter(self._compress(b.blocks))
+        """The stacked form of ``u b``, ``u`` the standard tuple of a full space and ``b`` the blocks of
+        a right-algebra element, built without ``u``: per block its cores stack to the compressed ``b``
+        over zero rows."""
+        k, blocks = self._full_stable_rank(), iter(self._compress(b))
         return self._stacked_from_cores(k, [np.eye(k * r, s, dtype=np.complex128) @ next(blocks) if s
                                             else np.eye(k * r, 0) for r, s in self.compressed_shapes])
 
@@ -466,7 +482,7 @@ def _is_unimodular_at(space, stacked, tol: float, margin=None) -> bool:
     if space.rank_obstruction(len(stacked[0]) // space.block_shapes[0][0]):
         return False
     if margin is None:
-        margin = space._gram_margin(space._stacked_pairing(stacked, stacked))
+        margin = space._gram_spectrum(space._stacked_pairing(stacked, stacked))[0]
     return bool(margin > tol)
 
 
@@ -474,7 +490,7 @@ def unimodularity_margin(t: ModuleTuple) -> float:
     """Smallest eigenvalue modulus of the Gram sum over ``max(1, largest)``, the
     margin rule on its singular values (invertible iff > tol)."""
     x = t._stacked()
-    return float(t.space._gram_margin(t.space._stacked_pairing(x, x)))
+    return float(t.space._gram_spectrum(t.space._stacked_pairing(x, x))[0])
 
 
 def dual_witness(t: ModuleTuple, tol: float = DEFAULT_TOL) -> ModuleTuple:
@@ -705,6 +721,8 @@ def space_from_json_dict(data):
 def tuple_from_json_list(data) -> ModuleTuple:
     """The one JSON-to-element path: every entry must declare the first's space
     and lie in it, within ``PROJECTION_TOL`` relative; blocks are kept bit for bit."""
+    if not isinstance(data, list):
+        raise ValueError("a module tuple is a JSON list of elements")
     if not data:
         raise ValueError("a module tuple needs at least one entry")
     space = space_from_json_dict(data[0]["space"])

@@ -331,7 +331,7 @@ def hv_pad(
     _require_unit_pairing(space, us, us, "padding tuple is not normalized: ||<u,u> - 1|| =")
     b0 = space._stacked_pairing(x, x)
     bump = space._right_calculus(b0)(lambda w: _bump(w, eps))
-    padding = [ub @ bb for ub, bb in zip(us, bump.blocks)]
+    padding = [ub @ bb for ub, bb in zip(us, bump)]
     return space._tuple_from_stacked(_pad_with_bump(space, x, padding, tol)[0])
 
 
@@ -366,7 +366,7 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
     margin, _, lows, _ = space._gram_spectrum(b0)
     calculus = space._right_calculus(b0) if min(lows) < eps else None
     bump = calculus(lambda w: _bump(w, eps)) if calculus else None
-    if bump is None or not any(b.any() for b in bump.blocks):
+    if bump is None or not any(b.any() for b in bump):
         moved, stacked = t, x
     else:
         if eps < sys.float_info.min:  # ||a|| <= 1, but ||a||/eps may have no float value
@@ -379,7 +379,7 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
         k = math.floor(adjointable_norm(coeffs) / eps) + 1
         # d = 1 + k*b >= 1 shares the eigenvectors of b, so its inverse needs no inversion.
         damp_inv = calculus(lambda w: 1.0 / (1.0 + k * _bump(w, eps)))
-        stacked = [rb @ db for rb, db in zip(reduced, damp_inv.blocks)]
+        stacked = [rb @ db for rb, db in zip(reduced, damp_inv)]
         moved = space._tuple_from_stacked(stacked)
 
     # The zero route decides t on the margin its route was read from, and t moves 0.

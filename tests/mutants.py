@@ -72,6 +72,29 @@ MUTANTS = {
         "hilbert_module.py", "return any(k * r < s for r, s in self.compressed_shapes)",
         "return any(k * r <= s for r, s in self.compressed_shapes)",
         "k-tuples are ruled out exactly when k r < s in some block"),
+    "margin-bottom": (
+        "algebra.py", "functools.reduce(np.minimum, bottoms)", "functools.reduce(np.maximum, bottoms)",
+        "the margin's numerator is the smallest singular value over all blocks"),
+    "margin-floor": (
+        "algebra.py", "np.maximum(1.0, functools.reduce", "np.maximum(2.0, functools.reduce",
+        "the margin's denominator is max(1, largest): a small element keeps its absolute margin"),
+    "margin-top": (
+        "algebra.py", "functools.reduce(np.maximum, tops)", "functools.reduce(np.minimum, tops)",
+        "the margin's denominator reads the largest singular value over all blocks"),
+    "damping-k": (
+        "stable_rank.py", "k = math.floor(adjointable_norm(coeffs) / eps) + 1",
+        "k = math.floor(adjointable_norm(coeffs) / eps)",
+        "the damping's k is the smallest integer exceeding ||a||/eps"),
+    "svd-finite": (
+        "algebra.py", "    if not all(map(math.isfinite, tops + bottoms)):\n        raise DomainError(_NOT_FINITE)\n",
+        "",
+        "singular values of finite blocks can overflow; the SVD extremes refuse them"),
+    "gram-finite": (
+        "hilbert_module.py", "        if not finite:\n            raise DomainError(_NOT_FINITE)\n", "",
+        "eigenvalues of a finite Gram sum can overflow; the Gram spectrum refuses them"),
+    "witness-tol": (
+        "scalars.py", "WITNESS_TOL = 1e-8", "WITNESS_TOL = 1e-6",
+        "a witness pairs with its tuple to the unit within 1e-8"),
 }
 
 #: Mutants that change no reachable verdict, with the reason in their ``why``.

@@ -122,6 +122,8 @@ def test_margin_is_relative_and_refuses_non_finite_values():
     assert a.margin() == 0.5 / 4.0
     assert type(a.margin()) is float  # reports and messages print it
     assert a.is_invertible(0.12) and not a.is_invertible(0.13)
+    # Below norm 1 the margin is absolute: max(1, 0.5) is 1, not the norm.
+    assert alg.element([np.array([[0.5]]), np.diag([0.5, 0.25])]).margin() == 0.25
     for bad in (np.inf, np.nan):
         b = alg.element([np.array([[1.0]]), np.diag([bad, 1.0])])
         with pytest.raises(DomainError, match="not finite"):
@@ -141,11 +143,21 @@ def test_huge_finite_singular_values_are_not_an_overflow():
     a = Algebra((1,)).element([[[1e308]]])
     assert a.norm() == 1e308
     assert a.margin() == 1.0
-    tops, bottoms = _extreme_svals([np.full((2, 1, 1), 1e308)])
-    assert tops[0].tolist() == bottoms[0].tolist() == [1e308, 1e308]
+    tops, bottoms = _extreme_svals([np.full((1, 1), 1e308), np.full((1, 1), 1e308)])
+    assert tops == bottoms == [1e308, 1e308]
+    assert all(type(v) is float for v in tops + bottoms)
     for bad in (np.inf, np.nan):
         with pytest.raises(DomainError, match="not finite"):
-            _extreme_svals([np.array([[[1e308]], [[bad]]])])
+            _extreme_svals([np.array([[1e308]]), np.array([[bad]])])
+
+
+def test_singular_values_that_overflow_are_refused():
+    # Four entries 1e308 give the singular value 2e308: the SVD of finite blocks returns
+    # inf, and the extremes refuse it, so the norm and the margin give no number.
+    a = Algebra((1, 2)).element([np.array([[1.0]]), np.full((2, 2), 1e308)])
+    for call in (a.norm, a.margin, lambda: _extreme_svals(a.blocks)):
+        with pytest.raises(DomainError, match="not finite"):
+            call()
 
 
 def test_shifted_polar_pairs_to_the_unit_under_the_non_finite_rule():

@@ -202,6 +202,31 @@ def test_over_deep_json_is_a_parse_error(tmp_path, capsys, command):
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("command", [["check"], ["dual"], ["reduce"], ["perturb", "--eps", "0.1"]])
+@pytest.mark.parametrize("document, message", [
+    ({"tuple": [], "pad_with": None}, "a module tuple is a JSON list of elements"),  # pad's input object
+    ({}, "a module tuple is a JSON list of elements"),
+    (5, "a module tuple is a JSON list of elements"),
+    ("x", "a module tuple is a JSON list of elements"),
+    ([], "a module tuple needs at least one entry"),
+], ids=["pad-object", "empty-object", "number", "string", "empty-list"])
+def test_a_tuple_that_is_not_a_list_is_a_parse_error_naming_the_shape(tmp_path, capsys, command, document, message):
+    # The reader refuses a non-list before it indexes data[0], so pad's input object handed
+    # to another command names the shape it needs, not KeyError(0).
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, command + ["--input", str(path)])
+    assert (code, out, err) == (2, "", f"error: bad input: ValueError('{message}')\n")
+
+
+@pytest.mark.parametrize("document", [{"tuple": 5, "pad_with": None}, {"tuple": {}}])
+def test_pad_refuses_a_tuple_that_is_not_a_list(tmp_path, capsys, document):
+    path = tmp_path / "pad.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, ["pad", "--eps", "0.1", "--input", str(path)])
+    assert (code, out, err) == (2, "", "error: bad input: ValueError('a module tuple is a JSON list of elements')\n")
+
+
 def test_missing_file_is_a_parse_error(capsys):
     code, _, err = run_cli(capsys, ["check", "--input", "/nonexistent/x.json"])
     assert code == 2

@@ -356,7 +356,7 @@ LAPACK_CALLS = {
     "right_inverse": lambda space, b: space.right_inverse(b),
     "right_inv_sqrt": lambda space, b: space.right_inv_sqrt(b),
     "_right_calculus": lambda space, b: space._right_calculus(b.blocks)(np.abs),
-    "_gram_margin": lambda space, b: space._gram_margin(b.blocks),
+    "_gram_spectrum": lambda space, b: space._gram_spectrum(b.blocks),
 }
 
 
@@ -377,6 +377,19 @@ def test_lapack_calls_refuse_one_non_finite_entry(bad, corner, call):
     b = space.right_algebra.element(blocks)
     with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="not finite"):
         LAPACK_CALLS[call](space, b)
+
+
+def test_a_finite_gram_sum_whose_eigenvalues_overflow_is_refused():
+    # x = [[a, a], [0, 0]], a = 1e154, has the finite Gram sum a^2 [[1, 1], [1, 1]], whose
+    # eigenvalue 2 a^2 overflows: the Gram spectrum refuses it, for one sum and for a stack
+    # of them, rather than read the margin 0 / inf = 0.
+    space = ModuleSpace(Algebra((1,)), 2, 2)
+    t = ModuleTuple((space.element([np.array([[1e154, 1e154], [0.0, 0.0]])]),))
+    assert all(np.isfinite(b).all() for b in gram(t).blocks)
+    for call in (lambda: unimodularity_margin(t), lambda: is_unimodular(t), lambda: dual_witness(t),
+                 lambda: space._gram_spectrum([np.full((3, 2, 2), 1e308 + 0j)])):
+        with pytest.raises(DomainError, match="not finite"):
+            call()
 
 
 def test_the_unchecked_inverse_of_an_exactly_singular_element_is_a_domain_error():
@@ -503,17 +516,24 @@ def test_corner_recovers_algebra_as_module():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 2), st.integers(1, 3), st.data(), st.integers(1, 4), st.integers(0, 2**32 - 1))
-def test_corner_matches_matrix_module_verdicts(d, size, data, k, seed):
-    # p M_size(M_d) q with rank p = r d and rank q = s d is M_{r x s}(M_d) on
-    # the cores U* x V: same verdicts, same stable rank and the same margins.
+@given(st.lists(st.integers(1, 2), min_size=1, max_size=2).map(tuple), st.integers(1, 3), st.data(),
+       st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_corner_matches_matrix_module_verdicts(base, size, data, k, seed):
+    # p M_size(A) q, A = M_d1 (+ M_d2), with rank p = r d_i and rank q = s d_i in block i is
+    # M_{r x s}(A) on the cores U_i* x V_i, block by block: same verdicts, same stable rank,
+    # the same Gram sums on the ranges of q and the same margins.
     r = data.draw(st.integers(1, size), label="r")
     s = data.draw(st.integers(1, size), label="s")
     rng = np.random.default_rng(seed)
-    corner = corner_with_ranks((d,), size, (r * d,), (s * d,), rng)
-    matrix = ModuleSpace(Algebra((d,)), r, s)
+    corner = corner_with_ranks(base, size, tuple(r * d for d in base), tuple(s * d for d in base), rng)
+    matrix = ModuleSpace(Algebra(base), r, s)
+    assert corner.compressed_shapes == matrix.block_shapes
+    u, v = corner._row_bases, corner._col_bases
     tc = random_tuple(corner, rng, k)
-    tm = ModuleTuple(tuple(matrix.element([corner._core(0, x.blocks[0])]) for x in tc))
+    tm = ModuleTuple(tuple(matrix.element([ub.conj().T @ xb @ vb for ub, xb, vb in zip(u, x.blocks, v)])
+                           for x in tc))
+    for vb, gc, gm in zip(v, gram(tc).blocks, gram(tm).blocks):
+        np.testing.assert_allclose(vb.conj().T @ gc @ vb, gm, rtol=0, atol=1e-12 * np.abs(gm).max())
     assert corner.predicted_stable_rank() == matrix.predicted_stable_rank()
     assert is_unimodular(tc) == is_unimodular(tm)
     assert gen_oracle(tc) == gen_oracle(tm)
@@ -646,7 +666,8 @@ def test_corner_right_algebra_ops_match_kernel(base, size, p_ranks, q_ranks, sha
 
     assert_matches(corner.right_inverse(general), compress(general).inverse())
     assert_matches(corner.right_inv_sqrt(positive), compress(positive).inv_sqrt())
-    assert_matches(corner._right_calculus(indefinite.blocks)(clipped), compress(indefinite).positive_part())
+    assert_matches(big.element(corner._right_calculus(indefinite.blocks)(clipped)),
+                   compress(indefinite).positive_part())
     for b in (general, positive, indefinite, singular):
         svals = [np.linalg.svd(c, compute_uv=False) for c in compress(b).blocks]
         expected = min(s[-1] for s in svals) / max(1.0, max(s[0] for s in svals))
@@ -690,8 +711,8 @@ def test_corner_right_algebra_ops_match_kernel(base, size, p_ranks, q_ranks, sha
     assert_matches(corner.right_inverse(general), matrix.right_inverse(compress(general)))
     assert_matches(corner.right_inv_sqrt(positive), matrix.right_inv_sqrt(compress(positive)))
     assert_matches(
-        corner._right_calculus(indefinite.blocks)(clipped),
-        matrix._right_calculus(compress(indefinite).blocks)(clipped),
+        big.element(corner._right_calculus(indefinite.blocks)(clipped)),
+        core.element(matrix._right_calculus(compress(indefinite).blocks)(clipped)),
     )
     for xc, xm in zip(standard, matrix.standard_unimodular_tuple(), strict=True):
         for i, (ub, vb) in enumerate(zip(u_bases, v_bases)):

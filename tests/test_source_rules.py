@@ -36,8 +36,9 @@ alone freezes blocks and defines the operand rule.  The acceptance seeds count
 runs; none comes from CPython's tuple hash.  The margin rule, the smallest
 singular value over ``max(1, largest)``, is written once, in ``algebra._margin``,
 for one element and for a stack of trials alike.  Only Gram sums, which are
-Hermitian, take their extremes from ``eigvalsh``, through one helper of the
-space; every other margin and every norm keeps the SVD.  A density report counts
+Hermitian, take their extremes from ``eigvalsh``, in one helper of the space,
+which alone hands it to LAPACK; every other margin and every norm keeps the
+SVD.  A density report counts
 its unimodular trials through one helper of the space, which alone hands
 ``cholesky`` to LAPACK and falls back to the Gram margins; before it draws, a cell
 the counting bound rules out is tested against the space's one closed-form
@@ -517,37 +518,25 @@ def test_the_margin_rule_is_written_once():
     assert uses == [MARGIN_RULE]
 
 
-class _HermitianRequests(_NamedUses):
-    """Collects every ``hermitian=`` keyword other than the literal ``False``, and
-    every string naming a routine in ``names``, the way ``_lapack`` is told one."""
-
-    def visit_keyword(self, node):
-        if node.arg == "hermitian" and not (isinstance(node.value, ast.Constant) and node.value.value is False):
-            self.found.append(("hermitian", ".".join(self.scope), node.lineno))
-        self.generic_visit(node)
+class _RoutineNames(_NamedUses):
+    """Collects the uses of ``names`` and every string naming a routine in ``names``,
+    the way ``_lapack`` is told one."""
 
     def visit_Constant(self, node):
         if node.value in self.names:
             self.found.append((node.value, ".".join(self.scope), node.lineno))
 
 
-#: The one place that hands ``eigvalsh`` to LAPACK, the one place that asks it for
-#: Hermitian extremes, and the callers of that Gram-spectrum helper and of the
-#: Gram-margin helper that reads it.
-EIGENVALUE_EXTREMES = ("algebra", "_extreme_svals")
+#: The one place that hands ``eigvalsh`` to LAPACK, the space's Gram spectrum, and
+#: the callers that read a Gram sum's margin or spectrum from it.
 GRAM_SPECTRUM = ("hilbert_module", "_SpaceOps._gram_spectrum")
-GRAM_MARGIN_CALLERS = {
-    "_gram_spectrum": {
-        ("hilbert_module", "_SpaceOps._gram_margin"),
-        ("hilbert_module", "_stacked_dual"),
-        ("stable_rank", "hv_perturb"),
-    },
-    "_gram_margin": {
-        ("hilbert_module", "_SpaceOps.random_gram_margins"),
-        ("hilbert_module", "_SpaceOps._unimodular_count"),
-        ("hilbert_module", "unimodularity_margin"),
-        ("hilbert_module", "_is_unimodular_at"),
-    },
+GRAM_SPECTRUM_CALLERS = {
+    ("hilbert_module", "_SpaceOps.random_gram_margins"),
+    ("hilbert_module", "_SpaceOps._unimodular_count"),
+    ("hilbert_module", "unimodularity_margin"),
+    ("hilbert_module", "_is_unimodular_at"),
+    ("hilbert_module", "_stacked_dual"),
+    ("stable_rank", "hv_perturb"),
 }
 
 
@@ -568,19 +557,16 @@ def test_only_gram_sums_take_their_extremes_from_eigenvalues():
     # A Hermitian matrix's singular values are its eigenvalue moduli; another
     # element's are not.  So right_margin, AlgebraElement.margin, the norms and the
     # generation oracle keep the SVD, and the oracle shares no routine with the Gram route.
-    found = list(_uses({"eigvalsh"}, _HermitianRequests))
-    for name, scope in (("eigvalsh", EIGENVALUE_EXTREMES), ("hermitian", GRAM_SPECTRUM)):
-        uses = [(module, s, line) for module, n, s, line in found if n == name]
-        stray, used = _confined(uses, {scope})
-        assert not stray, f"{name} outside the Gram-margin route: " + ", ".join(stray)
-        # The rule is not vacuous: the route does take it.
-        assert used == {scope}
-    for helper, callers in GRAM_MARGIN_CALLERS.items():
-        uses = [(module, scope, line) for module, _, scope, line in _uses({helper}, _NamedCalls)]
-        stray, used = _confined(uses, callers)
-        assert not stray, f"{helper} called outside its callers: " + ", ".join(stray)
-        # An entry nothing uses any more must leave the list.
-        assert used == callers
+    uses = [(module, scope, line) for module, _, scope, line in _uses({"eigvalsh"}, _RoutineNames)]
+    stray, used = _confined(uses, {GRAM_SPECTRUM})
+    assert not stray, "eigvalsh outside the Gram spectrum: " + ", ".join(stray)
+    # The rule is not vacuous: the Gram spectrum does take it, once.
+    assert used == {GRAM_SPECTRUM} and len(uses) == 1
+    calls = [(module, scope, line) for module, _, scope, line in _uses({"_gram_spectrum"}, _NamedCalls)]
+    stray, used = _confined(calls, GRAM_SPECTRUM_CALLERS)
+    assert not stray, "_gram_spectrum called outside its callers: " + ", ".join(stray)
+    # An entry nothing uses any more must leave the list.
+    assert used == GRAM_SPECTRUM_CALLERS
 
 
 #: What builds a tuple, and the only scopes of ``stable_rank`` allowed to call it:
@@ -622,7 +608,7 @@ def test_hv_perturb_forms_the_gram_sum_once():
 CHOLESKY_BRACKET = ("hilbert_module", "_SpaceOps._unimodular_count")
 
 
-class _RoutineRequests(_NamedUses):
+class _RoutineRequests(_RoutineNames):
     """Collects only the strings naming a routine in ``names``, the way ``_lapack`` is told one;
     the names themselves are the LAPACK rule's."""
 
@@ -630,7 +616,6 @@ class _RoutineRequests(_NamedUses):
         self.generic_visit(node)
 
     visit_ImportFrom = visit_Attribute
-    visit_Constant = _HermitianRequests.visit_Constant
 
 
 def test_only_the_density_count_factors_by_cholesky():

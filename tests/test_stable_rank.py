@@ -663,7 +663,8 @@ def public_hv_perturb(t, params):
     w = space._stacked_from_cores(n, [(u / (sv + z.norm())) @ vh for u, sv, vh in factors])
     coeffs = ReductionCoefficients._wrap(space, [wb @ yb.conj().T for wb, yb in zip(w, tail._stacked())])
     k = math.floor(adjointable_norm(coeffs) / eps) + 1
-    bump = space._right_calculus(gram(t).blocks)(lambda w: np.clip(eps - w, 0.0, eps) / eps)
+    bump = space.right_algebra.element(
+        space._right_calculus(gram(t).blocks)(lambda w: np.clip(eps - w, 0.0, eps) / eps))
     damp_inv = space.right_inverse(space.right_algebra_unit() + k * bump, params.tol)
     return ModuleTuple(tuple(v * damp_inv for v in warfield_forward(padded, coeffs).entries))
 
@@ -892,8 +893,10 @@ def test_the_route_boundary_is_the_smallest_eigenvalue_at_eps():
 def count_lapack_and_gram(monkeypatch, log=None):
     """Count, by routine, what the LAPACK boundary runs in ``algebra`` and in
     ``hilbert_module``, which imports it; ``scans``, its calls, each of which scans
-    its blocks for non-finite entries once; ``gram_sums``, the stacked pairings; and
-    ``gram``.  ``log``, if given, gets ``(routine, number of blocks)`` of each call."""
+    its blocks for non-finite entries once; ``gram_sums``, the stacked pairings;
+    ``gram``; and ``wraps``, the elements, tuple entries and coefficient arrays
+    built by ``_Blocks._wrap``.  ``log``, if given, gets ``(routine, number of
+    blocks)`` of each call."""
     counts = {}
 
     def count(name):
@@ -917,8 +920,13 @@ def count_lapack_and_gram(monkeypatch, log=None):
         count("gram")
         return _original(t)
 
+    def wrap(cls, parent, blocks, _original=algebra._Blocks._wrap.__func__):
+        count("wraps")
+        return _original(cls, parent, blocks)
+
     monkeypatch.setattr(hilbert_module._SpaceOps, "_stacked_pairing", gram_sum)
     monkeypatch.setattr(hilbert_module, "gram", spy)
+    monkeypatch.setattr(algebra._Blocks, "_wrap", classmethod(wrap))
     return counts
 
 
@@ -931,6 +939,9 @@ def test_each_route_makes_exactly_its_lapack_calls(monkeypatch, kind):
     # two decisions, each on a stacked form, so gram never runs; each LAPACK call
     # scans its blocks once; a tuple below the counting bound is refused before any of them.
     # bass_reduce: the input's dual, the polar completion and the reduced tuple's decision.
+    # The bump and the damping stay blocks, so the collapse route wraps only its n output
+    # entries, its coefficients and, on a matrix space, the unit that the witness gate
+    # builds (a corner's unit is q); the zero route wraps nothing.
     rng = np.random.default_rng(15)
     space = space_of_kind(kind, rng)
     n = space.predicted_stable_rank()
@@ -949,6 +960,7 @@ def test_each_route_makes_exactly_its_lapack_calls(monkeypatch, kind):
 
     monkeypatch.setattr(stable_rank, "_is_unimodular_at", recording)
     counts = count_lapack_and_gram(monkeypatch)
+    unit = 1 if kind == "matrix" else 0
 
     assert hv_perturb(t, PerturbationParams(eps=smallest / 2)) is t
     assert counts == {"gram_sums": 1, "eigvalsh": 1, "scans": 1}
@@ -956,7 +968,7 @@ def test_each_route_makes_exactly_its_lapack_calls(monkeypatch, kind):
 
     counts.clear()
     assert hv_perturb(small, PerturbationParams(eps=0.1)) is not small
-    assert counts == {"gram_sums": 5, "eigh": 1, "eigvalsh": 4, "inv": 1, "svd": 2, "scans": 8}
+    assert counts == {"gram_sums": 5, "eigh": 1, "eigvalsh": 4, "inv": 1, "svd": 2, "scans": 8, "wraps": n + 1 + unit}
 
     counts.clear()
     with pytest.raises(ReductionFailedError):
@@ -964,7 +976,7 @@ def test_each_route_makes_exactly_its_lapack_calls(monkeypatch, kind):
     assert counts == {}
 
     bass_reduce(longer, PerturbationParams(eps=0.1))
-    assert counts == {"gram_sums": 3, "eigvalsh": 2, "inv": 1, "svd": 1, "scans": 4}
+    assert counts == {"gram_sums": 3, "eigvalsh": 2, "inv": 1, "svd": 1, "scans": 4, "wraps": 1 + unit}
 
 
 @pytest.mark.parametrize("kind", ["matrix", "corner"])
@@ -972,19 +984,25 @@ def test_each_decision_makes_exactly_its_lapack_calls(monkeypatch, kind):
     # Each LAPACK call scans its blocks once: the dual inverts the Gram sum once its
     # eigvalsh margin passes, an inverse once its SVD margin passes, and hv_pad decides
     # its padded tuple by the dual rule, on the Gram sum of the joined stacked form.
+    # Wraps: the witness's n entries; hv_pad's n + r output entries and, on a matrix
+    # space, the unit of its normalization gate, but no bump; an inverse's result, and
+    # right_inverse's compressed operand and expanded result.
     rng = np.random.default_rng(16)
     space = space_of_kind(kind, rng)
     t = random_unimodular(space, rng, space.predicted_stable_rank())
     u = space.standard_unimodular_tuple()
     b = space.right_algebra_unit() + gram(t)
+    n, r = len(t), len(u)
+    unit = 1 if kind == "matrix" else 0
     counts = count_lapack_and_gram(monkeypatch)
     calls = [
         (lambda: unimodularity_margin(t), {"gram_sums": 1, "eigvalsh": 1, "scans": 1}),
         (lambda: generation_margin(t), {"svd": 1, "scans": 1}),
-        (lambda: dual_witness(t), {"gram_sums": 1, "eigvalsh": 1, "inv": 1, "scans": 2}),
-        (lambda: hv_pad(t, u, 0.5), {"gram_sums": 3, "eigh": 1, "eigvalsh": 1, "inv": 1, "scans": 3}),
-        (lambda: space.right_inverse(b), {"svd": 1, "inv": 1, "scans": 2}),
-        (lambda: space.right_algebra_unit().inverse(), {"svd": 1, "inv": 1, "scans": 2}),
+        (lambda: dual_witness(t), {"gram_sums": 1, "eigvalsh": 1, "inv": 1, "scans": 2, "wraps": n}),
+        (lambda: hv_pad(t, u, 0.5),
+         {"gram_sums": 3, "eigh": 1, "eigvalsh": 1, "inv": 1, "scans": 3, "wraps": n + r + unit}),
+        (lambda: space.right_inverse(b), {"svd": 1, "inv": 1, "scans": 2, "wraps": 3}),
+        (lambda: space.right_algebra_unit().inverse(), {"svd": 1, "inv": 1, "scans": 2, "wraps": 1 + unit}),
     ]
     for call, expected in calls:
         counts.clear()
