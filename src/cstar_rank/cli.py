@@ -69,7 +69,7 @@ def _check():
     def check(args, residuals):
         t = tuple_from_json_list(_load_json(args.input_path))
         residuals["unimodularity_margin"] = margin = unimodularity_margin(t)
-        return {"unimodular": _is_unimodular_at(t.space, t._stacked(), args.tol, margin)}
+        return {"unimodular": bool(_is_unimodular_at(t.space, t._stacked(), args.tol, margin))}
 
     return check
 
@@ -95,18 +95,15 @@ def _dual():
 
 
 def _reduce():
-    from .hilbert_module import tuple_from_json_list, unimodularity_margin
-    from .stable_rank import PerturbationParams, bass_reduce, warfield_forward
+    from .hilbert_module import tuple_from_json_list
+    from .stable_rank import _bass_reduce
 
     def reduce(args, residuals):
         t = tuple_from_json_list(_load_json(args.input_path))
-        # bass_reduce does not read eps; any valid value will do.
-        coeffs = bass_reduce(t, PerturbationParams(eps=1.0, tol=args.tol, seed=args.seed))
-        reduced = warfield_forward(t, coeffs)
-        residuals["reduced_margin"] = unimodularity_margin(reduced)
+        coeffs, reduced, residuals["reduced_margin"] = _bass_reduce(t, args.tol)
         return {
             "coefficients": coeffs.to_json_dict(),
-            "reduced": reduced.to_json_list(),
+            "reduced": t.space._tuple_from_stacked(reduced).to_json_list(),
             "reduced_unimodular": True,
         }
 
@@ -114,8 +111,8 @@ def _reduce():
 
 
 def _pad():
-    from .hilbert_module import normalize_tuple, tuple_from_json_list, unimodularity_margin
-    from .stable_rank import hv_pad
+    from .hilbert_module import normalize_tuple, tuple_from_json_list
+    from .stable_rank import _hv_pad
 
     def pad(args, residuals):
         data = _load_json(args.input_path)
@@ -127,21 +124,19 @@ def _pad():
         else:
             # The standard tuple's Gram sum is already the unit.
             u = t.space.standard_unimodular_tuple()
-        padded = hv_pad(t, u, args.eps, args.tol)
-        residuals["padded_margin"] = unimodularity_margin(padded)
+        padded, residuals["padded_margin"] = _hv_pad(t, u, args.eps, args.tol)
         return {"padded": padded.to_json_list(), "unimodular": True}
 
     return pad
 
 
 def _perturb():
-    from .hilbert_module import tuple_from_json_list, unimodularity_margin
-    from .stable_rank import PerturbationParams, hv_perturb
+    from .hilbert_module import tuple_from_json_list
+    from .stable_rank import PerturbationParams, _hv_perturb
 
     def perturb(args, residuals):
         t = tuple_from_json_list(_load_json(args.input_path))
-        moved = hv_perturb(t, PerturbationParams(eps=args.eps, tol=args.tol, seed=args.seed))
-        residuals["perturbed_margin"] = unimodularity_margin(moved)
+        moved, residuals["perturbed_margin"] = _hv_perturb(t, PerturbationParams(args.eps, args.tol, args.seed))
         return {
             "perturbed": moved.to_json_list(),
             "distance": (t - moved).norm(),

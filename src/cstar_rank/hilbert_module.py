@@ -472,18 +472,18 @@ def is_unimodular(t: ModuleTuple, tol: float = DEFAULT_TOL) -> bool:
     The counting bound decides first: a tuple that it rules out is not
     unimodular at any ``tol``, even where rounding noise passes a tiny one.
     """
-    return _is_unimodular_at(t.space, t._stacked(), tol)
+    return bool(_is_unimodular_at(t.space, t._stacked(), tol))
 
 
-def _is_unimodular_at(space, stacked, tol: float, margin=None) -> bool:
-    """:func:`is_unimodular`'s rule on a tuple's stacked form, and on its ``margin`` if
-    already taken; its Gram sum is that of the tuple, bit for bit."""
+def _is_unimodular_at(space, stacked, tol: float, margin=None) -> float:
+    """:func:`is_unimodular`'s rule on a tuple's stacked form, whose Gram sum is the tuple's bit for bit,
+    and on its ``margin`` if already taken: the margin it accepted, or 0.0 where it is not unimodular."""
     _require_positive_finite("tol", tol)
     if space.rank_obstruction(len(stacked[0]) // space.block_shapes[0][0]):
-        return False
+        return 0.0
     if margin is None:
         margin = space._gram_spectrum(space._stacked_pairing(stacked, stacked))[0]
-    return bool(margin > tol)
+    return float(margin) if margin > tol else 0.0
 
 
 def unimodularity_margin(t: ModuleTuple) -> float:
@@ -505,7 +505,7 @@ def dual_witness(t: ModuleTuple, tol: float = DEFAULT_TOL) -> ModuleTuple:
 
 def _stacked_dual(space, stacked, tol: float):
     """:func:`dual_witness` on a stacked form: the stacked dual ``x (b^{-1})*``, ``b`` the Gram sum,
-    inverted once its margin passes, and its norm ``lambda_min(b)^{-1/2}``."""
+    inverted once its margin passes, its norm ``lambda_min(b)^{-1/2}`` and that margin."""
     _require_positive_finite("tol", tol)
     k = len(stacked[0]) // space.block_shapes[0][0]
     if space.rank_obstruction(k):
@@ -519,7 +519,7 @@ def _stacked_dual(space, stacked, tol: float):
             f"tuple is not unimodular at tol={tol:g} (margin {margin:.3g})"
         )
     inverse = space._expand(_lapack("inv", compressed))
-    return [x @ cb.conj().T for x, cb in zip(stacked, inverse)], min(bottoms) ** -0.5
+    return [x @ cb.conj().T for x, cb in zip(stacked, inverse)], min(bottoms) ** -0.5, float(margin)
 
 
 def normalize_tuple(t: ModuleTuple, tol: float = DEFAULT_TOL) -> ModuleTuple:
@@ -725,6 +725,9 @@ def tuple_from_json_list(data) -> ModuleTuple:
         raise ValueError("a module tuple is a JSON list of elements")
     if not data:
         raise ValueError("a module tuple needs at least one entry")
+    for i, item in enumerate(data):
+        if not isinstance(item, dict) or not item.keys() >= {"space", "blocks"}:
+            raise ValueError(f'entry {i} of a module tuple must be a JSON object with "space" and "blocks"')
     space = space_from_json_dict(data[0]["space"])
     entries = []
     for item in data:

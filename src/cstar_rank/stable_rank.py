@@ -19,10 +19,10 @@ spectrum of the Gram sum ``b0`` picks its route: where ``b0 >= eps`` the bump is
 and the closed form is the tuple itself, which moves 0; only the other route pads.
 Its gates, like every norm only compared with a bound, go through ``algebra._gate_norm``.
 
-The reductions stack each input once (``ModuleTuple._stacked``) and build a tuple only for
-their outputs.  Each intermediate tuple is decided once, by the :func:`dual_witness` rule on
-its stacked form, and the dual is passed forward (a polar completion comes with its own
-dual); the outputs by :func:`is_unimodular`'s rule.
+The reductions stack each input once (``ModuleTuple._stacked``) and build a tuple only for their
+outputs.  Each intermediate tuple is decided once, by the :func:`dual_witness` rule on its stacked
+form, and the dual is passed forward (a polar completion comes with its own dual); the outputs by
+the rule of :func:`is_unimodular`, whose margin each pipeline's private body returns with its output.
 
 :func:`density_experiment` estimates how often random Gaussian tuples are
 unimodular, with deterministic per-trial seeding.
@@ -206,7 +206,7 @@ def warfield_b_to_a(t: ModuleTuple, y: ModuleTuple, tol: float = DEFAULT_TOL) ->
     _require_unit_pairing(space, w, x, "witness pairing residual")
     head, tail = _split(space, w, n)
     try:
-        z, _ = _stacked_dual(space, head, tol)
+        z = _stacked_dual(space, head, tol)[0]
     except DomainError as exc:
         raise DomainError(f"truncated witness (y_1, ..., y_n) is not unimodular: {exc}") from exc
     return _warfield(space, x, n, head, tail, z, tol)[0]
@@ -215,9 +215,9 @@ def warfield_b_to_a(t: ModuleTuple, y: ModuleTuple, tol: float = DEFAULT_TOL) ->
 def _warfield(space, x, n: int, head, tail, z, tol: float):
     """Warfield's step on stacked forms, on the entries of ``x`` after the first ``n``, from
     a witness ``(head, tail)`` whose pairing with ``x`` is invertible and a dual ``z`` of
-    its head: the coefficients ``a_jk = z_j tail_k*`` and the stacked collapsed tuple,
-    whose pairing with ``head`` is that of the witness with ``x``.  ``z`` is certified
-    by its pairing residual alone."""
+    its head: the coefficients ``a_jk = z_j tail_k*``, the stacked collapsed tuple, whose
+    pairing with ``head`` is that of the witness with ``x``, and the margin that decided
+    it.  ``z`` is certified by its pairing residual alone."""
     _require_unit_pairing(space, head, z, "truncation dual residual")
 
     # Per block, a_jk = z_j tail_k*: the stacked dual times the stacked tail's adjoint.
@@ -229,9 +229,10 @@ def _warfield(space, x, n: int, head, tail, z, tol: float):
     # warfield_forward on stacked forms: a_jk = z_j tail_k* acts inside the corner already.
     kept, collapsed = _split(space, x, n)
     reduced = [hb + ab @ yb for hb, ab, yb in zip(kept, a, collapsed)]
-    if not _is_unimodular_at(space, reduced, tol):
+    margin = _is_unimodular_at(space, reduced, tol)
+    if not margin:
         raise DomainError("reduced tuple failed the unimodularity postcondition")
-    return ReductionCoefficients._wrap(space, a), reduced
+    return ReductionCoefficients._wrap(space, a), reduced, margin
 
 
 def _require_unit_pairing(space, y, x, what: str) -> None:
@@ -276,12 +277,17 @@ def bass_reduce(t: ModuleTuple, params: PerturbationParams) -> ReductionCoeffici
     Raises :class:`ReductionFailedError` when the counting bound rules out
     every truncation.  Of ``params`` it reads only ``tol``.
     """
+    return _bass_reduce(t, params.tol)[0]
+
+
+def _bass_reduce(t: ModuleTuple, tol: float):
+    """:func:`bass_reduce`'s coefficients, with the stacked reduced tuple and the margin that decided it."""
     if len(t) < 2:
         raise ShapeMismatchError("need a tuple of length at least 2 to reduce")
     x = t._stacked()
-    z, eta = _stacked_dual(t.space, x, params.tol)
+    z, eta, _ = _stacked_dual(t.space, x, tol)
     _refuse_below_stable_rank(t.space, len(t) - 1)
-    return _collapse(t.space, x, z, eta, len(t) - 1, params.tol)[0]
+    return _collapse(t.space, x, z, eta, len(t) - 1, tol)
 
 
 def _collapse(space, x, z, eta: float, n: int, tol: float):
@@ -302,8 +308,8 @@ def _bump(w, eps: float):
 
 
 def _pad_with_bump(space, x, padding, tol: float):
-    """The stacked ``x`` over its ``padding``, with its stacked dual and norm: decided by the
-    :func:`dual_witness` rule."""
+    """The stacked ``x`` over its ``padding``, with its stacked dual, norm and margin: decided by
+    the :func:`dual_witness` rule."""
     padded = [np.concatenate((xb, pb)) for xb, pb in zip(x, padding)]
     try:
         return (padded, *_stacked_dual(space, padded, tol))
@@ -314,9 +320,7 @@ def _pad_with_bump(space, x, padding, tol: float):
         ) from exc
 
 
-def hv_pad(
-    t: ModuleTuple, u: ModuleTuple, eps: float, tol: float = DEFAULT_TOL
-) -> ModuleTuple:
+def hv_pad(t: ModuleTuple, u: ModuleTuple, eps: float, tol: float = DEFAULT_TOL) -> ModuleTuple:
     """Append the spectral bump of a normalized tuple, forcing unimodularity.
 
     With ``b0`` the Gram sum of ``t`` and ``b = (1 - b0/eps)^+ = (eps - b0)^+/eps``,
@@ -325,14 +329,19 @@ def hv_pad(
     so the result is always unimodular.  ``u`` must satisfy
     ``sum <u_k, u_k> = 1`` (normalize with :func:`normalize_tuple` first).
     """
+    return _hv_pad(t, u, eps, tol)[0]
+
+
+def _hv_pad(t: ModuleTuple, u: ModuleTuple, eps: float, tol: float):
+    """:func:`hv_pad`'s padded tuple and the margin that decided it."""
     _require_positive_finite("eps", eps)
     _same_space(t, u, "tuples live over different spaces")
     space, us, x = t.space, u._stacked(), t._stacked()
     _require_unit_pairing(space, us, us, "padding tuple is not normalized: ||<u,u> - 1|| =")
     b0 = space._stacked_pairing(x, x)
     bump = space._right_calculus(b0)(lambda w: _bump(w, eps))
-    padding = [ub @ bb for ub, bb in zip(us, bump)]
-    return space._tuple_from_stacked(_pad_with_bump(space, x, padding, tol)[0])
+    padded, _, _, margin = _pad_with_bump(space, x, [ub @ bb for ub, bb in zip(us, bump)], tol)
+    return space._tuple_from_stacked(padded), margin
 
 
 def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
@@ -359,6 +368,11 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
     unimodular one (the counting bound): :class:`ReductionFailedError`, before
     its Gram sum is formed.
     """
+    return _hv_perturb(t, params)[0]
+
+
+def _hv_perturb(t: ModuleTuple, params: PerturbationParams):
+    """:func:`hv_perturb`'s moved tuple and the margin that decided it."""
     space, eps = t.space, params.eps
     _refuse_below_stable_rank(space, len(t))
     x = t._stacked()
@@ -374,8 +388,8 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
                 f"a nonzero bump needs the damping k = floor(||a||/eps) + 1, "
                 f"which may overflow at a subnormal eps={eps:g}"
             )
-        padded, dual, eta = _pad_with_bump(space, x, space._standard_padding(bump), params.tol)
-        coeffs, reduced = _collapse(space, padded, dual, eta, len(t), params.tol)
+        padded, dual, eta, _ = _pad_with_bump(space, x, space._standard_padding(bump), params.tol)
+        coeffs, reduced, _ = _collapse(space, padded, dual, eta, len(t), params.tol)
         k = math.floor(adjointable_norm(coeffs) / eps) + 1
         # d = 1 + k*b >= 1 shares the eigenvectors of b, so its inverse needs no inversion.
         damp_inv = calculus(lambda w: 1.0 / (1.0 + k * _bump(w, eps)))
@@ -383,7 +397,8 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
         moved = space._tuple_from_stacked(stacked)
 
     # The zero route decides t on the margin its route was read from, and t moves 0.
-    if not _is_unimodular_at(space, stacked, params.tol, margin if moved is t else None):
+    decided = _is_unimodular_at(space, stacked, params.tol, margin if moved is t else None)
+    if not decided:
         raise DomainError("perturbed tuple failed the unimodularity postcondition")
     bound = math.sqrt(eps) + eps
     distance = 0.0 if moved is t else _gate_norm([xb - mb for xb, mb in zip(x, stacked)], bound)
@@ -391,7 +406,7 @@ def hv_perturb(t: ModuleTuple, params: PerturbationParams) -> ModuleTuple:
         raise DomainError(
             f"perturbed tuple moved {distance:.6g}, not below sqrt(eps)+eps = {bound:.6g}"
         )
-    return moved
+    return moved, decided
 
 
 @dataclass(frozen=True)

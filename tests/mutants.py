@@ -30,7 +30,8 @@ MUTANTS = {
         "stable_rank.py", "(eps - w).clip(0.0, eps) / eps", "(eps - w).clip(0.0, 2 * eps) / eps",
         "the bump's upper clip: a negative eigenvalue of b0 would give a bump above 1"),
     "strict-margin": (
-        "hilbert_module.py", "return bool(margin > tol)", "return bool(margin >= tol)",
+        "hilbert_module.py", "return float(margin) if margin > tol else 0.0",
+        "return float(margin) if margin >= tol else 0.0",
         "a tuple is unimodular at tol iff its margin exceeds tol; >= differs only at exact equality"),
     "dual-margin": (
         "hilbert_module.py", "    if not margin > tol:\n        raise DomainError(\n            f\"tuple is not",
@@ -92,6 +93,9 @@ MUTANTS = {
     "gram-finite": (
         "hilbert_module.py", "        if not finite:\n            raise DomainError(_NOT_FINITE)\n", "",
         "eigenvalues of a finite Gram sum can overflow; the Gram spectrum refuses them"),
+    "reported-margin": (
+        "stable_rank.py", "    return moved, decided\n", "    return moved, margin\n",
+        "perturb reports the margin that decided the moved tuple, not the one its route was read from"),
     "witness-tol": (
         "scalars.py", "WITNESS_TOL = 1e-8", "WITNESS_TOL = 1e-6",
         "a witness pairs with its tuple to the unit within 1e-8"),

@@ -20,11 +20,15 @@ from cstar_rank import (
     acceptance,
     corner_space,
     generation_margin,
+    gram,
+    hilbert_module,
     is_unimodular,
     stable_rank,
     tuple_from_json_list,
 )
 from cstar_rank.cli import main
+from test_hilbert_module import corner_with_ranks, space_of_kind
+from test_stable_rank import count_lapack_and_gram, random_tuple, random_unimodular, scaled_to_norm
 
 
 def write_tuple(path, t):
@@ -219,12 +223,38 @@ def test_a_tuple_that_is_not_a_list_is_a_parse_error_naming_the_shape(tmp_path, 
     assert (code, out, err) == (2, "", f"error: bad input: ValueError('{message}')\n")
 
 
+ENTRY_SHAPE = 'must be a JSON object with "space" and "blocks"'
+
+
+@pytest.mark.parametrize("command", [["check"], ["dual"], ["reduce"], ["perturb", "--eps", "0.1"]])
+@pytest.mark.parametrize("index, entry", [
+    (0, 5), (0, {}), (0, "x"), (0, [1, 0, 3]), (0, {"space": {}}), (1, {"blocks": []}),
+], ids=["number", "empty-object", "string", "list", "no-blocks", "second-entry"])
+def test_an_entry_that_is_not_an_element_is_a_parse_error_naming_its_index(tmp_path, capsys, command, index, entry):
+    # check on [5] once printed TypeError("'int' object is not subscriptable"), and on [{}] KeyError('space').
+    element = ModuleSpace(Algebra((1,)), 1, 1).zero().to_json_dict()
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps([element] * index + [entry]))
+    code, out, err = run_cli(capsys, command + ["--input", str(path)])
+    assert (code, out, err) == (2, "", f"error: bad input: ValueError('entry {index} of a module tuple {ENTRY_SHAPE}')\n")
+
+
 @pytest.mark.parametrize("document", [{"tuple": 5, "pad_with": None}, {"tuple": {}}])
 def test_pad_refuses_a_tuple_that_is_not_a_list(tmp_path, capsys, document):
     path = tmp_path / "pad.json"
     path.write_text(json.dumps(document))
     code, out, err = run_cli(capsys, ["pad", "--eps", "0.1", "--input", str(path)])
     assert (code, out, err) == (2, "", "error: bad input: ValueError('a module tuple is a JSON list of elements')\n")
+
+
+@pytest.mark.parametrize("document", [
+    {"tuple": [5]}, {"tuple": [ModuleSpace(Algebra((1,)), 1, 1).zero().to_json_dict()], "pad_with": [{}]},
+], ids=["tuple", "pad-with"])
+def test_pad_refuses_an_entry_that_is_not_an_element(tmp_path, capsys, document):
+    path = tmp_path / "pad.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, ["pad", "--eps", "0.1", "--input", str(path)])
+    assert (code, out, err) == (2, "", f"error: bad input: ValueError('entry 0 of a module tuple {ENTRY_SHAPE}')\n")
 
 
 def test_missing_file_is_a_parse_error(capsys):
@@ -1013,3 +1043,123 @@ def test_verify_suite_into_a_closed_stdout_is_one_error_line(capsys, monkeypatch
     finally:
         os.close(stdout.fd)
     assert capsys.readouterr().err.startswith("error: broken pipe")
+
+
+# -- reports print what the library decided ---------------------------------------------------
+
+
+def spy_on_decisions(monkeypatch):
+    """``(decided, collapsed)``: the margin of each unimodularity decision and stacked dual that
+    ``stable_rank`` makes, in order, read from the Gram spectrum it takes or the margin it is given,
+    and the stacked tuple of each Warfield step, as decided."""
+    spectra, decided, collapsed = [], [], []
+
+    def spectrum(self, g, _original=hilbert_module._SpaceOps._gram_spectrum):
+        result = _original(self, g)
+        spectra.append(result[0])
+        return result
+
+    def unimodular_at(space, stacked, tol, margin=None, _original=stable_rank._is_unimodular_at):
+        verdict = _original(space, stacked, tol, margin)
+        decided.append(spectra[-1] if margin is None else margin)
+        return verdict
+
+    def stacked_dual(space, stacked, tol, _original=stable_rank._stacked_dual):
+        result = _original(space, stacked, tol)
+        decided.append(spectra[-1])
+        return result
+
+    def warfield(*args, _original=stable_rank._warfield):
+        result = _original(*args)
+        collapsed.append(result[1])
+        return result
+
+    monkeypatch.setattr(hilbert_module._SpaceOps, "_gram_spectrum", spectrum)
+    monkeypatch.setattr(stable_rank, "_is_unimodular_at", unimodular_at)
+    monkeypatch.setattr(stable_rank, "_stacked_dual", stacked_dual)
+    monkeypatch.setattr(stable_rank, "_warfield", warfield)
+    return decided, collapsed
+
+
+def report_inputs(tmp_path, kind):
+    """``(argv, residual, collapses)`` of each reduce, pad and perturb run on ``M_{2x3}(C + M_2)`` or
+    on a corner of ``M_4(C)`` with p of rank 2 and q of rank 3, randomly oriented: the residual that
+    reports the output's margin, and the Warfield steps the run takes (perturb: 0 on the zero route)."""
+    rng = np.random.default_rng(23)
+    space = space_of_kind(kind, rng) if kind == "matrix" else corner_with_ranks((1,), 4, (2,), (3,), rng)
+    sr = space.predicted_stable_rank()
+    longer = write_tuple(tmp_path / "longer.json", random_unimodular(space, rng, sr + 1))
+    t = random_unimodular(space, rng, sr)
+    smallest = min(np.linalg.eigvalsh(b)[0] for b in space._compress(gram(t).blocks))
+    small = write_tuple(tmp_path / "small.json", scaled_to_norm(t, 0.05))
+    pads = []
+    for pad_with in (None, random_unimodular(space, rng, sr).to_json_list()):
+        pads.append(tmp_path / f"pad-{len(pads)}.json")
+        pads[-1].write_text(json.dumps({"tuple": random_tuple(space, rng, 1).to_json_list(), "pad_with": pad_with}))
+    return [
+        (["reduce", "--input", longer], "reduced_margin", 1),
+        (["pad", "--input", str(pads[0]), "--eps", "0.5"], "padded_margin", 0),
+        (["pad", "--input", str(pads[1]), "--eps", "0.5"], "padded_margin", 0),
+        (["perturb", "--input", write_tuple(tmp_path / "t.json", t), "--eps", str(float(smallest / 2))],
+         "perturbed_margin", 0),
+        (["perturb", "--input", small, "--eps", "0.1"], "perturbed_margin", 1),
+    ]
+
+
+@pytest.mark.parametrize("kind", ["matrix", "corner"])
+def test_each_report_prints_the_margin_and_the_tuple_that_were_decided(tmp_path, capsys, monkeypatch, kind):
+    # The margins of reduce, pad (with and without pad_with) and perturb (on both routes) are those
+    # of the last decision, bit for bit, and reduce prints the tuple its Warfield step decided: on a
+    # corner, a second collapse from the coefficients, projected again, would move its last bits.
+    for argv, residual, collapses in report_inputs(tmp_path, kind):
+        decided, collapsed = spy_on_decisions(monkeypatch)
+        code, out, err = run_cli(capsys, argv + ["--no-timestamp"])
+        assert (code, err) == (0, ""), argv
+        report = json.loads(out)
+        assert len(collapsed) == collapses, argv
+        assert report["residuals"][residual].hex() == float(decided[-1]).hex(), argv
+        if argv[0] == "reduce":
+            printed = tuple_from_json_list(report["result"]["reduced"])._stacked()
+            assert all(np.array_equal(p, c) for p, c in zip(printed, collapsed[0]))
+        monkeypatch.undo()
+
+
+#: The LAPACK calls of in-process reduce, pad and perturb runs on the command-line benchmark's shapes.
+COMMAND_CALLS = {
+    "reduce": {"eigvalsh": 2, "inv": 1, "svd": 1},
+    "pad": {"eigh": 1, "eigvalsh": 1, "inv": 1},
+    "pad-with": {"eigh": 2, "eigvalsh": 1, "inv": 1, "svd": 1},
+    "perturb-zero": {"eigvalsh": 1, "svd": 1},
+    "perturb-collapse": {"eigh": 1, "eigvalsh": 4, "inv": 1, "svd": 3},
+}
+
+
+def test_each_command_makes_exactly_its_lapack_calls(tmp_path, capsys, monkeypatch):
+    # A report prints the margins its run decided, so the output's decision is its one eigvalsh:
+    # reduce took 3, pad 2 and perturb 2 on its zero route while they took a second Gram sum of
+    # their outputs.  perturb's distance is the SVD norm of t - moved, one svd on either route.
+    rng = np.random.default_rng(24)
+    small, big = ModuleSpace(Algebra((1, 2)), 2, 3), ModuleSpace(Algebra((2, 3)), 4, 5)
+    triple = write_tuple(tmp_path / "triple.json", random_unimodular(small, rng, 3))
+    pads = {}
+    for name, pad_with in (("pad", None), ("pad-with", random_unimodular(small, rng, 2).to_json_list())):
+        pads[name] = tmp_path / f"{name}.json"
+        pads[name].write_text(json.dumps({"tuple": random_tuple(small, rng, 1).to_json_list(), "pad_with": pad_with}))
+    pair = random_unimodular(big, rng, 2)
+    runs = {
+        "reduce": ["reduce", "--input", triple],
+        "pad": ["pad", "--input", str(pads["pad"]), "--eps", "0.5"],
+        "pad-with": ["pad", "--input", str(pads["pad-with"]), "--eps", "0.5"],
+        "perturb-zero": ["perturb", "--input", write_tuple(tmp_path / "big.json", pair), "--eps", "1e-6"],
+        "perturb-collapse": ["perturb", "--input", write_tuple(tmp_path / "small.json", scaled_to_norm(pair, 0.05)),
+                             "--eps", "0.1"],
+    }
+    counts = count_lapack_and_gram(monkeypatch)
+    for name, argv in runs.items():
+        counts.clear()
+        code, out, err = run_cli(capsys, argv + ["--no-timestamp"])
+        assert (code, err) == (0, ""), name
+        moved = name.startswith("perturb") and json.loads(out)["result"]["distance"] > 0
+        assert moved == (name == "perturb-collapse"), name
+        assert {r: n for r, n in counts.items() if r in {"eigh", "eigvalsh", "inv", "svd", "cholesky"}} \
+            == COMMAND_CALLS[name], name

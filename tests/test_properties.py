@@ -421,10 +421,14 @@ def test_one_collapse_removes_every_trailing_entry(case, r, extra, seed):
 
 def collapse(t, n, tol):
     """The private collapse of all but the first ``n`` entries of ``t``, on its stacked
-    form, from its stacked dual; the collapsed tuple is built from its stacked form."""
+    form, from its stacked dual and its norm; the collapsed tuple is built from its stacked
+    form, and the margin that decided it is that tuple's own, bit for bit."""
     x = t._stacked()
-    coeffs, reduced = stable_rank._collapse(t.space, x, *_stacked_dual(t.space, x, tol), n, tol)
-    return coeffs, t.space._tuple_from_stacked(reduced)
+    z, eta, _ = _stacked_dual(t.space, x, tol)
+    coeffs, reduced, margin = stable_rank._collapse(t.space, x, z, eta, n, tol)
+    reduced = t.space._tuple_from_stacked(reduced)
+    assert margin == unimodularity_margin(reduced) > tol
+    return coeffs, reduced
 
 
 #: Input scales, log-uniform in [1, 1e6].

@@ -45,7 +45,9 @@ the counting bound rules out is tested against the space's one closed-form
 rounding bound, which only the density report reads.  ``hv_perturb`` forms
 its Gram sum once, on its one stacked form, for its route, its zero-route
 verdict and its bump, and inverts nothing: the damping's inverse comes from
-the bump's eigendecomposition.
+the bump's eigendecomposition.  Each public pipeline is one call of a private
+body that returns its output with the margin that decided it, and the CLI
+prints those instead of deriving them again.
 """
 
 import ast
@@ -293,30 +295,33 @@ def test_only_the_space_and_the_loader_construct_elements():
 
 def test_hv_perturb_collapses_its_padding_in_one_step():
     # Warfield's step removes all padding entries at once; a stage loop, with
-    # its per-stage seeds, would need a loop and a derived seed.
+    # its per-stage seeds, would need a loop and a derived seed.  hv_perturb
+    # runs its private body, which returns the moved tuple with its margin.
     tree = ast.parse((SRC / "stable_rank.py").read_text(encoding="utf-8"))
-    (hv,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "hv_perturb"]
+    (hv,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_hv_perturb"]
     loops = [n.lineno for n in ast.walk(hv) if isinstance(n, (ast.For, ast.AsyncFor, ast.While))]
-    assert not loops, f"hv_perturb loops at lines {loops}"
+    assert not loops, f"_hv_perturb loops at lines {loops}"
     seeds = [
         n.lineno for n in ast.walk(hv)
         if (isinstance(n, ast.Name) and n.id == "derived_seed")
         or (isinstance(n, ast.Attribute) and n.attr == "derived_seed")
     ]
-    assert not seeds, f"hv_perturb derives seeds at lines {seeds}"
+    assert not seeds, f"_hv_perturb derives seeds at lines {seeds}"
 
 
-#: The output postconditions of ``stable_rank``: the reduced tuple and the moved tuple.
-#: ``hv_pad``'s padded tuple is decided by its dual witness, as ``hv_perturb``'s is.
-POSTCONDITIONS = {"_warfield", "hv_perturb"}
+#: The output postconditions of ``stable_rank``: the reduced tuple and the moved tuple, in
+#: ``_warfield`` and in ``_hv_perturb``, the body of ``hv_perturb``.  ``hv_pad``'s padded
+#: tuple is decided by its dual witness, as ``hv_perturb``'s is.
+POSTCONDITIONS = {"_warfield", "_hv_perturb"}
 
 #: The unimodularity decision: the public test, and its rule on a margin already taken.
 DECISIONS = {"is_unimodular", "_is_unimodular_at"}
 
 
-#: Where ``stable_rank`` decides an intermediate tuple by its stacked dual witness:
-#: the input of the Bass step, the witness's truncation and ``hv_perturb``'s padded tuple.
-INTERMEDIATE_DECISIONS = {"bass_reduce", "warfield_b_to_a", "_pad_with_bump"}
+#: Where ``stable_rank`` decides an intermediate tuple by its stacked dual witness: the
+#: input of the Bass step (in ``_bass_reduce``, the body of ``bass_reduce``), the witness's
+#: truncation and ``hv_perturb``'s padded tuple.
+INTERMEDIATE_DECISIONS = {"_bass_reduce", "warfield_b_to_a", "_pad_with_bump"}
 
 
 def test_reductions_decide_each_intermediate_tuple_once():
@@ -410,14 +415,14 @@ def test_residual_gates_share_one_rule():
     # Every "norm of a residual exceeds its bound" refusal goes through
     # _require_residual; the distance gate has its own comparison and message.
     uses = _scopes_naming("stable_rank", "_gate_norm")
-    assert set(uses) == {"_require_residual", "hv_perturb"}, f"stable_rank names _gate_norm in {uses}"
-    assert len(uses["hv_perturb"]) == 1, "hv_perturb takes a gate norm outside its distance gate"
+    assert set(uses) == {"_require_residual", "_hv_perturb"}, f"stable_rank names _gate_norm in {uses}"
+    assert len(uses["_hv_perturb"]) == 1, "_hv_perturb takes a gate norm outside its distance gate"
 
 
 def test_each_call_refuses_below_the_stable_rank_once():
-    # The pipelines refuse up front; the collapse they share trusts them.
+    # The pipelines' bodies refuse up front; the collapse they share trusts them.
     calls = _scopes_naming("stable_rank", "_refuse_below_stable_rank", calls_only=True)
-    assert set(calls) == {"bass_reduce", "hv_perturb"}, f"counting-bound refusal called in {calls}"
+    assert set(calls) == {"_bass_reduce", "_hv_perturb"}, f"counting-bound refusal called in {calls}"
     assert all(len(lines) == 1 for lines in calls.values()), calls
 
 
@@ -528,7 +533,8 @@ class _RoutineNames(_NamedUses):
 
 
 #: The one place that hands ``eigvalsh`` to LAPACK, the space's Gram spectrum, and
-#: the callers that read a Gram sum's margin or spectrum from it.
+#: the callers that read a Gram sum's margin or spectrum from it; ``_hv_perturb`` is
+#: the body of ``hv_perturb``.
 GRAM_SPECTRUM = ("hilbert_module", "_SpaceOps._gram_spectrum")
 GRAM_SPECTRUM_CALLERS = {
     ("hilbert_module", "_SpaceOps.random_gram_margins"),
@@ -536,7 +542,7 @@ GRAM_SPECTRUM_CALLERS = {
     ("hilbert_module", "unimodularity_margin"),
     ("hilbert_module", "_is_unimodular_at"),
     ("hilbert_module", "_stacked_dual"),
-    ("stable_rank", "hv_perturb"),
+    ("stable_rank", "_hv_perturb"),
 }
 
 
@@ -570,15 +576,16 @@ def test_only_gram_sums_take_their_extremes_from_eigenvalues():
 
 
 #: What builds a tuple, and the only scopes of ``stable_rank`` allowed to call it:
-#: the outputs of ``warfield_forward``, ``hv_pad`` and ``hv_perturb``, and
-#: ``ReductionCoefficients.apply``, which holds its input entries as one tuple.  The
+#: the outputs of ``warfield_forward`` and of ``_hv_pad`` and ``_hv_perturb``, the bodies
+#: of ``hv_pad`` and ``hv_perturb``, and ``ReductionCoefficients.apply``, which holds its
+#: input entries as one tuple.  ``_bass_reduce`` returns its reduced tuple stacked.  The
 #: counting-bound refusal reads the stable rank as a number and builds none.
 TUPLE_BUILDERS = {"ModuleTuple", "_tuple_from_stacked", "standard_unimodular_tuple"}
 TUPLE_OUTPUTS = {
     ("stable_rank", "ReductionCoefficients.apply"),
     ("stable_rank", "warfield_forward"),
-    ("stable_rank", "hv_pad"),
-    ("stable_rank", "hv_perturb"),
+    ("stable_rank", "_hv_pad"),
+    ("stable_rank", "_hv_perturb"),
 }
 
 
@@ -592,7 +599,7 @@ def test_stable_rank_builds_tuples_only_for_outputs():
     assert not stray, "stable_rank builds a tuple outside its outputs: " + ", ".join(stray)
     # The rule is not vacuous: each output is built, and hv_perturb's once.
     assert used == TUPLE_OUTPUTS
-    assert len(_scopes_naming("stable_rank", "_tuple_from_stacked", calls_only=True)["hv_perturb"]) == 1
+    assert len(_scopes_naming("stable_rank", "_tuple_from_stacked", calls_only=True)["_hv_perturb"]) == 1
 
 
 def test_hv_perturb_forms_the_gram_sum_once():
@@ -600,8 +607,8 @@ def test_hv_perturb_forms_the_gram_sum_once():
     # and the bump; a second one, or a gram(t) that stacks t again, would decide the
     # same fact again.
     uses = _scopes_naming("stable_rank", "_stacked_pairing")
-    assert len(uses["hv_perturb"]) == 1, f"hv_perturb names _stacked_pairing at lines {uses['hv_perturb']}"
-    assert "hv_perturb" not in _scopes_naming("stable_rank", "gram")
+    assert len(uses["_hv_perturb"]) == 1, f"_hv_perturb names _stacked_pairing at lines {uses['_hv_perturb']}"
+    assert "_hv_perturb" not in _scopes_naming("stable_rank", "gram")
 
 
 #: The one place that hands ``cholesky`` to LAPACK: the density count's bracket.
@@ -644,3 +651,28 @@ def test_density_verdicts_have_one_route():
                              in _uses({"_rounding_bound"}, _NamedCalls)], {reader})
     assert not stray and used == {reader}, "_rounding_bound called outside density_experiment: " + ", ".join(stray)
     assert set(_scopes_naming("stable_rank", "trial_draws", calls_only=True)) == {"density_experiment"}
+
+
+#: The public pipelines and the private bodies that return each output with its decided margin.
+PIPELINE_BODIES = {"bass_reduce": "_bass_reduce", "hv_pad": "_hv_pad", "hv_perturb": "_hv_perturb"}
+
+
+def test_reports_print_what_the_pipelines_decided():
+    # Each public pipeline is one call of its body, which returns the output with the margin
+    # that decided it, so the rules above, written for the bodies, cover the public names.
+    tree = ast.parse((SRC / "stable_rank.py").read_text(encoding="utf-8"))
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    for public, body in PIPELINE_BODIES.items():
+        (statement,) = [n for n in functions[public].body if not isinstance(n, ast.Expr)]
+        call = statement.value.value if isinstance(statement, ast.Return) else None
+        assert isinstance(call, ast.Call) and _read_names(call.func) == [body], f"{public} is not one call of {body}"
+    # The CLI prints the decided tuple and margins: it collapses nothing a second time, and
+    # takes a margin of its own only for check, which decides on the margin it prints.
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    scopes = {}
+    for top in tree.body:
+        for n in ast.walk(top):
+            for name in _read_names(n):
+                scopes.setdefault(name, set()).add(getattr(top, "name", "<module>"))
+    assert "warfield_forward" not in scopes, f"cli names warfield_forward in {scopes['warfield_forward']}"
+    assert scopes["unimodularity_margin"] == {"_check"}, f"cli names unimodularity_margin in {scopes}"
