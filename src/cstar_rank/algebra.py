@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvertibilityError, ShapeMismatchError
+from .errors import CstarRankError, DomainError, InvertibilityError, ShapeMismatchError, _InputError
 from .sampling import random_blocks
 from .scalars import DEFAULT_TOL, _require_positive_finite, _shape_int
 
@@ -121,6 +121,42 @@ def matrix_from_json(rows) -> np.ndarray:
     return block
 
 
+class _Json:
+    """A node of an input document and its JSON path, ``$`` at the root: the one reader of input.
+    Each refusal, its own or that of a constructor it runs, is an ``_InputError`` naming the path."""
+
+    __slots__ = ("value", "path")
+
+    def __init__(self, value, path="$"):
+        self.value, self.path = value, path
+
+    @classmethod
+    def of(cls, data) -> "_Json":
+        return data if isinstance(data, cls) else cls(data)
+
+    def __getitem__(self, key: str) -> "_Json":
+        if not isinstance(self.value, dict) or key not in self.value:
+            raise _InputError(f'{self.path} must be a JSON object with "{key}"')
+        return _Json(self.value[key], f"{self.path}.{key}")
+
+    def get(self, key: str):
+        """The child at ``key``, or ``None`` where it is missing or null or this is no object."""
+        return self[key] if isinstance(self.value, dict) and self.value.get(key) is not None else None
+
+    def items(self) -> list:
+        if not isinstance(self.value, list) or not self.value:
+            raise _InputError(f"{self.path} must be a nonempty JSON list")
+        return [_Json(v, f"{self.path}[{i}]") for i, v in enumerate(self.value)]
+
+    def build(self, make, *args):
+        """``make(*args)``, whose refusal comes back as this node's; an ``OverflowError`` is a
+        JSON integer too large for a float."""
+        try:
+            return make(*args)
+        except (TypeError, ValueError, OverflowError, CstarRankError) as exc:
+            raise _InputError(f"{self.path}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class Algebra:
     """A finite-dimensional C*-algebra described by its matrix block sizes."""
@@ -170,7 +206,8 @@ class Algebra:
 
     @classmethod
     def from_json_dict(cls, data) -> "Algebra":
-        return cls(tuple(data["blocks"]))
+        node = _Json.of(data)
+        return node.build(cls, tuple(k.value for k in node["blocks"].items()))
 
 
 def _require_same_parent(a, b, message: str) -> None:
@@ -362,7 +399,8 @@ class AlgebraElement(_Blocks):
 
     @classmethod
     def from_json_dict(cls, algebra: Algebra, data) -> "AlgebraElement":
-        return cls(algebra, [matrix_from_json(m) for m in data["blocks"]])
+        node = _Json.of(data)
+        return node.build(cls, algebra, [m.build(matrix_from_json, m.value) for m in node["blocks"].items()])
 
     def __repr__(self):
         sizes = "+".join(str(k) for k in self.algebra.block_sizes)

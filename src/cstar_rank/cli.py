@@ -6,10 +6,13 @@ Timestamps and wall times, ``verify-suite``'s per-criterion seconds among
 them, are included unless ``--no-timestamp`` is given, so that identical
 configurations produce byte-identical reports.
 
-Exit status: 0 on success, 1 on domain errors (singular inputs, failed
-reductions, overflow, a LAPACK failure, ...), on memory exhaustion and when
-the output closes early, 2 on usage or parse errors and when an ``--input``
-cannot be read or an ``--out`` cannot be written.
+Exit status: 0 on success; 2 on usage errors, an unreadable ``--input`` or an
+unwritable ``--out``, and anything refused while objects are built from the
+input (block shapes and counts, mixed spaces, a ``p`` or ``q`` that is no
+projection), with the refused node's JSON path; 1 when the computation refuses
+(singular inputs, failed reductions, overflow, ...), on memory exhaustion and
+when the output closes early.  Any other exception is a defect and shows as a
+traceback.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import sys
 import time
 
 from ._version import __version__
-from .errors import CstarRankError, DomainError
+from .errors import CstarRankError, DomainError, _InputError
 from .scalars import DEFAULT_TOL, WITNESS_TOL, _require_positive_finite, sr_formula
 
 
@@ -50,8 +53,12 @@ def _load_json(path):
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise _InputError(f"malformed JSON: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+        except ValueError as exc:  # bytes that are no UTF-8, an integer too long to convert
+            raise _InputError(f"{path}: {exc}") from None
         except RecursionError:  # nested deeper than the parser's stack
-            raise ValueError("JSON nests too deeply to parse") from None
+            raise _InputError("JSON nests too deeply to parse") from None
 
 
 # Each command has a loader: it imports the modules the command runs and returns the
@@ -111,13 +118,12 @@ def _reduce():
 
 
 def _pad():
+    from .algebra import _Json
     from .hilbert_module import normalize_tuple, tuple_from_json_list
     from .stable_rank import _hv_pad
 
     def pad(args, residuals):
-        data = _load_json(args.input_path)
-        if not isinstance(data, dict) or "tuple" not in data:
-            raise ValueError('pad expects {"tuple": [...], "pad_with": [...] | null}')
+        data = _Json(_load_json(args.input_path))
         t = tuple_from_json_list(data["tuple"])
         if data.get("pad_with") is not None:
             u = normalize_tuple(tuple_from_json_list(data["pad_with"]), args.tol)
@@ -294,14 +300,8 @@ def _run_command(args) -> int:
     handler = args.load()
     try:
         report = run(args, handler)
-    except json.JSONDecodeError as exc:
-        print(
-            f"error: malformed JSON: line {exc.lineno} column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return 2
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: bad input: {exc!r}", file=sys.stderr)
+    except _InputError as exc:
+        print(f"error: bad input: {exc}", file=sys.stderr)
         return 2
     except CstarRankError as exc:
         print(f"error: {exc}", file=sys.stderr)

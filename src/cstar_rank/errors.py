@@ -5,6 +5,10 @@ class CstarRankError(Exception):
     """Base class for all toolkit errors."""
 
 
+class _InputError(ValueError):
+    """An input document refused while it is read or its objects are built from it."""
+
+
 class ShapeMismatchError(CstarRankError):
     """Operands have incompatible block structure or live in different spaces."""
 

@@ -38,6 +38,7 @@ from .algebra import (
     Algebra,
     AlgebraElement,
     _Blocks,
+    _Json,
     _extreme_svals,
     _gate_norm,
     _hermitian_calculus,
@@ -320,7 +321,8 @@ class ModuleSpace(_SpaceOps):
 
     @classmethod
     def from_json_dict(cls, data) -> "ModuleSpace":
-        return cls(Algebra.from_json_dict(data["algebra"]), data["rows"], data["cols"])
+        node = _Json.of(data)
+        return node.build(cls, Algebra.from_json_dict(node["algebra"]), node["rows"].value, node["cols"].value)
 
 
 def _require_acting(a, algebra, side):
@@ -685,11 +687,11 @@ class CornerSpace(_SpaceOps):
 
     @classmethod
     def from_json_dict(cls, data) -> "CornerSpace":
-        alg = Algebra.from_json_dict(data["algebra"])
-        ambient = alg.matrix_algebra(data["size"])
-        p = AlgebraElement.from_json_dict(ambient, data["p"])
-        q = AlgebraElement.from_json_dict(ambient, data["q"])
-        return cls(alg, data["size"], p, q)
+        node = _Json.of(data)
+        alg, size = Algebra.from_json_dict(node["algebra"]), node["size"].value
+        ambient = node.build(alg.matrix_algebra, size)
+        p, q = (AlgebraElement.from_json_dict(ambient, node[key]) for key in ("p", "q"))
+        return node.build(cls, alg, size, p, q)
 
     def __repr__(self):
         shapes = ", ".join(f"{r}x{s}" for r, s in self.compressed_shapes)
@@ -713,32 +715,29 @@ def corner_space(
 
 
 def space_from_json_dict(data):
-    if "rows" in data:
-        return ModuleSpace.from_json_dict(data)
-    return CornerSpace.from_json_dict(data)
+    node = _Json.of(data)
+    return (ModuleSpace if isinstance(node.value, dict) and "rows" in node.value else CornerSpace).from_json_dict(node)
 
 
 def tuple_from_json_list(data) -> ModuleTuple:
     """The one JSON-to-element path: every entry must declare the first's space
     and lie in it, within ``PROJECTION_TOL`` relative; blocks are kept bit for bit."""
-    if not isinstance(data, list):
-        raise ValueError("a module tuple is a JSON list of elements")
-    if not data:
-        raise ValueError("a module tuple needs at least one entry")
-    for i, item in enumerate(data):
-        if not isinstance(item, dict) or not item.keys() >= {"space", "blocks"}:
-            raise ValueError(f'entry {i} of a module tuple must be a JSON object with "space" and "blocks"')
-    space = space_from_json_dict(data[0]["space"])
-    entries = []
-    for item in data:
-        if item["space"] != data[0]["space"]:
+    items = _Json.of(data).items()
+    first = items[0]["space"]
+    space = space_from_json_dict(first)
+
+    def entry(declared, blocks):
+        if declared != first.value:
             raise ShapeMismatchError("tuple entries declare different spaces")
-        x = ModuleElement._wrap(space, [matrix_from_json(m) for m in item["blocks"]])
+        x = ModuleElement._wrap(space, blocks)
         moved = _gate_norm((x - ModuleElement(space, x.blocks)).blocks, PROJECTION_TOL)
         # Only an entry that moves needs its own norm.
         if moved > PROJECTION_TOL and moved > PROJECTION_TOL * x.norm():
             raise ValueError(
                 f"element is not in its space: projecting it moves it by {moved:.3g}"
             )
-        entries.append(x)
-    return ModuleTuple(tuple(entries))
+        return x
+
+    return ModuleTuple(tuple(item.build(entry, item["space"].value,
+                                        [m.build(matrix_from_json, m.value) for m in item["blocks"].items()])
+                             for item in items))

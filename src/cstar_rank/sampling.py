@@ -156,7 +156,10 @@ def trial_draws(seed: int, trials: int, size: int) -> np.ndarray:
     generator's draw; from it on, the entropy pools of all trials are mixed in
     one pass and their state words are hashed together.
     """
-    draws = np.empty((trials, size))
+    try:
+        draws = np.empty((trials, size))
+    except ValueError as exc:  # a shape past numpy's index range is too big to draw
+        raise MemoryError(f"{trials} x {size} draws: {exc}") from None
     if trials < _POOL_PASS_TRIALS:
         for index, row in enumerate(draws):
             rng_from_seed(derived_seed(seed, index)).standard_normal(out=row)

@@ -37,11 +37,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._version import __version__
-from .algebra import AlgebraElement, _Blocks, _gate_norm, _shifted_polar
+from .algebra import AlgebraElement, _Blocks, _Json, _gate_norm, _shifted_polar
 from .errors import (
     DomainError,
     ReductionFailedError,
     ShapeMismatchError,
+    _InputError,
 )
 from .hilbert_module import (
     ModuleTuple,
@@ -144,15 +145,14 @@ class ReductionCoefficients(_Blocks):
 
     @classmethod
     def from_json_dict(cls, data) -> "ReductionCoefficients":
-        space = space_from_json_dict(data["space"])
-        left = space.left_algebra
-        coeffs = [
-            [AlgebraElement.from_json_dict(left, a) for a in row]
-            for row in data["entries"]
-        ]
-        a = cls(space, coeffs)
-        if list(data["shape"]) != list(a.shape):
-            raise ValueError(f"declared shape {data['shape']}, entries of shape {list(a.shape)}")
+        node = _Json.of(data)
+        space = space_from_json_dict(node["space"])
+        shape = [n.value for n in node["shape"].items()]
+        coeffs = [[AlgebraElement.from_json_dict(space.left_algebra, a) for a in row.items()]
+                  for row in node["entries"].items()]
+        a = node.build(cls, space, coeffs)
+        if shape != list(a.shape):
+            raise _InputError(f"{node.path}: declared shape {shape}, entries of shape {list(a.shape)}")
         return a
 
 

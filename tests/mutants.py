@@ -99,6 +99,12 @@ MUTANTS = {
     "witness-tol": (
         "scalars.py", "WITNESS_TOL = 1e-8", "WITNESS_TOL = 1e-6",
         "a witness pairs with its tuple to the unit within 1e-8"),
+    "reader-wrap": (
+        "algebra.py", 'raise _InputError(f"{self.path}: {exc}") from None', "raise",
+        "a constructor's refusal of an input node comes back as the reader's error, with the node's path"),
+    "catch-value-error": (
+        "cli.py", "    except _InputError as exc:", "    except ValueError as exc:",
+        "only the reader's error exits 2; a ValueError of the computation is a defect, not bad input"),
 }
 
 #: Mutants that change no reachable verdict, with the reason in their ``why``.

@@ -1,8 +1,10 @@
 """Exit codes, report structure and determinism of the command-line interface."""
 
+import builtins
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +21,7 @@ from cstar_rank import (
     ModuleTuple,
     acceptance,
     corner_space,
+    errors,
     generation_margin,
     gram,
     hilbert_module,
@@ -207,36 +210,44 @@ def test_over_deep_json_is_a_parse_error(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", [["check"], ["dual"], ["reduce"], ["perturb", "--eps", "0.1"]])
-@pytest.mark.parametrize("document, message", [
-    ({"tuple": [], "pad_with": None}, "a module tuple is a JSON list of elements"),  # pad's input object
-    ({}, "a module tuple is a JSON list of elements"),
-    (5, "a module tuple is a JSON list of elements"),
-    ("x", "a module tuple is a JSON list of elements"),
-    ([], "a module tuple needs at least one entry"),
-], ids=["pad-object", "empty-object", "number", "string", "empty-list"])
-def test_a_tuple_that_is_not_a_list_is_a_parse_error_naming_the_shape(tmp_path, capsys, command, document, message):
+@pytest.mark.parametrize("document", [{"tuple": [], "pad_with": None}, {}, 5, "x", []],
+                         ids=["pad-object", "empty-object", "number", "string", "empty-list"])
+def test_a_tuple_that_is_not_a_list_is_a_parse_error_naming_the_shape(tmp_path, capsys, command, document):
     # The reader refuses a non-list before it indexes data[0], so pad's input object handed
     # to another command names the shape it needs, not KeyError(0).
     path = tmp_path / "t.json"
     path.write_text(json.dumps(document))
     code, out, err = run_cli(capsys, command + ["--input", str(path)])
-    assert (code, out, err) == (2, "", f"error: bad input: ValueError('{message}')\n")
-
-
-ENTRY_SHAPE = 'must be a JSON object with "space" and "blocks"'
+    assert (code, out, err) == (2, "", "error: bad input: $ must be a nonempty JSON list\n")
 
 
 @pytest.mark.parametrize("command", [["check"], ["dual"], ["reduce"], ["perturb", "--eps", "0.1"]])
-@pytest.mark.parametrize("index, entry", [
-    (0, 5), (0, {}), (0, "x"), (0, [1, 0, 3]), (0, {"space": {}}), (1, {"blocks": []}),
+@pytest.mark.parametrize("index, entry, message", [
+    (0, 5, '$[0] must be a JSON object with "space"'),
+    (0, {}, '$[0] must be a JSON object with "space"'),
+    (0, "x", '$[0] must be a JSON object with "space"'),
+    (0, [1, 0, 3], '$[0] must be a JSON object with "space"'),
+    (0, {"space": {}}, '$[0].space must be a JSON object with "algebra"'),
+    (1, {"blocks": []}, '$[1] must be a JSON object with "space"'),
 ], ids=["number", "empty-object", "string", "list", "no-blocks", "second-entry"])
-def test_an_entry_that_is_not_an_element_is_a_parse_error_naming_its_index(tmp_path, capsys, command, index, entry):
+def test_an_entry_that_is_not_an_element_is_a_parse_error_naming_its_index(tmp_path, capsys, command, index, entry,
+                                                                            message):
     # check on [5] once printed TypeError("'int' object is not subscriptable"), and on [{}] KeyError('space').
     element = ModuleSpace(Algebra((1,)), 1, 1).zero().to_json_dict()
     path = tmp_path / "t.json"
     path.write_text(json.dumps([element] * index + [entry]))
     code, out, err = run_cli(capsys, command + ["--input", str(path)])
-    assert (code, out, err) == (2, "", f"error: bad input: ValueError('entry {index} of a module tuple {ENTRY_SHAPE}')\n")
+    assert (code, out, err) == (2, "", f"error: bad input: {message}\n")
+
+
+def test_a_space_with_rows_is_read_as_a_matrix_space(tmp_path, capsys):
+    # A key "rows", null or not, makes a space a matrix space; a corner's keys do not excuse its "cols".
+    element = _corner_of_m3().zero().to_json_dict()
+    element["space"]["rows"] = None
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps([element]))
+    code, out, err = run_cli(capsys, ["check", "--input", str(path)])
+    assert (code, out, err) == (2, "", 'error: bad input: $[0].space must be a JSON object with "cols"\n')
 
 
 @pytest.mark.parametrize("document", [{"tuple": 5, "pad_with": None}, {"tuple": {}}])
@@ -244,17 +255,18 @@ def test_pad_refuses_a_tuple_that_is_not_a_list(tmp_path, capsys, document):
     path = tmp_path / "pad.json"
     path.write_text(json.dumps(document))
     code, out, err = run_cli(capsys, ["pad", "--eps", "0.1", "--input", str(path)])
-    assert (code, out, err) == (2, "", "error: bad input: ValueError('a module tuple is a JSON list of elements')\n")
+    assert (code, out, err) == (2, "", "error: bad input: $.tuple must be a nonempty JSON list\n")
 
 
-@pytest.mark.parametrize("document", [
-    {"tuple": [5]}, {"tuple": [ModuleSpace(Algebra((1,)), 1, 1).zero().to_json_dict()], "pad_with": [{}]},
+@pytest.mark.parametrize("document, node", [
+    ({"tuple": [5]}, "$.tuple[0]"),
+    ({"tuple": [ModuleSpace(Algebra((1,)), 1, 1).zero().to_json_dict()], "pad_with": [{}]}, "$.pad_with[0]"),
 ], ids=["tuple", "pad-with"])
-def test_pad_refuses_an_entry_that_is_not_an_element(tmp_path, capsys, document):
+def test_pad_refuses_an_entry_that_is_not_an_element(tmp_path, capsys, document, node):
     path = tmp_path / "pad.json"
     path.write_text(json.dumps(document))
     code, out, err = run_cli(capsys, ["pad", "--eps", "0.1", "--input", str(path)])
-    assert (code, out, err) == (2, "", f"error: bad input: ValueError('entry 0 of a module tuple {ENTRY_SHAPE}')\n")
+    assert (code, out, err) == (2, "", f'error: bad input: {node} must be a JSON object with "space"\n')
 
 
 def test_missing_file_is_a_parse_error(capsys):
@@ -510,9 +522,9 @@ def test_a_big_declared_shape_fails_on_its_blocks_before_allocating(tmp_path, ca
     path = tmp_path / "big.json"
     path.write_text(json.dumps(data))
     code, out, err = run_cli(capsys, ["check", "--input", str(path), "--no-timestamp"])
-    assert code == 1
+    assert code == 2
     assert out == ""
-    assert err == "error: block has shape (1, 1), expected (100000, 100000)\n"
+    assert err == "error: bad input: $[0]: block has shape (1, 1), expected (100000, 100000)\n"
 
 
 def test_unparsable_env_tolerance_names_the_rule(tmp_path, capsys, monkeypatch):
@@ -642,8 +654,8 @@ FUZZ_SPACES = (ModuleSpace(Algebra((1,)), 1, 2), ModuleSpace(Algebra((1, 2)), 1,
                ModuleSpace(Algebra((2,)), 2, 3), _corner_of_m3())
 
 #: What a mutation may put in place of a JSON node; the integers stay small, so
-#: that no declared shape allocates much.
-FUZZ_MENU = (0, 1, -1, 0.5, 1e150, -1e150, 1e-150, 1e308, 1e-320, True, False, None, "x",
+#: that no declared shape allocates much, except 10**400, which no float holds.
+FUZZ_MENU = (0, 1, -1, 0.5, 1e150, -1e150, 1e-150, 1e308, 1e-320, 10**400, True, False, None, "x",
              [], {}, [[1, 2]], [[[0.5, 0.0]]])
 
 
@@ -697,7 +709,8 @@ def _mutate(document, kind, value, pick):
     if kind == "drop":
         nodes = [(c, k) for c, k in nodes if isinstance(c, list)]
     elif kind == "scale":
-        nodes = [(c, k) for c, k in nodes if type(c[k]) in (int, float)]
+        # Scaling by a float converts the integer, which 10**400 overflows.
+        nodes = [(c, k) for c, k in nodes if type(c[k]) is float or type(c[k]) is int and abs(c[k]) < 2**1000]
     if nodes:
         container, key = nodes[pick % len(nodes)]
         if kind == "drop":
@@ -708,17 +721,8 @@ def _mutate(document, kind, value, pick):
             container[key] = json.loads(json.dumps(value))
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=fuzz_cases(), mutations=fuzz_mutations)
-# The two inputs whose overflow once reached LAPACK, which printed DLASCL text on stdout.
-@example(case=(["perturb", "--eps", "1e-300"],
-               overflowing_tuple((1, 2), 1, 2, 3, {(0, 1, 1, 0): 1e150}).to_json_list()), mutations=[])
-@example(case=(["check"], overflowing_tuple((2,), 2, 3, 2, {(0, 0, 2, 3): 1e308j, (1, 0, 3, 0): 1e308}).to_json_list()),
-         mutations=[])
-def test_every_input_ends_in_one_report_or_one_error_line(tmp_path, capfd, case, mutations):
-    # Input defects were found one at a time (booleans, over-deep JSON, a huge
-    # declared shape, LAPACK's text on stdout); every mutated input of every
-    # --input command must end in one JSON report or one error line.
+def _run_fuzz_case(tmp_path, capfd, case, mutations):
+    """``(document, code, out, err)``: the case's document, mutated, run in-process."""
     argv, document = case
     document = json.loads(json.dumps(document))
     for (kind, value), pick in mutations:
@@ -727,7 +731,27 @@ def test_every_input_ends_in_one_report_or_one_error_line(tmp_path, capfd, case,
     path.write_text(json.dumps(document))
     capfd.readouterr()
     code = main([*argv, "--input", str(path), "--no-timestamp"])
-    out, err = capfd.readouterr()
+    return (document, code, *capfd.readouterr())
+
+
+#: A matrix entry no float holds: its conversion to complex once escaped as a raw OverflowError, exit 1.
+HUGE_ENTRY_CASE = (["check"], [{"space": {"algebra": {"blocks": [1]}, "rows": 1, "cols": 1},
+                                "blocks": [[[[10**400, 0]]]]}])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=fuzz_cases(), mutations=fuzz_mutations)
+# The two inputs whose overflow once reached LAPACK, which printed DLASCL text on stdout.
+@example(case=(["perturb", "--eps", "1e-300"],
+               overflowing_tuple((1, 2), 1, 2, 3, {(0, 1, 1, 0): 1e150}).to_json_list()), mutations=[])
+@example(case=(["check"], overflowing_tuple((2,), 2, 3, 2, {(0, 0, 2, 3): 1e308j, (1, 0, 3, 0): 1e308}).to_json_list()),
+         mutations=[])
+@example(case=HUGE_ENTRY_CASE, mutations=[])
+def test_every_input_ends_in_one_report_or_one_error_line(tmp_path, capfd, case, mutations):
+    # Input defects were found one at a time (booleans, over-deep JSON, a huge
+    # declared shape, LAPACK's text on stdout); every mutated input of every
+    # --input command must end in one JSON report or one error line.
+    _, code, out, err = _run_fuzz_case(tmp_path, capfd, case, mutations)
     assert code in (0, 1, 2)
     if code == 0:
         json.loads(out)
@@ -735,6 +759,110 @@ def test_every_input_ends_in_one_report_or_one_error_line(tmp_path, capfd, case,
     else:
         assert out == ""
         assert err.startswith("error:") and err.endswith("\n") and err.count("\n") == 1
+
+
+def _is_number(value):
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _is_shape(value):
+    return type(value) is int and value >= 1
+
+
+def _blocks_fit(blocks, shapes):
+    """Whether ``blocks`` is a JSON list of matrices of ``[re, im]`` number pairs of these shapes."""
+    return type(blocks) is list and len(blocks) == len(shapes) and all(
+        type(m) is list and len(m) == rows and all(
+            type(row) is list and len(row) == cols
+            and all(type(z) is list and len(z) == 2 and all(map(_is_number, z)) for z in row)
+            for row in m)
+        for m, (rows, cols) in zip(blocks, shapes))
+
+
+def _declared_shapes(space):
+    """The element block shapes a JSON space declares, or ``None`` if it is no space as JSON."""
+    algebra = space.get("algebra") if type(space) is dict else None
+    sizes = algebra.get("blocks") if type(algebra) is dict else None
+    if type(sizes) is not list or not sizes or not all(map(_is_shape, sizes)):
+        return None
+    if "rows" in space:
+        rows, cols = space["rows"], space.get("cols")
+        return [(rows * k, cols * k) for k in sizes] if _is_shape(rows) and _is_shape(cols) else None
+    size = space.get("size")
+    shapes = [(size * k, size * k) for k in sizes] if _is_shape(size) else None
+    projections = [space.get(key) for key in ("p", "q")]
+    fit = shapes and all(type(e) is dict and _blocks_fit(e.get("blocks"), shapes) for e in projections)
+    return shapes if fit else None
+
+
+def _is_tuple(entries):
+    if type(entries) is not list or not entries or not all(type(x) is dict for x in entries):
+        return False
+    shapes = _declared_shapes(entries[0].get("space"))
+    return shapes is not None and all(
+        x.get("space") == entries[0]["space"] and _blocks_fit(x.get("blocks"), shapes) for x in entries)
+
+
+def _is_well_formed(argv, document):
+    """Whether ``document`` has the JSON structure of ``argv``'s input: kinds, keys, integer
+    shapes, block counts and shapes, finite non-boolean entries and one declared space per
+    tuple.  Projections, margins and spaces across pad's two tuples are not structure."""
+    if argv[0] != "pad":
+        return _is_tuple(document)
+    return type(document) is dict and _is_tuple(document.get("tuple")) and (
+        document.get("pad_with") is None or _is_tuple(document["pad_with"]))
+
+
+#: Names a message must not show: the exception classes of Python, numpy, json and the package.
+EXCEPTION_NAMES = {name for name, value in vars(builtins).items()
+                   if isinstance(value, type) and issubclass(value, BaseException)} | {
+    "LinAlgError", "JSONDecodeError", *(name for name in vars(errors) if name.endswith("Error"))}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=fuzz_cases(), mutations=fuzz_mutations)
+@example(case=HUGE_ENTRY_CASE, mutations=[])
+def test_every_malformed_input_is_refused_with_its_json_path(tmp_path, capfd, case, mutations):
+    # Input errors once exited 1 or 2 depending on the exception a loader hit, and
+    # printed its repr (TypeError, KeyError) instead of the node that was wrong.
+    document, code, _, err = _run_fuzz_case(tmp_path, capfd, case, mutations)
+    if not _is_well_formed(case[0], document):
+        assert code == 2, err
+    if code == 2:
+        assert "$" in err and not EXCEPTION_NAMES & set(re.findall(r"\w+", err)), err
+
+
+@pytest.mark.parametrize("defect", [TypeError, ValueError, KeyError])
+def test_a_defect_in_the_computation_is_no_input_error(tmp_path, capsys, monkeypatch, defect):
+    # Every TypeError, ValueError and KeyError once read as "bad input" with exit 2.
+    def broken(t):
+        raise defect("internal bug")
+
+    monkeypatch.setattr(hilbert_module, "unimodularity_margin", broken)
+    path = write_tuple(tmp_path / "x.json", unimodular_pair(ModuleSpace(Algebra((1,)), 1, 2)))
+    with pytest.raises(defect, match="internal bug"):
+        main(["check", "--input", path, "--no-timestamp"])
+    assert capsys.readouterr() == ("", "")
+
+
+def test_an_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    # Without the catch-all this was a raw UnicodeDecodeError with exit 1.
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'[{"space": "\xe9"}]')
+    code, out, err = run_cli(capsys, ["check", "--input", str(path)])
+    message = f"error: bad input: {path}: 'utf-8' codec can't decode byte 0xe9 in position 12: invalid continuation byte\n"
+    assert (code, out, err) == (2, "", message)
+
+
+def test_an_integer_too_long_to_convert_is_a_parse_error(tmp_path, capsys):
+    # The parser refuses integer literals past 4300 digits with a plain ValueError, which
+    # escaped as a traceback once the catch-all went; no float could hold one anyway.
+    space = ModuleSpace(Algebra((1,)), 1, 1).zero().to_json_dict()["space"]
+    path = tmp_path / "long.json"
+    path.write_text(f'[{{"space": {json.dumps(space)}, "blocks": [[[[1{"0" * 5000}, 0]]]]}}]')
+    code, out, err = run_cli(capsys, ["check", "--input", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad input: {path}: Exceeds the limit (4300 digits)") and err.count("\n") == 1
 
 
 def test_failed_postcondition_is_a_domain_error(tmp_path, capsys, monkeypatch):
@@ -772,6 +900,17 @@ def test_memory_exhaustion_exits_1_with_an_error_line(capsys, monkeypatch):
     assert out == ""
     assert err == "error: out of memory: Unable to allocate 5.96 GiB for an array with shape (1, 800000000)\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("option", ["--k", "--trials"])
+def test_a_draw_past_numpys_index_range_is_out_of_memory(capsys, option):
+    # numpy refuses such a shape with a ValueError, which escaped as a traceback once
+    # the CLI stopped reading every ValueError as bad input.
+    argv = ["density", "--blocks", "1", "--rows", "1", "--cols", "2", "--k", "2", "--trials", "1"]
+    argv[argv.index(option) + 1] = "2000000000000000000"
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -835,8 +974,7 @@ def test_pad_with_explicit_padding(tmp_path, capsys):
     code, out, err = run_cli(
         capsys, ["pad", "--input", str(path), "--eps", "0.5", "--no-timestamp"]
     )
-    assert (code, out) == (2, "")
-    assert 'pad expects {"tuple": [...], "pad_with": [...] | null}' in err
+    assert (code, out, err) == (2, "", 'error: bad input: $ must be a JSON object with "tuple"\n')
 
 
 def _fake_criterion(name, passed, details, seconds):

@@ -47,7 +47,10 @@ its Gram sum once, on its one stacked form, for its route, its zero-route
 verdict and its bump, and inverts nothing: the damping's inverse comes from
 the bump's eigendecomposition.  Each public pipeline is one call of a private
 body that returns its output with the margin that decided it, and the CLI
-prints those instead of deriving them again.
+prints those instead of deriving them again.  Input documents are read through
+one reader, ``algebra._Json``, which names the JSON path of every refusal; the
+CLI maps its error alone to exit 2, so no built-in error of the computation
+reads as bad input.
 """
 
 import ast
@@ -676,3 +679,66 @@ def test_reports_print_what_the_pipelines_decided():
                 scopes.setdefault(name, set()).add(getattr(top, "name", "<module>"))
     assert "warfield_forward" not in scopes, f"cli names warfield_forward in {scopes['warfield_forward']}"
     assert scopes["unimodularity_margin"] == {"_check"}, f"cli names unimodularity_margin in {scopes}"
+
+
+def _raw_json_reads(tree):
+    """Lines of ``tree`` that read a raw JSON value other than through ``_Json``: a parameter
+    ``data`` of a ``*from_json*`` reader not handed to ``_Json.of``, a ``_load_json`` value not
+    handed to ``_Json`` or a reader, a node's ``value`` subscripted, read by attribute or
+    iterated, and ``matrix_from_json`` run other than by ``build``, outside ``_Json`` itself."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    reader = {n for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "_Json" for n in ast.walk(c)}
+
+    def callee(node):
+        call = parents.get(node)
+        return (_read_names(call.func) or [""])[0] if isinstance(call, ast.Call) and node in call.args else ""
+
+    lines = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and "from_json" in fn.name and "data" in {a.arg for a in fn.args.args}:
+            lines += [n.lineno for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id == "data"
+                      and callee(n) != "of"]
+    for node in set(ast.walk(tree)) - reader:
+        parent = parents.get(node)
+        if isinstance(node, ast.Call) and _read_names(node.func) == ["_load_json"]:
+            stray = callee(node) != "_Json" and "from_json" not in callee(node)
+        elif isinstance(node, ast.Attribute) and node.attr == "value":
+            stray = (isinstance(parent, (ast.Subscript, ast.Attribute)) and parent.value is node
+                     or isinstance(parent, (ast.comprehension, ast.For)) and parent.iter is node)
+        else:
+            stray = isinstance(node, ast.Name) and node.id == "matrix_from_json" and (
+                callee(node) != "build" or parent.args[0] is not node)
+        lines += [node.lineno] if stray else []
+    return sorted(lines)
+
+
+def test_json_is_read_only_through_the_reader():
+    # Nine readers once indexed data[...] each its own way, so a wrong node surfaced as
+    # KeyError('space') or a TypeError of Python's, naming no node of the document.
+    stray = [f"{path.stem}.py:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in _raw_json_reads(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not stray, "raw JSON read outside algebra._Json: " + ", ".join(stray)
+    # The rule is not vacuous: it finds the reads of the readers it replaced.
+    assert _raw_json_reads(ast.parse("def from_json_dict(cls, data):\n    return cls(data['blocks'])\n"
+                                     "def run(path):\n    return _load_json(path)[0]\n"
+                                     "def entry(m):\n    return matrix_from_json(m.value['rows'])\n")) == [2, 4, 6, 6]
+
+
+#: The functions of the CLI that may catch ``ValueError``, both before any object is built:
+#: ``_positive`` turns an option's conversion error into argparse's usage error, and
+#: ``_load_json`` the parser's refusal of a document into the reader's error.
+PARSERS = {"_positive", "_load_json"}
+
+
+def test_the_cli_reads_only_the_readers_error_as_bad_input():
+    # A TypeError monkeypatched into the computation once printed "bad input" and exited 2.
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    caught = {}
+    for top in tree.body:
+        for handler in (n for n in ast.walk(top) if isinstance(n, ast.ExceptHandler) and n.type):
+            for name in (n for node in ast.walk(handler.type) for n in _read_names(node)):
+                caught.setdefault(name, set()).add(getattr(top, "name", "<module>"))
+    stray = {name: scopes - PARSERS for name, scopes in caught.items()
+             if name in ("KeyError", "TypeError", "ValueError") and scopes - PARSERS}
+    assert not stray, f"cli catches built-in errors as input errors: {stray}"
+    assert "_run_command" in caught["_InputError"]
