@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,7 +138,7 @@ class _Json:
     def __getitem__(self, key: str) -> "_Json":
         if not isinstance(self.value, dict) or key not in self.value:
             raise _InputError(f'{self.path} must be a JSON object with "{key}"')
-        return _Json(self.value[key], f"{self.path}.{key}")
+        return self._child(self.value[key], f"{self.path}.{key}")
 
     def get(self, key: str):
         """The child at ``key``, or ``None`` where it is missing or null or this is no object."""
@@ -146,7 +147,30 @@ class _Json:
     def items(self) -> list:
         if not isinstance(self.value, list) or not self.value:
             raise _InputError(f"{self.path} must be a nonempty JSON list")
-        return [_Json(v, f"{self.path}[{i}]") for i, v in enumerate(self.value)]
+        return [self._child(v, f"{self.path}[{i}]") for i, v in enumerate(self.value)]
+
+    @staticmethod
+    def _child(value, path: str) -> "_Json":
+        """A node below this one; no key or item of an input is null, so a null one is refused by its path."""
+        if value is None:
+            raise _InputError(f"{path} must not be null")
+        return _Json(value, path)
+
+    def matrix(self) -> np.ndarray:
+        """:func:`matrix_from_json` of this node; its refusal names the first row or ``[re, im]``
+        pair of this node that cannot be read, where there is one."""
+        try:
+            return matrix_from_json(self.value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            rows = self.items()
+            for row in rows:
+                for pair in row.items():
+                    if not (isinstance(pair.value, list) and len(pair.value) == 2 and all(
+                            type(v) in (int, float) and abs(v) <= sys.float_info.max for v in pair.value)):
+                        raise _InputError(f"{pair.path} must be a [re, im] pair of finite numbers") from None
+                if len(row.value) != len(rows[0].value):
+                    raise _InputError(f"{row.path} must hold as many pairs as {rows[0].path}") from None
+            raise _InputError(f"{self.path}: {exc}") from None
 
     def build(self, make, *args):
         """``make(*args)``, whose refusal comes back as this node's; an ``OverflowError`` is a
@@ -400,7 +424,7 @@ class AlgebraElement(_Blocks):
     @classmethod
     def from_json_dict(cls, algebra: Algebra, data) -> "AlgebraElement":
         node = _Json.of(data)
-        return node.build(cls, algebra, [m.build(matrix_from_json, m.value) for m in node["blocks"].items()])
+        return node.build(cls, algebra, [m.matrix() for m in node["blocks"].items()])
 
     def __repr__(self):
         sizes = "+".join(str(k) for k in self.algebra.block_sizes)

@@ -46,7 +46,6 @@ from .algebra import (
     _lapack,
     _margin,
     _require_same_parent,
-    matrix_from_json,
     matrix_to_json,
 )
 from .errors import (
@@ -96,6 +95,12 @@ class _SpaceOps:
         """The unit of the right algebra, built when asked for."""
         return self.right_algebra.unit()
 
+    def _less_unit(self, blocks) -> list:
+        """Right-algebra ``blocks`` less the unit, in place, building none (a corner's unit is ``q``)."""
+        for b in blocks:
+            b.flat[:: len(b) + 1] -= 1
+        return blocks
+
     def zero(self) -> "ModuleElement":
         return ModuleElement._wrap(
             self,
@@ -122,7 +127,8 @@ class _SpaceOps:
         Row ``t`` holds the standard normals that ``k`` calls of :meth:`random_element` take from one
         generator.  Their Gram sums are summed in :func:`pairing`'s order, entry by entry and block by
         block; :meth:`_gram_spectrum` takes all margins in one call, one stacked ``eigvalsh`` per block, bit
-        for bit those of the tuples themselves.  :meth:`_unimodular_count` falls back to this rule.
+        for bit those of the tuples themselves.  :meth:`_unimodular_count` decides by its own sums, one
+        product per block, and falls back to these sums and this rule.
         """
         return self._gram_spectrum(self._random_grams(draws, k))[0]
 
@@ -136,24 +142,34 @@ class _SpaceOps:
         return grams
 
     def _unimodular_count(self, draws, k: int, tol: float) -> int:
-        """``count_nonzero(random_gram_margins(draws, k) > tol)``: as ``lambda_max <= tr G``, all
-        trials pass if ``G - (tol (1 + T) + 64 s u T) 1``, ``T`` a trial's largest trace, factors in
-        each compressed block; if a trial fails, or below the counting bound, ``eigvalsh`` decides.
+        """``count_nonzero(random_gram_margins(draws, k) > tol)``: as ``lambda_max <= tr G``, all trials
+        pass if ``G - (tol (1 + T) + (64 s + 4 (n + 2)) u T) 1`` factors in each compressed block, ``T`` a
+        trial's largest trace and ``G`` one product ``X* X`` per block of the ``k`` entries' stacked blocks,
+        which only decides; if a trial fails, or below the counting bound, the margins, bit for bit, decide.
         A cell below the counting bound reaches here only at a ``tol`` under :meth:`_rounding_bound`."""
-        grams = self._random_grams(draws, k)
+        trials = len(draws)
         if not self.rank_obstruction(k):
-            blocks = self._compress(grams)
+            stacked = (self._project(i, drawn).reshape(trials, -1, drawn.shape[-1])
+                       for i, drawn in enumerate(gaussian_blocks(draws.reshape(trials, k, -1), self.block_shapes)))
+            blocks = self._compress([x.conj().swapaxes(-1, -2) @ x for x in stacked])
             traces = np.max([b.diagonal(0, -2, -1).real.sum(-1) for b in blocks], axis=0)
             # u = 2**-53: a factored G - c 1 has lambda_min(G) > c - 8 s u T (Higham, Accuracy and Stability,
             # Thm 10.3: |dA| <= gamma_{s+1} |R*||R|, of norm <= 4 (s+1) u tr(R*R) for complex data); eigvalsh
             # errs by p(s) u ||G|| at each end (LAPACK Users' Guide 4.7); 64 s u T covers both for p(s) <= 25 s.
-            shift = (tol + (tol + 64 * max(b.shape[-1] for b in blocks) * 2.0 ** -53) * traces)[:, None, None]
+            # The margins' per-entry sums (k products of r terms, then k - 1 additions) and this product of
+            # n = k r terms each lie within gamma_{n+2} |X|*|X| of X* X (Higham, Sec. 3.5, complex case), of norm
+            # <= gamma_{n+2} ||X||_F^2 = gamma_{n+2} T: 4 (n + 2) u T covers the gap between them.
+            s, n = max(b.shape[-1] for b in blocks), k * max(r for r, _ in self.block_shapes)
+            shift = (tol + (tol + (64 * s + 4 * (n + 2)) * 2.0 ** -53) * traces)[:, None]
+            for b in blocks:
+                diagonal = np.arange(b.shape[-1])
+                b[:, diagonal, diagonal] -= shift
             try:
-                _lapack("cholesky", [b - shift * np.eye(b.shape[-1]) for b in blocks])
-                return len(draws)
+                _lapack("cholesky", blocks)
+                return trials
             except DomainError:  # not positive definite, or a shift that overflowed
                 pass
-        return int(np.count_nonzero(self._gram_spectrum(grams)[0] > tol))
+        return int(np.count_nonzero(self._gram_spectrum(self._random_grams(draws, k))[0] > tol))
 
     def _gram_spectrum(self, g):
         """The margin rule on the compressed image of a Gram sum's blocks ``g``, with each compressed
@@ -641,6 +657,9 @@ class CornerSpace(_SpaceOps):
     def right_algebra_unit(self) -> AlgebraElement:
         return self.q
 
+    def _less_unit(self, blocks) -> list:
+        return [b - q for b, q in zip(blocks, self.q.blocks)]
+
     def _rounding_bound(self, k):
         # p g q rounds relative to ||g||, not to ||p g q||: no bound from the shapes alone holds.
         return np.inf
@@ -738,6 +757,5 @@ def tuple_from_json_list(data) -> ModuleTuple:
             )
         return x
 
-    return ModuleTuple(tuple(item.build(entry, item["space"].value,
-                                        [m.build(matrix_from_json, m.value) for m in item["blocks"].items()])
+    return ModuleTuple(tuple(item.build(entry, item["space"].value, [m.matrix() for m in item["blocks"].items()])
                              for item in items))

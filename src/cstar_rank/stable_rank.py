@@ -237,8 +237,7 @@ def _warfield(space, x, n: int, head, tail, z, tol: float):
 
 def _require_unit_pairing(space, y, x, what: str) -> None:
     """The witness gate: the stacked ``y`` pairs with ``x`` to the unit, within ``WITNESS_TOL``."""
-    unit = space.right_algebra_unit().blocks
-    _require_residual([p - u for p, u in zip(space._stacked_pairing(y, x), unit)], WITNESS_TOL, what)
+    _require_residual(space._less_unit(space._stacked_pairing(y, x)), WITNESS_TOL, what)
 
 
 def _require_residual(blocks, bound: float, what: str) -> None:
@@ -451,11 +450,11 @@ def density_experiment(
     the report is reproducible and independent of evaluation order.  The
     trials are batched: below 5 trials each trial's draws are
     ``rng_from_seed``'s, and from 5 on one pass seeds all trials.  Each trial
-    takes its ``k`` elements' draws in one call.  ``space._unimodular_count`` forms
-    the Gram sums of all trials one block at a time and decides them by one Cholesky
-    bracket per block, or else by every margin from ``eigvalsh``, bit for bit that of
-    the tuple ``k`` calls of ``space.random_element`` on the trial's generator give;
-    so reports are byte-identical to a trial-by-trial loop.  A cell the counting bound rules
+    takes its ``k`` elements' draws in one call.  ``space._unimodular_count`` decides
+    the trials by one Cholesky bracket per block, on one product of all trials' stacked
+    entries, or else by every margin from ``eigvalsh`` on Gram sums formed entry by
+    entry, bit for bit that of the tuple ``k`` calls of ``space.random_element`` on the
+    trial's generator give; so reports are byte-identical to a trial-by-trial loop.  A cell the counting bound rules
     out draws nothing at a ``tol`` at or above ``space._rounding_bound(k)``: no margin passes.
     """
     k, trials, seed = _shape_int(k), _shape_int(trials), _shape_int(seed)

@@ -56,9 +56,11 @@ MUTANTS = {
         "algebra.py", "margin = _margin([norm], [w[0]])", "margin = _margin([norm], [abs(w[0])])",
         "inv_sqrt refuses a negative eigenvalue, not only a small one"),
     "bracket-slack": (
-        "hilbert_module.py", "(tol + 64 * max(b.shape[-1] for b in blocks) * 2.0 ** -53) * traces",
-        "(tol + 0) * traces",
+        "hilbert_module.py", "(tol + (64 * s + 4 * (n + 2)) * 2.0 ** -53) * traces", "(tol + 0) * traces",
         "the Cholesky bracket's rounding slack keeps a rounded margin out of the density count"),
+    "bracket-product-slack": (
+        "hilbert_module.py", "64 * s + 4 * (n + 2)", "64 * s",
+        "the bracket's slack covers the gap between its one product per block and the margins' per-entry sums"),
     "rounding-bound": (
         "hilbert_module.py", "64 * s * (k * r + s) * 2.0 ** -53", "32 * s * (k * r + s) * 2.0 ** -53",
         "B(k), below which an obstructed density cell is still drawn"),
@@ -100,7 +102,8 @@ MUTANTS = {
         "scalars.py", "WITNESS_TOL = 1e-8", "WITNESS_TOL = 1e-6",
         "a witness pairs with its tuple to the unit within 1e-8"),
     "reader-wrap": (
-        "algebra.py", 'raise _InputError(f"{self.path}: {exc}") from None', "raise",
+        "algebra.py", 'CstarRankError) as exc:\n            raise _InputError(f"{self.path}: {exc}") from None',
+        "CstarRankError) as exc:\n            raise",
         "a constructor's refusal of an input node comes back as the reader's error, with the node's path"),
     "catch-value-error": (
         "cli.py", "    except _InputError as exc:", "    except ValueError as exc:",

@@ -241,10 +241,15 @@ def test_an_entry_that_is_not_an_element_is_a_parse_error_naming_its_index(tmp_p
 
 
 def test_a_space_with_rows_is_read_as_a_matrix_space(tmp_path, capsys):
-    # A key "rows", null or not, makes a space a matrix space; a corner's keys do not excuse its "cols".
+    # A key "rows", null or not, makes a space a matrix space; a corner's keys do not excuse a
+    # null "rows", which is refused on its own key, nor a missing "cols".
     element = _corner_of_m3().zero().to_json_dict()
     element["space"]["rows"] = None
     path = tmp_path / "t.json"
+    path.write_text(json.dumps([element]))
+    code, out, err = run_cli(capsys, ["check", "--input", str(path)])
+    assert (code, out, err) == (2, "", "error: bad input: $[0].space.rows must not be null\n")
+    element["space"]["rows"] = 1
     path.write_text(json.dumps([element]))
     code, out, err = run_cli(capsys, ["check", "--input", str(path)])
     assert (code, out, err) == (2, "", 'error: bad input: $[0].space must be a JSON object with "cols"\n')
@@ -509,9 +514,8 @@ def test_boolean_entries_are_a_parse_error(tmp_path, capsys, where):
     path = tmp_path / "bool.json"
     path.write_text(json.dumps(data))
     code, out, err = run_cli(capsys, ["check", "--input", str(path), "--no-timestamp"])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: bad input:") and "boolean" in err
+    node = f"$[0].space.{where}.blocks[0][0][0]" if where in ("p", "q") else "$[0].blocks[0][0][0]"
+    assert (code, out, err) == (2, "", f"error: bad input: {node} must be a [re, im] pair of finite numbers\n")
 
 
 def test_a_big_declared_shape_fails_on_its_blocks_before_allocating(tmp_path, capsys):
@@ -819,17 +823,56 @@ EXCEPTION_NAMES = {name for name, value in vars(builtins).items()
     "LinAlgError", "JSONDecodeError", *(name for name in vars(errors) if name.endswith("Error"))}
 
 
+#: What the refusal of a matrix row, ``[re, im]`` pair or null key said, naming only the block or space.
+LEAF_REASONS = re.compile(r"unpack|iterable|complex\(\)|NoneType")
+
+
+def _leaf_case(matrix, **space):
+    """``check`` on one element of M_{1x2}(C) with this matrix and these keys of its space replaced."""
+    return (["check"], [{"space": {"algebra": {"blocks": [1]}, "rows": 1, "cols": 2, **space}, "blocks": [matrix]}])
+
+
+#: A malformed leaf of a document, and the line that names it.
+LEAF_CASES = {
+    "row-of-numbers": (_leaf_case([[0.5, 0.0]]), "$[0].blocks[0][0][0] must be a [re, im] pair of finite numbers"),
+    "short-pair": (_leaf_case([[[0.5, 0.0], [1.0]]]), "$[0].blocks[0][0][1] must be a [re, im] pair of finite numbers"),
+    "nested-pair": (_leaf_case([[[[0.5], 0.0], [1.0, 0.0]]]),
+                    "$[0].blocks[0][0][0] must be a [re, im] pair of finite numbers"),
+    "string-entry": (_leaf_case([[["1", 0.0], [1.0, 0.0]]]),
+                     "$[0].blocks[0][0][0] must be a [re, im] pair of finite numbers"),
+    "huge-entry": (_leaf_case([[[0.5, 0.0], [10**400, 0]]]),
+                   "$[0].blocks[0][0][1] must be a [re, im] pair of finite numbers"),
+    "ragged-rows": (_leaf_case([[[0.5, 0.0], [1.0, 0.0]], [[1.0, 0.0]]]),
+                    "$[0].blocks[0][1] must hold as many pairs as $[0].blocks[0][0]"),
+    "row-not-a-list": (_leaf_case([[[0.5, 0.0], [1.0, 0.0]], 0.5]), "$[0].blocks[0][1] must be a nonempty JSON list"),
+    "null-rows": (_leaf_case([[[0.5, 0.0], [1.0, 0.0]]], rows=None), "$[0].space.rows must not be null"),
+    "null-cols": (_leaf_case([[[0.5, 0.0], [1.0, 0.0]]], cols=None), "$[0].space.cols must not be null"),
+}
+
+
+@pytest.mark.parametrize("case, message", LEAF_CASES.values(), ids=LEAF_CASES.keys())
+def test_a_malformed_leaf_is_refused_by_its_own_path(tmp_path, capfd, case, message):
+    # These read "$[0].blocks[0]: cannot unpack non-iterable float object" and
+    # "$[0].space: 'NoneType' object cannot be interpreted as an integer".
+    _, code, out, err = _run_fuzz_case(tmp_path, capfd, case, [])
+    assert (code, out, err) == (2, "", f"error: bad input: {message}\n")
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=fuzz_cases(), mutations=fuzz_mutations)
 @example(case=HUGE_ENTRY_CASE, mutations=[])
+@example(case=LEAF_CASES["row-of-numbers"][0], mutations=[])
+@example(case=LEAF_CASES["null-rows"][0], mutations=[])
 def test_every_malformed_input_is_refused_with_its_json_path(tmp_path, capfd, case, mutations):
     # Input errors once exited 1 or 2 depending on the exception a loader hit, and
-    # printed its repr (TypeError, KeyError) instead of the node that was wrong.
+    # printed its repr (TypeError, KeyError) instead of the node that was wrong; a
+    # malformed matrix row, pair or entry, or a null key, is named by its own path.
     document, code, _, err = _run_fuzz_case(tmp_path, capfd, case, mutations)
     if not _is_well_formed(case[0], document):
         assert code == 2, err
     if code == 2:
         assert "$" in err and not EXCEPTION_NAMES & set(re.findall(r"\w+", err)), err
+        assert not LEAF_REASONS.search(err), err
 
 
 @pytest.mark.parametrize("defect", [TypeError, ValueError, KeyError])

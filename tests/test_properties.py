@@ -775,6 +775,13 @@ def test_batched_trial_margins_equal_the_per_trial_loop(case, k, trials, seed):
     assert report.unimodular_fraction == np.count_nonzero(reference > DEFAULT_TOL) / trials
 
 
+#: Two compressed blocks, both live.
+TWO_BLOCK_CORNER = (
+    corner_with_ranks((1, 2), 2, (1, 2), (2, 4), np.random.default_rng(5)),
+    ((1, 2), (2, 4)),
+)
+
+
 @PROPERTY_SETTINGS
 @given(spaces, lengths, st.integers(1, 20), seeds, st.sampled_from([1e-25, 1e-12, 1e-9, 1e-3]),
        st.one_of(st.just(1.0), st.floats(1e-4, 1e2)))
@@ -784,6 +791,9 @@ def test_batched_trial_margins_equal_the_per_trial_loop(case, k, trials, seed):
 @example(PAIR_SPACE, 2, 20, 3, 1e-3, 1.0)
 # Margins about 1e-6 at tol 1e-3: the bracket must refuse the cell on tol, not on rounding.
 @example(PAIR_SPACE, 2, 20, 4, 1e-3, 1e-3)
+# Four entries stacked into one product per block, on two blocks of a matrix space and of a corner.
+@example((ModuleSpace(Algebra((1, 2)), 2, 3), ((2, 3), (4, 6))), 4, 20, 5, 1e-9, 1.0)
+@example(TWO_BLOCK_CORNER, 4, 20, 6, 1e-3, 1e-2)
 def test_the_cholesky_bracket_counts_as_the_margins(case, k, trials, seed, tol, scale):
     # Below the counting bound the margins decide; above it the bracket decides each cell
     # it clears, and a trial it cannot clear sends the cell to the margins.  Scaled draws

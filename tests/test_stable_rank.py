@@ -939,9 +939,9 @@ def test_each_route_makes_exactly_its_lapack_calls(monkeypatch, kind):
     # two decisions, each on a stacked form, so gram never runs; each LAPACK call
     # scans its blocks once; a tuple below the counting bound is refused before any of them.
     # bass_reduce: the input's dual, the polar completion and the reduced tuple's decision.
-    # The bump and the damping stay blocks, so the collapse route wraps only its n output
-    # entries, its coefficients and, on a matrix space, the unit that the witness gate
-    # builds (a corner's unit is q); the zero route wraps nothing.
+    # The bump and the damping stay blocks, and the witness gate subtracts the unit without
+    # building it, so the collapse route wraps only its n output entries and its
+    # coefficients on either kind of space; the zero route wraps nothing.
     rng = np.random.default_rng(15)
     space = space_of_kind(kind, rng)
     n = space.predicted_stable_rank()
@@ -960,7 +960,6 @@ def test_each_route_makes_exactly_its_lapack_calls(monkeypatch, kind):
 
     monkeypatch.setattr(stable_rank, "_is_unimodular_at", recording)
     counts = count_lapack_and_gram(monkeypatch)
-    unit = 1 if kind == "matrix" else 0
 
     assert hv_perturb(t, PerturbationParams(eps=smallest / 2)) is t
     assert counts == {"gram_sums": 1, "eigvalsh": 1, "scans": 1}
@@ -968,7 +967,7 @@ def test_each_route_makes_exactly_its_lapack_calls(monkeypatch, kind):
 
     counts.clear()
     assert hv_perturb(small, PerturbationParams(eps=0.1)) is not small
-    assert counts == {"gram_sums": 5, "eigh": 1, "eigvalsh": 4, "inv": 1, "svd": 2, "scans": 8, "wraps": n + 1 + unit}
+    assert counts == {"gram_sums": 5, "eigh": 1, "eigvalsh": 4, "inv": 1, "svd": 2, "scans": 8, "wraps": n + 1}
 
     counts.clear()
     with pytest.raises(ReductionFailedError):
@@ -976,7 +975,7 @@ def test_each_route_makes_exactly_its_lapack_calls(monkeypatch, kind):
     assert counts == {}
 
     bass_reduce(longer, PerturbationParams(eps=0.1))
-    assert counts == {"gram_sums": 3, "eigvalsh": 2, "inv": 1, "svd": 1, "scans": 4, "wraps": 1 + unit}
+    assert counts == {"gram_sums": 3, "eigvalsh": 2, "inv": 1, "svd": 1, "scans": 4, "wraps": 1}
 
 
 @pytest.mark.parametrize("kind", ["matrix", "corner"])
@@ -984,9 +983,9 @@ def test_each_decision_makes_exactly_its_lapack_calls(monkeypatch, kind):
     # Each LAPACK call scans its blocks once: the dual inverts the Gram sum once its
     # eigvalsh margin passes, an inverse once its SVD margin passes, and hv_pad decides
     # its padded tuple by the dual rule, on the Gram sum of the joined stacked form.
-    # Wraps: the witness's n entries; hv_pad's n + r output entries and, on a matrix
-    # space, the unit of its normalization gate, but no bump; an inverse's result, and
-    # right_inverse's compressed operand and expanded result.
+    # Wraps: the witness's n entries; hv_pad's n + r output entries, but no bump and no
+    # unit for its normalization gate; an inverse's result, and right_inverse's compressed
+    # operand and expanded result.
     rng = np.random.default_rng(16)
     space = space_of_kind(kind, rng)
     t = random_unimodular(space, rng, space.predicted_stable_rank())
@@ -1000,7 +999,7 @@ def test_each_decision_makes_exactly_its_lapack_calls(monkeypatch, kind):
         (lambda: generation_margin(t), {"svd": 1, "scans": 1}),
         (lambda: dual_witness(t), {"gram_sums": 1, "eigvalsh": 1, "inv": 1, "scans": 2, "wraps": n}),
         (lambda: hv_pad(t, u, 0.5),
-         {"gram_sums": 3, "eigh": 1, "eigvalsh": 1, "inv": 1, "scans": 3, "wraps": n + r + unit}),
+         {"gram_sums": 3, "eigh": 1, "eigvalsh": 1, "inv": 1, "scans": 3, "wraps": n + r}),
         (lambda: space.right_inverse(b), {"svd": 1, "inv": 1, "scans": 2, "wraps": 3}),
         (lambda: space.right_algebra_unit().inverse(), {"svd": 1, "inv": 1, "scans": 2, "wraps": 1 + unit}),
     ]
@@ -1116,6 +1115,20 @@ def test_the_bracket_slack_keeps_a_rounded_margin_out_of_the_count():
     assert not space.random_gram_margins(draws, 1)[0] > tol
     np.linalg.cholesky(g - tol * (1 + np.trace(g[0]).real) * np.eye(2))
     assert space._unimodular_count(draws, 1, tol) == 0
+
+
+def test_the_product_slack_sends_a_close_cell_to_the_margins(monkeypatch):
+    # 2-tuples of M_{8x1}(C): one scalar block (s = 1) whose Gram sum is one product of n = k r = 16
+    # terms, here all equal, so T = G = 16e20 and every margin is exactly 1.  tol = 1 - 100 u clears
+    # it by 100 u T in the bracket's units, more than the 64 s u T of the factorization and eigvalsh
+    # alone but less than that plus the product's 4 (n + 2) u T: without that term the bracket
+    # would count the cell itself, with it the cell goes to eigvalsh, which counts it too.
+    space, k, tol = ModuleSpace(Algebra((1,)), 8, 1), 2, 1 - 100 * 2.0 ** -53
+    draws = np.full((3, k * stable_rank.draw_size(space.block_shapes)), 1e10)
+    assert (space.random_gram_margins(draws, k) == 1.0).all()
+    counts = count_lapack_and_gram(monkeypatch)
+    assert space._unimodular_count(draws, k, tol) == 3
+    assert counts == {"cholesky": 1, "eigvalsh": 1, "scans": 2}
 
 
 def test_a_refusal_below_the_stable_rank_builds_no_standard_tuple(monkeypatch):
