@@ -156,6 +156,11 @@ class _Json:
             raise _InputError(f"{path} must not be null")
         return _Json(value, path)
 
+    def shape(self) -> int:
+        if type(self.value) is not int:
+            raise _InputError(f"{self.path} must be a JSON integer")
+        return self.value
+
     def matrix(self) -> np.ndarray:
         """:func:`matrix_from_json` of this node; its refusal names the first row or ``[re, im]``
         pair of this node that cannot be read, where there is one."""
@@ -231,7 +236,7 @@ class Algebra:
     @classmethod
     def from_json_dict(cls, data) -> "Algebra":
         node = _Json.of(data)
-        return node.build(cls, tuple(k.value for k in node["blocks"].items()))
+        return node.build(cls, tuple(k.shape() for k in node["blocks"].items()))
 
 
 def _require_same_parent(a, b, message: str) -> None:

@@ -65,6 +65,13 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def _entries(stacked, shape):
+    """A stacked form's entries ``(k, r, s)``, or a stack's ``(k, trials, r, s)``: ``sum`` adds the entries."""
+    if stacked.ndim == 2:
+        return stacked.reshape(-1, *shape)
+    return stacked.reshape(len(stacked), -1, *shape).swapaxes(0, 1)
+
+
 class _SpaceOps:
     """Operations shared by matrix and corner spaces.
 
@@ -125,33 +132,26 @@ class _SpaceOps:
         """:func:`unimodularity_margin` of one random ``k``-tuple per row of ``draws``.
 
         Row ``t`` holds the standard normals that ``k`` calls of :meth:`random_element` take from one
-        generator.  Their Gram sums are summed in :func:`pairing`'s order, entry by entry and block by
-        block; :meth:`_gram_spectrum` takes all margins in one call, one stacked ``eigvalsh`` per block, bit
-        for bit those of the tuples themselves.  :meth:`_unimodular_count` decides by its own sums, one
-        product per block, and falls back to these sums and this rule.
+        generator.  This is :func:`unimodularity_margin` on the tuples' stacked forms with a leading trial
+        axis, :meth:`_trial_stacks`: the tuples' own pairing, then one stacked ``eigvalsh`` per block, so
+        each margin is bit for bit its tuple's.
         """
-        return self._gram_spectrum(self._random_grams(draws, k))[0]
+        stacks = list(self._trial_stacks(draws, k))
+        return self._gram_spectrum(self._stacked_pairing(stacks, stacks))[0]
 
-    def _random_grams(self, draws, k: int) -> list:
-        trials = len(draws)
-        grams = [np.zeros((trials, s, s), dtype=np.complex128) for _, s in self.block_shapes]
-        for entry in draws.reshape(trials, k, -1).swapaxes(0, 1):
-            for i, drawn in enumerate(gaussian_blocks(entry, self.block_shapes)):
-                x = self._project(i, drawn)
-                grams[i] += x.conj().swapaxes(-1, -2) @ x
-        return grams
+    def _trial_stacks(self, draws, k: int):
+        """Per block, one at a time, the ``(trials, k r_i, s_i)`` stack of the tuples' stacked forms."""
+        for i, drawn in enumerate(gaussian_blocks(draws.reshape(len(draws), k, -1), self.block_shapes)):
+            yield self._project(i, drawn).reshape(len(draws), -1, drawn.shape[-1])
 
     def _unimodular_count(self, draws, k: int, tol: float) -> int:
         """``count_nonzero(random_gram_margins(draws, k) > tol)``: as ``lambda_max <= tr G``, all trials
         pass if ``G - (tol (1 + T) + (64 s + 4 (n + 2)) u T) 1`` factors in each compressed block, ``T`` a
-        trial's largest trace and ``G`` one product ``X* X`` per block of the ``k`` entries' stacked blocks,
-        which only decides; if a trial fails, or below the counting bound, the margins, bit for bit, decide.
+        trial's largest trace and ``G`` one product ``X* X`` per block of :meth:`_trial_stacks`, which only
+        decides; if a trial fails, or below the counting bound, the margins, the tuples' own pairing, decide.
         A cell below the counting bound reaches here only at a ``tol`` under :meth:`_rounding_bound`."""
-        trials = len(draws)
         if not self.rank_obstruction(k):
-            stacked = (self._project(i, drawn).reshape(trials, -1, drawn.shape[-1])
-                       for i, drawn in enumerate(gaussian_blocks(draws.reshape(trials, k, -1), self.block_shapes)))
-            blocks = self._compress([x.conj().swapaxes(-1, -2) @ x for x in stacked])
+            blocks = self._compress([x.conj().swapaxes(-1, -2) @ x for x in self._trial_stacks(draws, k)])
             traces = np.max([b.diagonal(0, -2, -1).real.sum(-1) for b in blocks], axis=0)
             # u = 2**-53: a factored G - c 1 has lambda_min(G) > c - 8 s u T (Higham, Accuracy and Stability,
             # Thm 10.3: |dA| <= gamma_{s+1} |R*||R|, of norm <= 4 (s+1) u tr(R*R) for complex data); eigvalsh
@@ -166,10 +166,10 @@ class _SpaceOps:
                 b[:, diagonal, diagonal] -= shift
             try:
                 _lapack("cholesky", blocks)
-                return trials
+                return len(draws)
             except DomainError:  # not positive definite, or a shift that overflowed
                 pass
-        return int(np.count_nonzero(self._gram_spectrum(self._random_grams(draws, k))[0] > tol))
+        return int(np.count_nonzero(self.random_gram_margins(draws, k) > tol))
 
     def _gram_spectrum(self, g):
         """The margin rule on the compressed image of a Gram sum's blocks ``g``, with each compressed
@@ -195,9 +195,9 @@ class _SpaceOps:
         return _margin(tops, bottoms), bottoms, lows, compressed
 
     def _stacked_pairing(self, y, x) -> list:
-        """The blocks of :func:`pairing` on stacked forms, summed over the entries' row slices in
-        order from 0 (``-0.0 + 0`` is ``0.0``), so a sum is bit for bit the same however the tuple is held."""
-        return [sum(yb.reshape(-1, *shape).conj().swapaxes(-1, -2) @ xb.reshape(-1, *shape))
+        """The blocks of :func:`pairing` on stacked forms, or on stacks of them with a leading trial axis,
+        summed over each form's entries in order from 0 (``-0.0 + 0`` is ``0.0``): bit for bit the same sums."""
+        return [sum(_entries(yb, shape).conj().swapaxes(-1, -2) @ _entries(xb, shape))
                 for yb, xb, shape in zip(y, x, self.block_shapes)]
 
     # -- right algebra helpers: the kernel's operations on the compressed image --
@@ -338,7 +338,7 @@ class ModuleSpace(_SpaceOps):
     @classmethod
     def from_json_dict(cls, data) -> "ModuleSpace":
         node = _Json.of(data)
-        return node.build(cls, Algebra.from_json_dict(node["algebra"]), node["rows"].value, node["cols"].value)
+        return node.build(cls, Algebra.from_json_dict(node["algebra"]), node["rows"].shape(), node["cols"].shape())
 
 
 def _require_acting(a, algebra, side):
@@ -707,7 +707,7 @@ class CornerSpace(_SpaceOps):
     @classmethod
     def from_json_dict(cls, data) -> "CornerSpace":
         node = _Json.of(data)
-        alg, size = Algebra.from_json_dict(node["algebra"]), node["size"].value
+        alg, size = Algebra.from_json_dict(node["algebra"]), node["size"].shape()
         ambient = node.build(alg.matrix_algebra, size)
         p, q = (AlgebraElement.from_json_dict(ambient, node[key]) for key in ("p", "q"))
         return node.build(cls, alg, size, p, q)

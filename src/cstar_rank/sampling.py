@@ -86,9 +86,9 @@ def draw_size(shapes) -> int:
 def gaussian_blocks(draws, shapes):
     """Complex Gaussian blocks ``sqrt(1/2) (re + i im)`` read from standard normals.
 
-    ``draws`` has shape ``(..., draw_size(shapes))`` and is read in the draw
-    order; yields one ``(..., r, s)`` block at a time, so a batch never holds
-    the complex copy of more than one block.
+    ``draws`` has shape ``(..., draw_size(shapes))`` and is read in the draw order; yields one
+    ``(..., r, s)`` block at a time, so a space's density trial stacks, which the Cholesky bracket
+    and the fallback's margins (the tuples' own pairing on a trial axis) share, hold one block.
     """
     scale = math.sqrt(0.5)
     offset = 0

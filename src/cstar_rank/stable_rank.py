@@ -452,8 +452,8 @@ def density_experiment(
     ``rng_from_seed``'s, and from 5 on one pass seeds all trials.  Each trial
     takes its ``k`` elements' draws in one call.  ``space._unimodular_count`` decides
     the trials by one Cholesky bracket per block, on one product of all trials' stacked
-    entries, or else by every margin from ``eigvalsh`` on Gram sums formed entry by
-    entry, bit for bit that of the tuple ``k`` calls of ``space.random_element`` on the
+    entries, or else by every margin from ``eigvalsh`` on the tuples' own pairing on a
+    trial axis, bit for bit that of the tuple ``k`` calls of ``space.random_element`` on the
     trial's generator give; so reports are byte-identical to a trial-by-trial loop.  A cell the counting bound rules
     out draws nothing at a ``tol`` at or above ``space._rounding_bound(k)``: no margin passes.
     """

@@ -823,8 +823,9 @@ EXCEPTION_NAMES = {name for name, value in vars(builtins).items()
     "LinAlgError", "JSONDecodeError", *(name for name in vars(errors) if name.endswith("Error"))}
 
 
-#: What the refusal of a matrix row, ``[re, im]`` pair or null key said, naming only the block or space.
-LEAF_REASONS = re.compile(r"unpack|iterable|complex\(\)|NoneType")
+#: What the refusal of a matrix row, ``[re, im]`` pair, null key or non-integer shape said, naming only
+#: the block or space.
+LEAF_REASONS = re.compile(r"unpack|iterable|complex\(\)|NoneType|cannot be interpreted as an integer")
 
 
 def _leaf_case(matrix, **space):
@@ -863,10 +864,12 @@ def test_a_malformed_leaf_is_refused_by_its_own_path(tmp_path, capfd, case, mess
 @example(case=HUGE_ENTRY_CASE, mutations=[])
 @example(case=LEAF_CASES["row-of-numbers"][0], mutations=[])
 @example(case=LEAF_CASES["null-rows"][0], mutations=[])
+@example(case=_leaf_case([[[0.5, 0.0], [1.0, 0.0]]], rows=1.5), mutations=[])
 def test_every_malformed_input_is_refused_with_its_json_path(tmp_path, capfd, case, mutations):
     # Input errors once exited 1 or 2 depending on the exception a loader hit, and
     # printed its repr (TypeError, KeyError) instead of the node that was wrong; a
-    # malformed matrix row, pair or entry, or a null key, is named by its own path.
+    # malformed matrix row, pair or entry, a null key, or a shape that is no integer
+    # is named by its own path.
     document, code, _, err = _run_fuzz_case(tmp_path, capfd, case, mutations)
     if not _is_well_formed(case[0], document):
         assert code == 2, err
@@ -957,19 +960,27 @@ def test_a_draw_past_numpys_index_range_is_out_of_memory(capsys, option):
 
 
 @pytest.mark.parametrize(
-    "corner, edit",
+    "corner, edit, leaf",
     [
-        (False, lambda s: s.update(rows=1.5)),
-        (False, lambda s: s["algebra"].update(blocks=[1.9])),
-        (True, lambda s: s.update(size=2.0)),
-        (False, lambda s: s.update(rows=True)),
-        (False, lambda s: s["algebra"].update(blocks=[True])),
-        (True, lambda s: s.update(size=True)),
+        (False, lambda s: s.update(rows=1.5), "rows"),
+        (False, lambda s: s["algebra"].update(blocks=[1.9]), "algebra.blocks[0]"),
+        (True, lambda s: s.update(size=2.0), "size"),
+        (False, lambda s: s.update(rows=True), "rows"),
+        (False, lambda s: s["algebra"].update(blocks=[True]), "algebra.blocks[0]"),
+        (True, lambda s: s.update(size=True), "size"),
+        (False, lambda s: s.update(cols="1"), "cols"),
+        (False, lambda s: s.update(rows=[1]), "rows"),
+        (True, lambda s: s.update(size="2"), "size"),
+        (True, lambda s: s.update(size=[2]), "size"),
+        (True, lambda s: s["algebra"].update(blocks=["1"]), "algebra.blocks[0]"),
+        (True, lambda s: s["algebra"].update(blocks=[[1]]), "algebra.blocks[0]"),
     ],
-    ids=["rows", "blocks", "size", "rows-bool", "blocks-bool", "size-bool"],
+    ids=["rows", "blocks", "size", "rows-bool", "blocks-bool", "size-bool", "cols-string", "rows-list",
+         "size-string", "size-list", "corner-blocks-string", "corner-blocks-list"],
 )
-def test_non_integer_shapes_are_a_parse_error(tmp_path, capsys, corner, edit):
-    # int() once truncated or coerced these shapes and check exited 0.
+def test_non_integer_shapes_are_a_parse_error(tmp_path, capsys, corner, edit, leaf):
+    # int() once truncated or coerced these shapes and check exited 0; later the refusal
+    # read "$[0].space: 'float' object cannot be interpreted as an integer".
     alg = Algebra((1,))
     if corner:
         p = alg.matrix_algebra(2).element([np.diag([1.0, 0.0])])
@@ -981,9 +992,7 @@ def test_non_integer_shapes_are_a_parse_error(tmp_path, capsys, corner, edit):
     path = tmp_path / "shape.json"
     path.write_text(json.dumps(data))
     code, out, err = run_cli(capsys, ["check", "--input", str(path), "--no-timestamp"])
-    assert code == 2
-    assert out == ""
-    assert "integer" in err
+    assert (code, out, err) == (2, "", f"error: bad input: $[0].space.{leaf} must be a JSON integer\n")
 
 
 def test_pad_with_explicit_padding(tmp_path, capsys):

@@ -10,7 +10,8 @@ unitaries that mix the entries, the invariance of both verdicts under right
 invertibles and Bass's elementary matrices, the generation margin and the
 dual witness under nonzero scalars (the Gram verdict is an expected failure,
 ROADMAP item 3), the batched density trials against their per-trial
-reference, the rounding bound on the margins of obstructed density cells,
+reference, a stack of trials paired as each trial's tuple, the rounding
+bound on the margins of obstructed density cells,
 and ``is_unimodular`` and ``dual_witness`` agreeing one ulp either side of the margin.
 
 Matrix spaces ``M_{rows x cols}(A)`` and corners ``p M_N(A) q`` with randomly
@@ -780,6 +781,31 @@ TWO_BLOCK_CORNER = (
     corner_with_ranks((1, 2), 2, (1, 2), (2, 4), np.random.default_rng(5)),
     ((1, 2), (2, 4)),
 )
+
+
+def trial_stacks(tuples):
+    """Per block, the ``(trials, k r_i, s_i)`` stack of the tuples' stacked forms."""
+    return [np.stack(blocks) for blocks in zip(*(t._stacked() for t in tuples))]
+
+
+@PROPERTY_SETTINGS
+@given(spaces, lengths, st.integers(1, 20), seeds)
+@example(TWO_BLOCK_CORNER, 4, 20, 0)
+@example(TWO_BLOCK_CORNER, 3, 1, 1)
+@example(ZERO_ROW_CORNER, 3, 7, 2)
+@example((ModuleSpace(Algebra((1, 2)), 2, 3), ((2, 3), (4, 6))), 4, 20, 3)
+def test_a_stack_of_trials_pairs_as_each_trial_tuple(case, k, trials, seed):
+    # The density margins pair a leading trial axis of stacked forms; each trial's pairing
+    # must be, bit for bit, that of its own tuple, for a tuple with itself and with another.
+    space, _ = case
+    rng = np.random.default_rng(seed)
+    ys, xs = ([ModuleTuple(tuple(space.random_element(rng) for _ in range(k))) for _ in range(trials)]
+              for _ in range(2))
+    grams = space._stacked_pairing(trial_stacks(xs), trial_stacks(xs))
+    paired = space._stacked_pairing(trial_stacks(ys), trial_stacks(xs))
+    for i, (y, x) in enumerate(zip(ys, xs)):
+        for stacked, single in ((grams, pairing(x, x)), (paired, pairing(y, x))):
+            assert [b[i].tobytes() for b in stacked] == [b.tobytes() for b in single.blocks]
 
 
 @PROPERTY_SETTINGS

@@ -42,7 +42,10 @@ SVD.  A density report counts
 its unimodular trials through one helper of the space, which alone hands
 ``cholesky`` to LAPACK and falls back to the Gram margins; before it draws, a cell
 the counting bound rules out is tested against the space's one closed-form
-rounding bound, which only the density report reads.  ``hv_perturb`` forms
+rounding bound, which only the density report reads.  A Gram sum ``x* x`` is
+formed by the pairing ``_stacked_pairing``, the one per-entry sum, on a stacked
+form or a stack of trials, and by the bracket's one product per block alone;
+every other product with an adjoint is listed.  ``hv_perturb`` forms
 its Gram sum once, on its one stacked form, for its route, its zero-route
 verdict and its bump, and inverts nothing: the damping's inverse comes from
 the bump's eigendecomposition.  Each public pipeline is one call of a private
@@ -541,7 +544,6 @@ class _RoutineNames(_NamedUses):
 GRAM_SPECTRUM = ("hilbert_module", "_SpaceOps._gram_spectrum")
 GRAM_SPECTRUM_CALLERS = {
     ("hilbert_module", "_SpaceOps.random_gram_margins"),
-    ("hilbert_module", "_SpaceOps._unimodular_count"),
     ("hilbert_module", "unimodularity_margin"),
     ("hilbert_module", "_is_unimodular_at"),
     ("hilbert_module", "_stacked_dual"),
@@ -612,6 +614,75 @@ def test_hv_perturb_forms_the_gram_sum_once():
     uses = _scopes_naming("stable_rank", "_stacked_pairing")
     assert len(uses["_hv_perturb"]) == 1, f"_hv_perturb names _stacked_pairing at lines {uses['_hv_perturb']}"
     assert "_hv_perturb" not in _scopes_naming("stable_rank", "gram")
+
+
+#: The steps of a conjugate transpose, in either order, as a method or as a numpy function.
+CONJUGATES = {"conj", "conjugate"}
+TRANSPOSES = {"T", "mT", "swapaxes", "transpose"}
+
+
+def _adjoint_base(node):
+    """The expression that ``node`` conjugate-transposes, or ``None`` if it is no conjugate transpose."""
+    steps = set()
+    while True:
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in CONJUGATES | TRANSPOSES:
+            steps.add(node.func.attr)
+            node = node.args[0] if _owner(node.func.value) == "np" else node.func.value
+        elif isinstance(node, ast.Attribute) and node.attr in TRANSPOSES:
+            steps.add(node.attr)
+            node = node.value
+        else:
+            return node if steps & CONJUGATES and steps & TRANSPOSES else None
+
+
+class _AdjointProducts(_NamedUses):
+    """Collects whether it multiplies an expression by its own adjoint, scope and line of every
+    matrix product ``A* B``, by ``@``, ``matmul`` or ``dot``."""
+
+    def _product(self, node, left, right):
+        base = _adjoint_base(left)
+        if base is not None:
+            self.found.append((ast.dump(base) == ast.dump(right), ".".join(self.scope), node.lineno))
+
+    def visit_BinOp(self, node):
+        if isinstance(node.op, ast.MatMult):
+            self._product(node, node.left, node.right)
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Attribute) and node.func.attr in {"matmul", "dot"}:
+            self._product(node, *([node.func.value] + node.args)[-2:])
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node):
+        self.generic_visit(node)
+
+    visit_ImportFrom = visit_Attribute
+
+
+#: Where a Gram sum ``x* x`` is formed: the pairing ``y* x``, the one per-entry sum, on one stacked form
+#: or on a stack of trials; and the density bracket's one product per block, which only decides.
+GRAM_SUMS = {("hilbert_module", "_SpaceOps._stacked_pairing"), ("hilbert_module", "_SpaceOps._unimodular_count")}
+#: The other products ``A* B``, none a Gram sum: a corner's compressions to its cores and Warfield's
+#: telescoping residual ``a* head``.
+ADJOINT_PRODUCTS = {("hilbert_module", "CornerSpace._core"), ("hilbert_module", "CornerSpace._compress"),
+                    ("stable_rank", "_warfield")}
+
+
+def test_gram_sums_are_formed_by_the_pairing_and_the_bracket_alone():
+    # The density margins once summed their Gram sums in a copy of the pairing, held equal to it
+    # only by a test; a third copy would have to be held equal again.
+    products = list(_uses(set(), _AdjointProducts))
+    stray, used = _confined([(module, scope, line) for module, _, scope, line in products],
+                            GRAM_SUMS | ADJOINT_PRODUCTS)
+    assert not stray, "a product A* B outside the pairing, the bracket and the listed products: " + ", ".join(stray)
+    # The rule is not vacuous: each place forms its products, the pairing and the bracket one each,
+    # and only the bracket spells out X* X.
+    assert used == GRAM_SUMS | ADJOINT_PRODUCTS
+    places = [(_allowed_scope(module, scope, GRAM_SUMS | ADJOINT_PRODUCTS), own)
+              for module, own, scope, _ in products]
+    assert sorted(place for place, _ in places if place in GRAM_SUMS) == sorted(GRAM_SUMS)
+    assert [place for place, own in places if own] == [CHOLESKY_BRACKET]
 
 
 #: The one place that hands ``cholesky`` to LAPACK: the density count's bracket.

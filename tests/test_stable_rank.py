@@ -1047,10 +1047,10 @@ DENSITY_CELLS = {
 @pytest.mark.parametrize("kind", sorted(DENSITY_CELLS))
 def test_each_density_cell_makes_exactly_its_lapack_calls(monkeypatch, kind):
     # A clear cell is decided by one stacked cholesky over its live blocks; one near-singular
-    # trial fails it, and the cell takes every margin from eigvalsh.  A matrix cell below the
-    # counting bound, at the default tol far above its rounding bound, draws nothing and calls
-    # no LAPACK; a corner has no rounding bound, so its cell goes to eigvalsh at once.  No cell
-    # forms a pairing.
+    # trial fails it, and the cell takes every margin from eigvalsh, on the one pairing of its
+    # trial stacks.  A matrix cell below the counting bound, at the default tol far above its
+    # rounding bound, draws nothing and calls no LAPACK; a corner has no rounding bound, so its
+    # cell goes to the pairing and eigvalsh at once.  A clear cell forms no pairing.
     space, k, live = DENSITY_CELLS[kind]()
     trials, log = 20, []
     counts = count_lapack_and_gram(monkeypatch, log)
@@ -1068,7 +1068,7 @@ def test_each_density_cell_makes_exactly_its_lapack_calls(monkeypatch, kind):
     monkeypatch.setattr(stable_rank, "trial_draws", repeating)
     counts.clear(), log.clear()
     assert density_experiment(space, k, trials, seed=5).unimodular_fraction == (trials - 1) / trials
-    assert counts == {"cholesky": 1, "eigvalsh": 1, "scans": 2}
+    assert counts == {"cholesky": 1, "gram_sums": 1, "eigvalsh": 1, "scans": 2}
     assert log == [("cholesky", live), ("eigvalsh", live)]
 
     drawn = []
@@ -1078,14 +1078,14 @@ def test_each_density_cell_makes_exactly_its_lapack_calls(monkeypatch, kind):
     if kind == "matrix":
         assert counts == {} and log == [] and drawn == []
     else:
-        assert counts == {"eigvalsh": 1, "scans": 1} and log == [("eigvalsh", live)] and len(drawn) == 1
+        assert counts == {"gram_sums": 1, "eigvalsh": 1, "scans": 1} and log == [("eigvalsh", live)] and len(drawn) == 1
 
 
 def test_an_obstructed_matrix_cell_is_decided_by_its_rounding_bound(monkeypatch):
     # M_{1x2}(C + M_2) at k = 1 has blocks 1x2 and 2x4, both below the counting bound, so
     # B(1) = max 64 s (k r + s) u = max(384 u, 1536 u).  At or above B no margin can pass:
-    # the cell draws nothing and calls no LAPACK.  Just below B it draws, and one eigvalsh
-    # over both blocks finds every margin below tol, as above it.
+    # the cell draws nothing and calls no LAPACK.  Just below B it draws, and one pairing and
+    # one eigvalsh over both blocks find every margin below tol, as above it.
     space = ModuleSpace(Algebra((1, 2)), 1, 2)
     assert space._rounding_bound(1) == 1536 * 2.0 ** -53 == 1.7053025658242404e-13
     assert space._rounding_bound(2) == math.inf
@@ -1098,7 +1098,7 @@ def test_an_obstructed_matrix_cell_is_decided_by_its_rounding_bound(monkeypatch)
     assert counts == {} and drawn == []
     report = density_experiment(space, 1, 20, seed=5, tol=1.70e-13)
     assert report.unimodular_fraction == 0.0 and report.exact_obstruction
-    assert counts == {"eigvalsh": 1, "scans": 1} and log == [("eigvalsh", 2)] and len(drawn) == 1
+    assert counts == {"gram_sums": 1, "eigvalsh": 1, "scans": 1} and log == [("eigvalsh", 2)] and len(drawn) == 1
 
 
 def test_the_bracket_slack_keeps_a_rounded_margin_out_of_the_count():
@@ -1111,7 +1111,8 @@ def test_the_bracket_slack_keeps_a_rounded_margin_out_of_the_count():
     q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     x = np.sqrt([1e14, 1e-3])[:, None] * q.conj().T
     draws = np.sqrt(2.0) * np.concatenate([x.real.ravel(), x.imag.ravel()])[None]
-    (g,) = space._random_grams(draws, 1)
+    stacks = list(space._trial_stacks(draws, 1))
+    (g,) = space._stacked_pairing(stacks, stacks)
     assert not space.random_gram_margins(draws, 1)[0] > tol
     np.linalg.cholesky(g - tol * (1 + np.trace(g[0]).real) * np.eye(2))
     assert space._unimodular_count(draws, 1, tol) == 0
@@ -1122,13 +1123,13 @@ def test_the_product_slack_sends_a_close_cell_to_the_margins(monkeypatch):
     # terms, here all equal, so T = G = 16e20 and every margin is exactly 1.  tol = 1 - 100 u clears
     # it by 100 u T in the bracket's units, more than the 64 s u T of the factorization and eigvalsh
     # alone but less than that plus the product's 4 (n + 2) u T: without that term the bracket
-    # would count the cell itself, with it the cell goes to eigvalsh, which counts it too.
+    # would count the cell itself, with it the cell goes to the pairing and eigvalsh, which count it too.
     space, k, tol = ModuleSpace(Algebra((1,)), 8, 1), 2, 1 - 100 * 2.0 ** -53
     draws = np.full((3, k * stable_rank.draw_size(space.block_shapes)), 1e10)
     assert (space.random_gram_margins(draws, k) == 1.0).all()
     counts = count_lapack_and_gram(monkeypatch)
     assert space._unimodular_count(draws, k, tol) == 3
-    assert counts == {"cholesky": 1, "eigvalsh": 1, "scans": 2}
+    assert counts == {"cholesky": 1, "gram_sums": 1, "eigvalsh": 1, "scans": 2}
 
 
 def test_a_refusal_below_the_stable_rank_builds_no_standard_tuple(monkeypatch):
