@@ -801,11 +801,11 @@ def test_a_stack_of_trials_pairs_as_each_trial_tuple(case, k, trials, seed):
     rng = np.random.default_rng(seed)
     ys, xs = ([ModuleTuple(tuple(space.random_element(rng) for _ in range(k))) for _ in range(trials)]
               for _ in range(2))
-    grams = space._stacked_pairing(trial_stacks(xs), trial_stacks(xs))
-    paired = space._stacked_pairing(trial_stacks(ys), trial_stacks(xs))
+    stacked = trial_stacks(xs)
+    grams, paired = space._stacked_pairing(stacked, stacked), space._stacked_pairing(trial_stacks(ys), stacked)
     for i, (y, x) in enumerate(zip(ys, xs)):
-        for stacked, single in ((grams, pairing(x, x)), (paired, pairing(y, x))):
-            assert [b[i].tobytes() for b in stacked] == [b.tobytes() for b in single.blocks]
+        for sums, single in ((grams, pairing(x, x)), (paired, pairing(y, x))):
+            assert [b[i].tobytes() for b in sums] == [b.tobytes() for b in single.blocks]
 
 
 @PROPERTY_SETTINGS
