@@ -28,6 +28,7 @@ and :func:`stack` are shared too: each takes its blocks through the space's
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -66,10 +67,8 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def _entries(stacked, shape):
-    """A stacked form's entries ``(k, r, s)``, or a stack's ``(k, trials, r, s)``: ``sum`` adds the entries."""
-    if stacked.ndim == 2:
-        return stacked.reshape(-1, *shape)
-    return stacked.reshape(len(stacked), -1, *shape).swapaxes(0, 1)
+    """A stacked form's entries ``(k, r, s)``, or a stack's ``(k, trials, r, s)``, as views."""
+    return stacked.reshape(*stacked.shape[:-2], -1, *shape).swapaxes(0, -3)
 
 
 class _SpaceOps:
@@ -136,8 +135,8 @@ class _SpaceOps:
         axis, :meth:`_trial_stacks`: the tuples' own pairing, then one stacked ``eigvalsh`` per block, so
         each margin is bit for bit its tuple's.
         """
-        stacks = list(self._trial_stacks(draws, k))
-        return self._gram_spectrum(self._stacked_pairing(stacks, stacks))[0]
+        y, x = itertools.tee(self._trial_stacks(draws, k))
+        return self._gram_spectrum(self._stacked_pairing(y, x))[0]
 
     def _trial_stacks(self, draws, k: int):
         """Per block, one at a time, the ``(trials, k r_i, s_i)`` stack of the tuples' stacked forms."""
@@ -196,8 +195,9 @@ class _SpaceOps:
 
     def _stacked_pairing(self, y, x) -> list:
         """The blocks of :func:`pairing` on stacked forms, or on stacks of them with a leading trial axis,
-        summed over each form's entries in order from 0 (``-0.0 + 0`` is ``0.0``): bit for bit the same sums."""
-        return [sum(_entries(yb, shape).conj().swapaxes(-1, -2) @ _entries(xb, shape))
+        summed over each form's entries in order from 0 (``-0.0 + 0`` is ``0.0``): bit for bit the same sums.
+        Each entry's product is added as it is formed, so a stack holds no more than one of them."""
+        return [sum(a.conj().swapaxes(-1, -2) @ b for a, b in zip(_entries(yb, shape), _entries(xb, shape)))
                 for yb, xb, shape in zip(y, x, self.block_shapes)]
 
     # -- right algebra helpers: the kernel's operations on the compressed image --

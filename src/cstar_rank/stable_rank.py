@@ -147,7 +147,7 @@ class ReductionCoefficients(_Blocks):
     def from_json_dict(cls, data) -> "ReductionCoefficients":
         node = _Json.of(data)
         space = space_from_json_dict(node["space"])
-        shape = [n.value for n in node["shape"].items()]
+        shape = [n.shape() for n in node["shape"].items()]
         coeffs = [[AlgebraElement.from_json_dict(space.left_algebra, a) for a in row.items()]
                   for row in node["entries"].items()]
         a = node.build(cls, space, coeffs)

@@ -135,6 +135,17 @@ def test_reduction_coefficients_roundtrip():
         ReductionCoefficients.from_json_dict(data)
 
 
+@pytest.mark.parametrize("shape, path", [([True, 2], "$.shape[0]"), (["1", 2], "$.shape[0]"), ([1, 2.0], "$.shape[1]")])
+def test_a_declared_coefficient_shape_is_read_as_json_integers(shape, path):
+    # Compared as raw values, [true, 2.0] would equal the entries' shape (1, 2).
+    space = ModuleSpace(Algebra((1,)), 1, 2)
+    data = roundtrip(ReductionCoefficients(space, [[space.left_algebra.unit()] * 2]).to_json_dict())
+    data["shape"] = shape
+    with pytest.raises(ValueError) as refused:
+        ReductionCoefficients.from_json_dict(data)
+    assert str(refused.value) == f"{path} must be a JSON integer"
+
+
 def test_density_report_embeds_provenance():
     space = ModuleSpace(Algebra((1,)), 1, 1)
     report = density_experiment(space, 1, 10, seed=5)
