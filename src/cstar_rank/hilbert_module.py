@@ -66,9 +66,14 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _entries(stacked, shape):
-    """A stacked form's entries ``(k, r, s)``, or a stack's ``(k, trials, r, s)``, as views."""
-    return stacked.reshape(*stacked.shape[:-2], -1, *shape).swapaxes(0, -3)
+def _entry_products(y, x, shape):
+    """The products ``a* b`` of the entries of two stacked forms ``(k r, s)``, in order, from one batched
+    matmul; of two stacks ``(trials, k r, s)``, one entry of all trials at a time, so that a stack holds
+    one ``(trials, s, s)`` product, not ``k``.  ``sum`` adds them."""
+    if y.ndim == 2:
+        return y.reshape(-1, *shape).conj().swapaxes(-1, -2) @ x.reshape(-1, *shape)
+    entries = (f.reshape(len(f), -1, *shape).swapaxes(0, 1) for f in (y, x))
+    return (a.conj().swapaxes(-1, -2) @ b for a, b in zip(*entries))
 
 
 class _SpaceOps:
@@ -195,10 +200,8 @@ class _SpaceOps:
 
     def _stacked_pairing(self, y, x) -> list:
         """The blocks of :func:`pairing` on stacked forms, or on stacks of them with a leading trial axis,
-        summed over each form's entries in order from 0 (``-0.0 + 0`` is ``0.0``): bit for bit the same sums.
-        Each entry's product is added as it is formed, so a stack holds no more than one of them."""
-        return [sum(a.conj().swapaxes(-1, -2) @ b for a, b in zip(_entries(yb, shape), _entries(xb, shape)))
-                for yb, xb, shape in zip(y, x, self.block_shapes)]
+        summed over each form's entries in order from 0 (``-0.0 + 0`` is ``0.0``): bit for bit the same sums."""
+        return [sum(_entry_products(yb, xb, shape)) for yb, xb, shape in zip(y, x, self.block_shapes)]
 
     # -- right algebra helpers: the kernel's operations on the compressed image --
 

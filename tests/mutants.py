@@ -62,9 +62,9 @@ MUTANTS = {
         "hilbert_module.py", "64 * s + 4 * (n + 2)", "64 * s",
         "the bracket's slack covers the gap between its one product per block and the margins' per-entry sums"),
     "trial-pairing-order": (
-        "hilbert_module.py", "return stacked.reshape(*stacked.shape[:-2], -1, *shape).swapaxes(0, -3)",
-        "return stacked.reshape(*stacked.shape[:-2], -1, *shape).swapaxes(0, -3)[::-1]",
-        "a form sums its entries in its tuple's order, from the first, on one form and on a stack of trials alike"),
+        "hilbert_module.py", "f.reshape(len(f), -1, *shape).swapaxes(0, 1) for",
+        "f.reshape(len(f), -1, *shape).swapaxes(0, 1)[::-1] for",
+        "a stack of trials sums each trial's entries in its tuple's order, from the first, as pairing does"),
     "rounding-bound": (
         "hilbert_module.py", "64 * s * (k * r + s) * 2.0 ** -53", "32 * s * (k * r + s) * 2.0 ** -53",
         "B(k), below which an obstructed density cell is still drawn"),

@@ -44,7 +44,8 @@ its unimodular trials through one helper of the space, which alone hands
 the counting bound rules out is tested against the space's one closed-form
 rounding bound, which only the density report reads.  A Gram sum ``x* x`` is
 formed by the pairing ``_stacked_pairing``, the one per-entry sum, on a stacked
-form or a stack of trials, and by the bracket's one product per block alone;
+form or a stack of trials (its products come from ``_entry_products``), and by
+the bracket's one product per block alone;
 every other product with an adjoint is listed.  ``hv_perturb`` forms
 its Gram sum once, on its one stacked form, for its route, its zero-route
 verdict and its bump, and inverts nothing: the damping's inverse comes from
@@ -660,9 +661,11 @@ class _AdjointProducts(_NamedUses):
     visit_ImportFrom = visit_Attribute
 
 
-#: Where a Gram sum ``x* x`` is formed: the pairing ``y* x``, the one per-entry sum, on one stacked form
-#: or on a stack of trials; and the density bracket's one product per block, which only decides.
-GRAM_SUMS = {("hilbert_module", "_SpaceOps._stacked_pairing"), ("hilbert_module", "_SpaceOps._unimodular_count")}
+#: Where a Gram sum ``x* x`` is formed: the entry products ``a* b`` of the pairing, the one per-entry sum,
+#: one batched product on one stacked form and one per entry on a stack of trials; and the density
+#: bracket's one product per block, which only decides.
+ENTRY_PRODUCTS = ("hilbert_module", "_entry_products")
+GRAM_SUMS = {ENTRY_PRODUCTS, ("hilbert_module", "_SpaceOps._unimodular_count")}
 #: The other products ``A* B``, none a Gram sum: a corner's compressions to its cores and Warfield's
 #: telescoping residual ``a* head``.
 ADJOINT_PRODUCTS = {("hilbert_module", "CornerSpace._core"), ("hilbert_module", "CornerSpace._compress"),
@@ -676,12 +679,12 @@ def test_gram_sums_are_formed_by_the_pairing_and_the_bracket_alone():
     stray, used = _confined([(module, scope, line) for module, _, scope, line in products],
                             GRAM_SUMS | ADJOINT_PRODUCTS)
     assert not stray, "a product A* B outside the pairing, the bracket and the listed products: " + ", ".join(stray)
-    # The rule is not vacuous: each place forms its products, the pairing and the bracket one each,
-    # and only the bracket spells out X* X.
+    # The rule is not vacuous: each place forms its products, the pairing two (a form's and a stack's)
+    # and the bracket one, and only the bracket spells out X* X.
     assert used == GRAM_SUMS | ADJOINT_PRODUCTS
     places = [(_allowed_scope(module, scope, GRAM_SUMS | ADJOINT_PRODUCTS), own)
               for module, own, scope, _ in products]
-    assert sorted(place for place, _ in places if place in GRAM_SUMS) == sorted(GRAM_SUMS)
+    assert sorted(place for place, _ in places if place in GRAM_SUMS) == sorted([ENTRY_PRODUCTS, *GRAM_SUMS])
     assert [place for place, own in places if own] == [CHOLESKY_BRACKET]
 
 
