@@ -85,9 +85,13 @@ def _gate_norm(blocks, bound) -> float:
 
 def _margin(tops, bottoms):
     """The one invertibility rule: the smallest singular value over all blocks
-    divided by ``max(1, largest)``, from the extremes of one matrix per block,
-    or of one stack per block, which gives one margin per matrix of the stack."""
-    return functools.reduce(np.minimum, bottoms) / np.maximum(1.0, functools.reduce(np.maximum, tops))
+    divided by ``max(1, largest)``, from the extremes of one matrix per block, as
+    floats, or of one stack per block, which gives one margin per matrix of the stack."""
+    if isinstance(bottoms[0], float):
+        bottom, top = min(bottoms), max(tops)
+    else:
+        bottom, top = functools.reduce(np.minimum, bottoms), functools.reduce(np.maximum, tops)
+    return bottom / np.maximum(1.0, top)
 
 
 def _hermitized(block):

@@ -66,16 +66,6 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _entry_products(y, x, shape):
-    """The products ``a* b`` of the entries of two stacked forms ``(k r, s)``, in order, from one batched
-    matmul; of two stacks ``(trials, k r, s)``, one entry of all trials at a time, so that a stack holds
-    one ``(trials, s, s)`` product, not ``k``.  ``sum`` adds them."""
-    if y.ndim == 2:
-        return y.reshape(-1, *shape).conj().swapaxes(-1, -2) @ x.reshape(-1, *shape)
-    entries = (f.reshape(len(f), -1, *shape).swapaxes(0, 1) for f in (y, x))
-    return (a.conj().swapaxes(-1, -2) @ b for a, b in zip(*entries))
-
-
 class _SpaceOps:
     """Operations shared by matrix and corner spaces.
 
@@ -137,34 +127,33 @@ class _SpaceOps:
 
         Row ``t`` holds the standard normals that ``k`` calls of :meth:`random_element` take from one
         generator.  This is :func:`unimodularity_margin` on the tuples' stacked forms with a leading trial
-        axis, :meth:`_trial_stacks`: the tuples' own pairing, then one stacked ``eigvalsh`` per block, so
-        each margin is bit for bit its tuple's.
+        axis: :meth:`_trial_grams`, then one stacked ``eigvalsh`` per block.  numpy's batched product gives
+        each trial the product of its own tuple, so each margin is bit for bit its tuple's.
         """
-        y, x = itertools.tee(self._trial_stacks(draws, k))
-        return self._gram_spectrum(self._stacked_pairing(y, x))[0]
+        return self._gram_spectrum(self._trial_grams(draws, k))[0]
 
-    def _trial_stacks(self, draws, k: int):
-        """Per block, one at a time, the ``(trials, k r_i, s_i)`` stack of the tuples' stacked forms."""
-        for i, drawn in enumerate(gaussian_blocks(draws.reshape(len(draws), k, -1), self.block_shapes)):
-            yield self._project(i, drawn).reshape(len(draws), -1, drawn.shape[-1])
+    def _trial_grams(self, draws, k: int) -> list:
+        """The Gram sums of the tuples of :meth:`random_gram_margins`: the pairing of one block's
+        ``(trials, k r_i, s_i)`` stack of their stacked forms at a time."""
+        stacks = (self._project(i, drawn).reshape(len(draws), -1, drawn.shape[-1])
+                  for i, drawn in enumerate(gaussian_blocks(draws.reshape(len(draws), k, -1), self.block_shapes)))
+        return self._stacked_pairing(*itertools.tee(stacks))
 
     def _unimodular_count(self, draws, k: int, tol: float) -> int:
         """``count_nonzero(random_gram_margins(draws, k) > tol)``: as ``lambda_max <= tr G``, all trials
-        pass if ``G - (tol (1 + T) + (64 s + 4 (n + 2)) u T) 1`` factors in each compressed block, ``T`` a
-        trial's largest trace and ``G`` one product ``X* X`` per block of :meth:`_trial_stacks`, which only
-        decides; if a trial fails, or below the counting bound, the margins, the tuples' own pairing, decide.
-        A cell below the counting bound reaches here only at a ``tol`` under :meth:`_rounding_bound`."""
+        pass if ``G - (tol (1 + T) + 64 s u T) 1`` factors in each compressed block, ``T`` a trial's largest
+        trace and ``G`` the margins' own Gram sums, :meth:`_trial_grams`; the bracket only decides.  If a
+        trial fails, or below the counting bound, the margins decide.  A cell below the counting bound
+        reaches here only at a ``tol`` under :meth:`_rounding_bound`."""
         if not self.rank_obstruction(k):
-            blocks = self._compress([x.conj().swapaxes(-1, -2) @ x for x in self._trial_stacks(draws, k)])
+            blocks = self._compress(self._trial_grams(draws, k))
             traces = np.max([b.diagonal(0, -2, -1).real.sum(-1) for b in blocks], axis=0)
             # u = 2**-53: a factored G - c 1 has lambda_min(G) > c - 8 s u T (Higham, Accuracy and Stability,
             # Thm 10.3: |dA| <= gamma_{s+1} |R*||R|, of norm <= 4 (s+1) u tr(R*R) for complex data); eigvalsh
             # errs by p(s) u ||G|| at each end (LAPACK Users' Guide 4.7); 64 s u T covers both for p(s) <= 25 s.
-            # The margins' per-entry sums (k products of r terms, then k - 1 additions) and this product of
-            # n = k r terms each lie within gamma_{n+2} |X|*|X| of X* X (Higham, Sec. 3.5, complex case), of norm
-            # <= gamma_{n+2} ||X||_F^2 = gamma_{n+2} T: 4 (n + 2) u T covers the gap between them.
-            s, n = max(b.shape[-1] for b in blocks), k * max(r for r, _ in self.block_shapes)
-            shift = (tol + (tol + (64 * s + 4 * (n + 2)) * 2.0 ** -53) * traces)[:, None]
+            # The margins read the same computed G, so no rounding of its product needs covering.
+            s = max(b.shape[-1] for b in blocks)
+            shift = (tol + (tol + 64 * s * 2.0 ** -53) * traces)[:, None]
             for b in blocks:
                 diagonal = np.arange(b.shape[-1])
                 b[:, diagonal, diagonal] -= shift
@@ -190,18 +179,19 @@ class _SpaceOps:
             tops, bottoms = [m.max(-1) for m in moduli], [m.min(-1) for m in moduli]
             lows, finite = [w[:, 0] for w in values], np.isfinite(tops + bottoms).all()
         else:
+            # The largest modulus is at an end; so is the smallest, unless the ends differ in sign.
             values = [w.tolist() for w in values]
-            moduli = [[abs(v) for v in w] for w in values]
-            tops, bottoms = [max(m) for m in moduli], [min(m) for m in moduli]
+            tops = [max(abs(w[0]), abs(w[-1])) for w in values]
+            bottoms = [abs(w[0]) if w[0] >= 0.0 else min(map(abs, w)) for w in values]
             lows, finite = [w[0] for w in values], all(map(math.isfinite, tops + bottoms))
         if not finite:
             raise DomainError(_NOT_FINITE)
         return _margin(tops, bottoms), bottoms, lows, compressed
 
     def _stacked_pairing(self, y, x) -> list:
-        """The blocks of :func:`pairing` on stacked forms, or on stacks of them with a leading trial axis,
-        summed over each form's entries in order from 0 (``-0.0 + 0`` is ``0.0``): bit for bit the same sums."""
-        return [sum(_entry_products(yb, xb, shape)) for yb, xb, shape in zip(y, x, self.block_shapes)]
+        """The blocks of :func:`pairing` on stacked forms ``(k r, s)``, or on stacks of them ``(trials, k r, s)``
+        with a leading trial axis: ``Y* X``, one matmul per block, which sums over the entries' rows."""
+        return [yb.conj().swapaxes(-1, -2) @ xb for yb, xb in zip(y, x)]
 
     # -- right algebra helpers: the kernel's operations on the compressed image --
 
@@ -322,8 +312,8 @@ class ModuleSpace(_SpaceOps):
         return ModuleSpace(self.alg, self.rows * k, self.cols)
 
     def _rounding_bound(self, k):
-        # A block with k r < s has lambda_min(G) = 0.  With T = tr G and u = 2**-53, summing k entries
-        # of r rows errs by about c k r u T, and eigvalsh by p(s) u ||G|| at each end (p(s) <= 25 s, as in
+        # A block with k r < s has lambda_min(G) = 0.  With T = tr G and u = 2**-53, its product of
+        # k r terms errs by about c k r u T, and eigvalsh by p(s) u ||G|| at each end (p(s) <= 25 s, as in
         # _unimodular_count).  So the computed |lambda|_min is at most (c k r + p(s)) u T, the computed
         # lambda_max at least T/s less that, and the margin at most about (c k r + p(s)) s u, below B(k).
         return max((64 * s * (k * r + s) * 2.0 ** -53 for r, s in self.compressed_shapes if k * r < s),

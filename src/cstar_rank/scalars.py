@@ -32,6 +32,8 @@ def _require_positive_finite(name: str, value) -> None:
     """The one rule for tolerances and ``eps``: ``0 < value < inf``, else ``ValueError``;
     ``TypeError`` for ``bool`` and ``numpy.bool_``, which would pass as 1.0.  numpy is
     looked up, not imported: a value cannot be a ``numpy.bool_`` before numpy is loaded."""
+    if isinstance(value, float) and 0.0 < value < math.inf:
+        return
     np = sys.modules.get("numpy")
     if isinstance(value, bool) or (np is not None and isinstance(value, np.bool_)):
         raise TypeError(f"{name} must be a number, not the boolean {value!r}")

@@ -450,11 +450,11 @@ def density_experiment(
     the report is reproducible and independent of evaluation order.  The
     trials are batched: below 5 trials each trial's draws are
     ``rng_from_seed``'s, and from 5 on one pass seeds all trials.  Each trial
-    takes its ``k`` elements' draws in one call.  ``space._unimodular_count`` decides
-    the trials by one Cholesky bracket per block, on one product of all trials' stacked
-    entries, or else by every margin from ``eigvalsh`` on the tuples' own pairing on a
-    trial axis, bit for bit that of the tuple ``k`` calls of ``space.random_element`` on the
-    trial's generator give; so reports are byte-identical to a trial-by-trial loop.  A cell the counting bound rules
+    takes its ``k`` elements' draws in one call.  ``space._unimodular_count`` pairs the
+    trials' stacked forms on a trial axis, one product per block, and decides the trials
+    by one Cholesky bracket per block on those Gram sums, or else by every margin from
+    ``eigvalsh`` on them, bit for bit that of the tuple ``k`` calls of ``space.random_element``
+    on the trial's generator give; so reports are byte-identical to a trial-by-trial loop.  A cell the counting bound rules
     out draws nothing at a ``tol`` at or above ``space._rounding_bound(k)``: no margin passes.
     """
     k, trials, seed = _shape_int(k), _shape_int(trials), _shape_int(seed)

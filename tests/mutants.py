@@ -56,15 +56,14 @@ MUTANTS = {
         "algebra.py", "margin = _margin([norm], [w[0]])", "margin = _margin([norm], [abs(w[0])])",
         "inv_sqrt refuses a negative eigenvalue, not only a small one"),
     "bracket-slack": (
-        "hilbert_module.py", "(tol + (64 * s + 4 * (n + 2)) * 2.0 ** -53) * traces", "(tol + 0) * traces",
+        "hilbert_module.py", "(tol + 64 * s * 2.0 ** -53) * traces", "(tol + 0) * traces",
         "the Cholesky bracket's rounding slack keeps a rounded margin out of the density count"),
-    "bracket-product-slack": (
-        "hilbert_module.py", "64 * s + 4 * (n + 2)", "64 * s",
-        "the bracket's slack covers the gap between its one product per block and the margins' per-entry sums"),
-    "trial-pairing-order": (
-        "hilbert_module.py", "f.reshape(len(f), -1, *shape).swapaxes(0, 1) for",
-        "f.reshape(len(f), -1, *shape).swapaxes(0, 1)[::-1] for",
-        "a stack of trials sums each trial's entries in its tuple's order, from the first, as pairing does"),
+    "pairing-adjoint": (
+        "hilbert_module.py", "yb.conj().swapaxes(-1, -2) @ xb", "yb.swapaxes(-1, -2) @ xb",
+        "the pairing is Y* X: conjugate-linear in its first argument, for a form as for a stack of trials"),
+    "spectrum-ends": (
+        "hilbert_module.py", "abs(w[0]) if w[0] >= 0.0 else min(map(abs, w))", "abs(w[0])",
+        "a Gram sum's smallest eigenvalue modulus is at the first end only where that end is >= 0"),
     "rounding-bound": (
         "hilbert_module.py", "64 * s * (k * r + s) * 2.0 ** -53", "32 * s * (k * r + s) * 2.0 ** -53",
         "B(k), below which an obstructed density cell is still drawn"),
@@ -80,14 +79,20 @@ MUTANTS = {
         "return any(k * r <= s for r, s in self.compressed_shapes)",
         "k-tuples are ruled out exactly when k r < s in some block"),
     "margin-bottom": (
-        "algebra.py", "functools.reduce(np.minimum, bottoms)", "functools.reduce(np.maximum, bottoms)",
+        "algebra.py", "bottom, top = min(bottoms), max(tops)", "bottom, top = max(bottoms), max(tops)",
         "the margin's numerator is the smallest singular value over all blocks"),
+    "stack-margin-bottom": (
+        "algebra.py", "functools.reduce(np.minimum, bottoms)", "functools.reduce(np.maximum, bottoms)",
+        "a stack's margins take the smallest singular value over all blocks, as one element's do"),
     "margin-floor": (
-        "algebra.py", "np.maximum(1.0, functools.reduce", "np.maximum(2.0, functools.reduce",
+        "algebra.py", "np.maximum(1.0, top)", "np.maximum(2.0, top)",
         "the margin's denominator is max(1, largest): a small element keeps its absolute margin"),
     "margin-top": (
-        "algebra.py", "functools.reduce(np.maximum, tops)", "functools.reduce(np.minimum, tops)",
+        "algebra.py", "bottom, top = min(bottoms), max(tops)", "bottom, top = min(bottoms), min(tops)",
         "the margin's denominator reads the largest singular value over all blocks"),
+    "stack-margin-top": (
+        "algebra.py", "functools.reduce(np.maximum, tops)", "functools.reduce(np.minimum, tops)",
+        "a stack's margins read the largest singular value over all blocks, as one element's do"),
     "damping-k": (
         "stable_rank.py", "k = math.floor(adjointable_norm(coeffs) / eps) + 1",
         "k = math.floor(adjointable_norm(coeffs) / eps)",

@@ -1,5 +1,7 @@
 """Inner products, unimodularity, witnesses, the generator oracle and corners."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,12 +116,17 @@ def test_stack_single_entry_is_identity():
 
 
 def test_stack_with_zero_preserves_gram():
+    # The Gram sum of (x, 0) is one product of its stacked form [x; 0] per block, bit for bit,
+    # and <x, x> within the rounding of a product of n = 2 r terms, 4 (n + 2) u ||x||_F^2.
     space = ModuleSpace(Algebra((1, 2)), 1, 2)
     x = space.random_element(np.random.default_rng(5))
     t = ModuleTuple((x, space.zero()))
     g_tuple = gram(t)
     g_single = inner_right(x, x)
-    assert (g_tuple - g_single).norm() == 0.0
+    for got, want, xb in zip(g_tuple.blocks, g_single.blocks, x.blocks):
+        stacked = np.concatenate((xb, np.zeros_like(xb)))
+        assert np.array_equal(got.view(np.uint64), (stacked.conj().T @ stacked).view(np.uint64))
+        assert np.abs(got - want).max() <= 4 * (len(stacked) + 2) * 2.0 ** -53 * np.vdot(xb, xb).real
 
 
 def test_stack_gram_identity():
@@ -214,12 +221,17 @@ def test_dual_witness_residuals():
 
 
 def test_pairing_is_the_sum_of_inner_products():
+    # The pairing is Y* X of the stacked forms, one product per block, bit for bit, and the sum
+    # of the entries' inner products within the rounding of a product of n = k r terms,
+    # 4 (n + 2) u ||Y||_F ||X||_F.
     rng = np.random.default_rng(4)
     space = ModuleSpace(Algebra((1, 2)), 2, 3)
     x, y = random_tuple(space, rng, 3), random_tuple(space, rng, 3)
     expected = inner_right(y[0], x[0]) + inner_right(y[1], x[1]) + inner_right(y[2], x[2])
-    for got, want in zip(pairing(y, x).blocks, expected.blocks):
-        assert np.array_equal(got, want)
+    for got, want, yb, xb in zip(pairing(y, x).blocks, expected.blocks, y._stacked(), x._stacked()):
+        assert np.array_equal(got.view(np.uint64), (yb.conj().T @ xb).view(np.uint64))
+        bound = 4 * (len(xb) + 2) * 2.0 ** -53 * np.linalg.norm(yb) * np.linalg.norm(xb)
+        assert np.abs(got - want).max() <= bound
     for got, want in zip(pairing(x, x).blocks, gram(x).blocks):
         assert np.array_equal(got, want)
     with pytest.raises(ShapeMismatchError):
@@ -390,6 +402,36 @@ def test_a_finite_gram_sum_whose_eigenvalues_overflow_is_refused():
                  lambda: space._gram_spectrum([np.full((3, 2, 2), 1e308 + 0j)])):
         with pytest.raises(DomainError, match="not finite"):
             call()
+
+
+#: Spectra of Hermitian 3x3 blocks whose ends do not both give the extreme moduli of a nonnegative one.
+MIXED_SPECTRA = {
+    "smaller-positive": (-1e-3, 1e-5, 2.0),
+    "negative-zero": (-0.0, 1.0, 3.0),
+    "zeros-of-both-signs": (0.0, -0.0, 1.0),
+    "all-negative": (-5.0, -2.0, -1e-3),
+}
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["diagonal", "rotated"])
+@pytest.mark.parametrize("spectrum", list(MIXED_SPECTRA.values()), ids=list(MIXED_SPECTRA))
+def test_one_gram_spectrum_reads_its_extremes_as_the_full_scan(spectrum, rotated):
+    # One Gram sum takes its largest eigenvalue modulus from the ends of the ascending
+    # eigenvalues, and its smallest from the first where that is >= 0; otherwise it scans
+    # them all.  On these blocks the extremes and the margin must be the full scan's, bit
+    # for bit and sign included: a diagonal block keeps its -0.0, a rotated one mixes signs.
+    block = np.diag(spectrum).astype(complex)
+    if rotated:
+        rng = np.random.default_rng(42)
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        block = (q * spectrum) @ q.conj().T
+    space = ModuleSpace(Algebra((3,)), 1, 1)
+    margin, bottoms, lows, _ = space._gram_spectrum([block])
+    (w,) = _lapack("eigvalsh", [block])
+    moduli = [abs(v) for v in w.tolist()]
+    assert rotated or w.tolist() == list(spectrum) and math.copysign(1.0, w[0]) == math.copysign(1.0, spectrum[0])
+    assert repr(bottoms) == repr([min(moduli)]) and repr(lows) == repr([w.tolist()[0]])
+    assert repr(float(margin)) == repr(min(moduli) / max(1.0, max(moduli)))
 
 
 def test_the_unchecked_inverse_of_an_exactly_singular_element_is_a_domain_error():

@@ -276,17 +276,19 @@ def test_the_two_decision_paths_agree_exactly_at_their_edge(case, k, seed):
 @given(spaces, lengths, lengths, seeds, st.one_of(st.none(), st.integers(0, 7)))
 def test_a_padded_gram_sum_continues_the_gram_sum_of_its_head(case, n, r, seed, zero_at):
     # hv_pad and hv_perturb decide the padded tuple on the Gram sum of its joined
-    # stacked form: pairing adds the entries to zeros in order, the head's and then the
-    # padding's, so that is the Gram sum of t continued by the padding's terms, bit for bit.
+    # stacked form: one product per block, so bit for bit the padded tuple's own X* X,
+    # and the Gram sum of t's head continued by the padding's terms within the rounding
+    # of a product of n rows, 4 (n + 2) u ||X||_F^2.
     space, _ = case
     t = random_tuple(space, n + r, seed, zero_at)
     x, padding = ModuleTuple(t.entries[:n])._stacked(), ModuleTuple(t.entries[n:])._stacked()
     padded = [np.concatenate((xb, pb)) for xb, pb in zip(x, padding)]
-    for i, whole in enumerate(space._stacked_pairing(padded, padded)):
+    for i, (whole, own) in enumerate(zip(space._stacked_pairing(padded, padded), t._stacked())):
+        assert np.array_equal(whole.view(np.uint64), (own.conj().T @ own).view(np.uint64))
         summed = np.zeros_like(whole)
         for entry in t.entries:
             summed += entry.blocks[i].conj().T @ entry.blocks[i]
-        assert np.array_equal(whole.view(np.uint64), summed.view(np.uint64))
+        assert np.abs(whole - summed).max() <= 4 * (len(own) + 2) * 2.0 ** -53 * np.vdot(own, own).real
 
 
 @PROPERTY_SETTINGS

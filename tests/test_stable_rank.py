@@ -598,18 +598,12 @@ def reference_hv_perturb(t, params):
     stacked forms, with the space's hooks only to compress and embed: one ``eigh`` of
     the Gram sum gives the bump and the damping's inverse, the padding is the bump
     over zero rows, and ``eta`` is the padded Gram sum's smallest eigenvalue to the
-    power -1/2.  Gram sums are summed over the entries in order, as ``pairing`` does."""
+    power -1/2.  A Gram sum is one product ``X* X`` of the stacked form per block, as ``pairing`` forms it."""
     space, eps, tol = t.space, params.eps, params.tol
     n, r = len(t), space.predicted_stable_rank()
 
     def gram_of(stacked):
-        grams = []
-        for b, shape in zip(stacked, space.block_shapes):
-            entries = b.reshape(-1, *shape)
-            grams.append(np.zeros((shape[1], shape[1]), dtype=complex))
-            for term in entries.conj().swapaxes(-1, -2) @ entries:
-                grams[-1] += term
-        return space._compress(grams)
+        return space._compress([b.conj().T @ b for b in stacked])
 
     def split(stacked, k):
         return ([b[:k * rows] for b, (rows, _) in zip(stacked, space.block_shapes)],
@@ -1046,16 +1040,17 @@ DENSITY_CELLS = {
 
 @pytest.mark.parametrize("kind", sorted(DENSITY_CELLS))
 def test_each_density_cell_makes_exactly_its_lapack_calls(monkeypatch, kind):
-    # A clear cell is decided by one stacked cholesky over its live blocks; one near-singular
-    # trial fails it, and the cell takes every margin from eigvalsh, on the one pairing of its
-    # trial stacks.  A matrix cell below the counting bound, at the default tol far above its
-    # rounding bound, draws nothing and calls no LAPACK; a corner has no rounding bound, so its
-    # cell goes to the pairing and eigvalsh at once.  A clear cell forms no pairing.
+    # A clear cell is decided by one stacked cholesky over its live blocks, on the one pairing of
+    # its trial stacks; one near-singular trial fails it, and the cell takes every margin from
+    # eigvalsh, on the pairing formed again, since the bracket shifted the first in place.  A
+    # matrix cell below the counting bound, at the default tol far above its rounding bound,
+    # draws nothing and calls no LAPACK; a corner has no rounding bound, so its cell goes to the
+    # pairing and eigvalsh at once.
     space, k, live = DENSITY_CELLS[kind]()
     trials, log = 20, []
     counts = count_lapack_and_gram(monkeypatch, log)
     assert density_experiment(space, k, trials, seed=5).unimodular_fraction == 1.0
-    assert counts == {"cholesky": 1, "scans": 1} and log == [("cholesky", live)]
+    assert counts == {"cholesky": 1, "gram_sums": 1, "scans": 1} and log == [("cholesky", live)]
 
     # Trial 0 repeats its first entry: a k-tuple of rank below the counting bound.
     draw = stable_rank.trial_draws
@@ -1068,7 +1063,7 @@ def test_each_density_cell_makes_exactly_its_lapack_calls(monkeypatch, kind):
     monkeypatch.setattr(stable_rank, "trial_draws", repeating)
     counts.clear(), log.clear()
     assert density_experiment(space, k, trials, seed=5).unimodular_fraction == (trials - 1) / trials
-    assert counts == {"cholesky": 1, "gram_sums": 1, "eigvalsh": 1, "scans": 2}
+    assert counts == {"cholesky": 1, "gram_sums": 2, "eigvalsh": 1, "scans": 2}
     assert log == [("cholesky", live), ("eigvalsh", live)]
 
     drawn = []
@@ -1111,25 +1106,24 @@ def test_the_bracket_slack_keeps_a_rounded_margin_out_of_the_count():
     q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     x = np.sqrt([1e14, 1e-3])[:, None] * q.conj().T
     draws = np.sqrt(2.0) * np.concatenate([x.real.ravel(), x.imag.ravel()])[None]
-    stacks = list(space._trial_stacks(draws, 1))
-    (g,) = space._stacked_pairing(stacks, stacks)
+    (g,) = space._trial_grams(draws, 1)
     assert not space.random_gram_margins(draws, 1)[0] > tol
     np.linalg.cholesky(g - tol * (1 + np.trace(g[0]).real) * np.eye(2))
     assert space._unimodular_count(draws, 1, tol) == 0
 
 
-def test_the_product_slack_sends_a_close_cell_to_the_margins(monkeypatch):
+def test_a_cell_clearing_tol_by_100_u_is_counted_by_the_bracket_alone(monkeypatch):
     # 2-tuples of M_{8x1}(C): one scalar block (s = 1) whose Gram sum is one product of n = k r = 16
     # terms, here all equal, so T = G = 16e20 and every margin is exactly 1.  tol = 1 - 100 u clears
-    # it by 100 u T in the bracket's units, more than the 64 s u T of the factorization and eigvalsh
-    # alone but less than that plus the product's 4 (n + 2) u T: without that term the bracket
-    # would count the cell itself, with it the cell goes to the pairing and eigvalsh, which count it too.
+    # it by 100 u T in the bracket's units, more than the 64 s u T of the factorization and eigvalsh.
+    # The bracket factors the margins' own Gram sums, so its slack has no term for a second way of
+    # forming them (4 (n + 2) u T = 72 u T would send the cell to eigvalsh), and it counts the cell itself.
     space, k, tol = ModuleSpace(Algebra((1,)), 8, 1), 2, 1 - 100 * 2.0 ** -53
     draws = np.full((3, k * stable_rank.draw_size(space.block_shapes)), 1e10)
     assert (space.random_gram_margins(draws, k) == 1.0).all()
     counts = count_lapack_and_gram(monkeypatch)
     assert space._unimodular_count(draws, k, tol) == 3
-    assert counts == {"cholesky": 1, "gram_sums": 1, "eigvalsh": 1, "scans": 2}
+    assert counts == {"cholesky": 1, "gram_sums": 1, "scans": 1}
 
 
 def test_a_refusal_below_the_stable_rank_builds_no_standard_tuple(monkeypatch):
