@@ -110,25 +110,9 @@ def matrix_to_json(block) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(block)]
 
 
-def _json_entry(re, im) -> complex:
-    if isinstance(re, bool) or isinstance(im, bool):  # complex(True, 0) is 1
-        raise TypeError(f"matrix entries must be numbers, not booleans: [{re!r}, {im!r}]")
-    return complex(re, im)
-
-
-def matrix_from_json(rows) -> np.ndarray:
-    """Inverse of :func:`matrix_to_json`; rejects boolean, infinite and NaN entries."""
-    block = np.array(
-        [[_json_entry(re, im) for re, im in row] for row in rows], dtype=np.complex128
-    )
-    if not np.isfinite(block).all():
-        raise ValueError("matrix entries must be finite (found inf or nan)")
-    return block
-
-
 class _Json:
-    """A node of an input document and its JSON path, ``$`` at the root: the one reader of input.
-    Each refusal, its own or that of a constructor it runs, is an ``_InputError`` naming the path."""
+    """A node of an input document and its JSON path, ``$`` at the root: the one reader of input, a matrix
+    in one walk.  Each refusal, its own or that of a constructor it runs, is an ``_InputError`` naming the path."""
 
     __slots__ = ("value", "path")
 
@@ -149,9 +133,12 @@ class _Json:
         return self[key] if isinstance(self.value, dict) and self.value.get(key) is not None else None
 
     def items(self) -> list:
+        return [self._child(v, f"{self.path}[{i}]") for i, v in enumerate(self._list())]
+
+    def _list(self) -> list:
         if not isinstance(self.value, list) or not self.value:
             raise _InputError(f"{self.path} must be a nonempty JSON list")
-        return [self._child(v, f"{self.path}[{i}]") for i, v in enumerate(self.value)]
+        return self.value
 
     @staticmethod
     def _child(value, path: str) -> "_Json":
@@ -166,20 +153,19 @@ class _Json:
         return self.value
 
     def matrix(self) -> np.ndarray:
-        """:func:`matrix_from_json` of this node; its refusal names the first row or ``[re, im]``
-        pair of this node that cannot be read, where there is one."""
-        try:
-            return matrix_from_json(self.value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            rows = self.items()
-            for row in rows:
-                for pair in row.items():
-                    if not (isinstance(pair.value, list) and len(pair.value) == 2 and all(
-                            type(v) in (int, float) and abs(v) <= sys.float_info.max for v in pair.value)):
-                        raise _InputError(f"{pair.path} must be a [re, im] pair of finite numbers") from None
-                if len(row.value) != len(rows[0].value):
-                    raise _InputError(f"{row.path} must hold as many pairs as {rows[0].path}") from None
-            raise _InputError(f"{self.path}: {exc}") from None
+        """The inverse of :func:`matrix_to_json` in one walk: nonempty rows of as many ``[re, im]`` pairs
+        of finite numbers, not booleans, as the first; a refusal names the first row or pair that breaks this."""
+        rows, values = self.items(), []
+        for row in rows:
+            for j, pair in enumerate(row._list()):
+                if not (isinstance(pair, list) and len(pair) == 2 and all(
+                        type(v) in (int, float) and abs(v) <= sys.float_info.max for v in pair)):
+                    row.items()  # a null pair anywhere in the row is refused as null first
+                    raise _InputError(f"{row.path}[{j}] must be a [re, im] pair of finite numbers")
+                values.append(complex(*pair))
+            if len(row.value) != len(rows[0].value):
+                raise _InputError(f"{row.path} must hold as many pairs as {rows[0].path}")
+        return np.array(values, dtype=np.complex128).reshape(len(rows), -1)
 
     def build(self, make, *args):
         """``make(*args)``, whose refusal comes back as this node's; an ``OverflowError`` is a

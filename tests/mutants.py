@@ -114,6 +114,19 @@ MUTANTS = {
         "algebra.py", 'CstarRankError) as exc:\n            raise _InputError(f"{self.path}: {exc}") from None',
         "CstarRankError) as exc:\n            raise",
         "a constructor's refusal of an input node comes back as the reader's error, with the node's path"),
+    "pair-finite": (
+        "algebra.py", " and abs(v) <= sys.float_info.max for v in pair", " for v in pair",
+        "a matrix entry is a finite number: a JSON integer too large for a float is refused by its path"),
+    "pair-boolean": (
+        "algebra.py", "type(v) in (int, float)", "isinstance(v, (int, float))",
+        "a matrix entry is no boolean: complex(True, 0) is 1"),
+    "corner-projection": (
+        "hilbert_module.py", "_gate_norm(r.blocks, PROJECTION_TOL) > PROJECTION_TOL for r in residuals",
+        "_gate_norm(r.blocks, 1e-6) > 1e-6 for r in residuals",
+        "a corner's p and q are projections within 1e-10: p - p* and p^2 - p"),
+    "default-tol": (
+        "scalars.py", "DEFAULT_TOL = 1e-9", "DEFAULT_TOL = 1e-8",
+        "an element is invertible at the default tol when its margin exceeds 1e-9"),
     "catch-value-error": (
         "cli.py", "    except _InputError as exc:", "    except ValueError as exc:",
         "only the reader's error exits 2; a ValueError of the computation is a defect, not bad input"),

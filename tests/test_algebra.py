@@ -108,6 +108,13 @@ def test_is_invertible_trivial():
     assert not alg.zero().is_invertible(1e-9)
 
 
+def test_the_default_tolerance_is_1e_9():
+    # DEFAULT_TOL = 1e-9: a margin of 2e-9 is invertible at the default tol, one of 5e-10 is not.
+    alg = Algebra((2,))
+    assert alg.element([np.diag([1.0, 2e-9])]).is_invertible()
+    assert not alg.element([np.diag([1.0, 5e-10])]).is_invertible()
+
+
 def test_is_invertible_small_singular_value():
     alg = Algebra((2,))
     a = alg.element([np.diag([1.0, 1e-15])])

@@ -846,6 +846,10 @@ LEAF_CASES = {
     "ragged-rows": (_leaf_case([[[0.5, 0.0], [1.0, 0.0]], [[1.0, 0.0]]]),
                     "$[0].blocks[0][1] must hold as many pairs as $[0].blocks[0][0]"),
     "row-not-a-list": (_leaf_case([[[0.5, 0.0], [1.0, 0.0]], 0.5]), "$[0].blocks[0][1] must be a nonempty JSON list"),
+    # The empty containers once read as the block shapes (0,) and (1, 0) and were refused as such.
+    "empty-block": (_leaf_case([]), "$[0].blocks[0] must be a nonempty JSON list"),
+    "empty-row": (_leaf_case([[]]), "$[0].blocks[0][0] must be a nonempty JSON list"),
+    "string-block": (_leaf_case(""), "$[0].blocks[0] must be a nonempty JSON list"),
     "null-rows": (_leaf_case([[[0.5, 0.0], [1.0, 0.0]]], rows=None), "$[0].space.rows must not be null"),
     "null-cols": (_leaf_case([[[0.5, 0.0], [1.0, 0.0]]], cols=None), "$[0].space.cols must not be null"),
 }

@@ -620,6 +620,17 @@ def test_corner_rejects_non_projections_and_zero_q():
         corner_space(alg, 3, good, big.zero())
 
 
+@pytest.mark.parametrize("near", [lambda d: [[1.0, d], [0.0, 0.0]], lambda d: [[1.0 + d, 0.0], [0.0, 0.0]]],
+                         ids=["adjoint", "idempotent"])
+def test_corner_projections_are_judged_at_1e_10(near):
+    # PROJECTION_TOL = 1e-10: a residual p - p* or p^2 - p of 1e-8 is refused, one of 1e-12 is not.
+    alg = Algebra((1,))
+    big = alg.matrix_algebra(2)
+    with pytest.raises(DomainError, match=r"^p is not a projection \(p = p\* = p\^2\)$"):
+        corner_space(alg, 2, big.element([np.array(near(1e-8))]), big.unit())
+    assert corner_space(alg, 2, big.element([np.array(near(1e-12))]), big.unit()).compressed_shapes == ((1, 2),)
+
+
 def test_corner_rejects_a_zero_size_and_projections_outside_its_ambient_algebra():
     alg = Algebra((1,))
     unit = alg.matrix_algebra(2).unit()

@@ -53,7 +53,9 @@ body that returns its output with the margin that decided it, and the CLI
 prints those instead of deriving them again.  Input documents are read through
 one reader, ``algebra._Json``, which names the JSON path of every refusal; the
 CLI maps its error alone to exit 2, so no built-in error of the computation
-reads as bad input.
+reads as bad input.  The two unimodularity routes share no step: the generator
+oracle names no pairing or Gram sum, and the Gram route neither the span map's
+cores nor an SVD's extremes.
 """
 
 import ast
@@ -726,6 +728,28 @@ def test_density_verdicts_have_one_route():
     assert set(_scopes_naming("stable_rank", "trial_draws", calls_only=True)) == {"density_experiment"}
 
 
+#: The steps each unimodularity route must not name: the generator oracle forms no pairing or
+#: Gram sum, and the Gram route takes neither the span map's cores nor an SVD's extremes.
+ROUTE_EXCLUSIONS = {
+    "generation_margin": {"_stacked_pairing", "_gram_spectrum", "pairing", "gram"},
+    "unimodularity_margin": {"_stacked_cores", "_extreme_svals"},
+    "_is_unimodular_at": {"_stacked_cores", "_extreme_svals"},
+}
+
+
+def test_the_two_unimodularity_routes_stay_independent():
+    # With generation_margin replaced by unimodularity_margin, verify-suite's agreement of the
+    # routes still passed: one route always agrees with itself, and a shared step would hide so too.
+    reads = {name: set(_scopes_naming("hilbert_module", name))
+             for names in ROUTE_EXCLUSIONS.values() for name in names}
+    shared = sorted((route, name) for route, names in ROUTE_EXCLUSIONS.items() for name in names
+                    if route in reads[name])
+    assert not shared, f"a unimodularity route names a step of the other: {shared}"
+    # The rule is not vacuous: each route names the steps the other may not.
+    assert "generation_margin" in reads["_stacked_cores"] & reads["_extreme_svals"]
+    assert {"unimodularity_margin", "_is_unimodular_at"} <= reads["_stacked_pairing"] & reads["_gram_spectrum"]
+
+
 #: The public pipelines and the private bodies that return each output with its decided margin.
 PIPELINE_BODIES = {"bass_reduce": "_bass_reduce", "hv_pad": "_hv_pad", "hv_perturb": "_hv_perturb"}
 
@@ -754,8 +778,8 @@ def test_reports_print_what_the_pipelines_decided():
 def _raw_json_reads(tree):
     """Lines of ``tree`` that read a raw JSON value other than through ``_Json``: a parameter
     ``data`` of a ``*from_json*`` reader not handed to ``_Json.of``, a ``_load_json`` value not
-    handed to ``_Json`` or a reader, a node's ``value`` subscripted, read by attribute or
-    iterated, and ``matrix_from_json`` run other than by ``build``, outside ``_Json`` itself."""
+    handed to ``_Json`` or a reader, and a node's ``value`` subscripted, read by attribute or
+    iterated, outside ``_Json`` itself."""
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
     reader = {n for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "_Json" for n in ast.walk(c)}
 
@@ -772,12 +796,10 @@ def _raw_json_reads(tree):
         parent = parents.get(node)
         if isinstance(node, ast.Call) and _read_names(node.func) == ["_load_json"]:
             stray = callee(node) != "_Json" and "from_json" not in callee(node)
-        elif isinstance(node, ast.Attribute) and node.attr == "value":
-            stray = (isinstance(parent, (ast.Subscript, ast.Attribute)) and parent.value is node
-                     or isinstance(parent, (ast.comprehension, ast.For)) and parent.iter is node)
         else:
-            stray = isinstance(node, ast.Name) and node.id == "matrix_from_json" and (
-                callee(node) != "build" or parent.args[0] is not node)
+            stray = isinstance(node, ast.Attribute) and node.attr == "value" and (
+                isinstance(parent, (ast.Subscript, ast.Attribute)) and parent.value is node
+                or isinstance(parent, (ast.comprehension, ast.For)) and parent.iter is node)
         lines += [node.lineno] if stray else []
     return sorted(lines)
 
@@ -791,7 +813,7 @@ def test_json_is_read_only_through_the_reader():
     # The rule is not vacuous: it finds the reads of the readers it replaced.
     assert _raw_json_reads(ast.parse("def from_json_dict(cls, data):\n    return cls(data['blocks'])\n"
                                      "def run(path):\n    return _load_json(path)[0]\n"
-                                     "def entry(m):\n    return matrix_from_json(m.value['rows'])\n")) == [2, 4, 6, 6]
+                                     "def entry(node):\n    return [row for row in node.value]\n")) == [2, 4, 6]
 
 
 #: The functions of the CLI that may catch ``ValueError``, both before any object is built:
